@@ -2,10 +2,10 @@
 
 Configuration is a flat key = value text file ('#' comments allowed);
 --set KEY=VALUE flags override file keys, and --paper-defaults loads the
-built-in optimum operating point.  All physical quantities cross the CLI
-boundary in Gauss-derived units (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK);
-everything internal is SI.  Exit codes: 0 success, 2 configuration or
-input error, 3 numerical failure.
+built-in optimum operating point.  KEYS gives each key's type, default
+and scale from its Gauss-derived lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s,
+uK) to SI.  Exit codes: 0 success, 2 configuration or input error (among
+them an unknown key, NaN, inf or a fractional count), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,139 +16,145 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import cloud, dynamics, sweeps
+from . import dynamics, sweeps
 from .cloud import QuadratureError, make_thermal_cloud, occupied_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_decay, fit_kappa, fit_loading_rate,
                          fit_tof)
-from .species import (MotBeamParams, chromium_52, cm3_to_si, load_species,
-                      si_to_cm3)
+from .flatfile import key_values, number, read_csv, read_lines
+from .species import MotBeamParams, chromium_52, load_species, si_to_cm3
 from .trap import IpTrapConfig, majorana_safe
 
-DEFAULT_SEED = 20021114
 
-# Optimum operating point: B' = 12.5 G/cm, B'' = 10.5 G/cm^2, offset ~ 0,
-# 5e6 MOT atoms at 140 uK, trap cloud at 100 uK, fitted loss coefficients.
-PAPER_DEFAULTS: dict[str, str] = {
-    "species": "cr52",
-    "b_prime_g_per_cm": "12.5",
-    "b_dprime_g_per_cm2": "10.5",
-    "b0_mg": "0.0",
-    "gamma_d_per_s": "0.0",
-    "eta": "0.3",
-    "beta_ed_cm3_per_s": "6e-10",
-    "beta_dd_cm3_per_s": "1.3e-11",
-    "n_mot": "5e6",
-    "mot_saturation": "inf",
-    "mot_detuning_gamma": "-2.0",
-    "t_mot_uk": "140.0",
-    "t_mt_uk": "100.0",
-    "sigma_mot_radial_mm": "0.1",
-    "sigma_mot_axial_mm": "0.1",
-    "seed": str(DEFAULT_SEED),
-    "t_end_s": "10.0",
-    "samples": "200",
-    "n0_atoms": "0.0",
-    "synth_kind": "kappa_points",
-    "synth_noise": "0.1",
-    "synth_points": "30",
-    "fit_window_s": "0.25",
+class Key(NamedTuple):
+    """Type, default (None: required; "": unset), SI scale, paper value."""
+
+    kind: type
+    default: str | None
+    scale: float = 1.0
+    paper: str | None = None
+
+
+# The paper's optimum operating point: B' = 12.5 G/cm, B'' = 10.5 G/cm^2,
+# offset ~ 0, 5e6 MOT atoms at 140 uK, trap cloud at 100 uK, fitted loss
+# coefficients; keys without a paper value keep their default there.
+KEYS: dict[str, Key] = {
+    "species": Key(str, "cr52"),  # built-in name or species file path
+    "b_prime_g_per_cm": Key(float, None, 1e-2, "12.5"),
+    "b_dprime_g_per_cm2": Key(float, None, 1.0, "10.5"),
+    "b0_mg": Key(float, "0.0", 1e-7),
+    "gamma_d_per_s": Key(float, "0.0"),
+    "eta": Key(float, str(dynamics.DEFAULT_ETA)),
+    "beta_ed_cm3_per_s": Key(float, "0.0", 1e-6, "6e-10"),
+    "beta_dd_cm3_per_s": Key(float, "0.0", 1e-6, "1.3e-11"),
+    "n_mot": Key(float, None, 1.0, "5e6"),
+    "mot_saturation": Key(float, "inf"),
+    "mot_detuning_gamma": Key(float, "-2.0"),  # times the species linewidth
+    "t_mot_uk": Key(float, None, 1e-6, "140.0"),
+    "t_mt_uk": Key(float, "0.0", 1e-6, "100.0"),  # 0: virial prediction
+    "sigma_mot_radial_mm": Key(float, "0.1", 1e-3),
+    "sigma_mot_axial_mm": Key(float, "0.1", 1e-3),
+    "v_mt_cm3": Key(float, "", 1e-6),  # unset: from the cloud geometry
+    "v_eff_cm3": Key(float, "", 1e-6),  # unset: v_mt
+    "t_end_s": Key(float, "10.0"),
+    "samples": Key(int, "200"),
+    "n0_atoms": Key(float, "0.0"),
+    "sweep_parameter": Key(str, "radial_gradient"),
+    "sweep_start": Key(float, None, 1.0, "8.0"),  # in the swept key's unit
+    "sweep_stop": Key(float, None, 1.0, "20.0"),
+    "sweep_points": Key(int, "10"),
+    "sweep_values": Key(str, ""),
+    "sweep_nmot_csv": Key(str, ""),
+    "sweep_outputs": Key(str,
+                         "n_mot,n_mt_steady,loading_rate,tau_eff,v_mt,kappa"),
+    "synth_kind": Key(str, "kappa_points"),
+    "synth_noise": Key(float, "0.0", 1.0, "0.1"),
+    "synth_points": Key(int, "30"),
+    "seed": Key(int, "20021114"),
+    "fit_window_s": Key(float, "0.25"),
 }
+PAPER_DEFAULTS: dict[str, str] = {
+    name: key.paper or key.default for name, key in KEYS.items()
+    if key.paper or key.default}
 
 
 class ConfigError(Exception):
     """Bad configuration or input data."""
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
+def _get(cfg: dict[str, str], name: str):
+    """A config key's value in SI units, or None if unset.
 
-
-def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    raw = cfg.get(key, "")
-    if raw == "":
-        if default is None:
-            raise ConfigError(f"missing required config key: {key}")
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: not a number: {raw!r}") from exc
+    NaN is rejected, and so is inf except for mot_saturation, where it
+    selects the fully saturated MOT.
+    """
+    kind, default, scale, _ = KEYS[name]
+    raw = cfg.get(name) or default
+    if raw is None:
+        raise ConfigError(f"missing required config key: {name}")
+    if kind is str or not raw:
+        return raw or None
+    value = number(raw, f"config key {name}", integer=kind is int,
+                   allow_inf=name == "mot_saturation")
+    return value * scale if kind is float else value
 
 
 def build_config(args) -> dict[str, str]:
     cfg = dict(PAPER_DEFAULTS) if args.paper_defaults else {}
     if args.config:
-        cfg.update(parse_config_file(args.config))
+        cfg.update(key_values(read_lines(args.config), KEYS))
     if not cfg:
         raise ConfigError("no configuration: pass --config or --paper-defaults")
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        cfg[key.strip()] = value.strip()
+    cfg.update(key_values((("--set", item) for item in args.set or []), KEYS))
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
+    for name in cfg:  # whether or not this command reads the key
+        _get(cfg, name)
     return cfg
 
 
-def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
-    name = cfg.get("species", "cr52")
+def _species(cfg: dict[str, str]):
+    name = _get(cfg, "species")
     if name in ("cr52", "52Cr", "chromium_52"):
-        species = chromium_52()
-    else:
-        if not Path(name).exists():
-            raise ConfigError(f"species file not found: {name}")
-        species = load_species(name)
+        return chromium_52()
+    return load_species(name)
 
-    trap_cfg = IpTrapConfig.from_gauss(
-        _get_float(cfg, "b_prime_g_per_cm"),
-        _get_float(cfg, "b_dprime_g_per_cm2"),
-        _get_float(cfg, "b0_mg", 0.0),
-        _get_float(cfg, "gamma_d_per_s", 0.0),
-    )
+
+def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
+    species = _species(cfg)
+    trap_cfg = IpTrapConfig(_get(cfg, "b_prime_g_per_cm"),
+                            _get(cfg, "b_dprime_g_per_cm2"),
+                            _get(cfg, "b0_mg"), _get(cfg, "gamma_d_per_s"))
     coeff = RateCoefficients(
-        eta=_get_float(cfg, "eta", dynamics.DEFAULT_ETA),
-        beta_ed=cm3_to_si(_get_float(cfg, "beta_ed_cm3_per_s", 0.0)),
-        beta_dd=cm3_to_si(_get_float(cfg, "beta_dd_cm3_per_s", 0.0)),
+        eta=_get(cfg, "eta"),
+        beta_ed=_get(cfg, "beta_ed_cm3_per_s"),
+        beta_dd=_get(cfg, "beta_dd_cm3_per_s"),
         gamma_d=trap_cfg.background_loss_rate,
     )
-    t_mot = _get_float(cfg, "t_mot_uk") * 1e-6
+    t_mot = _get(cfg, "t_mot_uk")
     mot = MotBeamParams(
-        total_saturation=_get_float(cfg, "mot_saturation", math.inf),
-        detuning=_get_float(cfg, "mot_detuning_gamma", -2.0) * species.gamma_eg,
-        n_mot=_get_float(cfg, "n_mot"),
+        total_saturation=_get(cfg, "mot_saturation"),
+        detuning=_get(cfg, "mot_detuning_gamma") * species.gamma_eg,
+        n_mot=_get(cfg, "n_mot"),
         temperature=t_mot,
-        sigma_radial=_get_float(cfg, "sigma_mot_radial_mm", 0.1) * 1e-3,
-        sigma_axial=_get_float(cfg, "sigma_mot_axial_mm", 0.1) * 1e-3,
+        sigma_radial=_get(cfg, "sigma_mot_radial_mm"),
+        sigma_axial=_get(cfg, "sigma_mot_axial_mm"),
     )
-    t_mt = _get_float(cfg, "t_mt_uk", 0.0) * 1e-6
+    t_mt = _get(cfg, "t_mt_uk")
     if t_mt <= 0:
         t_mt = dynamics.mt_temperature_prediction(t_mot)
 
-    v_mt = _get_float(cfg, "v_mt_cm3", 0.0)
-    if v_mt > 0:
-        v_mt = cm3_to_si(v_mt)
-    else:
+    v_mt = _get(cfg, "v_mt_cm3")
+    if v_mt is None or v_mt <= 0:
         cl = make_thermal_cloud(species, trap_cfg, n=1.0, t=t_mt)
         v_mt = occupied_volume(cl)
-    v_eff = _get_float(cfg, "v_eff_cm3", 0.0)
-    v_eff = cm3_to_si(v_eff) if v_eff > 0 else v_mt
+    v_eff = _get(cfg, "v_eff_cm3")
+    if v_eff is None or v_eff <= 0:
+        v_eff = v_mt
 
     return LoadingScenario(species=species, trap=trap_cfg, coefficients=coeff,
                            mot=mot, mt_temperature=t_mt, v_mt=v_mt,
@@ -218,52 +224,45 @@ def cmd_predict(cfg: dict[str, str], out: str | None) -> None:
 
 def cmd_simulate(cfg: dict[str, str], out: str | None) -> None:
     scen = scenario_from_config(cfg)
-    t, n = dynamics.evolve(scen, _get_float(cfg, "n0_atoms", 0.0),
-                           _get_float(cfg, "t_end_s", 10.0),
-                           int(_get_float(cfg, "samples", 200)))
+    t, n = dynamics.evolve(scen, _get(cfg, "n0_atoms"), _get(cfg, "t_end_s"),
+                           _get(cfg, "samples"))
     _write_atomic(out, _csv([[ti, ni] for ti, ni in zip(t, n)],
                             ["t_s", "n_atoms"]))
 
 
-_SWEEP_UNIT = {  # Gauss-unit boundary -> SI, per swept parameter
-    "radial_gradient": ("g_per_cm", 1e-2),
-    "axial_curvature": ("g_per_cm2", 1.0),
-    "offset_field": ("mg", 1e-7),
+_SWEPT_KEY = {  # swept parameter -> (key giving its SI scale, CSV unit)
+    "radial_gradient": ("b_prime_g_per_cm", "g_per_cm"),
+    "axial_curvature": ("b_dprime_g_per_cm2", "g_per_cm2"),
+    "offset_field": ("b0_mg", "mg"),
 }
 
 
 def cmd_sweep(cfg: dict[str, str], out: str | None) -> None:
     scen = scenario_from_config(cfg)
-    parameter = cfg.get("sweep_parameter", "radial_gradient")
-    if parameter not in _SWEEP_UNIT:
-        raise ConfigError(f"sweep_parameter must be one of {sorted(_SWEEP_UNIT)}")
-    unit_name, scale = _SWEEP_UNIT[parameter]
-    if cfg.get("sweep_values", ""):
-        values_b = [float(v) for v in cfg["sweep_values"].split(",")]
+    parameter = _get(cfg, "sweep_parameter")
+    if parameter not in _SWEPT_KEY:
+        raise ConfigError(f"sweep_parameter must be one of {sorted(_SWEPT_KEY)}")
+    key, unit_name = _SWEPT_KEY[parameter]
+    scale = KEYS[key].scale
+    if listed := _get(cfg, "sweep_values"):
+        values_b = [number(v, "config key sweep_values")
+                    for v in listed.split(",")]
     else:
-        start = _get_float(cfg, "sweep_start")
-        stop = _get_float(cfg, "sweep_stop")
-        num = int(_get_float(cfg, "sweep_points", 10))
-        values_b = list(np.linspace(start, stop, num))
-    outputs = tuple(s.strip() for s in cfg.get(
-        "sweep_outputs",
-        "n_mot,n_mt_steady,loading_rate,tau_eff,v_mt,kappa").split(","))
+        values_b = list(np.linspace(_get(cfg, "sweep_start"),
+                                    _get(cfg, "sweep_stop"),
+                                    _get(cfg, "sweep_points")))
+    outputs = tuple(s.strip() for s in _get(cfg, "sweep_outputs").split(","))
     n_mot_pp = None
-    if cfg.get("sweep_nmot_csv", ""):
-        table = DataSet.from_csv(cfg["sweep_nmot_csv"])
+    if nmot_csv := _get(cfg, "sweep_nmot_csv"):
+        table = DataSet.from_csv(nmot_csv)
         lookup = dict(zip(np.round(table.x, 9), table.y))
         try:
             n_mot_pp = [lookup[round(v, 9)] for v in values_b]
         except KeyError as exc:
             raise ConfigError(f"sweep_nmot_csv has no row for value {exc}")
-    try:
-        spec = sweeps.SweepSpec(
-            swept_parameter=parameter,
-            values=[v * scale for v in values_b],
-            base_scenario=scen, outputs=outputs, n_mot_per_point=n_mot_pp)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    rows = sweeps.run_sweep(spec)
+    rows = sweeps.run_sweep(sweeps.SweepSpec(
+        swept_parameter=parameter, values=[v * scale for v in values_b],
+        base_scenario=scen, outputs=outputs, n_mot_per_point=n_mot_pp))
 
     header = [f"{parameter}_{unit_name}"] + list(outputs) + ["error"]
     csv_rows = []
@@ -282,10 +281,8 @@ def cmd_sweep(cfg: dict[str, str], out: str | None) -> None:
 def cmd_synth(cfg: dict[str, str], out: str | None) -> None:
     scen = scenario_from_config(cfg)
     data = sweeps.synthesize_measurements(
-        scen, cfg.get("synth_kind", "kappa_points"),
-        noise=_get_float(cfg, "synth_noise", 0.0),
-        seed=int(_get_float(cfg, "seed", DEFAULT_SEED)),
-        points=int(_get_float(cfg, "synth_points", 30)))
+        scen, _get(cfg, "synth_kind"), noise=_get(cfg, "synth_noise"),
+        seed=_get(cfg, "seed"), points=_get(cfg, "synth_points"))
     _write_atomic(out, _csv(
         [[x, y, s] for x, y, s in zip(data.x, data.y, data.sigma_y)],
         [data.x_label, data.y_label, f"sigma_{data.y_label}"]))
@@ -295,8 +292,6 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
             out: str | None) -> None:
     if not data_path:
         raise ConfigError("fit requires --data PATH")
-    if not Path(data_path).exists():
-        raise ConfigError(f"data file not found: {data_path}")
     try:
         data = (_read_kappa_csv(data_path) if kind == "kappa"
                 else DataSet.from_csv(data_path))
@@ -304,7 +299,7 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
         raise ConfigError(f"{data_path}: {exc}")
 
     if kind == "loading-rate":
-        rate = fit_loading_rate(data, _get_float(cfg, "fit_window_s", 0.25))
+        rate = fit_loading_rate(data, _get(cfg, "fit_window_s"))
         text = f"loading_rate_atoms_per_s = {rate:.6g}\n"
     elif kind == "kappa":
         res = fit_kappa(data)
@@ -316,13 +311,7 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
             f"correlation = {res.correlation[0, 1]:.4f}\n"
             f"converged = {res.converged}\n")
     elif kind == "decay":
-        v = _get_float(cfg, "v_mt_cm3", 0.0)
-        if v <= 0:
-            scen = scenario_from_config(cfg)
-            v_si = scen.v_mt
-        else:
-            v_si = cm3_to_si(v)
-        res = fit_decay(data, v_si)
+        res = fit_decay(data, scenario_from_config(cfg).v_mt)
         text = (
             f"gamma_per_s = {res['gamma']:.6g}\n"
             f"gamma_sigma_per_s = {res.sigma('gamma'):.6g}\n"
@@ -330,10 +319,7 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
             f"beta_dd_sigma_cm3_per_s = {si_to_cm3(res.sigma('beta_dd')):.6g}\n"
             f"converged = {res.converged}\n")
     elif kind == "tof":
-        name = cfg.get("species", "cr52")
-        species = chromium_52() if name in ("cr52", "52Cr", "chromium_52") \
-            else load_species(name)
-        res = fit_tof(data, species)
+        res = fit_tof(data, _species(cfg))
         text = (
             f"temperature_uk = {res['temperature'] * 1e6:.6g}\n"
             f"temperature_sigma_uk = {res.sigma('temperature') * 1e6:.6g}\n"
@@ -362,55 +348,37 @@ def _read_kappa_csv(path: str) -> DataSet:
     CSV, and sweep output, whose extra columns and error field would break
     positional parsing; rows without usable numbers are skipped.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ConfigError(f"{path}: 0 data rows")
-    header = [c.strip() for c in lines[0].split(",")]
+    header, rows = read_csv(path)
     if "kappa" not in header:
         return DataSet.from_csv(path)
-    iy = header.index("kappa")
     ix = next((header.index(n) for n in
                ("rv_over_nmot2_m3_per_s", "kappa_abscissa") if n in header),
               None)
     if ix is None:
         raise ConfigError(f"{path}: no abscissa column for the kappa fit")
-    isig = header.index("sigma_kappa") if "sigma_kappa" in header else None
-    xs, ys, ss = [], [], []
-    for line in lines[1:]:
-        cells = [c.strip() for c in line.split(",")]
+    cols = [ix, header.index("kappa")] + (
+        [header.index("sigma_kappa")] if "sigma_kappa" in header else [])
+    points = []
+    for cells in rows:
         try:
-            x = float(cells[ix])
-            y = float(cells[iy])
-            s = float(cells[isig]) if isig is not None else abs(y) * 1e-3
+            points.append([float(cells[i]) for i in cols])
         except (ValueError, IndexError):
             continue
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        xs.append(x)
-        ys.append(y)
-        ss.append(max(s, 1e-300))
-    if len(xs) < 3:
+    pts = np.array(points).reshape(-1, len(cols))
+    pts = pts[np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1])]
+    if len(pts) < 3:
         raise ConfigError(f"{path}: fewer than 3 usable data rows")
-    return DataSet(np.array(xs), np.array(ys), np.array(ss),
+    sigma = pts[:, 2] if len(cols) == 3 else np.abs(pts[:, 1]) * 1e-3
+    return DataSet(pts[:, 0], pts[:, 1], np.maximum(sigma, 1e-300),
                    x_label=header[ix], y_label="kappa")
 
 
 def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Long-format profile table: y_mm, z_mm, column_density columns."""
-    rows = []
-    header = None
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            continue
-        rows.append([float(c) for c in line.split(",")])
+    _, rows = read_csv(path)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
-    arr = np.asarray(rows, float)
+    arr = np.asarray([[float(c) for c in row] for row in rows], float)
     y = np.unique(arr[:, 0]) * 1e-3
     z = np.unique(arr[:, 1]) * 1e-3
     if y.size * z.size != arr.shape[0]:

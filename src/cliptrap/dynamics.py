@@ -48,7 +48,7 @@ class RateCoefficients:
         # eta = 0 is allowed so switched-off loading is representable
         if not 0 <= self.eta <= 1:
             raise ValueError("eta must be in [0, 1]")
-        if self.beta_ed < 0 or self.beta_dd < 0 or self.gamma_d < 0:
+        if not (self.beta_ed >= 0 and self.beta_dd >= 0 and self.gamma_d >= 0):
             raise ValueError("loss coefficients must be >= 0")
 
 
@@ -69,9 +69,9 @@ class LoadingScenario:
     v_eff: float           # m^3
 
     def __post_init__(self) -> None:
-        if self.v_mt <= 0 or self.v_eff <= 0:
+        if not (self.v_mt > 0 and self.v_eff > 0):
             raise ValueError("volumes must be positive")
-        if self.mt_temperature <= 0:
+        if not self.mt_temperature > 0:
             raise ValueError("mt_temperature must be positive")
 
     @property
@@ -87,7 +87,7 @@ def loading_rate(scenario: LoadingScenario) -> float:
 
 def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
     """Effective one-body loss rate N* beta_ed / V_eff (1/s)."""
-    if v_eff <= 0:
+    if not v_eff > 0:
         raise ValueError("v_eff must be positive")
     return n_star * beta_ed / v_eff
 
@@ -131,9 +131,9 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     Returns (t, N) on a uniform grid of `samples` points; adaptive stepping
     with relative tolerance 1e-8 and absolute tolerance 1e-3 atoms.
     """
-    if n0 < 0:
+    if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
-    if t_end <= 0:
+    if not t_end > 0:
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -184,7 +184,7 @@ def accumulation_efficiency(scenario: LoadingScenario) -> float:
 
 def effective_loading_time(n_mt: float, r: float) -> float:
     """tau = N_MT / R, the single-number loss measure."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("loading rate must be positive")
     return n_mt / r
 
@@ -196,12 +196,12 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
     for gamma t < 1e-8 the pure two-body limit n0 / (1 + 2 beta n0 t / V)
     is used.  Vectorized over t.
     """
-    if n0 < 0:
+    if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
-    if v <= 0:
+    if not v > 0:
         raise ValueError("v must be positive")
     t = np.asarray(t, float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be >= 0")
     b = 2 * beta * n0 / v
     small = gamma * t < 1e-8
@@ -224,7 +224,7 @@ def mt_temperature_prediction(t_mot: float, thermalized: bool = True):
     (axial, radial).  Heating beyond this is not modelled, so these are
     lower bounds.
     """
-    if t_mot <= 0:
+    if not t_mot > 0:
         raise ValueError("t_mot must be positive")
     if thermalized:
         return 0.375 * t_mot

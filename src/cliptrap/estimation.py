@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import decay, kappa_of_abscissa
+from .flatfile import read_csv
 from .species import BOLTZMANN, Species
 from .trap import IpTrapConfig
 
@@ -43,7 +44,7 @@ class DataSet:
         self.sigma_y = np.asarray(self.sigma_y, float)
         if not (self.x.shape == self.y.shape == self.sigma_y.shape):
             raise ValueError("x, y and sigma_y must have identical shapes")
-        if np.any(self.sigma_y <= 0):
+        if not np.all(self.sigma_y > 0):
             raise ValueError("all sigma_y must be positive")
 
     def __len__(self) -> int:
@@ -58,19 +59,10 @@ class DataSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DataSet":
-        rows = []
-        header = None
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append([float(c) for c in line.split(",")])
-        if header is None or not rows:
+        header, rows = read_csv(path)
+        if not rows:
             raise ValueError(f"no data rows in {path}")
-        data = np.asarray(rows, float)
+        data = np.asarray([[float(c) for c in row] for row in rows], float)
         if data.shape[1] < 3:
             raise ValueError("expected at least 3 columns (x, y, sigma_y)")
         # Optional 4th column: mask, nonzero keeps the row.
@@ -226,7 +218,7 @@ def fit_loading_rate(series: DataSet, window: float = 0.25) -> float:
     The early-time slope of the accumulation curve; the finite window
     introduces a small curvature bias toward lower values.
     """
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
     sel = (series.x >= 0) & (series.x <= window)
     if np.count_nonzero(sel) < 3:
@@ -244,9 +236,9 @@ def fit_kappa(data: DataSet,
     the delta method.  The two parameters act on opposite ends of the
     curve but both suppress kappa, so expect strong negative correlation.
     """
-    if np.any(data.x <= 0):
+    if not np.all(data.x > 0):
         raise ValueError("abscissa values must be positive")
-    if initial[0] <= 0 or initial[1] <= 0:
+    if not (initial[0] > 0 and initial[1] > 0):
         raise ValueError("initial guesses must be positive")
 
     def model(x, q):
@@ -270,14 +262,14 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
     v is the occupied volume; n0 defaults to the earliest sample.  beta_dd
     is fitted in log space, gamma linearly with a non-negativity bound.
     """
-    if v <= 0:
+    if not v > 0:
         raise ValueError("v must be positive")
     order = np.argsort(series.x)
     t = series.x[order]
     y = series.y[order]
     if n0 is None:
         n0 = float(y[0])
-    if n0 <= 0:
+    if not n0 > 0:
         raise ValueError("n0 must be positive")
 
     # Crude rate split for the starting point: late-time log slope for the

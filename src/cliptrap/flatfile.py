@@ -1,0 +1,56 @@
+"""The one line reader behind every config, species and CSV file.
+
+'#' starts a comment and blank lines are skipped.  Values are strict: an
+unknown key, NaN, inf or a fractional count raises ValueError.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+
+def read_lines(path: str | Path) -> list[tuple[str, str]]:
+    """('path:lineno', text) of each line left once comments and blanks go."""
+    lines = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            lines.append((f"{path}:{lineno}", line))
+    return lines
+
+
+def key_values(items, known) -> dict[str, str]:
+    """{key: value} from (where, 'key = value') items; keys must be known."""
+    pairs = {}
+    for where, text in items:
+        key, sep, value = (s.strip() for s in text.partition("="))
+        if not sep:
+            raise ValueError(f"{where}: expected key = value, got {text!r}")
+        if key not in known:
+            import difflib  # only on the error path
+            near = difflib.get_close_matches(key, list(known), n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ValueError(f"{where}: unknown key {key!r}{hint}")
+        pairs[key] = value
+    return pairs
+
+
+def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Header cells and the cells of each data row, all stripped."""
+    rows = [[c.strip() for c in line.split(",")] for _, line in read_lines(path)]
+    return (rows[0], rows[1:]) if rows else ([], [])
+
+
+def number(text: str, where: str, integer: bool = False,
+           allow_inf: bool = False) -> float | int:
+    """A finite float, or a whole number if `integer`; +inf if allowed."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    bad_inf = math.isinf(value) and not (allow_inf and value > 0)
+    if math.isnan(value) or bad_inf or (integer and not value.is_integer()):
+        kind = "whole" if integer else "finite"
+        raise ValueError(f"{where}: not a {kind} number: {text!r}")
+    return int(value) if integer else value

@@ -11,24 +11,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .flatfile import key_values, number, read_lines
+
 # CODATA 2018 reference values
 BOLTZMANN = 1.380649e-23          # J/K (exact since 2019 SI)
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
 GRAVITY = 9.80665                 # m/s^2, standard acceleration
 ATOMIC_MASS = 1.66053906660e-27   # kg
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Fundamental constants used by the trap and cloud formulas."""
-
-    boltzmann_constant: float = BOLTZMANN
-    bohr_magneton: float = BOHR_MAGNETON
-    gravitational_acceleration: float = GRAVITY
-    atomic_mass_unit: float = ATOMIC_MASS
-
-
-CONSTANTS = Constants()
 
 
 # --- unit conversions (exact scale factors) ---------------------------------
@@ -63,11 +52,6 @@ def si_to_gauss(v: float) -> float:
     return v * 1e4
 
 
-def cm3_to_si(v: float) -> float:
-    """cm^3 -> m^3 (also converts cm^3/s rate coefficients)."""
-    return v * 1e-6
-
-
 def si_to_cm3(v: float) -> float:
     """m^3 -> cm^3."""
     return v * 1e6
@@ -96,9 +80,9 @@ class Species:
     branching_ratio_mg_md: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mass <= 0 or self.magnetic_moment <= 0 or self.gamma_eg <= 0:
+        if not (self.mass > 0 and self.magnetic_moment > 0 and self.gamma_eg > 0):
             raise ValueError("mass, magnetic_moment and gamma_eg must be positive")
-        if self.gamma_ed <= 0 or self.branching_ratio_eg_ed <= 0:
+        if not (self.gamma_ed > 0 and self.branching_ratio_eg_ed > 0):
             raise ValueError("gamma_ed and branching_ratio_eg_ed must be positive")
         ratio = self.gamma_eg / self.gamma_ed
         if abs(ratio - self.branching_ratio_eg_ed) > 0.01 * self.branching_ratio_eg_ed:
@@ -136,33 +120,26 @@ def load_species(path: str | Path) -> Species:
 
     Required keys: name, mass_amu, mu_bohr, gamma_eg_hz (linewidth in Hz,
     i.e. gamma_eg / 2 pi), branching_eg_ed, isat_mw_cm2, wavelength_nm.
-    Optional: branching_mg_md.  '#' comment lines are skipped.
+    Optional: branching_mg_md.  '#' comments are skipped; an unknown key
+    or a non-finite number is an error.
     """
-    raw: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed species line: {line!r}")
-        key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
+    raw = key_values(read_lines(path), _SPECIES_KEYS + ("branching_mg_md",))
     missing = [k for k in _SPECIES_KEYS if k not in raw]
     if missing:
         raise ValueError(f"species file missing keys: {', '.join(missing)}")
-    gamma_eg = 2 * math.pi * float(raw["gamma_eg_hz"])
-    branching = float(raw["branching_eg_ed"])
-    mg_md = float(raw["branching_mg_md"]) if "branching_mg_md" in raw else None
+    num = {k: number(v, f"{path}: {k}") for k, v in raw.items() if k != "name"}
+    gamma_eg = 2 * math.pi * num["gamma_eg_hz"]
+    branching = num["branching_eg_ed"]
     return Species(
         name=raw["name"],
-        mass=float(raw["mass_amu"]) * ATOMIC_MASS,
-        magnetic_moment=float(raw["mu_bohr"]) * BOHR_MAGNETON,
+        mass=num["mass_amu"] * ATOMIC_MASS,
+        magnetic_moment=num["mu_bohr"] * BOHR_MAGNETON,
         gamma_eg=gamma_eg,
         gamma_ed=gamma_eg / branching,
         branching_ratio_eg_ed=branching,
-        saturation_intensity=float(raw["isat_mw_cm2"]) * 10.0,  # mW/cm^2 -> W/m^2
-        mot_wavelength=float(raw["wavelength_nm"]) * 1e-9,
-        branching_ratio_mg_md=mg_md,
+        saturation_intensity=num["isat_mw_cm2"] * 10.0,  # mW/cm^2 -> W/m^2
+        mot_wavelength=num["wavelength_nm"] * 1e-9,
+        branching_ratio_mg_md=num.get("branching_mg_md"),
     )
 
 
@@ -185,11 +162,13 @@ class MotBeamParams:
     sigma_axial: float    # m
 
     def __post_init__(self) -> None:
-        if self.total_saturation < 0:
+        if not self.total_saturation >= 0:
             raise ValueError("total_saturation must be >= 0")
-        if self.temperature <= 0:
+        if not (math.isfinite(self.detuning) and 0 <= self.n_mot < math.inf):
+            raise ValueError("detuning must be finite and n_mot in [0, inf)")
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.sigma_radial <= 0 or self.sigma_axial <= 0:
+        if not (self.sigma_radial > 0 and self.sigma_axial > 0):
             raise ValueError("cloud sizes must be positive")
 
 

@@ -35,11 +35,13 @@ class IpTrapConfig:
     background_loss_rate: float = 0.0  # 1/s
 
     def __post_init__(self) -> None:
-        if self.radial_gradient <= 0:
+        if not self.radial_gradient > 0:
             raise ValueError("radial_gradient must be positive")
-        if self.axial_curvature <= 0:
+        if not self.axial_curvature > 0:
             raise ValueError("axial_curvature must be positive")
-        if self.background_loss_rate < 0:
+        if not math.isfinite(self.offset_field):
+            raise ValueError("offset_field must be finite")
+        if not self.background_loss_rate >= 0:
             raise ValueError("background_loss_rate must be >= 0")
 
     @classmethod

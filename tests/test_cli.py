@@ -114,6 +114,13 @@ class TestSweep:
         assert lines[0].endswith(",error")
         assert len(lines) == 5
 
+    def test_paper_defaults_alone(self, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--paper-defaults", "--out", str(csv)) == 0
+        table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",",
+                           usecols=range(7))
+        assert table[:, 0] == pytest.approx(np.linspace(8.0, 20.0, 10))
+
     def test_explicit_values_and_nmot_csv(self, tmp_path):
         nmot = tmp_path / "nmot.csv"
         nmot.write_text("b_prime,n_mot,sigma\n10,4e6,1\n12.5,5e6,1\n"

@@ -1,0 +1,240 @@
+"""Bad input is rejected, never replaced by a default in silence.
+
+CLI input (--set, config files, species files) exits with code 2 and a
+message naming the key; library constructors raise ValueError for NaN.
+"""
+
+import contextlib
+import io
+import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cliptrap import cli
+from cliptrap.dynamics import RateCoefficients
+from cliptrap.estimation import DataSet
+from cliptrap.species import MotBeamParams, chromium_52
+from cliptrap.trap import IpTrapConfig
+
+from conftest import make_scenario
+
+FLOAT_KEYS = [k for k, key in cli.KEYS.items() if key.kind is float]
+INT_KEYS = [k for k, key in cli.KEYS.items() if key.kind is int]
+EXAMPLE_CFG = Path(__file__).resolve().parents[1] / "docs" / "example.cfg"
+
+SPECIES_FILE = """\
+name = 52Cr-file
+mass_amu = 52
+mu_bohr = 6
+gamma_eg_hz = 5.02e6
+branching_eg_ed = 2.5e5
+isat_mw_cm2 = 8.52
+wavelength_nm = 425.6
+branching_mg_md = 5200
+"""
+SPECIES_FLOAT_KEYS = [line.split(" = ")[0]
+                      for line in SPECIES_FILE.splitlines()[1:]]
+
+
+def run(*argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_species_line(key, value):
+    return re.sub(rf"^{key} = .*$", f"{key} = {value}", SPECIES_FILE,
+                  flags=re.M)
+
+
+# --- the key table and the documented example -----------------------------
+
+def test_example_cfg_matches_key_table():
+    text = EXAMPLE_CFG.read_text()
+    commented = re.findall(r"^#\s*([a-z][a-z0-9_]*)\s*=", text, flags=re.M)
+    pairs = {}
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        if "=" in line:
+            key, value = line.split("=", 1)
+            pairs[key.strip()] = value.strip()
+    assert set(commented) == {"v_mt_cm3", "v_eff_cm3", "sweep_values",
+                              "sweep_nmot_csv"}
+    assert set(commented) | set(pairs) == set(cli.KEYS)
+    assert pairs == cli.PAPER_DEFAULTS
+
+
+# --- rejected CLI input -----------------------------------------------------
+
+def test_misspelt_set_key_suggests_nearest(tmp_path):
+    out = tmp_path / "report.txt"
+    code, stdout, err = run("predict", "--paper-defaults", "--set",
+                            "beta_dd_cm3_per_sec=5e-11", "--out", str(out))
+    assert code == 2
+    assert "unknown key 'beta_dd_cm3_per_sec'" in err
+    assert "did you mean 'beta_dd_cm3_per_s'?" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_misspelt_config_file_key_suggests_nearest(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b_prime_g_per_cm = 12.5\nb_dprime_g_per_cm2 = 10.5\n"
+                   "n_mot = 5e6\nt_mot_uk = 140\nsigma_mot_radial = 0.1\n")
+    code, _, err = run("predict", "--config", str(cfg))
+    assert code == 2
+    assert f"{cfg}:5: unknown key 'sigma_mot_radial'" in err
+    assert "did you mean 'sigma_mot_radial_mm'?" in err
+
+
+def test_unknown_key_without_near_match():
+    code, _, err = run("predict", "--paper-defaults", "--set", "zzz=1")
+    assert code == 2
+    assert "unknown key 'zzz'" in err and "did you mean" not in err
+
+
+# inf is accepted only for mot_saturation, where it selects the fully
+# saturated MOT (test_inf_saturation_accepted).
+NON_FINITE = [(key, value) for key in FLOAT_KEYS
+              for value in ("nan", "inf", "-inf")
+              if (key, value) != ("mot_saturation", "inf")]
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("key,value", NON_FINITE)
+def test_non_finite_float_rejected(key, value, source, tmp_path):
+    if source == "set":
+        args = ["--set", f"{key}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args = ["--config", str(cfg)]
+    code, stdout, err = run("predict", "--paper-defaults", *args)
+    assert code == 2
+    assert f"config key {key}: not a finite number: '{value}'" in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_inf_saturation_accepted(source, tmp_path):
+    if source == "set":
+        args = ["--set", "mot_saturation=inf"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mot_saturation = inf\n")
+        args = ["--config", str(cfg)]
+    code, stdout, _ = run("predict", "--paper-defaults", *args)
+    assert code == 0
+    assert "n_steady_atoms = " in stdout
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_fractional_count_rejected(key, tmp_path):
+    out = tmp_path / "sim.csv"
+    code, _, err = run("simulate", "--paper-defaults", "--set", f"{key}=2.7",
+                       "--out", str(out))
+    assert code == 2
+    assert f"config key {key}: not a whole number: '2.7'" in err
+    assert not out.exists()
+
+
+def test_whole_count_in_float_notation_accepted(tmp_path):
+    out = tmp_path / "sim.csv"
+    code, _, _ = run("simulate", "--paper-defaults", "--set", "samples=5e0",
+                     "--out", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 6
+
+
+def test_non_numeric_sweep_value_rejected():
+    code, _, err = run("sweep", "--paper-defaults",
+                       "--set", "sweep_values=10,nan,15")
+    assert code == 2
+    assert "config key sweep_values: not a finite number: 'nan'" in err
+
+
+def test_species_file_misspelt_key(tmp_path):
+    path = tmp_path / "cr.txt"
+    path.write_text(SPECIES_FILE.replace("mass_amu", "mass_am"))
+    code, _, err = run("predict", "--paper-defaults",
+                       "--set", f"species={path}")
+    assert code == 2
+    assert "unknown key 'mass_am'; did you mean 'mass_amu'?" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", SPECIES_FLOAT_KEYS)
+def test_species_file_non_finite_rejected(key, value, tmp_path):
+    path = tmp_path / "cr.txt"
+    path.write_text(with_species_line(key, value))
+    code, stdout, err = run("predict", "--paper-defaults",
+                            "--set", f"species={path}")
+    assert code == 2
+    assert f"{key}: not a finite number: '{value}'" in err
+    assert stdout == ""
+
+
+def test_species_file_accepted_through_cli(tmp_path):
+    path = tmp_path / "cr.txt"
+    path.write_text(SPECIES_FILE)
+    code, stdout, _ = run("predict", "--paper-defaults",
+                          "--set", f"species={path}")
+    assert code == 0
+    assert "loading_rate_atoms_per_s = " in stdout
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+NUMERIC_KEYS = FLOAT_KEYS + INT_KEYS
+BAD_TEXT = st.one_of(
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "+inf", "-inf",
+                     "Infinity", "-Infinity", "1e999", "-1e999"]),
+    st.text(min_size=1).filter(lambda s: s.strip() and not _is_number(s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(NUMERIC_KEYS), text=BAD_TEXT)
+def test_property_bad_numeric_text_exits_2(key, text):
+    if key == "mot_saturation" and _is_number(text) and float(text) > 0:
+        return  # +inf is the fully saturated MOT
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.txt"
+        code, stdout, err = run("predict", "--paper-defaults",
+                                "--set", f"{key}={text}", "--out", str(out))
+        assert code == 2
+        assert f"config key {key}" in err
+        assert stdout == "" and not out.exists()
+
+
+# --- NaN-safe library validators -------------------------------------------
+
+NAN_CASES = {
+    "IpTrapConfig": lambda: IpTrapConfig(math.nan, 10.5),
+    "RateCoefficients": lambda: RateCoefficients(beta_dd=math.nan),
+    "LoadingScenario": lambda: replace(make_scenario(), v_eff=math.nan),
+    "Species": lambda: replace(chromium_52(), mass=math.nan),
+    "MotBeamParams": lambda: MotBeamParams(math.inf, -1.0, math.nan, 1e-4,
+                                           1e-4, 1e-4),
+    "DataSet": lambda: DataSet(np.arange(3.0), np.arange(3.0),
+                               np.array([1.0, math.nan, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CASES))
+def test_nan_rejected_by_constructor(name):
+    with pytest.raises(ValueError):
+        NAN_CASES[name]()
