@@ -6,11 +6,18 @@ Two branches joined at x = 2:
   * Steed's continued fraction for the scaled K0/K1 pair at large
     arguments, which stays close to machine precision all the way up to
     the underflow limit.
+
+Both functions accept scalars (returning a float) or arrays.  Each branch
+runs on its elements at once, under a mask; an element stops updating as
+soon as its own series or fraction has converged, so its value does not
+depend on the other elements of the array.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
 _SERIES_CUTOFF = 2.0
@@ -19,79 +26,91 @@ _MAX_ITER = 400
 _EPS = 1e-16
 
 
-def _k1_series(x: float) -> float:
+def _k1_series(x: np.ndarray) -> np.ndarray:
     # K1(x) = ln(x/2) I1(x) + 1/x - (x/4) sum_k [psi(k+1)+psi(k+2)] t^k / (k!(k+1)!)
     # with t = x^2/4.
     t = 0.25 * x * x
     term_i = 0.5 * x          # I1 partial term: (x/2) t^k / (k!(k+1)!)
-    i1 = term_i
+    i1 = term_i.copy()
     psi_sum = -2 * _EULER_GAMMA + 1.0   # psi(1) + psi(2)
-    term_s = 1.0              # t^k / (k!(k+1)!)
+    term_s = np.ones_like(x)  # t^k / (k!(k+1)!)
     s = psi_sum * term_s
+    active = np.ones(x.shape, bool)
     for k in range(1, _MAX_ITER):
-        term_i *= t / (k * (k + 1))
-        i1 += term_i
-        term_s *= t / (k * (k + 1))
+        ratio = t / (k * (k + 1))
+        term_i *= ratio
+        term_s *= ratio
         psi_sum += 1.0 / k + 1.0 / (k + 1)
         ds = psi_sum * term_s
-        s += ds
-        if abs(ds) < _EPS * abs(s) and term_i < _EPS * i1:
+        np.add(i1, term_i, out=i1, where=active)
+        np.add(s, ds, out=s, where=active)
+        active &= (np.abs(ds) >= _EPS * np.abs(s)) | (term_i >= _EPS * i1)
+        if not active.any():
             break
-    return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s
+    return np.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s
 
 
-def _k1_cf2(x: float) -> float:
+def _k1_cf2(x: np.ndarray) -> np.ndarray:
     # Steed's CF2 for the pair (K_mu, K_mu+1) at mu = 0 (Thompson & Barnett).
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
+    h = d.copy()
+    delh = d
+    q1 = np.zeros_like(x)
+    q2 = np.ones_like(x)
     a1 = 0.25
-    q = c = a1
+    c = a1
+    q = np.full_like(x, a1)
     a = -a1
     s = 1.0 + q * delh
+    active = np.ones(x.shape, bool)
     for i in range(2, _MAX_ITER):
         a -= 2 * (i - 1)
         c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
         b += 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
-        h += delh
         dels = q * delh
-        s += dels
-        if abs(dels) < _EPS * abs(s):
+        np.add(h, delh, out=h, where=active)
+        np.add(s, dels, out=s, where=active)
+        active &= np.abs(dels) >= _EPS * np.abs(s)
+        if not active.any():
             break
     h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+    k0 = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / s
     return k0 * (x + 0.5 - h) / x
 
 
-def bessel_k1(x: float) -> float:
-    """K1(x) for x > 0; underflows gracefully to 0 for very large x."""
-    x = float(x)
-    if not x > 0:
+def bessel_k1(x):
+    """K1(x) for x > 0; underflows gracefully to 0 for very large x.
+
+    Accepts a scalar (returns a float) or an array; raises ValueError if
+    any element is <= 0 or NaN.
+    """
+    x = np.asarray(x, float)
+    if not np.all(x > 0):
         raise ValueError("bessel_k1 requires x > 0")
-    if x >= _UNDERFLOW_X:
-        return 0.0
-    if x <= _SERIES_CUTOFF:
-        return _k1_series(x)
-    return _k1_cf2(x)
+    out = np.zeros(x.shape)
+    small = x <= _SERIES_CUTOFF
+    large = ~small & (x < _UNDERFLOW_X)
+    out[small] = _k1_series(x[small])
+    out[large] = _k1_cf2(x[large])
+    return float(out) if out.ndim == 0 else out
 
 
-def scaled_x_k1(u: float) -> float:
+def scaled_x_k1(u):
     """u * K1(u), continuously extended to 1 at u = 0.
 
     This is the radial factor of the column-density projection; the u -> 0
-    limit removes the 1/u singularity of K1.
+    limit removes the 1/u singularity of K1.  Accepts a scalar (returns a
+    float) or an array; raises ValueError if any element is < 0 or NaN.
     """
-    if u < 0:
+    u = np.asarray(u, float)
+    if not np.all(u >= 0):
         raise ValueError("scaled_x_k1 requires u >= 0")
-    if u == 0.0:
-        return 1.0
-    if u >= _UNDERFLOW_X:
-        return 0.0
-    return u * bessel_k1(u)
+    out = np.ones(u.shape)
+    pos = u > 0
+    out[pos] = u[pos] * bessel_k1(u[pos])
+    return float(out) if out.ndim == 0 else out

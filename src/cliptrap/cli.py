@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, sweeps
-from .cloud import QuadratureError, make_thermal_cloud, occupied_volume
+from .cloud import make_thermal_cloud, occupied_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_decay, fit_kappa, fit_loading_rate,
                          fit_tof)
@@ -432,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RuntimeError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -6,9 +6,15 @@ tilted by gravity along -y (scale xi2) and Gaussian along the axis
 
     n(x, y, z) = n0 exp(-sqrt(x^2+y^2)/xi1 - y/xi2 - z^2/(2 sigma_z^2))
 
-All in-plane integrals are done by adaptive quadrature over a bounding box
-of +/- 30 effective scale lengths; the axial Gaussian factor integrates
-analytically, so no 3D quadrature is ever needed.
+The normalization and the occupied volume are closed forms: integrating
+the radial plane over angle first gives 2 pi I0(b rho), whose Laplace
+transform yields
+
+    integral exp(-a rho - b y) dA = 2 pi a / (a^2 - b^2)^(3/2)
+
+(Gradshteyn & Ryzhik 6.623), and the axial Gaussian factor integrates
+analytically.  Only the MOT overlap integral of effective_volume is still
+done by 2D adaptive quadrature; scipy is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -17,16 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bessel import scaled_x_k1
 from .species import BOLTZMANN, GRAVITY, Species
 from .trap import IpTrapConfig
 
 _QUAD_RTOL = 1e-8
-# Box truncation at u scale lengths leaves a relative tail ~ (u+1) e^-u;
-# 30 scale lengths keep it below 1e-11.
-_BOX_SCALES = 30.0
 
 
 class QuadratureError(RuntimeError):
@@ -42,6 +44,8 @@ def _dblquad_checked(f, box_x, box_y) -> float:
     convergence criterion.
     """
     import warnings
+
+    from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -97,26 +101,34 @@ class GaussianCloud:
                 raise ValueError(f"{name} must be positive")
 
 
-# --- in-plane quadrature ----------------------------------------------------
+# --- scale lengths and the in-plane integral --------------------------------
 
-def _planar_box(xi1: float, xi2: float) -> float:
-    # Slowest decay is along -y where the rate is 1/xi1 - 1/xi2.
-    if math.isinf(xi2):
-        return _BOX_SCALES * xi1
-    return _BOX_SCALES * xi1 * xi2 / (xi2 - xi1)
+def scale_lengths(species: Species, cfg: IpTrapConfig, t: float,
+                  include_gravity: bool = True) -> tuple[float, float, float]:
+    """(xi1, xi2, sigma_z) of the trap cloud at temperature t.
+
+    xi1 = kT / (mu B'), xi2 = kT / (m g) (inf with gravity off) and
+    sigma_z = sqrt(kT / (mu B'')).
+    """
+    kt = BOLTZMANN * t
+    mu = species.magnetic_moment
+    xi1 = kt / (mu * cfg.radial_gradient)
+    xi2 = kt / (species.mass * GRAVITY) if include_gravity else math.inf
+    sigma_z = math.sqrt(kt / (mu * cfg.axial_curvature))
+    return xi1, xi2, sigma_z
 
 
 def _planar_integral(xi1: float, xi2: float, power: float) -> float:
-    """Integral of exp(-power*(rho/xi1 + y/xi2)) over the radial plane."""
+    """Integral of exp(-power*(rho/xi1 + y/xi2)) over the radial plane.
+
+    Closed form 2 pi a / (a^2 - b^2)^(3/2) with a = power/xi1 and
+    b = power/xi2 (b = 0 with gravity off).
+    """
     if not math.isinf(xi2) and xi2 <= xi1:
         raise ValueError("untrapped cloud: gravity scale xi2 must exceed xi1")
-    inv2 = 0.0 if math.isinf(xi2) else 1.0 / xi2
-
-    def f(y, x):
-        return math.exp(-power * (math.hypot(x, y) / xi1 + y * inv2))
-
-    box = _planar_box(xi1, xi2) / power
-    return _dblquad_checked(f, (-box, box), (-box, box))
+    a = power / xi1
+    b = 0.0 if math.isinf(xi2) else power / xi2
+    return 2 * math.pi * a / (a * a - b * b) ** 1.5
 
 
 def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
@@ -124,16 +136,12 @@ def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
                        include_gravity: bool = True) -> ThermalCloud:
     """Build the trap cloud for atom number n at temperature t.
 
-    Scale lengths follow from the trap and species; the peak density is set
-    by numerical normalization of the (gravity-modified) distribution.
+    Scale lengths follow from the trap and species; the peak density
+    normalizes the (gravity-modified) distribution to n atoms.
     """
-    if n <= 0 or t <= 0:
+    if not (n > 0 and t > 0):
         raise ValueError("atom number and temperature must be positive")
-    kt = BOLTZMANN * t
-    mu = species.magnetic_moment
-    xi1 = kt / (mu * cfg.radial_gradient)
-    xi2 = kt / (species.mass * GRAVITY) if include_gravity else math.inf
-    sigma_z = math.sqrt(kt / (mu * cfg.axial_curvature))
+    xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
     norm = _planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi) * sigma_z
     return ThermalCloud(atom_number=n, temperature=t, xi1=xi1, xi2=xi2,
                         sigma_z=sigma_z, peak_density=n / norm)
@@ -160,7 +168,7 @@ def column_density(cloud: ThermalCloud, y, z):
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     inv2 = 0.0 if math.isinf(cloud.xi2) else 1.0 / cloud.xi2
-    radial = np.vectorize(scaled_x_k1, otypes=[float])(np.abs(y) / cloud.xi1)
+    radial = scaled_x_k1(np.abs(y) / cloud.xi1)
     out = (2 * cloud.peak_density * cloud.xi1 * radial
            * np.exp(-y * inv2 - z * z / (2 * cloud.sigma_z ** 2)))
     return float(out) if out.ndim == 0 else out
@@ -178,7 +186,7 @@ def mot_density(cloud: GaussianCloud, x, y, z):
 
 
 def occupied_volume(cloud: ThermalCloud) -> float:
-    """Density-weighted volume N^2 / integral(n^2) by quadrature.
+    """Density-weighted volume N^2 / integral(n^2), in closed form.
 
     With gravity off this reduces to 16 pi^(3/2) xi1^2 sigma_z.
     """
@@ -226,6 +234,10 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
 
 def tof_radius(sigma0: float, t_temp: float, species: Species, t: float) -> float:
     """Ballistic-expansion 1/sqrt(e) radius sqrt(sigma0^2 + (kT/m) t^2)."""
-    if t < 0:
+    if not sigma0 >= 0:
+        raise ValueError("initial radius must be >= 0")
+    if not t_temp >= 0:
+        raise ValueError("temperature must be >= 0")
+    if not t >= 0:
         raise ValueError("expansion time must be >= 0")
     return math.sqrt(sigma0 ** 2 + BOLTZMANN * t_temp / species.mass * t * t)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .species import MotBeamParams, Species, excited_fraction
 from .trap import IpTrapConfig
@@ -126,10 +125,19 @@ def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
 
 def evolve(scenario: LoadingScenario, n0: float, t_end: float,
            samples: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the rate equation from N(0) = n0 over [0, t_end].
+    """Solve the rate equation from N(0) = n0 over [0, t_end].
 
-    Returns (t, N) on a uniform grid of `samples` points; adaptive stepping
-    with relative tolerance 1e-8 and absolute tolerance 1e-3 atoms.
+    Returns (t, N) on a uniform grid of `samples` points, from the exact
+    solution of this constant-coefficient Riccati equation.  With
+    k = 2 beta/V, D = sqrt(gamma^2 + 4 k R), the stable root
+    N+ = 2 R / (gamma + D) (free of cancellation), u0 = n0 - N+ and
+    w = 1 - exp(-D t):
+
+        N(t) = n0 - u0 w (D + k u0) / (D + k u0 w),
+
+    which returns n0 exactly at t = 0 and N+ as t -> inf.  At D = 0 the
+    limits are n0 + R t (no two-body loss) and n0 / (1 + k n0 t) (no
+    loading).
     """
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
@@ -138,18 +146,16 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     r, gamma, beta, v = _rates(scenario)
-
-    def rhs(_t, n):
-        return r - gamma * n[0] - 2 * beta * n[0] * n[0] / v
-
-    t_eval = np.linspace(0.0, t_end, samples)
-    sol = solve_ivp(rhs, (0.0, t_end), [float(n0)], method="DOP853",
-                    t_eval=t_eval, rtol=1e-8, atol=1e-3)
-    if not sol.success:
-        raise RuntimeError(
-            f"rate-equation integration failed: {sol.message} "
-            f"(nfev={sol.nfev}, last t={sol.t[-1] if sol.t.size else 0.0:g})")
-    return sol.t, np.maximum(sol.y[0], 0.0)
+    k = 2 * beta / v
+    t = np.linspace(0.0, t_end, samples)
+    d = math.sqrt(gamma * gamma + 4 * k * r)
+    if d == 0:
+        n = n0 + r * t if k == 0 else n0 / (1 + k * n0 * t)
+    else:
+        u0 = n0 - 2 * r / (gamma + d)
+        w = -np.expm1(-d * t)
+        n = n0 - u0 * w * (d + k * u0) / (d + k * u0 * w)
+    return t, np.maximum(n, 0.0)
 
 
 def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):

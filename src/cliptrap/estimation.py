@@ -342,17 +342,14 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     sampled on their outer product, shape (len(y), len(z)).  All three
     scale lengths derive from the single temperature given species + trap.
     """
-    from .cloud import ThermalCloud, column_density
-    from .species import GRAVITY
+    from .cloud import ThermalCloud, column_density, scale_lengths
 
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     image = np.asarray(image, float)
     if image.shape != (y.size, z.size):
         raise ValueError("image shape must be (len(y), len(z))")
-    yy, zz = np.meshgrid(y, z, indexing="ij")
 
-    mu = species.magnetic_moment
     peak = float(np.max(image))
     if peak <= 0:
         raise ValueError("image contains no signal")
@@ -361,19 +358,17 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
         initial_temperature = 100e-6
 
     def cloud_for(t_k, n0):
-        kt = BOLTZMANN * t_k
-        return ThermalCloud(atom_number=1.0, temperature=t_k,
-                            xi1=kt / (mu * trap.radial_gradient),
-                            xi2=kt / (species.mass * GRAVITY),
-                            sigma_z=math.sqrt(kt / (mu * trap.axial_curvature)),
-                            peak_density=n0)
+        xi1, xi2, sigma_z = scale_lengths(species, trap, t_k)
+        return ThermalCloud(atom_number=1.0, temperature=t_k, xi1=xi1,
+                            xi2=xi2, sigma_z=sigma_z, peak_density=n0)
 
     def model(_x, q):
         n0, t_k, y0, z0 = math.exp(q[0]), math.exp(q[1]), q[2], q[3]
         cl = cloud_for(t_k, n0)
-        return column_density(cl, yy - y0, zz - z0).ravel()
+        # K1 runs on the len(y) radial offsets; broadcasting fills the grid
+        return column_density(cl, (y - y0)[:, None], (z - z0)[None, :]).ravel()
 
-    xi1_guess = BOLTZMANN * initial_temperature / (mu * trap.radial_gradient)
+    xi1_guess = scale_lengths(species, trap, initial_temperature)[0]
     n0_guess = peak / (2 * xi1_guess)
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))

@@ -160,7 +160,8 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     elif kind == "tof_series":
         t = np.linspace(1e-3, 8e-3, max(points, 3))
         kt = scenario.mt_temperature
-        sigma0 = _mt_radial_scale(scenario)
+        # the trap cloud's xi1 is the pre-expansion size
+        sigma0 = cloud.scale_lengths(scenario.species, scenario.trap, kt)[0]
         y = np.array([cloud.tof_radius(sigma0, kt, scenario.species, ti)
                       for ti in t])
         x = t
@@ -180,10 +181,3 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     sigma = np.maximum(np.abs(y) * max(noise, 1e-6), 1e-300)
     return DataSet(x=np.asarray(x, float), y=y, sigma_y=sigma,
                    x_label=labels[0], y_label=labels[1])
-
-
-def _mt_radial_scale(scenario: LoadingScenario) -> float:
-    """xi1 of the trap cloud; used as the pre-expansion size in TOF data."""
-    from .species import BOLTZMANN
-    return (BOLTZMANN * scenario.mt_temperature
-            / (scenario.species.magnetic_moment * scenario.trap.radial_gradient))

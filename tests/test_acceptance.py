@@ -67,10 +67,20 @@ def test_criterion_06_closed_form_vs_ode():
         scen = make_scenario(beta_ed=beta_ed, beta_dd=beta_dd,
                              gamma_d=gamma_d, n_mot=n_mot, v_mt=v)
         n_inf = dynamics.steady_state(scen)
-        tau = dynamics.effective_loading_time(n_inf,
-                                              dynamics.loading_rate(scen))
-        _, n = dynamics.evolve(scen, 0.0, 10 * tau, samples=20)
+        r = dynamics.loading_rate(scen)
+        tau = dynamics.effective_loading_time(n_inf, r)
+        t, n = dynamics.evolve(scen, 0.0, 10 * tau, samples=20)
         assert n[-1] == pytest.approx(n_inf, rel=1e-3)
+
+        # loading curve against an independent tight ODE integration
+        gamma = gamma_d + dynamics.gamma_ed_loss(scen.n_mot_excited,
+                                                 beta_ed, v)
+        sol = solve_ivp(lambda _t, y: [r - gamma * y[0]
+                                       - 2 * beta_dd * y[0] ** 2 / v],
+                        (0.0, t[-1]), [0.0], method="DOP853", t_eval=t,
+                        rtol=1e-12, atol=1e-6)
+        assert sol.success
+        assert np.allclose(n, sol.y[0], rtol=1e-8)
 
     # decay closed form against an independent tight ODE integration
     n0, gamma, beta, v = 2e8, 0.02, 3.8e-17, 1e-8

@@ -70,3 +70,120 @@ def test_scaled_x_k1_limit_and_value():
     assert scaled_x_k1(0.0) == 1.0
     assert scaled_x_k1(1e-8) == pytest.approx(1.0, rel=1e-6)
     assert scaled_x_k1(2.0) == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-15)
+
+
+# --- array evaluation ------------------------------------------------------
+
+def k1_loop_reference(x: float) -> float:
+    """The scalar per-element loop the array code replaced, kept as the
+    reference: the same series and continued fraction in Python floats."""
+    if x <= 2.0:
+        t = 0.25 * x * x
+        term_i = i1 = 0.5 * x
+        psi_sum = -2 * 0.5772156649015328606 + 1.0
+        term_s = 1.0
+        s = psi_sum
+        for k in range(1, 400):
+            term_i *= t / (k * (k + 1))
+            i1 += term_i
+            term_s *= t / (k * (k + 1))
+            psi_sum += 1.0 / k + 1.0 / (k + 1)
+            ds = psi_sum * term_s
+            s += ds
+            if abs(ds) < 1e-16 * abs(s) and term_i < 1e-16 * i1:
+                break
+        return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s
+    b = 2.0 * (1.0 + x)
+    d = h = delh = 1.0 / b
+    q1, q2, a1 = 0.0, 1.0, 0.25
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, 400):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < 1e-16 * abs(s):
+            break
+    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+    return k0 * (x + 0.5 - a1 * h) / x
+
+
+def ulps(a, b):
+    """Elementwise distance between a and b in units of b's last place."""
+    b = np.asarray(b, float)
+    return np.abs(np.asarray(a, float) - b) / np.spacing(np.abs(b))
+
+
+def test_array_matches_scalar_on_log_grid():
+    grid = np.geomspace(1e-3, 745.0, 2000)
+    scalar = np.array([bessel_k1(float(x)) for x in grid])
+    assert ulps(bessel_k1(grid), scalar).max() <= 2
+    assert ulps(scaled_x_k1(grid),
+                [scaled_x_k1(float(u)) for u in grid]).max() <= 2
+
+
+def test_array_matches_loop_reference():
+    # same arithmetic in the same order; numpy's exp and log may differ
+    # from math's by an ulp each, so allow 4 ulp in all
+    grid = np.geomspace(1e-3, 700.0, 2000)
+    loop = np.array([k1_loop_reference(float(x)) for x in grid])
+    assert ulps(bessel_k1(grid), loop).max() <= 4
+
+
+def test_array_continuity_at_branch_switch():
+    below = np.nextafter(2.0, 0.0)
+    above = np.nextafter(2.0, 3.0)
+    k = bessel_k1(np.array([below, 2.0, above]))   # series, series, CF2
+    # neighbouring arguments one ulp apart: the branches meet within a
+    # few ulp, with no step of the size of either branch's error
+    assert abs(k[1] - k[0]) / k[1] < 1e-14
+    assert abs(k[2] - k[1]) / k[1] < 1e-14
+    x = np.linspace(1.9, 2.1, 41)
+    oracle = np.array([k1_integral_oracle(float(v)) for v in x])
+    assert np.allclose(bessel_k1(x), oracle, rtol=1e-12, atol=0.0)
+
+
+def test_scalar_in_float_out():
+    for x in (1.0, np.float64(1.0), 1, np.array(1.0)):
+        assert type(bessel_k1(x)) is float
+        assert type(scaled_x_k1(x)) is float
+    assert type(scaled_x_k1(0.0)) is float
+    assert bessel_k1(np.array([1.0])).shape == (1,)
+    assert bessel_k1(np.ones((2, 3))).shape == (2, 3)
+    assert scaled_x_k1(np.zeros((0,))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_array_domain_error_on_any_element(bad):
+    with pytest.raises(ValueError):
+        bessel_k1(np.array([1.0, bad, 3.0]))
+    with pytest.raises(ValueError):
+        bessel_k1(bad)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan])
+def test_scaled_domain_error_on_any_element(bad):
+    with pytest.raises(ValueError):
+        scaled_x_k1(np.array([0.0, bad, 3.0]))
+    with pytest.raises(ValueError):
+        scaled_x_k1(bad)
+
+
+def test_array_underflow_and_zero_limit():
+    k = bessel_k1(np.array([700.0, 746.0, 800.0, math.inf]))
+    assert k[0] > 0.0
+    assert np.all(k[1:] == 0.0)
+    u = scaled_x_k1(np.array([0.0, 1e-8, 2.0, 800.0]))
+    assert u[0] == 1.0
+    assert u[1] == pytest.approx(1.0, rel=1e-6)
+    assert u[2] == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-15)
+    assert u[3] == 0.0

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from cliptrap.cloud import (GaussianCloud, ThermalCloud, column_density,
                             effective_volume, make_thermal_cloud, mot_density,
-                            mt_density, occupied_volume, tof_radius)
+                            mt_density, occupied_volume, scale_lengths,
+                            tof_radius)
 from cliptrap.species import chromium_52
 from cliptrap.trap import IpTrapConfig
 
@@ -25,6 +26,24 @@ def planar_oracle(xi1: float, xi2: float, power: float) -> float:
     a = xi1 / power
     ratio = 0.0 if math.isinf(xi2) else xi1 / xi2
     return 2 * math.pi * a * a / (1 - ratio * ratio) ** 1.5
+
+
+def planar_quadrature(c: ThermalCloud, power: float) -> float:
+    """In-plane integral of (n / n0)^power by 2D adaptive quadrature.
+
+    Numerical route, independent of both closed forms: integrate over
+    rho first, on a disc of 40 decay lengths, then over the angle.
+    """
+    inv2 = 0.0 if math.isinf(c.xi2) else 1.0 / c.xi2
+    rho_max = 40 * c.xi1 / (power * (1 - c.xi1 * inv2))
+
+    def f(rho, phi):
+        y = rho * math.sin(phi)
+        return rho * math.exp(-power * (rho / c.xi1 + y * inv2))
+
+    val, _ = dblquad(f, 0.0, 2 * math.pi, 0.0, rho_max,
+                     epsabs=0.0, epsrel=1e-11)
+    return val
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +74,19 @@ class TestScaleLengths:
         with pytest.raises(ValueError):
             make_thermal_cloud(CR, CFG, n=1e8, t=-1.0)
 
+    @pytest.mark.parametrize("n, t", [(math.nan, 100e-6), (1e8, math.nan)])
+    def test_nan_rejected(self, n, t):
+        with pytest.raises(ValueError):
+            make_thermal_cloud(CR, CFG, n=n, t=t)
+
+    def test_one_formula_for_the_scale_lengths(self, cloud100, cloud100_nog):
+        assert scale_lengths(CR, CFG, 100e-6) == (
+            cloud100.xi1, cloud100.xi2, cloud100.sigma_z)
+        xi1, xi2, sigma_z = scale_lengths(CR, CFG, 100e-6,
+                                          include_gravity=False)
+        assert (xi1, sigma_z) == (cloud100_nog.xi1, cloud100_nog.sigma_z)
+        assert math.isinf(xi2) and math.isinf(cloud100_nog.xi2)
+
     def test_untrapped_when_gravity_exceeds_gradient(self):
         # mu B' < m g for Cr below about 1.5 G/cm
         weak = IpTrapConfig.from_gauss(1.0, 10.5)
@@ -73,6 +105,15 @@ class TestNormalization:
         c = cloud100_nog
         norm = 2 * math.pi * c.xi1 ** 2 * math.sqrt(2 * math.pi) * c.sigma_z
         assert c.peak_density == pytest.approx(c.atom_number / norm, rel=1e-6)
+
+    @pytest.mark.parametrize("gravity", [True, False])
+    def test_peak_density_against_2d_quadrature(self, gravity):
+        c = make_thermal_cloud(CR, CFG, n=1e8, t=100e-6,
+                               include_gravity=gravity)
+        norm = (planar_quadrature(c, 1.0)
+                * math.sqrt(2 * math.pi) * c.sigma_z)
+        assert c.peak_density == pytest.approx(c.atom_number / norm,
+                                               rel=1e-9)
 
 
 class TestMtDensity:
@@ -119,6 +160,16 @@ class TestColumnDensity:
                              epsabs=0.0, epsrel=1e-10, limit=200)
             assert column_density(c, y, z) == pytest.approx(oracle, rel=1e-6)
 
+    def test_broadcast_grid_matches_pointwise(self, cloud100):
+        c = cloud100
+        y = np.linspace(-6, 6, 25) * c.xi1   # includes y = 0
+        z = np.linspace(-3, 3, 7) * c.sigma_z
+        grid = column_density(c, y[:, None], z[None, :])
+        assert grid.shape == (25, 7)
+        pointwise = [[column_density(c, float(a), float(b)) for b in z]
+                     for a in y]
+        assert np.allclose(grid, np.array(pointwise), rtol=1e-15, atol=0.0)
+
 
 class TestMotDensity:
     MOT = GaussianCloud(atom_number=5e6, temperature=140e-6,
@@ -159,6 +210,15 @@ class TestOccupiedVolume:
         shape = (1 - (c.xi1 / c.xi2) ** 2) ** 1.5
         expected = 16 * math.pi ** 1.5 * c.xi1 ** 2 * c.sigma_z / shape
         assert occupied_volume(c) == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("gravity", [True, False])
+    def test_against_2d_quadrature(self, gravity):
+        c = make_thermal_cloud(CR, CFG, n=1e8, t=100e-6,
+                               include_gravity=gravity)
+        i2 = (c.peak_density ** 2 * planar_quadrature(c, 2.0)
+              * math.sqrt(math.pi) * c.sigma_z)
+        assert occupied_volume(c) == pytest.approx(c.atom_number ** 2 / i2,
+                                                   rel=1e-9)
 
     def test_inside_measured_range(self, cloud100_nog):
         assert 3.9e-9 <= occupied_volume(cloud100_nog) <= 14e-9
@@ -250,3 +310,10 @@ class TestTofRadius:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             tof_radius(2e-4, 100e-6, CR, -1e-3)
+
+    @pytest.mark.parametrize("sigma0, t_temp, t", [
+        (math.nan, 100e-6, 5e-3), (2e-4, math.nan, 5e-3),
+        (2e-4, 100e-6, math.nan)])
+    def test_nan_rejected(self, sigma0, t_temp, t):
+        with pytest.raises(ValueError):
+            tof_radius(sigma0, t_temp, CR, t)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cliptrap.dynamics import (RateCoefficients, accumulation_efficiency,
@@ -9,6 +11,14 @@ from cliptrap.dynamics import (RateCoefficients, accumulation_efficiency,
                                gamma_ed_loss, kappa_of_abscissa, loading_rate,
                                mt_temperature_prediction, steady_state)
 from conftest import make_scenario
+
+GAMMA_ED_CR = 126.17  # 52Cr leak rate to the metastable state, 1/s
+
+
+def maybe_zero(low_exp: float, high_exp: float):
+    """0, or a log-uniform value between 10**low_exp and 10**high_exp."""
+    return st.one_of(st.just(0.0),
+                     st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e))
 
 
 class TestCoefficients:
@@ -89,10 +99,59 @@ class TestEvolve:
         assert np.all(np.diff(n) >= -1e-6 * n[-1])
         assert np.all(n <= steady_state(scen) * (1 + 1e-9))
 
+    def test_starts_exactly_at_n0(self):
+        for n0 in (0.0, 3.3e7, 5e8):
+            _, n = evolve(make_scenario(gamma_d=0.02), n0, 5.0, samples=3)
+            assert n[0] == n0
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=maybe_zero(5, 9), gamma=maybe_zero(-3, 1),
+           beta=maybe_zero(-19, -15), v=st.floats(-10, -7),
+           n0_scale=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+           span=st.floats(0.01, 20.0))
+    @example(r=1e8, gamma=0.1, beta=0.0, v=-8, n0_scale=0.0, span=5.0)
+    @example(r=1e8, gamma=0.0, beta=1e-17, v=-8, n0_scale=0.5, span=5.0)
+    @example(r=1e8, gamma=0.0, beta=0.0, v=-8, n0_scale=1.0, span=5.0)
+    @example(r=0.0, gamma=0.05, beta=1e-17, v=-8, n0_scale=1.0, span=5.0)
+    @example(r=0.0, gamma=0.0, beta=1e-17, v=-8, n0_scale=1.0, span=5.0)
+    @example(r=1e8, gamma=0.2, beta=1e-17, v=-8, n0_scale=4.0, span=5.0)
+    def test_closed_form_matches_ode(self, r, gamma, beta, v, n0_scale, span):
+        # R, gamma, beta_dd and V set directly: R = eta N_MOT/2 Gamma_ed
+        # for the saturated MOT, gamma = gamma_d with beta_ed = 0
+        v = 10.0 ** v
+        scen = make_scenario(eta=0.3 if r else 0.0, beta_ed=0.0,
+                             beta_dd=beta, gamma_d=gamma, v_mt=v,
+                             n_mot=(r or 1e8) / (0.3 * 0.5 * GAMMA_ED_CR))
+        r = loading_rate(scen)
+        k = 2 * beta / v
+        # atom-number scale: the stable root, the atoms loaded in 1 s
+        # without losses, or 1e8 without loading
+        if r == 0:
+            scale = 1e8
+        elif gamma == 0 and k == 0:
+            scale = r
+        else:
+            scale = 2 * r / (gamma + math.sqrt(gamma ** 2 + 4 * k * r))
+        n0 = n0_scale * scale
+        # the time span, in units of the slowest relaxation time
+        rate = max(gamma + 2 * k * max(scale, n0), 1e-3)
+        t_end = span / rate
+        t, n = evolve(scen, n0, t_end, samples=25)
+        sol = solve_ivp(lambda _t, y: [r - gamma * y[0] - k * y[0] ** 2],
+                        (0.0, t_end), [n0], method="DOP853", t_eval=t,
+                        rtol=1e-12, atol=1e-12 * scale)
+        assert sol.success
+        assert np.allclose(n, sol.y[0], rtol=1e-9, atol=1e-9 * scale)
+        assert n[0] == n0
+
     def test_invalid_inputs(self):
         scen = make_scenario()
         with pytest.raises(ValueError):
             evolve(scen, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            evolve(scen, math.nan, 1.0)
+        with pytest.raises(ValueError):
+            evolve(scen, 0.0, math.nan)
         with pytest.raises(ValueError):
             evolve(scen, 0.0, 0.0)
         with pytest.raises(ValueError):

@@ -1,0 +1,74 @@
+"""Every CLI command runs on numpy alone.
+
+scipy is needed only by effective_volume's 2D overlap quadrature and by
+the test oracles.  A fresh interpreter imports cliptrap, then runs each
+subcommand, synth kind and fit kind in turn, and reports the scipy
+modules loaded after each step.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r'''
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+import cliptrap
+report = {"import cliptrap": [0, scipy_modules()]}
+
+from cliptrap import cli
+from cliptrap.cloud import column_density, make_thermal_cloud
+from cliptrap.species import chromium_52
+from cliptrap.trap import IpTrapConfig
+
+cl = make_thermal_cloud(chromium_52(), IpTrapConfig.from_gauss(12.5, 10.5),
+                        n=1e8, t=100e-6)
+rows = ["y_mm,z_mm,column_density"]
+for i in range(-8, 9):
+    for j in range(-5, 6):
+        rows.append(f"{i * 0.1:.6g},{j:.6g},"
+                    f"{column_density(cl, i * 1e-4, j * 1e-3):.10g}")
+with open("profile.csv", "w") as fh:
+    fh.write("\n".join(rows) + "\n")
+
+base = ["--paper-defaults"]
+steps = [
+    ["predict", *base],
+    ["simulate", *base],
+    ["sweep", *base, "--set", "sweep_points=3"],
+]
+for kind, extra in (("kappa_points", []), ("decay_curve", []),
+                    ("tof_series", []),
+                    ("loading_curve", ["--set", "synth_points=200"])):
+    steps.append(["synth", *base, "--set", f"synth_kind={kind}", *extra,
+                  "--out", f"{kind}.csv"])
+for kind, data in (("kappa", "kappa_points"), ("decay", "decay_curve"),
+                   ("tof", "tof_series"), ("loading-rate", "loading_curve"),
+                   ("profile", "profile")):
+    steps.append(["fit", kind, *base, "--data", f"{data}.csv"])
+
+for argv in steps:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report[" ".join(argv)] = [code, scipy_modules()]
+print(json.dumps(report))
+'''
+
+
+def test_no_command_loads_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert len(report) == 1 + 3 + 4 + 5
+    assert report == {step: [0, []] for step in report}
