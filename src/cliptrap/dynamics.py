@@ -27,9 +27,10 @@ import numpy as np
 from .species import MotBeamParams, Species, excited_fraction
 from .trap import IpTrapConfig
 
-# Relative size of 8 beta R V against (gamma V)^2 below which the
-# cancellation-free series expansion of the steady state is used.
-_SERIES_SWITCH = 1e-8
+# chi(u) = (u - 1 + e^{-u}) / u^2 is summed as its Taylor series
+# sum (-u)^k / (k + 2)! below this |u|: written out, the difference cancels
+# to about 2 eps / u.  With five terms both forms are good to 5e-14 there.
+_CHI_SWITCH = 1e-2
 
 DEFAULT_ETA = 0.3  # theoretical optical-pumping transfer efficiency
 
@@ -102,9 +103,9 @@ def _rates(scenario: LoadingScenario) -> tuple[float, float, float, float]:
 def steady_state(scenario: LoadingScenario) -> float:
     """Closed-form stationary atom number of the rate equation.
 
-    N_inf = [-gamma V + sqrt(gamma^2 V^2 + 8 beta R V)] / (4 beta); for
-    8 beta R V << (gamma V)^2 the series limit
-    R/gamma - 2 beta R^2 / (V gamma^3) avoids catastrophic cancellation.
+    N_inf = [-gamma V + sqrt(gamma^2 V^2 + 8 beta R V)] / (4 beta), written
+    without the cancellation as 2 R / (gamma + sqrt(gamma^2 + 8 beta R / V)),
+    the stable root N+ of evolve(); it is R / gamma exactly at beta = 0.
     """
     r, gamma, beta, v = _rates(scenario)
     return _steady_state_raw(r, gamma, beta, v)
@@ -113,14 +114,9 @@ def steady_state(scenario: LoadingScenario) -> float:
 def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
     if r == 0:
         return 0.0
-    if beta == 0:
-        if gamma == 0:
-            raise ValueError("no steady state: loading without any loss channel")
-        return r / gamma
-    if gamma > 0 and 8 * beta * r * v < _SERIES_SWITCH * (gamma * v) ** 2:
-        return r / gamma - 2 * beta * r * r / (v * gamma ** 3)
-    gv = gamma * v
-    return (-gv + math.sqrt(gv * gv + 8 * beta * r * v)) / (4 * beta)
+    if beta == 0 and gamma == 0:
+        raise ValueError("no steady state: loading without any loss channel")
+    return 2 * r / (gamma + math.sqrt(gamma * gamma + 8 * beta * r / v))
 
 
 def evolve(scenario: LoadingScenario, n0: float, t_end: float,
@@ -163,20 +159,37 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
 
     kappa = [-beta_ed + sqrt(beta_ed^2 + 32 beta_dd x)] / (8 beta_dd), the
     steady state per MOT atom under gamma_d = 0, V_eff = V_MT and a
-    saturated MOT (N* = N_MOT / 2).  The beta_dd -> 0 series limit
-    2 x / beta_ed - 16 beta_dd x^2 / beta_ed^3 is used to avoid
-    cancellation.  Vectorized over x.
+    saturated MOT (N* = N_MOT / 2).  It is evaluated without the
+    cancellation as 4 x / (beta_ed + S), S = sqrt(beta_ed^2 + 32 beta_dd x),
+    which is 2 x / beta_ed exactly at beta_dd = 0; at beta_ed = 0 it is
+    sqrt(x / (2 beta_dd)).  Vectorized over x.
     """
     x = np.asarray(x, float)
-    if beta_dd == 0 or (beta_ed > 0 and
-                        np.all(32 * beta_dd * x < _SERIES_SWITCH * beta_ed ** 2)):
-        if beta_ed == 0:
+    if beta_ed == 0:
+        if beta_dd == 0:
             raise ValueError("kappa undefined with both beta coefficients zero")
-        out = 2 * x / beta_ed - 16 * beta_dd * x * x / beta_ed ** 3
+        out = np.sqrt(x / (2 * beta_dd))
     else:
-        out = ((-beta_ed + np.sqrt(beta_ed ** 2 + 32 * beta_dd * x))
-               / (8 * beta_dd))
+        out = 4 * x / (beta_ed + np.sqrt(beta_ed ** 2 + 32 * beta_dd * x))
     return float(out) if out.ndim == 0 else out
+
+
+def kappa_jacobian(x, beta_dd: float, beta_ed: float) -> np.ndarray:
+    """Derivatives of kappa_of_abscissa, shape x.shape + (2,).
+
+    kappa is the positive root of 4 beta_dd k^2 + beta_ed k - 2 x = 0, so
+    with S = sqrt(beta_ed^2 + 32 beta_dd x) = 8 beta_dd kappa + beta_ed:
+
+        d kappa / d beta_dd = -4 kappa^2 / S,
+        d kappa / d beta_ed = -kappa / S.
+    """
+    x = np.asarray(x, float)
+    k = np.asarray(kappa_of_abscissa(x, beta_dd, beta_ed))
+    s = np.sqrt(beta_ed ** 2 + 32 * beta_dd * x)
+    out = np.empty(x.shape + (2,))
+    out[..., 0] = -4 * k * k / s
+    out[..., 1] = -k / s
+    return out
 
 
 def accumulation_efficiency(scenario: LoadingScenario) -> float:
@@ -195,30 +208,66 @@ def effective_loading_time(n_mt: float, r: float) -> float:
     return n_mt / r
 
 
-def decay(n0: float, gamma: float, beta: float, v: float, t):
-    """Closed-form solution of dN/dt = -gamma N - 2 beta N^2 / V.
+def _decay_terms(n0: float, gamma: float, beta: float, v: float, t):
+    """Validated t, b = 2 beta n0 / V, u = gamma t, expm1(-u), phi, q and N.
 
-    N(t) = gamma n0 e^{-gamma t} / (gamma + (2 beta n0 / V)(1 - e^{-gamma t}));
-    for gamma t < 1e-8 the pure two-body limit n0 / (1 + 2 beta n0 t / V)
-    is used.  Vectorized over t.
+    phi(u) = -expm1(-u) / u, with its limit 1 where gamma t == 0, and
+    q = 1 + b t phi(u), so that N = n0 e^{-u} / q.
     """
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
     if not v > 0:
         raise ValueError("v must be positive")
     t = np.asarray(t, float)
-    if not np.all(t >= 0):
+    if not (t >= 0).all():
         raise ValueError("t must be >= 0")
     b = 2 * beta * n0 / v
-    small = gamma * t < 1e-8
-    with np.errstate(over="ignore"):
-        et = np.exp(-gamma * t)
-    full = np.where(small, 1.0,
-                    gamma * n0 * et / np.where(small, 1.0,
-                                               gamma + b * (1.0 - et)))
-    lim = n0 / (1.0 + b * t)
-    out = np.where(small, lim, full)
-    return float(out) if out.ndim == 0 else out
+    u = gamma * t
+    em = np.expm1(-u)
+    phi = np.divide(-em, u, out=np.ones_like(u), where=u != 0)
+    q = 1.0 + b * t * phi
+    return t, b, u, em, phi, q, n0 * np.exp(-u) / q
+
+
+def decay(n0: float, gamma: float, beta: float, v: float, t):
+    """Closed-form solution of dN/dt = -gamma N - 2 beta N^2 / V.
+
+    With b = 2 beta n0 / V,
+
+        N(t) = gamma n0 e^{-gamma t} / (gamma - b expm1(-gamma t)),
+
+    evaluated divided through by gamma, as n0 e^{-gamma t} / (1 + b t phi)
+    with phi = -expm1(-gamma t) / (gamma t).  Where gamma t == 0, phi = 1
+    gives the two-body limit n0 / (1 + b t); elsewhere the formula is
+    accurate to rounding, so N is continuous in gamma and t.  Vectorized
+    over t.
+    """
+    n = _decay_terms(n0, gamma, beta, v, t)[-1]
+    return float(n) if n.ndim == 0 else n
+
+
+def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
+                   t) -> np.ndarray:
+    """Derivatives of decay by (gamma, beta), shape t.shape + (2,).
+
+    With u = gamma t, q = 1 + b t phi(u) and
+    chi(u) = (u - 1 + e^{-u}) / u^2 = phi(u) + phi'(u):
+
+        dN/dgamma = -N t (1 + b t chi) / q,
+        dN/dbeta = -N (2 n0 / V) t phi / q.
+
+    At gamma t == 0 (phi = 1, chi = 1/2) these are the gamma -> 0 limits,
+    so the bound gamma = 0 of the decay fit has a nonzero gamma column.
+    """
+    t, b, u, em, phi, q, n = _decay_terms(n0, gamma, beta, v, t)
+    tail = 1 / 24 - u * (1 / 120 - u / 720)
+    chi = np.asarray(0.5 - u * (1 / 6 - u * tail))
+    np.divide(u + em, u * u, out=chi, where=np.abs(u) >= _CHI_SWITCH)
+    ntq = -n * t / q
+    out = np.empty(t.shape + (2,))
+    out[..., 0] = ntq * (1.0 + b * t * chi)
+    out[..., 1] = ntq * phi * (2 * n0 / v)
+    return out
 
 
 def mt_temperature_prediction(t_mot: float, thermalized: bool = True):

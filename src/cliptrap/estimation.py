@@ -1,9 +1,11 @@
 """Least-squares machinery and the toolkit's fitting procedures.
 
-The core engine is a damped Gauss-Newton iteration (Levenberg-style
-damping, numeric Jacobian) that reports covariance, correlation and a
-convergence flag.  Positivity-constrained rate coefficients are fitted in
-log space; their covariance is mapped back with the delta method.
+The core engine is a damped Gauss-Newton iteration (Levenberg-Marquardt
+damping) that reports covariance, correlation and a convergence flag.  The
+kappa and decay fits pass the analytic Jacobians of their closed-form
+models; the column-profile fit, whose derivative would need K0 beside K1,
+uses central differences.  Positivity-constrained rate coefficients are
+fitted in log space; their covariance is mapped back with the delta method.
 Only statistical uncertainty is reported; systematic density calibration
 errors are outside the fitter's scope.
 """
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import decay, kappa_of_abscissa
+from .dynamics import (decay, decay_jacobian, kappa_jacobian,
+                       kappa_of_abscissa)
 from .flatfile import read_csv
 from .species import BOLTZMANN, Species
 from .trap import IpTrapConfig
@@ -111,9 +114,9 @@ class FitResult:
         return "\n".join(lines)
 
 
-def _numeric_jacobian(fun, p: np.ndarray) -> np.ndarray:
-    r0 = fun(p)
-    jac = np.empty((r0.size, p.size))
+def _numeric_jacobian(fun, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of fun at p, where fun(p) is r."""
+    jac = np.empty((r.size, p.size))
     for i in range(p.size):
         h = max(_STEP_REL * abs(p[i]), _STEP_ABS)
         pp = p.copy()
@@ -143,13 +146,20 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
 
 def least_squares(model, data: DataSet, initial, bounds=None,
                   names: tuple[str, ...] | None = None,
-                  units: tuple[str, ...] = ()) -> FitResult:
+                  units: tuple[str, ...] = (), jacobian=None) -> FitResult:
     """Damped Gauss-Newton fit of model(x, p) to the weighted data.
 
-    bounds, if given, is a (lower, upper) pair of arrays; candidate steps
-    are projected onto the box.  Stops on relative parameter change below
-    1e-9 or relative residual change below 1e-12; after 200 iterations the
-    best-so-far parameters are returned with converged = False.
+    jacobian, if given, is jacobian(x, p) -> d model / d p with shape
+    (len(x), len(p)); without it the Jacobian is taken by central
+    differences.  It is evaluated once per accepted step, at the accepted
+    parameters, and serves the next step and the covariance.  bounds, if
+    given, is a (lower, upper) pair of arrays; a parameter on a bound that
+    the descent direction would cross is held for that step, and candidate
+    steps are projected onto the box.  Stops on an accepted step with relative
+    parameter change below 1e-9 or relative residual change below 1e-12,
+    or on a rejected step smaller than 1e-9 relative (a floating-point
+    minimum); after 200 iterations the best-so-far parameters are returned
+    with converged = False.
     """
     p = np.asarray(initial, float).copy()
     if len(data) < p.size + 1:
@@ -168,39 +178,61 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     def residuals(q):
         return (data.y - np.asarray(model(data.x, q), float)) * w
 
+    def residual_jacobian(q, rq):
+        if jacobian is None:
+            return _numeric_jacobian(residuals, q, rq)
+        return np.asarray(jacobian(data.x, q), float) * -w[:, None]
+
     r = residuals(p)
     if not np.all(np.isfinite(r)):
         raise ValueError("model not evaluable at the initial parameters")
     cost = float(r @ r)
+    jac = residual_jacobian(p, r)
     lam = 1e-3
     converged = False
-    jac = None
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        jac = _numeric_jacobian(residuals, p)
         a = jac.T @ jac
         g = jac.T @ r
         diag = np.diag(a).copy()
         diag[diag <= 0] = 1.0
+        lhs = a + lam * np.diag(diag)
+        rhs = -g
+        if bounds is not None:
+            # a parameter on its bound whose descent leads out of the box is
+            # held there, so the others step as if it were fixed
+            held = ((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0))
+            if held.any():
+                lhs[held] = 0.0
+                lhs[:, held] = 0.0
+                lhs[held, held] = 1.0
+                rhs[held] = 0.0
         try:
-            step = np.linalg.solve(a + lam * np.diag(diag), -g)
+            step = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(a + lam * np.diag(diag), -g, rcond=None)[0]
+            step = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         candidate = project(p + step)
         rc = residuals(candidate)
-        cost_c = float(rc @ rc) if np.all(np.isfinite(rc)) else math.inf
+        cost_c = float(rc @ rc)
+        if not math.isfinite(cost_c):
+            cost_c = math.inf
+        dp = np.max(np.abs(candidate - p) / np.maximum(np.abs(p), _STEP_ABS))
         if cost_c <= cost:
-            dp = np.max(np.abs(candidate - p) / np.maximum(np.abs(p), _STEP_ABS))
             dr = abs(cost - cost_c) / max(cost, 1e-300)
             p, r, cost = candidate, rc, cost_c
+            jac = residual_jacobian(p, r)
             lam /= 3.0
             if dp < _PTOL or dr < _RTOL:
                 converged = True
                 break
+        elif dp < _PTOL:
+            # not even a step this small lowers the cost: a minimum to
+            # rounding, which more damping would only approach again
+            converged = True
+            break
         else:
             lam *= 10.0
 
-    jac = _numeric_jacobian(residuals, p)
     cov = _covariance(jac)
     names = names or tuple(f"p{i}" for i in range(p.size))
     return FitResult(names=tuple(names), values=p, covariance=cov,
@@ -244,8 +276,13 @@ def fit_kappa(data: DataSet,
     def model(x, q):
         return kappa_of_abscissa(x, math.exp(q[0]), math.exp(q[1]))
 
+    def jacobian(x, q):
+        beta_dd, beta_ed = math.exp(q[0]), math.exp(q[1])
+        # d kappa / d log beta = beta d kappa / d beta
+        return kappa_jacobian(x, beta_dd, beta_ed) * [beta_dd, beta_ed]
+
     res = least_squares(model, data, np.log(np.asarray(initial, float)),
-                        names=("beta_dd", "beta_ed"))
+                        names=("beta_dd", "beta_ed"), jacobian=jacobian)
     betas = np.exp(res.values)
     jac = np.diag(betas)  # d beta / d log beta
     cov = jac @ res.covariance @ jac
@@ -284,10 +321,14 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
     def model(tt, q):
         return decay(n0, q[0], math.exp(q[1]), v, tt)
 
+    def jacobian(tt, q):
+        beta = math.exp(q[1])
+        return decay_jacobian(n0, q[0], beta, v, tt) * [1.0, beta]
+
     res = least_squares(model, DataSet(t, y, series.sigma_y[order]),
                         [gamma0, math.log(beta0)],
                         bounds=([0.0, -200.0], [np.inf, 0.0]),
-                        names=("gamma", "beta_dd"))
+                        names=("gamma", "beta_dd"), jacobian=jacobian)
     beta = math.exp(res.values[1])
     jac = np.diag([1.0, beta])
     cov = jac @ res.covariance @ jac

@@ -7,18 +7,33 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cliptrap.dynamics import (RateCoefficients, accumulation_efficiency,
-                               decay, effective_loading_time, evolve,
-                               gamma_ed_loss, kappa_of_abscissa, loading_rate,
+                               decay, decay_jacobian, effective_loading_time,
+                               evolve, gamma_ed_loss, kappa_jacobian,
+                               kappa_of_abscissa, loading_rate,
                                mt_temperature_prediction, steady_state)
 from conftest import make_scenario
 
 GAMMA_ED_CR = 126.17  # 52Cr leak rate to the metastable state, 1/s
 
 
+def log_uniform(low_exp: float, high_exp: float):
+    """A log-uniform value between 10**low_exp and 10**high_exp."""
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e)
+
+
 def maybe_zero(low_exp: float, high_exp: float):
     """0, or a log-uniform value between 10**low_exp and 10**high_exp."""
-    return st.one_of(st.just(0.0),
-                     st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e))
+    return st.one_of(st.just(0.0), log_uniform(low_exp, high_exp))
+
+
+def central(f, p: float, h: float) -> float:
+    """Central difference of the scalar function f at p with step h."""
+    return (f(p + h) - f(p - h)) / (2 * h)
+
+
+def central_log(f, p: float, h: float) -> float:
+    """Central difference of f in log p at p > 0: p df/dp."""
+    return (f(p * math.exp(h)) - f(p * math.exp(-h))) / (2 * h)
 
 
 class TestCoefficients:
@@ -201,6 +216,26 @@ class TestSteadyState:
             series = r / gamma - 2 * beta * r * r / (v * gamma ** 3)
             assert series == pytest.approx(full, rel=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n_mot=log_uniform(5, 8), gamma_d=maybe_zero(-3, 1),
+           beta_ed=log_uniform(-17, -14), v=log_uniform(-10, -7),
+           side=st.floats(1e-9, 1e-6))
+    def test_continuous_across_old_series_switch(self, n_mot, gamma_d,
+                                                 beta_ed, v, side):
+        # The closed form used to switch to its series below
+        # 8 beta R V = 1e-8 (gamma V)^2, where it had cancelled to about
+        # eps / 1e-8: the two sides differed by up to 3.5e-8.  Across
+        # beta (1 -+ side) the true change is under 1e-14.
+        base = make_scenario(gamma_d=gamma_d, beta_ed=beta_ed, n_mot=n_mot,
+                             v_mt=v)
+        r = loading_rate(base)
+        gamma = gamma_d + gamma_ed_loss(base.n_mot_excited, beta_ed, v)
+        beta_switch = 1e-8 * (gamma * v) ** 2 / (8 * r * v)
+        lo, hi = (steady_state(make_scenario(
+            gamma_d=gamma_d, beta_ed=beta_ed, n_mot=n_mot, v_mt=v,
+            beta_dd=beta_switch * f)) for f in (1 - side, 1 + side))
+        assert hi == pytest.approx(lo, rel=1e-14)
+
     def test_monotone_in_inputs(self):
         base = steady_state(make_scenario(gamma_d=0.02))
         assert steady_state(make_scenario(gamma_d=0.02, n_mot=6e6)) > base
@@ -244,6 +279,82 @@ class TestAccumulationEfficiency:
         # with the self-consistent closed form this lands in the twenties
         assert 15 < accumulation_efficiency(make_scenario()) < 40
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=log_uniform(-16, -12), beta_ed=log_uniform(-17, -14),
+           side=st.floats(1e-9, 1e-6))
+    def test_continuous_across_old_series_switch(self, x, beta_ed, side):
+        # the series used to take over below 32 beta_dd x = 1e-8 beta_ed^2,
+        # where the closed form had cancelled to about eps / 1e-8
+        beta_switch = 1e-8 * beta_ed ** 2 / (32 * x)
+        lo, hi = (kappa_of_abscissa(x, beta_switch * f, beta_ed)
+                  for f in (1 - side, 1 + side))
+        assert hi == pytest.approx(lo, rel=1e-14)
+
+
+def assert_matches_differences(analytic: float, diff, steps) -> None:
+    """analytic agrees with the central difference diff(h) at every step."""
+    for h in steps:
+        assert diff(h) == pytest.approx(analytic, rel=1e-5)
+
+
+class TestKappaJacobian:
+    @settings(max_examples=200, deadline=None)
+    @given(x=log_uniform(-16, -12), beta_ed=log_uniform(-17, -14),
+           ratio=log_uniform(-5, 10))
+    def test_matches_central_differences(self, x, beta_ed, ratio):
+        # ratio = 32 beta_dd x / beta_ed^2: beta_ed's end of the master
+        # curve at 1e-5, beta_dd's at 1e10
+        beta_dd = ratio * beta_ed ** 2 / (32 * x)
+        j_dd, j_ed = kappa_jacobian(x, beta_dd, beta_ed)
+        assert_matches_differences(
+            beta_dd * j_dd, lambda h: central_log(
+                lambda b: kappa_of_abscissa(x, b, beta_ed), beta_dd, h),
+            (1e-3, 1e-4))
+        assert_matches_differences(
+            beta_ed * j_ed, lambda h: central_log(
+                lambda b: kappa_of_abscissa(x, beta_dd, b), beta_ed, h),
+            (1e-3, 1e-4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=log_uniform(-16, -12), beta_ed=log_uniform(-17, -14),
+           ratio=log_uniform(-9, -5))
+    def test_matches_central_differences_near_beta_dd_zero(self, x, beta_ed,
+                                                            ratio):
+        # kappa moves with beta_dd only by about ratio / 4 relative here,
+        # so steps of the order of beta_dd itself resolve the derivative;
+        # kappa is nearly linear in beta_dd, which keeps them accurate
+        beta_dd = ratio * beta_ed ** 2 / (32 * x)
+        j_dd, j_ed = kappa_jacobian(x, beta_dd, beta_ed)
+        assert_matches_differences(
+            j_dd, lambda h: central(
+                lambda b: kappa_of_abscissa(x, b, beta_ed), beta_dd, h),
+            (beta_dd, beta_dd / 2))
+        assert_matches_differences(
+            beta_ed * j_ed, lambda h: central_log(
+                lambda b: kappa_of_abscissa(x, beta_dd, b), beta_ed, h),
+            (1e-3, 1e-4))
+
+    def test_limits_at_zero_coefficients(self):
+        x, beta_dd, beta_ed = 1e-14, 1.3e-17, 6e-16
+        # beta_dd = 0: d kappa / d beta_dd = -16 x^2 / beta_ed^3
+        j_dd, j_ed = kappa_jacobian(x, 0.0, beta_ed)
+        assert j_dd == pytest.approx(-16 * x * x / beta_ed ** 3, rel=1e-14)
+        assert j_ed == pytest.approx(-2 * x / beta_ed ** 2, rel=1e-14)
+        # beta_ed = 0: d kappa / d beta_ed = -1 / (8 beta_dd)
+        j_dd, j_ed = kappa_jacobian(x, beta_dd, 0.0)
+        assert j_ed == pytest.approx(-1 / (8 * beta_dd), rel=1e-14)
+        step = 1e-3 * math.sqrt(32 * beta_dd * x)
+        assert_matches_differences(
+            j_ed, lambda h: central(
+                lambda b: kappa_of_abscissa(x, beta_dd, b), 0.0, h),
+            (step, step / 10))
+
+    def test_vectorized_shape(self):
+        x = np.geomspace(1e-15, 1e-13, 5)
+        jac = kappa_jacobian(x, 1.3e-17, 6e-16)
+        assert jac.shape == (5, 2)
+        assert np.array_equal(jac[2], kappa_jacobian(x[2], 1.3e-17, 6e-16))
+
 
 class TestEffectiveLoadingTime:
     def test_paper_anchor(self):
@@ -283,6 +394,38 @@ class TestDecay:
         assert np.allclose(decay(n0, gamma, beta, v, times), sol.y[0],
                            rtol=1e-8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n0=log_uniform(6, 10), gamma=log_uniform(-4, 0),
+           beta=log_uniform(-19, -15), v=log_uniform(-9, -7))
+    def test_continuous_across_old_two_body_switch(self, n0, gamma, beta, v):
+        # The pure two-body limit used to take over below gamma t = 1e-8
+        # and dropped the gamma term: N jumped by about 1e-8 relative.
+        # Across the old switch N now moves as the rate equation says.
+        t_lo, t_hi = 0.999e-8 / gamma, 1.001e-8 / gamma
+        n_lo, n_hi = decay(n0, gamma, beta, v, np.array([t_lo, t_hi]))
+        slope = -gamma * n_lo - 2 * beta * n_lo ** 2 / v
+        assert n_hi - n_lo == pytest.approx(slope * (t_hi - t_lo), rel=1e-3,
+                                            abs=1e-15 * n0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n0=log_uniform(6, 10), beta=log_uniform(-19, -15),
+           v=log_uniform(-9, -7), t=log_uniform(-2, 2.5),
+           gamma=log_uniform(-14, -8))
+    def test_continuous_at_gamma_zero(self, n0, beta, v, t, gamma):
+        # gamma -> 0 joins the two-body limit at gamma = 0 to first order;
+        # the second-order remainder is of relative size (gamma t)^2
+        n_zero = decay(n0, 0.0, beta, v, t)
+        d_gamma = decay_jacobian(n0, 0.0, beta, v, t)[0]
+        assert decay(n0, gamma, beta, v, t) == pytest.approx(
+            n_zero + gamma * d_gamma, rel=1e-14 + (gamma * t) ** 2)
+
+    def test_two_body_limit_only_at_gamma_t_zero(self):
+        n0, beta, v = 2e8, 3.8e-17, 1e-8
+        t = np.array([0.0, 1.0, 10.0])
+        assert np.array_equal(decay(n0, 0.0, beta, v, t),
+                              n0 / (1 + 2 * beta * n0 / v * t))
+        assert decay(n0, 0.02, beta, v, 0.0) == n0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             decay(-1.0, 0.02, 0.0, 1e-8, 1.0)
@@ -290,6 +433,46 @@ class TestDecay:
             decay(1e8, 0.02, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             decay(1e8, 0.02, 0.0, 1e-8, -1.0)
+
+
+class TestDecayJacobian:
+    @settings(max_examples=300, deadline=None)
+    @given(n0=log_uniform(7, 9), gamma=maybe_zero(-4, 0),
+           beta=log_uniform(-18, -15), v=log_uniform(-9, -8),
+           t=st.one_of(st.just(0.0), st.floats(0.05, 200.0)))
+    @example(n0=2e8, gamma=0.0, beta=3.8e-17, v=1e-8, t=10.0)
+    @example(n0=2e8, gamma=0.02, beta=3.8e-17, v=1e-8, t=0.5)  # chi's switch
+    def test_matches_central_differences(self, n0, gamma, beta, v, t):
+        # both branches: gamma t == 0 (the two-body limit) and gamma t > 0;
+        # at gamma = 0 the differences step into gamma < 0, where the
+        # formula continues analytically
+        j_gamma, j_beta = decay_jacobian(n0, gamma, beta, v, t)
+        scale = 1.0 / max(t, 1.0)
+        assert_matches_differences(
+            j_gamma, lambda h: central(
+                lambda g: decay(n0, g, beta, v, t), gamma, h),
+            (1e-3 * scale, 1e-4 * scale))
+        assert_matches_differences(
+            beta * j_beta, lambda h: central_log(
+                lambda b: decay(n0, gamma, b, v, t), beta, h),
+            (1e-3, 1e-4))
+
+    def test_gamma_zero_limit(self):
+        n0, beta, v = 2e8, 3.8e-17, 1e-8
+        t = np.array([0.0, 0.5, 20.0])
+        bt = 2 * beta * n0 / v * t
+        jac = decay_jacobian(n0, 0.0, beta, v, t)
+        assert jac.shape == (3, 2)
+        assert jac[:, 0] == pytest.approx(
+            -n0 * t * (1 + bt / 2) / (1 + bt) ** 2, rel=1e-14)
+        assert jac[:, 1] == pytest.approx(
+            -n0 * t * (2 * n0 / v) / (1 + bt) ** 2, rel=1e-14)
+
+    def test_validates_like_decay(self):
+        with pytest.raises(ValueError):
+            decay_jacobian(1e8, 0.02, 0.0, 1e-8, -1.0)
+        with pytest.raises(ValueError):
+            decay_jacobian(1e8, 0.02, 0.0, 0.0, 1.0)
 
 
 class TestTemperaturePrediction:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cliptrap import cloud, dynamics
+from cliptrap import cloud, dynamics, estimation, sweeps
 from cliptrap.estimation import (DataSet, fit_column_profile, fit_decay,
                                  fit_kappa, fit_loading_rate, fit_tof,
                                  least_squares)
@@ -70,6 +70,41 @@ class TestLeastSquares:
         # the initial damping takes a few iterations to decay
         assert res.iterations <= 10
 
+    @pytest.mark.parametrize("noise_seed", [None, *range(8)])
+    def test_stops_at_floating_point_minimum(self, noise_seed):
+        # Started at the lstsq solution, no step can lower the cost beyond
+        # rounding: the fit stops on the first step, accepted at rounding
+        # level or rejected.  With noisy lines it used to take up to 7
+        # iterations, moving the values by rounding-level steps.
+        x = np.linspace(0, 4, 5)
+        y = 2.5 * x + 1.0
+        if noise_seed is not None:
+            y = y + np.random.default_rng(noise_seed).normal(0, 0.1, x.size)
+        d = dataset(x, y)
+        design = np.column_stack([np.ones_like(x), x])
+        p_star = np.linalg.lstsq(design, y, rcond=None)[0]
+        res = least_squares(lambda xx, p: p[0] + p[1] * xx, d, p_star)
+        assert res.converged
+        assert res.iterations <= 2
+        assert res.values == pytest.approx(p_star, rel=1e-9)
+        assert res.covariance == pytest.approx(
+            np.linalg.inv(design.T @ design), rel=1e-8)
+
+    def test_analytic_jacobian_matches_numeric(self):
+        x = np.linspace(0, 4, 20)
+        rng = np.random.default_rng(3)
+        d = dataset(x, 3.0 * np.exp(-0.7 * x) + rng.normal(0, 0.01, x.size),
+                    0.01)
+        model = lambda xx, p: p[0] * np.exp(-p[1] * xx)
+        jac = lambda xx, p: np.column_stack([np.exp(-p[1] * xx),
+                                             -p[0] * xx * np.exp(-p[1] * xx)])
+        numeric = least_squares(model, d, [1.0, 1.0])
+        analytic = least_squares(model, d, [1.0, 1.0], jacobian=jac)
+        assert analytic.converged and numeric.converged
+        assert analytic.values == pytest.approx(numeric.values, rel=1e-8)
+        assert analytic.covariance == pytest.approx(numeric.covariance,
+                                                    rel=1e-6)
+
     def test_exact_parabola(self):
         x = np.array([-1.0, 0.0, 2.0, 3.0])
         y = 0.5 * x ** 2 - x + 3
@@ -89,6 +124,20 @@ class TestLeastSquares:
         res = least_squares(lambda xx, p: p[0] * xx, d, [1.0],
                             bounds=([0.0], [10.0]))
         assert res.values[0] == 0.0
+
+    def test_active_bound_holds_parameter(self):
+        # the unconstrained intercept is -0.5; on the bound a = 0 the
+        # slope must move to the one-parameter optimum sum(xy) / sum(x^2),
+        # which projected steps alone never reach (200 iterations, 5e-4 off)
+        x = np.linspace(1, 5, 9)
+        y = -0.5 + 2.0 * x + np.random.default_rng(1).normal(0, 0.05, x.size)
+        res = least_squares(lambda xx, p: p[0] + p[1] * xx,
+                            dataset(x, y, 0.05), [1.0, 1.0],
+                            bounds=([0.0, -10.0], [10.0, 10.0]))
+        assert res.converged
+        assert res.iterations <= 10
+        assert res.values[0] == 0.0
+        assert res.values[1] == pytest.approx((x @ y) / (x @ x), rel=1e-9)
 
     def test_initial_outside_bounds(self):
         d = dataset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -253,6 +302,24 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(dataset(t, np.exp(-t)), v=0.0)
 
+    @pytest.mark.parametrize("noise", [0.03, 0.1])
+    def test_synthetic_ensemble_recovery(self, noise):
+        # Noise that puts the second sample above the first starts beta_dd
+        # at 1e-22 m^3/s; the first step then reaches the bound
+        # log beta_dd = 0, where every t > 0 sample of the model is ~1e-9.
+        # A central-difference Jacobian is exactly zero there, so the fit
+        # used to stop at once with zero sigmas (21 % and 50 % of seeds).
+        scen = make_scenario(gamma_d=0.02)
+        for seed in range(100):
+            data = sweeps.synthesize_measurements(scen, "decay_curve",
+                                                  noise=noise, seed=seed)
+            res = fit_decay(data, scen.v_mt)
+            assert res.converged, seed
+            for name, truth in (("gamma", 0.02), ("beta_dd", 1.3e-17)):
+                assert res.sigma(name) > 0, (seed, name)
+                assert abs(res[name] - truth) <= 10 * res.sigma(name), (
+                    seed, name)
+
 
 class TestFitTof:
     def test_exact_recovery(self):
@@ -291,7 +358,55 @@ class TestFitTof:
                             np.array([1e-6])), CR)
 
 
+def numeric_jacobian_reference(fun, p):
+    """The central-difference Jacobian as it was, sized by one more fun(p)."""
+    r0 = fun(p)
+    jac = np.empty((r0.size, p.size))
+    for i in range(p.size):
+        h = max(1e-6 * abs(p[i]), 1e-12)
+        pp = p.copy()
+        pm = p.copy()
+        pp[i] += h
+        pm[i] -= h
+        jac[:, i] = (fun(pp) - fun(pm)) / (2 * h)
+    return jac
+
+
 class TestFitColumnProfile:
+    def test_numeric_jacobian_reuses_residual(self, monkeypatch):
+        # the 41 x 31 image of a command-line profile fit: each Jacobian
+        # costs 2 evaluations per parameter, and is bit-identical to the
+        # one that evaluated the residual again
+        numeric = estimation._numeric_jacobian
+        jacobians = []
+
+        def checked(fun, p, r):
+            calls = []
+
+            def counted(q):
+                calls.append(q)
+                return fun(q)
+            jac = numeric(counted, p, r)
+            assert len(calls) == 2 * p.size
+            assert np.array_equal(r, fun(p))
+            assert np.array_equal(jac, numeric_jacobian_reference(fun, p))
+            jacobians.append(jac)
+            return jac
+
+        monkeypatch.setattr(estimation, "_numeric_jacobian", checked)
+        cl = cloud.make_thermal_cloud(CR, CFG, n=1e8, t=120e-6)
+        y = np.linspace(-6, 6, 41) * cl.xi1
+        z = np.linspace(-3, 3, 31) * cl.sigma_z
+        image = cloud.column_density(cl, (y - 0.05 * cl.xi1)[:, None],
+                                     z[None, :])
+        rng = np.random.default_rng(7)
+        image = image * (1 + 0.015 * rng.standard_normal(image.shape))
+        res = fit_column_profile(y, z, image, CR, CFG)
+        assert res.converged
+        assert res["temperature"] == pytest.approx(120e-6, rel=0.03)
+        assert len(jacobians) >= 2
+
+
     @staticmethod
     def forward(temperature=100e-6, scale=1.0, y_shift=0.0):
         cl = cloud.make_thermal_cloud(CR, CFG, n=1e8, t=temperature)
