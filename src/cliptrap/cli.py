@@ -293,8 +293,10 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
     if not data_path:
         raise ConfigError("fit requires --data PATH")
     try:
-        data = (_read_kappa_csv(data_path) if kind == "kappa"
-                else DataSet.from_csv(data_path))
+        if kind == "kappa":
+            data = _read_kappa_csv(data_path)
+        elif kind != "profile":  # a profile table is no (x, y, sigma) list
+            data = DataSet.from_csv(data_path)
     except ValueError as exc:
         raise ConfigError(f"{data_path}: {exc}")
 
@@ -359,7 +361,7 @@ def _read_kappa_csv(path: str) -> DataSet:
     cols = [ix, header.index("kappa")] + (
         [header.index("sigma_kappa")] if "sigma_kappa" in header else [])
     points = []
-    for cells in rows:
+    for _, cells in rows:
         try:
             points.append([float(cells[i]) for i in cols])
         except (ValueError, IndexError):
@@ -378,7 +380,8 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, rows = read_csv(path)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
-    arr = np.asarray([[float(c) for c in row] for row in rows], float)
+    arr = np.asarray([[number(c, where) for c in cells]
+                      for where, cells in rows], float)
     y = np.unique(arr[:, 0]) * 1e-3
     z = np.unique(arr[:, 1]) * 1e-3
     if y.size * z.size != arr.shape[0]:

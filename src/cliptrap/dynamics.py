@@ -174,7 +174,8 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
     return float(out) if out.ndim == 0 else out
 
 
-def kappa_jacobian(x, beta_dd: float, beta_ed: float) -> np.ndarray:
+def kappa_jacobian(x, beta_dd: float, beta_ed: float,
+                   kappa=None) -> np.ndarray:
     """Derivatives of kappa_of_abscissa, shape x.shape + (2,).
 
     kappa is the positive root of 4 beta_dd k^2 + beta_ed k - 2 x = 0, so
@@ -182,13 +183,18 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float) -> np.ndarray:
 
         d kappa / d beta_dd = -4 kappa^2 / S,
         d kappa / d beta_ed = -kappa / S.
+
+    S is formed from kappa, as a sum of non-negative terms with no second
+    square root.  kappa, if given, is kappa_of_abscissa(x, beta_dd,
+    beta_ed), which a caller that holds it need not evaluate again.
     """
-    x = np.asarray(x, float)
-    k = np.asarray(kappa_of_abscissa(x, beta_dd, beta_ed))
-    s = np.sqrt(beta_ed ** 2 + 32 * beta_dd * x)
-    out = np.empty(x.shape + (2,))
-    out[..., 0] = -4 * k * k / s
-    out[..., 1] = -k / s
+    if kappa is None:
+        kappa = kappa_of_abscissa(x, beta_dd, beta_ed)
+    k = np.asarray(kappa, float)
+    k_over_s = k / (8 * beta_dd * k + beta_ed)
+    out = np.empty(k.shape + (2,))
+    out[..., 0] = -4 * k * k_over_s
+    out[..., 1] = -k_over_s
     return out
 
 
@@ -209,10 +215,12 @@ def effective_loading_time(n_mt: float, r: float) -> float:
 
 
 def _decay_terms(n0: float, gamma: float, beta: float, v: float, t):
-    """Validated t, b = 2 beta n0 / V, u = gamma t, expm1(-u), phi, q and N.
+    """Validated t, b t with b = 2 beta n0 / V, -u = -gamma t, expm1(-u),
+    phi and q.
 
     phi(u) = -expm1(-u) / u, with its limit 1 where gamma t == 0, and
-    q = 1 + b t phi(u), so that N = n0 e^{-u} / q.
+    q = 1 + b t phi(u), so that N = n0 e^{-u} / q.  u is carried negated,
+    which spares the negations that expm1(-u), e^{-u} and phi would take.
     """
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
@@ -221,12 +229,11 @@ def _decay_terms(n0: float, gamma: float, beta: float, v: float, t):
     t = np.asarray(t, float)
     if not (t >= 0).all():
         raise ValueError("t must be >= 0")
-    b = 2 * beta * n0 / v
-    u = gamma * t
-    em = np.expm1(-u)
-    phi = np.divide(-em, u, out=np.ones_like(u), where=u != 0)
-    q = 1.0 + b * t * phi
-    return t, b, u, em, phi, q, n0 * np.exp(-u) / q
+    bt = (2 * beta * n0 / v) * t
+    neg_u = t * -gamma
+    em = np.expm1(neg_u)
+    phi = np.divide(em, neg_u, out=np.ones_like(neg_u), where=neg_u != 0)
+    return t, bt, neg_u, em, phi, 1.0 + bt * phi
 
 
 def decay(n0: float, gamma: float, beta: float, v: float, t):
@@ -242,12 +249,13 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
     accurate to rounding, so N is continuous in gamma and t.  Vectorized
     over t.
     """
-    n = _decay_terms(n0, gamma, beta, v, t)[-1]
+    _, _, neg_u, _, _, q = _decay_terms(n0, gamma, beta, v, t)
+    n = n0 * np.exp(neg_u) / q
     return float(n) if n.ndim == 0 else n
 
 
 def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
-                   t) -> np.ndarray:
+                   t, n=None) -> np.ndarray:
     """Derivatives of decay by (gamma, beta), shape t.shape + (2,).
 
     With u = gamma t, q = 1 + b t phi(u) and
@@ -258,14 +266,19 @@ def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
 
     At gamma t == 0 (phi = 1, chi = 1/2) these are the gamma -> 0 limits,
     so the bound gamma = 0 of the decay fit has a nonzero gamma column.
+    n, if given, is decay(n0, gamma, beta, v, t), which a caller that holds
+    it need not evaluate again.
     """
-    t, b, u, em, phi, q, n = _decay_terms(n0, gamma, beta, v, t)
-    tail = 1 / 24 - u * (1 / 120 - u / 720)
-    chi = np.asarray(0.5 - u * (1 / 6 - u * tail))
-    np.divide(u + em, u * u, out=chi, where=np.abs(u) >= _CHI_SWITCH)
+    t, bt, neg_u, em, phi, q = _decay_terms(n0, gamma, beta, v, t)
+    if n is None:
+        n = decay(n0, gamma, beta, v, t)
+    tail = 1 / 24 + neg_u * (1 / 120 + neg_u / 720)
+    chi = np.asarray(0.5 + neg_u * (1 / 6 + neg_u * tail))
+    np.divide(em - neg_u, neg_u * neg_u, out=chi,
+              where=np.abs(neg_u) >= _CHI_SWITCH)
     ntq = -n * t / q
     out = np.empty(t.shape + (2,))
-    out[..., 0] = ntq * (1.0 + b * t * chi)
+    out[..., 0] = ntq * (1.0 + bt * chi)
     out[..., 1] = ntq * phi * (2 * n0 / v)
     return out
 

@@ -1,13 +1,16 @@
 """Least-squares machinery and the toolkit's fitting procedures.
 
 The core engine is a damped Gauss-Newton iteration (Levenberg-Marquardt
-damping) that reports covariance, correlation and a convergence flag.  The
-kappa and decay fits pass the analytic Jacobians of their closed-form
-models; the column-profile fit, whose derivative would need K0 beside K1,
-uses central differences.  Positivity-constrained rate coefficients are
-fitted in log space; their covariance is mapped back with the delta method.
-Only statistical uncertainty is reported; systematic density calibration
-errors are outside the fitter's scope.
+damping) that reports covariance, correlation and a convergence flag.
+Positivity-constrained parameters are fitted in log space through its one
+`log` option, which maps values and covariance back with the delta method.
+The kappa and decay fits start at the linear least-squares solution of
+their rate equation, which is linear in the loss coefficients, and pass the
+analytic Jacobians of their closed-form models, built from the model values
+the solver already holds; the column-profile fit, whose derivative would
+need K0 beside K1, uses central differences.  Only statistical uncertainty
+is reported; systematic density calibration errors are outside the fitter's
+scope.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .dynamics import (decay, decay_jacobian, kappa_jacobian,
                        kappa_of_abscissa)
-from .flatfile import read_csv
+from .flatfile import number, read_csv
 from .species import BOLTZMANN, Species
 from .trap import IpTrapConfig
 
@@ -47,6 +50,8 @@ class DataSet:
         self.sigma_y = np.asarray(self.sigma_y, float)
         if not (self.x.shape == self.y.shape == self.sigma_y.shape):
             raise ValueError("x, y and sigma_y must have identical shapes")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("x and y must be finite")
         if not np.all(self.sigma_y > 0):
             raise ValueError("all sigma_y must be positive")
 
@@ -65,7 +70,8 @@ class DataSet:
         header, rows = read_csv(path)
         if not rows:
             raise ValueError(f"no data rows in {path}")
-        data = np.asarray([[float(c) for c in row] for row in rows], float)
+        data = np.asarray([[number(c, where) for c in cells]
+                           for where, cells in rows], float)
         if data.shape[1] < 3:
             raise ValueError("expected at least 3 columns (x, y, sigma_y)")
         # Optional 4th column: mask, nonzero keeps the row.
@@ -137,22 +143,33 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
 
 
 def _correlation(cov: np.ndarray) -> np.ndarray:
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    denom = np.outer(sig, sig)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 0, cov / denom, 0.0)
-    return np.clip(corr, -1.0, 1.0)
+    sig = np.sqrt(np.maximum(cov.diagonal(), 0.0))
+    denom = sig[:, None] * sig
+    corr = np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0)
+    return np.minimum(np.maximum(corr, -1.0), 1.0)
 
 
 def least_squares(model, data: DataSet, initial, bounds=None,
                   names: tuple[str, ...] | None = None,
-                  units: tuple[str, ...] = (), jacobian=None) -> FitResult:
+                  units: tuple[str, ...] = (), jacobian=None,
+                  log=()) -> FitResult:
     """Damped Gauss-Newton fit of model(x, p) to the weighted data.
 
-    jacobian, if given, is jacobian(x, p) -> d model / d p with shape
-    (len(x), len(p)); without it the Jacobian is taken by central
-    differences.  It is evaluated once per accepted step, at the accepted
-    parameters, and serves the next step and the covariance.  bounds, if
+    p reaches model as a list of floats.  log, if given, holds one flag per
+    parameter; a flagged parameter is fitted as log p, which keeps it
+    positive.  initial, bounds, the returned values and the covariance are
+    all in p itself: the covariance is mapped back once, with the delta
+    method d p / d log p = p, and the correlation is built from it.  A
+    flagged initial value must be positive; a lower bound of 0 on a flagged
+    parameter is no bound.
+
+    jacobian, if given, is jacobian(x, p, f) -> d model / d p with shape
+    (len(x), len(p)), in p itself; f is model(x, p), which the solver
+    already holds, so the Jacobian need not evaluate the model again.  The
+    solver applies the chain rule for flagged parameters.  Without it the
+    Jacobian is taken by central differences in the fitted parameters.  It
+    is evaluated once per accepted step, at the accepted parameters, and
+    serves the next step and the covariance.  bounds, if
     given, is a (lower, upper) pair of arrays; a parameter on a bound that
     the descent direction would cross is held for that step, and candidate
     steps are projected onto the box.  Stops on an accepted step with relative
@@ -161,48 +178,70 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     minimum); after 200 iterations the best-so-far parameters are returned
     with converged = False.
     """
-    p = np.asarray(initial, float).copy()
-    if len(data) < p.size + 1:
+    n = len(initial)
+    flags = [bool(f) for f in log] or [False] * n
+    if len(flags) != n:
+        raise ValueError("log needs one flag per parameter")
+    if len(data) < n + 1:
         raise ValueError("need at least n_parameters + 1 data points")
-    if bounds is not None:
-        lo = np.asarray(bounds[0], float)
-        hi = np.asarray(bounds[1], float)
-        if np.any(p < lo) or np.any(p > hi):
-            raise ValueError("initial parameters outside bounds")
 
-    def project(q):
-        return np.clip(q, lo, hi) if bounds is not None else q
+    def fitted(values):
+        # a lower bound of 0 on a log parameter is log 0 = -inf
+        return np.array([(math.log(v) if v > 0 else -math.inf) if f else v
+                         for v, f in zip(map(float, values), flags)])
+
+    def natural(q):
+        return [math.exp(v) if f else v for v, f in zip(q.tolist(), flags)]
+
+    def dp_dq(p):  # d p / d log p = p
+        return [v if f else 1.0 for v, f in zip(p, flags)]
+
+    if any(f and not v > 0 for v, f in zip(initial, flags)):
+        raise ValueError("log parameters must start positive")
+    q = fitted(initial)
+    if bounds is not None:
+        if any(v < l or v > h for v, l, h in zip(initial, *bounds)):
+            raise ValueError("initial parameters outside bounds")
+        lo, hi = fitted(bounds[0]), fitted(bounds[1])
+        lo_hi = list(zip(lo.tolist(), hi.tolist()))
 
     w = 1.0 / data.sigma_y
+    minus_w = -w[:, None]
 
-    def residuals(q):
-        return (data.y - np.asarray(model(data.x, q), float)) * w
+    def evaluate(q):
+        p = natural(q)
+        f = np.asarray(model(data.x, p), float)
+        return p, f, (data.y - f) * w
 
-    def residual_jacobian(q, rq):
+    def residual_jacobian(q, p, f, r):
         if jacobian is None:
-            return _numeric_jacobian(residuals, q, rq)
-        return np.asarray(jacobian(data.x, q), float) * -w[:, None]
+            return _numeric_jacobian(lambda v: evaluate(v)[2], q, r)
+        jac = np.asarray(jacobian(data.x, p, f), float)
+        if any(flags):
+            jac = jac * dp_dq(p)
+        return jac * minus_w
 
-    r = residuals(p)
+    p, f, r = evaluate(q)
     if not np.all(np.isfinite(r)):
         raise ValueError("model not evaluable at the initial parameters")
     cost = float(r @ r)
-    jac = residual_jacobian(p, r)
+    jac = residual_jacobian(q, p, f, r)
     lam = 1e-3
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        a = jac.T @ jac
-        g = jac.T @ r
-        diag = np.diag(a).copy()
-        diag[diag <= 0] = 1.0
-        lhs = a + lam * np.diag(diag)
-        rhs = -g
+        lhs = jac.T @ jac
+        rhs = -(jac.T @ r)
+        # Marquardt damping, lam * diag(J^T J), in place on the diagonal
+        diag = lhs.ravel()[::n + 1]
+        diag += lam * np.where(diag > 0, diag, 1.0)
         if bounds is not None:
             # a parameter on its bound whose descent leads out of the box is
             # held there, so the others step as if it were fixed
-            held = ((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0))
-            if held.any():
+            held = [i for i, (qi, di, (l, h)) in enumerate(
+                zip(q.tolist(), rhs.tolist(), lo_hi))
+                if (qi <= l and di < 0) or (qi >= h and di > 0)]
+            if held:
                 lhs[held] = 0.0
                 lhs[:, held] = 0.0
                 lhs[held, held] = 1.0
@@ -211,16 +250,19 @@ def least_squares(model, data: DataSet, initial, bounds=None,
             step = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        candidate = project(p + step)
-        rc = residuals(candidate)
+        candidate = q + step
+        if bounds is not None:
+            candidate = np.minimum(np.maximum(candidate, lo), hi)
+        pc, fc, rc = evaluate(candidate)
         cost_c = float(rc @ rc)
         if not math.isfinite(cost_c):
             cost_c = math.inf
-        dp = np.max(np.abs(candidate - p) / np.maximum(np.abs(p), _STEP_ABS))
+        dp = max(abs(c - v) / max(abs(v), _STEP_ABS)
+                 for c, v in zip(candidate.tolist(), q.tolist()))
         if cost_c <= cost:
             dr = abs(cost - cost_c) / max(cost, 1e-300)
-            p, r, cost = candidate, rc, cost_c
-            jac = residual_jacobian(p, r)
+            q, p, f, r, cost = candidate, pc, fc, rc, cost_c
+            jac = residual_jacobian(q, p, f, r)
             lam /= 3.0
             if dp < _PTOL or dr < _RTOL:
                 converged = True
@@ -234,8 +276,11 @@ def least_squares(model, data: DataSet, initial, bounds=None,
             lam *= 10.0
 
     cov = _covariance(jac)
-    names = names or tuple(f"p{i}" for i in range(p.size))
-    return FitResult(names=tuple(names), values=p, covariance=cov,
+    if any(flags):  # the delta method
+        scale = np.array(dp_dq(p))
+        cov = scale[:, None] * cov * scale
+    names = names or tuple(f"p{i}" for i in range(n))
+    return FitResult(names=tuple(names), values=np.array(p), covariance=cov,
                      correlation=_correlation(cov),
                      residual_norm=float(np.linalg.norm(r)),
                      iterations=it, converged=converged, units=units)
@@ -260,37 +305,32 @@ def fit_loading_rate(series: DataSet, window: float = 0.25) -> float:
 
 
 def fit_kappa(data: DataSet,
-              initial: tuple[float, float] = (1e-17, 1e-15)) -> FitResult:
+              initial: tuple[float, float] | None = None) -> FitResult:
     """Fit the accumulation-efficiency curve for (beta_dd, beta_ed).
 
-    Data abscissa is x = R V_MT / N_MOT^2 (m^3/s).  Both coefficients are
-    fitted in log space for positivity; covariance is transformed back via
-    the delta method.  The two parameters act on opposite ends of the
-    curve but both suppress kappa, so expect strong negative correlation.
+    Data abscissa is x = R V_MT / N_MOT^2 (m^3/s).  kappa solves
+    4 beta_dd kappa^2 + beta_ed kappa = 2 x, which is linear in the two
+    coefficients; the fit starts at the weighted linear least-squares
+    solution of that equation over the data, or at (1e-17, 1e-15) m^3/s
+    if either coefficient comes out <= 0, unless initial is given.  Both
+    are fitted in log space for positivity.  The two parameters act on
+    opposite ends of the curve but both suppress kappa, so expect strong
+    negative correlation.
     """
     if not np.all(data.x > 0):
         raise ValueError("abscissa values must be positive")
-    if not (initial[0] > 0 and initial[1] > 0):
+    if initial is None:
+        k, w = data.y, 1.0 / data.sigma_y
+        betas = np.linalg.lstsq(np.column_stack([4 * k * k, k]) * w[:, None],
+                                2 * data.x * w, rcond=None)[0]
+        initial = betas if np.all(betas > 0) else (1e-17, 1e-15)
+    elif not (initial[0] > 0 and initial[1] > 0):
         raise ValueError("initial guesses must be positive")
-
-    def model(x, q):
-        return kappa_of_abscissa(x, math.exp(q[0]), math.exp(q[1]))
-
-    def jacobian(x, q):
-        beta_dd, beta_ed = math.exp(q[0]), math.exp(q[1])
-        # d kappa / d log beta = beta d kappa / d beta
-        return kappa_jacobian(x, beta_dd, beta_ed) * [beta_dd, beta_ed]
-
-    res = least_squares(model, data, np.log(np.asarray(initial, float)),
-                        names=("beta_dd", "beta_ed"), jacobian=jacobian)
-    betas = np.exp(res.values)
-    jac = np.diag(betas)  # d beta / d log beta
-    cov = jac @ res.covariance @ jac
-    return FitResult(names=res.names, values=betas, covariance=cov,
-                     correlation=_correlation(cov),
-                     residual_norm=res.residual_norm,
-                     iterations=res.iterations, converged=res.converged,
-                     units=("m^3/s", "m^3/s"))
+    return least_squares(
+        lambda x, p: kappa_of_abscissa(x, p[0], p[1]), data, initial,
+        names=("beta_dd", "beta_ed"), units=("m^3/s", "m^3/s"),
+        jacobian=lambda x, p, kappa: kappa_jacobian(x, p[0], p[1], kappa),
+        log=(True, True))
 
 
 def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
@@ -298,46 +338,48 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
 
     v is the occupied volume; n0 defaults to the earliest sample.  beta_dd
     is fitted in log space, gamma linearly with a non-negativity bound.
+    The rate equation integrated over the samples,
+    y_i - n0 = -gamma int N dt - (2 beta_dd / V) int N^2 dt, is linear in
+    the two coefficients; with trapezoid integrals of the samples, its
+    weighted least-squares solution, clipped to the bounds, is the start,
+    except that a beta_dd <= 0 starts as a two-body loss of 1e-6 of the
+    atoms over the record.
     """
     if not v > 0:
         raise ValueError("v must be positive")
     order = np.argsort(series.x)
     t = series.x[order]
     y = series.y[order]
+    sigma = series.sigma_y[order]
     if n0 is None:
         n0 = float(y[0])
     if not n0 > 0:
         raise ValueError("n0 must be positive")
 
-    # Crude rate split for the starting point: late-time log slope for the
-    # one-body channel, early-time excess for the two-body channel.
-    t_span = max(t[-1] - t[0], 1e-12)
-    tail = max(2, len(t) // 4)
-    y_late = max(float(np.mean(y[-tail:])), 1e-300)
-    gamma0 = max(math.log(n0 / y_late) / t_span * 0.5, 1e-6)
-    r_early = max((y[0] - y[1]) / max(t[1] - t[0], 1e-12) / max(y[0], 1.0), 0.0)
-    beta0 = max((r_early - gamma0) * v / (2 * n0), 1e-22)
+    # the two-body column is scaled by 1 / n0, so both columns, and the
+    # rates solved for (gamma and 2 beta n0 / V), are of one magnitude
+    half_dt = 0.5 * np.diff(t)
+    w = 1.0 / sigma[1:]
+    integrals = np.column_stack([
+        np.cumsum(half_dt * (y[1:] + y[:-1])),
+        np.cumsum(half_dt * (y[1:] ** 2 + y[:-1] ** 2)) / n0])
+    gamma0, rate2 = np.linalg.lstsq(integrals * -w[:, None],
+                                    (y[1:] - n0) * w, rcond=None)[0]
+    if not rate2 > 0:
+        # no two-body loss resolved: start where it would remove 1e-6 of
+        # the atoms over the record, not on the floor, where the model
+        # does not depend on beta_dd and the first step overshoots
+        rate2 = 1e-6 / (t[-1] - t[0])
+    beta_min = math.exp(-200.0)
+    beta0 = min(max(rate2 * v / (2 * n0), beta_min), 1.0)
 
-    def model(tt, q):
-        return decay(n0, q[0], math.exp(q[1]), v, tt)
-
-    def jacobian(tt, q):
-        beta = math.exp(q[1])
-        return decay_jacobian(n0, q[0], beta, v, tt) * [1.0, beta]
-
-    res = least_squares(model, DataSet(t, y, series.sigma_y[order]),
-                        [gamma0, math.log(beta0)],
-                        bounds=([0.0, -200.0], [np.inf, 0.0]),
-                        names=("gamma", "beta_dd"), jacobian=jacobian)
-    beta = math.exp(res.values[1])
-    jac = np.diag([1.0, beta])
-    cov = jac @ res.covariance @ jac
-    values = np.array([res.values[0], beta])
-    return FitResult(names=res.names, values=values, covariance=cov,
-                     correlation=_correlation(cov),
-                     residual_norm=res.residual_norm,
-                     iterations=res.iterations, converged=res.converged,
-                     units=("1/s", "m^3/s"))
+    return least_squares(
+        lambda tt, p: decay(n0, p[0], p[1], v, tt),
+        DataSet(t, y, sigma), [max(gamma0, 0.0), beta0],
+        bounds=([0.0, beta_min], [math.inf, 1.0]),
+        names=("gamma", "beta_dd"), units=("1/s", "m^3/s"),
+        jacobian=lambda tt, p, n: decay_jacobian(n0, p[0], p[1], v, tt, n),
+        log=(False, True))
 
 
 def fit_tof(series: DataSet, species: Species) -> FitResult:
@@ -403,8 +445,8 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
         return ThermalCloud(atom_number=1.0, temperature=t_k, xi1=xi1,
                             xi2=xi2, sigma_z=sigma_z, peak_density=n0)
 
-    def model(_x, q):
-        n0, t_k, y0, z0 = math.exp(q[0]), math.exp(q[1]), q[2], q[3]
+    def model(_x, p):
+        n0, t_k, y0, z0 = p
         cl = cloud_for(t_k, n0)
         # K1 runs on the len(y) radial offsets; broadcasting fills the grid
         return column_density(cl, (y - y0)[:, None], (z - z0)[None, :]).ravel()
@@ -413,16 +455,8 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     n0_guess = peak / (2 * xi1_guess)
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))
-    res = least_squares(model, flat,
-                        [math.log(n0_guess), math.log(initial_temperature),
-                         0.0, 0.0],
-                        names=("n0", "temperature", "center_y", "center_z"))
-    n0, t_k = math.exp(res.values[0]), math.exp(res.values[1])
-    jac = np.diag([n0, t_k, 1.0, 1.0])
-    cov = jac @ res.covariance @ jac
-    values = np.array([n0, t_k, res.values[2], res.values[3]])
-    return FitResult(names=res.names, values=values, covariance=cov,
-                     correlation=_correlation(cov),
-                     residual_norm=res.residual_norm,
-                     iterations=res.iterations, converged=res.converged,
-                     units=("1/m^3", "K", "m", "m"))
+    return least_squares(model, flat,
+                         [n0_guess, initial_temperature, 0.0, 0.0],
+                         names=("n0", "temperature", "center_y", "center_z"),
+                         units=("1/m^3", "K", "m", "m"),
+                         log=(True, True, False, False))

@@ -9,12 +9,16 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+# Only ASCII whitespace is trimmed: str.strip() would also drop the
+# separators \x1c-\x1f, which float() rejects, so '2\x1f' would read as 2.
+_BLANK = " \t\n\r\v\f"
+
 
 def read_lines(path: str | Path) -> list[tuple[str, str]]:
     """('path:lineno', text) of each line left once comments and blanks go."""
     lines = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = line.split("#", 1)[0].strip(_BLANK)
         if line:
             lines.append((f"{path}:{lineno}", line))
     return lines
@@ -24,7 +28,7 @@ def key_values(items, known) -> dict[str, str]:
     """{key: value} from (where, 'key = value') items; keys must be known."""
     pairs = {}
     for where, text in items:
-        key, sep, value = (s.strip() for s in text.partition("="))
+        key, sep, value = (s.strip(_BLANK) for s in text.partition("="))
         if not sep:
             raise ValueError(f"{where}: expected key = value, got {text!r}")
         if key not in known:
@@ -36,10 +40,12 @@ def key_values(items, known) -> dict[str, str]:
     return pairs
 
 
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header cells and the cells of each data row, all stripped."""
-    rows = [[c.strip() for c in line.split(",")] for _, line in read_lines(path)]
-    return (rows[0], rows[1:]) if rows else ([], [])
+def read_csv(path: str | Path
+             ) -> tuple[list[str], list[tuple[str, list[str]]]]:
+    """Header cells, and ('path:lineno', cells) of each data row, stripped."""
+    rows = [(where, [c.strip(_BLANK) for c in line.split(",")])
+            for where, line in read_lines(path)]
+    return (rows[0][1], rows[1:]) if rows else ([], [])
 
 
 def number(text: str, where: str, integer: bool = False,

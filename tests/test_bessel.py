@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import k0, k1
 
 from cliptrap.bessel import bessel_k1, scaled_x_k1
 
@@ -150,6 +153,27 @@ def test_array_continuity_at_branch_switch():
     x = np.linspace(1.9, 2.1, 41)
     oracle = np.array([k1_integral_oracle(float(v)) for v in x])
     assert np.allclose(bessel_k1(x), oracle, rtol=1e-12, atol=0.0)
+
+
+BELOW_TWO = float(np.nextafter(2.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(1.9, 2.1), dx=st.floats(0.0, 1e-6))
+@example(x=BELOW_TWO, dx=0.0)
+@example(x=BELOW_TWO, dx=2 * (2.0 - BELOW_TWO))  # series, then CF2
+@example(x=2.0, dx=1e-15)
+def test_property_continuous_across_crossover(x, dx):
+    # Either side of the x = 2 switch between the series and Steed's CF2,
+    # K1 matches scipy's to 1e-14, and the step between two arguments is
+    # the slope K1' = -(K0 + K1 / x) times their distance, to 1e-14 of K1
+    # plus the curvature term (K1'' < 1 here): no jump at the switch.
+    y = x + dx
+    k = bessel_k1(np.array([x, y]))
+    assert k[0] == bessel_k1(x) and k[1] == bessel_k1(y)
+    assert np.allclose(k, k1([x, y]), rtol=1e-14, atol=0.0)
+    slope = -(k0(x) + k[0] / x)
+    assert abs((k[1] - k[0]) - slope * (y - x)) <= 1e-14 * k[0] + (y - x) ** 2
 
 
 def test_scalar_in_float_out():

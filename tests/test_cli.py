@@ -265,3 +265,59 @@ class TestSynthAndFit:
                    "--out", str(fit_out)) == 0
         rep = read_report(fit_out)
         assert float(rep["temperature_uk"]) == pytest.approx(100.0, rel=1e-3)
+
+
+NON_FINITE_FILES = {  # fit kind: CSV text with {bad} on line 4
+    "loading-rate": ("t_s,n_atoms,sigma_n_atoms\n0,0,1\n0.05,5e6,1\n"
+                     "0.1,{bad},1\n0.15,1.4e7,1\n0.2,1.9e7,1\n"),
+    "kappa": ("x,y,sigma_y\n1e-14,3,0.03\n2e-14,4,0.04\n4e-14,{bad},0.05\n"
+              "8e-14,7,0.07\n"),
+    "decay": ("t_s,n_atoms,sigma_n_atoms\n0,2e8,2e6\n1,1.5e8,1.5e6\n"
+              "2,{bad},1.2e6\n5,8e7,8e5\n10,5e7,5e5\n"),
+    "tof": ("t_s,sigma_m,sigma_sigma_m\n0.001,2e-4,2e-6\n0.004,3e-4,3e-6\n"
+            "0.006,{bad},4e-6\n0.008,5e-4,5e-6\n"),
+    "profile": ("y_mm,z_mm,column_density\n-0.1,-1,1e12\n-0.1,1,1e12\n"
+                "0.1,-1,{bad}\n0.1,1,1e12\n"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_FILES))
+def test_fit_rejects_non_finite_data(tmp_path, capfd, kind, bad):
+    # a non-finite sample used to reach the solvers: "model not evaluable"
+    # for decay, LAPACK's DLASCL complaint and "SVD did not converge" for
+    # tof; now the reader names the file and line, and nothing is written
+    csv = tmp_path / "data.csv"
+    csv.write_text(NON_FINITE_FILES[kind].format(bad=bad))
+    out = tmp_path / "fit.txt"
+    assert run("fit", kind, "--paper-defaults", "--data", str(csv),
+               "--out", str(out)) == 2
+    captured = capfd.readouterr()
+    assert f"{csv}:4: not a finite number: '{bad}'" in captured.err
+    assert "DLASCL" not in captured.out + captured.err
+    assert not out.exists()
+
+
+def test_fit_profile_with_non_positive_pixels(tmp_path):
+    # noise in the wings of an image can leave pixels at or below zero;
+    # the profile table is not read as (x, y, sigma) rows
+    from cliptrap.cloud import column_density, make_thermal_cloud
+    from cliptrap.species import chromium_52
+    from cliptrap.trap import IpTrapConfig
+
+    cl = make_thermal_cloud(chromium_52(), IpTrapConfig.from_gauss(12.5, 10.5),
+                            n=1e8, t=100e-6)
+    lines = ["y_mm,z_mm,column_density"]
+    for ym in np.linspace(-0.8, 0.8, 17):
+        for zm in np.linspace(-5.0, 5.0, 11):
+            val = column_density(cl, ym * 1e-3, zm * 1e-3)
+            if abs(ym) > 0.75 and abs(zm) > 4.5:
+                val = -1e-3 * cl.peak_density * cl.xi1 if zm > 0 else 0.0
+            lines.append(f"{ym:.6g},{zm:.6g},{val:.10g}")
+    csv = tmp_path / "profile.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    fit_out = tmp_path / "fit.txt"
+    assert run("fit", "profile", "--paper-defaults", "--data", str(csv),
+               "--out", str(fit_out)) == 0
+    rep = read_report(fit_out)
+    assert float(rep["temperature_uk"]) == pytest.approx(100.0, rel=0.02)
