@@ -232,12 +232,18 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     return mot.atom_number * mt.atom_number / overlap
 
 
-def tof_radius(sigma0: float, t_temp: float, species: Species, t: float) -> float:
-    """Ballistic-expansion 1/sqrt(e) radius sqrt(sigma0^2 + (kT/m) t^2)."""
+def tof_radius(sigma0: float, t_temp: float, species: Species, t):
+    """Ballistic-expansion 1/sqrt(e) radius sqrt(sigma0^2 + (kT/m) t^2).
+
+    Vectorized over t: an array of times gives an array of radii, a scalar
+    a float.
+    """
     if not sigma0 >= 0:
         raise ValueError("initial radius must be >= 0")
     if not t_temp >= 0:
         raise ValueError("temperature must be >= 0")
-    if not t >= 0:
+    t = np.asarray(t, float)
+    if not (t >= 0).all():
         raise ValueError("expansion time must be >= 0")
-    return math.sqrt(sigma0 ** 2 + BOLTZMANN * t_temp / species.mass * t * t)
+    r = np.sqrt(sigma0 ** 2 + BOLTZMANN * t_temp / species.mass * t * t)
+    return float(r) if r.ndim == 0 else r

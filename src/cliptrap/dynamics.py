@@ -214,14 +214,8 @@ def effective_loading_time(n_mt: float, r: float) -> float:
     return n_mt / r
 
 
-def _decay_terms(n0: float, gamma: float, beta: float, v: float, t):
-    """Validated t, b t with b = 2 beta n0 / V, -u = -gamma t, expm1(-u),
-    phi and q.
-
-    phi(u) = -expm1(-u) / u, with its limit 1 where gamma t == 0, and
-    q = 1 + b t phi(u), so that N = n0 e^{-u} / q.  u is carried negated,
-    which spares the negations that expm1(-u), e^{-u} and phi would take.
-    """
+def _decay_times(n0: float, v: float, t) -> np.ndarray:
+    """t as a float array, after the checks decay makes of its arguments."""
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
     if not v > 0:
@@ -229,11 +223,43 @@ def _decay_terms(n0: float, gamma: float, beta: float, v: float, t):
     t = np.asarray(t, float)
     if not (t >= 0).all():
         raise ValueError("t must be >= 0")
+    return t
+
+
+def _decay_terms(n0: float, gamma: float, beta: float, v: float,
+                 t: np.ndarray):
+    """The rate-equation arithmetic of decay: N and its terms.
+
+    Returns N and the terms (b t, -u, expm1(-u), phi, q) with
+    b = 2 beta n0 / V and u = gamma t; phi(u) = -expm1(-u) / u, with its
+    limit 1 where gamma t == 0, and q = 1 + b t phi(u), so that
+    N = n0 e^{-u} / q.  u is carried negated, which spares the negations
+    that expm1(-u), e^{-u} and phi would take.  The arguments are those
+    _decay_times has checked.
+    """
     bt = (2 * beta * n0 / v) * t
     neg_u = t * -gamma
     em = np.expm1(neg_u)
-    phi = np.divide(em, neg_u, out=np.ones_like(neg_u), where=neg_u != 0)
-    return t, bt, neg_u, em, phi, 1.0 + bt * phi
+    phi = np.empty_like(neg_u)
+    phi.fill(1.0)
+    np.divide(em, neg_u, out=phi, where=neg_u != 0)
+    q = 1.0 + bt * phi
+    return n0 * np.exp(neg_u) / q, (bt, neg_u, em, phi, q)
+
+
+def _decay_jacobian_of(n0: float, v: float, t: np.ndarray, n: np.ndarray,
+                       terms) -> np.ndarray:
+    """decay_jacobian from the N and the terms _decay_terms returned."""
+    bt, neg_u, em, phi, q = terms
+    tail = 1 / 24 + neg_u * (1 / 120 + neg_u / 720)
+    chi = np.asarray(0.5 + neg_u * (1 / 6 + neg_u * tail))
+    np.divide(em - neg_u, neg_u * neg_u, out=chi,
+              where=np.abs(neg_u) >= _CHI_SWITCH)
+    ntq = -n * t / q
+    out = np.empty(t.shape + (2,))
+    out[..., 0] = ntq * (1.0 + bt * chi)
+    out[..., 1] = ntq * phi * (2 * n0 / v)
+    return out
 
 
 def decay(n0: float, gamma: float, beta: float, v: float, t):
@@ -249,8 +275,7 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
     accurate to rounding, so N is continuous in gamma and t.  Vectorized
     over t.
     """
-    _, _, neg_u, _, _, q = _decay_terms(n0, gamma, beta, v, t)
-    n = n0 * np.exp(neg_u) / q
+    n, _ = _decay_terms(n0, gamma, beta, v, _decay_times(n0, v, t))
     return float(n) if n.ndim == 0 else n
 
 
@@ -269,18 +294,38 @@ def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
     n, if given, is decay(n0, gamma, beta, v, t), which a caller that holds
     it need not evaluate again.
     """
-    t, bt, neg_u, em, phi, q = _decay_terms(n0, gamma, beta, v, t)
-    if n is None:
-        n = decay(n0, gamma, beta, v, t)
-    tail = 1 / 24 + neg_u * (1 / 120 + neg_u / 720)
-    chi = np.asarray(0.5 + neg_u * (1 / 6 + neg_u * tail))
-    np.divide(em - neg_u, neg_u * neg_u, out=chi,
-              where=np.abs(neg_u) >= _CHI_SWITCH)
-    ntq = -n * t / q
-    out = np.empty(t.shape + (2,))
-    out[..., 0] = ntq * (1.0 + bt * chi)
-    out[..., 1] = ntq * phi * (2 * n0 / v)
-    return out
+    t = _decay_times(n0, v, t)
+    value, terms = _decay_terms(n0, gamma, beta, v, t)
+    return _decay_jacobian_of(n0, v, t, value if n is None else n, terms)
+
+
+def decay_fit_model(n0: float, v: float, t):
+    """decay over fixed samples t, as a model and Jacobian for least_squares.
+
+    Returns model(x, p) = decay(n0, p[0], p[1], v, t) and
+    jacobian(x, p, n) = decay_jacobian(n0, p[0], p[1], v, t, n); both
+    ignore the x the solver passes and use t.  The arguments are checked
+    once, here.  Each model evaluation runs the rate-equation arithmetic
+    once and keeps its terms, and the Jacobian reuses the terms of the
+    latest evaluation: least_squares asks for a Jacobian only at the
+    parameters it has just evaluated, so a rejected candidate costs no
+    Jacobian and an accepted one no second pass.
+    """
+    t = _decay_times(n0, v, t)
+    latest = []
+
+    def model(_x, p):
+        n, terms = _decay_terms(n0, p[0], p[1], v, t)
+        latest[:] = (n, terms)
+        return n
+
+    def jacobian(_x, p, n):
+        held, terms = latest
+        if n is not held:
+            raise ValueError("the decay Jacobian needs the latest model values")
+        return _decay_jacobian_of(n0, v, t, n, terms)
+
+    return model, jacobian
 
 
 def mt_temperature_prediction(t_mot: float, thermalized: bool = True):

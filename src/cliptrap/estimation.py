@@ -7,8 +7,11 @@ Positivity-constrained parameters are fitted in log space through its one
 The kappa and decay fits start at the linear least-squares solution of
 their rate equation, which is linear in the loss coefficients, and pass the
 analytic Jacobians of their closed-form models, built from the model values
-the solver already holds; the column-profile fit, whose derivative would
-need K0 beside K1, uses central differences.  Only statistical uncertainty
+the solver already holds (the decay fit also keeps the rate-equation terms
+of each evaluation for its Jacobian); the column-profile fit, whose
+derivative would need K0 beside K1, uses central differences.  The solver's
+few-parameter bookkeeping runs on Python floats, with a small Cholesky
+solve; numpy does the work on data-length arrays.  Only statistical uncertainty
 is reported; systematic density calibration errors are outside the fitter's
 scope.
 """
@@ -21,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (decay, decay_jacobian, kappa_jacobian,
-                       kappa_of_abscissa)
+from .dynamics import decay_fit_model, kappa_jacobian, kappa_of_abscissa
 from .flatfile import number, read_csv
 from .species import BOLTZMANN, Species
 from .trap import IpTrapConfig
@@ -142,11 +144,47 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _correlation(cov: np.ndarray) -> np.ndarray:
-    sig = np.sqrt(np.maximum(cov.diagonal(), 0.0))
-    denom = sig[:, None] * sig
-    corr = np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0)
-    return np.minimum(np.maximum(corr, -1.0), 1.0)
+def _correlation(cov: list[list[float]]) -> np.ndarray:
+    sig = [math.sqrt(max(row[i], 0.0)) for i, row in enumerate(cov)]
+    return np.array([[min(max(c / (si * sj), -1.0), 1.0) if si * sj > 0
+                      else 0.0 for c, sj in zip(row, sig)]
+                     for row, si in zip(cov, sig)])
+
+
+def _cholesky_solve(a: list[list[float]], b: list[float]):
+    """x with a x = b for a symmetric positive definite a, by Cholesky.
+
+    a = L L^T is factored row by row, and L y = b solved alongside; then
+    L^T x = y.  Returns None when a is not positive definite to rounding
+    (a pivot that is not > 0, NaN included).
+    """
+    low: list[list[float]] = []
+    y: list[float] = []
+    for row, bj in zip(a, b):
+        lj: list[float] = []
+        for lk in low:
+            s = row[len(lj)]
+            for x, z in zip(lj, lk):
+                s -= x * z
+            lj.append(s / lk[len(lj)])
+        s = row[len(lj)]
+        for x in lj:
+            s -= x * x
+        if not s > 0:
+            return None
+        d = math.sqrt(s)
+        s = bj
+        for x, z in zip(lj, y):
+            s -= x * z
+        lj.append(d)
+        low.append(lj)
+        y.append(s / d)
+    for i in range(len(y) - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, len(y)):
+            s -= low[k][i] * y[k]
+        y[i] = s / low[i][i]
+    return y
 
 
 def least_squares(model, data: DataSet, initial, bounds=None,
@@ -168,8 +206,9 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     already holds, so the Jacobian need not evaluate the model again.  The
     solver applies the chain rule for flagged parameters.  Without it the
     Jacobian is taken by central differences in the fitted parameters.  It
-    is evaluated once per accepted step, at the accepted parameters, and
-    serves the next step and the covariance.  bounds, if
+    is evaluated once per accepted step, right after the model evaluation
+    at the accepted parameters, and serves the next step and the
+    covariance; a rejected candidate costs no Jacobian.  bounds, if
     given, is a (lower, upper) pair of arrays; a parameter on a bound that
     the descent direction would cross is held for that step, and candidate
     steps are projected onto the box.  Stops on an accepted step with relative
@@ -177,6 +216,13 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     or on a rejected step smaller than 1e-9 relative (a floating-point
     minimum); after 200 iterations the best-so-far parameters are returned
     with converged = False.
+
+    numpy does the work on arrays of the data's length: the residual, the
+    cost, J^T J, J^T r and the Jacobian's scaling.  The n-parameter
+    bookkeeping runs on Python floats: the damping, the held rows, the
+    step solve (Cholesky, or numpy's lstsq when the damped matrix is not
+    positive definite to rounding), the projection, the stop tests, the
+    delta method and the correlation.
     """
     n = len(initial)
     flags = [bool(f) for f in log] or [False] * n
@@ -187,11 +233,11 @@ def least_squares(model, data: DataSet, initial, bounds=None,
 
     def fitted(values):
         # a lower bound of 0 on a log parameter is log 0 = -inf
-        return np.array([(math.log(v) if v > 0 else -math.inf) if f else v
-                         for v, f in zip(map(float, values), flags)])
+        return [(math.log(v) if v > 0 else -math.inf) if f else v
+                for v, f in zip(map(float, values), flags)]
 
     def natural(q):
-        return [math.exp(v) if f else v for v, f in zip(q.tolist(), flags)]
+        return [math.exp(v) if f else v for v, f in zip(q, flags)]
 
     def dp_dq(p):  # d p / d log p = p
         return [v if f else 1.0 for v, f in zip(p, flags)]
@@ -202,8 +248,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     if bounds is not None:
         if any(v < l or v > h for v, l, h in zip(initial, *bounds)):
             raise ValueError("initial parameters outside bounds")
-        lo, hi = fitted(bounds[0]), fitted(bounds[1])
-        lo_hi = list(zip(lo.tolist(), hi.tolist()))
+        lo_hi = list(zip(fitted(bounds[0]), fitted(bounds[1])))
 
     w = 1.0 / data.sigma_y
     minus_w = -w[:, None]
@@ -215,14 +260,15 @@ def least_squares(model, data: DataSet, initial, bounds=None,
 
     def residual_jacobian(q, p, f, r):
         if jacobian is None:
-            return _numeric_jacobian(lambda v: evaluate(v)[2], q, r)
+            return _numeric_jacobian(lambda v: evaluate(v.tolist())[2],
+                                     np.array(q), r)
         jac = np.asarray(jacobian(data.x, p, f), float)
         if any(flags):
             jac = jac * dp_dq(p)
         return jac * minus_w
 
     p, f, r = evaluate(q)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("model not evaluable at the initial parameters")
     cost = float(r @ r)
     jac = residual_jacobian(q, p, f, r)
@@ -230,35 +276,35 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        lhs = jac.T @ jac
-        rhs = -(jac.T @ r)
-        # Marquardt damping, lam * diag(J^T J), in place on the diagonal
-        diag = lhs.ravel()[::n + 1]
-        diag += lam * np.where(diag > 0, diag, 1.0)
+        lhs = (jac.T @ jac).tolist()
+        rhs = [-v for v in (jac.T @ r).tolist()]
+        # Marquardt damping, lam * diag(J^T J)
+        for i, row in enumerate(lhs):
+            row[i] += lam * (row[i] if row[i] > 0 else 1.0)
         if bounds is not None:
             # a parameter on its bound whose descent leads out of the box is
             # held there, so the others step as if it were fixed
-            held = [i for i, (qi, di, (l, h)) in enumerate(
-                zip(q.tolist(), rhs.tolist(), lo_hi))
-                if (qi <= l and di < 0) or (qi >= h and di > 0)]
-            if held:
-                lhs[held] = 0.0
-                lhs[:, held] = 0.0
-                lhs[held, held] = 1.0
-                rhs[held] = 0.0
-        try:
-            step = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        candidate = q + step
+            for i, (qi, (l, h)) in enumerate(zip(q, lo_hi)):
+                if (qi <= l and rhs[i] < 0) or (qi >= h and rhs[i] > 0):
+                    for row in lhs:
+                        row[i] = 0.0
+                    lhs[i] = [0.0] * n
+                    lhs[i][i] = 1.0
+                    rhs[i] = 0.0
+        step = _cholesky_solve(lhs, rhs)
+        if step is None:
+            step = np.linalg.lstsq(np.array(lhs), np.array(rhs),
+                                   rcond=None)[0].tolist()
+        candidate = [qi + si for qi, si in zip(q, step)]
         if bounds is not None:
-            candidate = np.minimum(np.maximum(candidate, lo), hi)
+            candidate = [min(max(c, l), h)
+                         for c, (l, h) in zip(candidate, lo_hi)]
         pc, fc, rc = evaluate(candidate)
         cost_c = float(rc @ rc)
         if not math.isfinite(cost_c):
             cost_c = math.inf
-        dp = max(abs(c - v) / max(abs(v), _STEP_ABS)
-                 for c, v in zip(candidate.tolist(), q.tolist()))
+        dp = max([abs(c - v) / max(abs(v), _STEP_ABS)
+                  for c, v in zip(candidate, q)])
         if cost_c <= cost:
             dr = abs(cost - cost_c) / max(cost, 1e-300)
             q, p, f, r, cost = candidate, pc, fc, rc, cost_c
@@ -275,14 +321,20 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         else:
             lam *= 10.0
 
-    cov = _covariance(jac)
+    # (J^T J)^-1 column by column, symmetric, so the columns are its rows
+    a = (jac.T @ jac).tolist()
+    cov = [_cholesky_solve(a, [float(i == j) for i in range(n)])
+           for j in range(n)]
+    if None in cov:
+        cov = _covariance(jac).tolist()
     if any(flags):  # the delta method
-        scale = np.array(dp_dq(p))
-        cov = scale[:, None] * cov * scale
+        scale = dp_dq(p)
+        cov = [[si * c * sj for c, sj in zip(row, scale)]
+               for row, si in zip(cov, scale)]
     names = names or tuple(f"p{i}" for i in range(n))
-    return FitResult(names=tuple(names), values=np.array(p), covariance=cov,
-                     correlation=_correlation(cov),
-                     residual_norm=float(np.linalg.norm(r)),
+    return FitResult(names=tuple(names), values=np.array(p),
+                     covariance=np.array(cov), correlation=_correlation(cov),
+                     residual_norm=math.sqrt(cost),
                      iterations=it, converged=converged, units=units)
 
 
@@ -300,8 +352,9 @@ def fit_loading_rate(series: DataSet, window: float = 0.25) -> float:
     sel = (series.x >= 0) & (series.x <= window)
     if np.count_nonzero(sel) < 3:
         raise ValueError("need at least 3 points inside the fit window")
-    slope, _ = np.polyfit(series.x[sel], series.y[sel], 1)
-    return float(slope)
+    x, y = series.x[sel], series.y[sel]
+    xc = x - x.mean()
+    return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
 def fit_kappa(data: DataSet,
@@ -317,13 +370,13 @@ def fit_kappa(data: DataSet,
     opposite ends of the curve but both suppress kappa, so expect strong
     negative correlation.
     """
-    if not np.all(data.x > 0):
+    if not (data.x > 0).all():
         raise ValueError("abscissa values must be positive")
     if initial is None:
         k, w = data.y, 1.0 / data.sigma_y
         betas = np.linalg.lstsq(np.column_stack([4 * k * k, k]) * w[:, None],
                                 2 * data.x * w, rcond=None)[0]
-        initial = betas if np.all(betas > 0) else (1e-17, 1e-15)
+        initial = betas if (betas > 0).all() else (1e-17, 1e-15)
     elif not (initial[0] > 0 and initial[1] > 0):
         raise ValueError("initial guesses must be positive")
     return least_squares(
@@ -336,8 +389,10 @@ def fit_kappa(data: DataSet,
 def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
     """Fit the one- plus two-body decay curve for (gamma, beta_dd).
 
-    v is the occupied volume; n0 defaults to the earliest sample.  beta_dd
-    is fitted in log space, gamma linearly with a non-negativity bound.
+    v is the occupied volume; n0 is N at t0, the earliest sample time, and
+    defaults to the earliest sample, so the model is
+    decay(n0, gamma, beta_dd, v, t - t0).  beta_dd is fitted in log space,
+    gamma linearly with a non-negativity bound.
     The rate equation integrated over the samples,
     y_i - n0 = -gamma int N dt - (2 beta_dd / V) int N^2 dt, is linear in
     the two coefficients; with trapezoid integrals of the samples, its
@@ -347,19 +402,21 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
     """
     if not v > 0:
         raise ValueError("v must be positive")
-    order = np.argsort(series.x)
-    t = series.x[order]
-    y = series.y[order]
-    sigma = series.sigma_y[order]
+    if not (series.x[1:] >= series.x[:-1]).all():
+        order = np.argsort(series.x)
+        series = DataSet(series.x[order], series.y[order],
+                         series.sigma_y[order])
+    y = series.y
     if n0 is None:
         n0 = float(y[0])
     if not n0 > 0:
         raise ValueError("n0 must be positive")
+    t = series.x - series.x[0]
 
     # the two-body column is scaled by 1 / n0, so both columns, and the
     # rates solved for (gamma and 2 beta n0 / V), are of one magnitude
-    half_dt = 0.5 * np.diff(t)
-    w = 1.0 / sigma[1:]
+    half_dt = 0.5 * (t[1:] - t[:-1])
+    w = 1.0 / series.sigma_y[1:]
     integrals = np.column_stack([
         np.cumsum(half_dt * (y[1:] + y[:-1])),
         np.cumsum(half_dt * (y[1:] ** 2 + y[:-1] ** 2)) / n0])
@@ -369,17 +426,16 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
         # no two-body loss resolved: start where it would remove 1e-6 of
         # the atoms over the record, not on the floor, where the model
         # does not depend on beta_dd and the first step overshoots
-        rate2 = 1e-6 / (t[-1] - t[0])
+        rate2 = 1e-6 / t[-1]
     beta_min = math.exp(-200.0)
     beta0 = min(max(rate2 * v / (2 * n0), beta_min), 1.0)
 
+    model, jacobian = decay_fit_model(n0, v, t)
     return least_squares(
-        lambda tt, p: decay(n0, p[0], p[1], v, tt),
-        DataSet(t, y, sigma), [max(gamma0, 0.0), beta0],
+        model, series, [max(gamma0, 0.0), beta0],
         bounds=([0.0, beta_min], [math.inf, 1.0]),
         names=("gamma", "beta_dd"), units=("1/s", "m^3/s"),
-        jacobian=lambda tt, p, n: decay_jacobian(n0, p[0], p[1], v, tt, n),
-        log=(False, True))
+        jacobian=jacobian, log=(False, True))
 
 
 def fit_tof(series: DataSet, species: Species) -> FitResult:
@@ -409,7 +465,7 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     resid = (v - (intercept + slope * u)) * w
     return FitResult(names=("sigma0", "temperature"),
                      values=np.array([sigma0, temperature]),
-                     covariance=cov, correlation=_correlation(cov),
+                     covariance=cov, correlation=_correlation(cov.tolist()),
                      residual_norm=float(np.linalg.norm(resid)),
                      iterations=1, converged=True,
                      units=("m", "K"),

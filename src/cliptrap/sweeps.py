@@ -41,6 +41,8 @@ class SweepSpec:
         vals = list(self.values)
         if not vals:
             raise ValueError("values must be non-empty")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{self.swept_parameter} values must be finite")
         diffs = np.diff(vals)
         if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("values must be strictly monotone")
@@ -136,7 +138,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     kinds: loading_curve (t, N), decay_curve (t, N), tof_series (t, sigma),
     kappa_points (R V/N^2, kappa).  Deterministic for a given seed.
     """
-    if noise < 0:
+    if not noise >= 0:
         raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     r = dynamics.loading_rate(scenario)
@@ -162,8 +164,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         kt = scenario.mt_temperature
         # the trap cloud's xi1 is the pre-expansion size
         sigma0 = cloud.scale_lengths(scenario.species, scenario.trap, kt)[0]
-        y = np.array([cloud.tof_radius(sigma0, kt, scenario.species, ti)
-                      for ti in t])
+        y = cloud.tof_radius(sigma0, kt, scenario.species, t)
         x = t
         labels = ("t_s", "sigma_m")
     elif kind == "kappa_points":

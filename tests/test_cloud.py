@@ -317,3 +317,23 @@ class TestTofRadius:
     def test_nan_rejected(self, sigma0, t_temp, t):
         with pytest.raises(ValueError):
             tof_radius(sigma0, t_temp, CR, t)
+
+    def test_array_matches_scalar_calls(self):
+        t = np.random.default_rng(3).uniform(0.0, 2e-2, 200)
+        t[0] = 0.0
+        radii = tof_radius(2e-4, 100e-6, CR, t)
+        assert isinstance(radii, np.ndarray) and radii.shape == (200,)
+        assert radii.tolist() == [tof_radius(2e-4, 100e-6, CR, float(ti))
+                                  for ti in t]
+
+    def test_scalar_gives_float(self):
+        assert type(tof_radius(2e-4, 100e-6, CR, 5e-3)) is float
+        assert type(tof_radius(2e-4, 100e-6, CR, np.float64(5e-3))) is float
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    @pytest.mark.parametrize("where", [0, 57, 199])
+    def test_bad_element_rejected(self, bad, where):
+        t = np.linspace(0.0, 2e-2, 200)
+        t[where] = bad
+        with pytest.raises(ValueError, match="expansion time"):
+            tof_radius(2e-4, 100e-6, CR, t)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cliptrap.dynamics import (RateCoefficients, accumulation_efficiency,
-                               decay, decay_jacobian, effective_loading_time,
+                               decay, decay_fit_model, decay_jacobian,
+                               effective_loading_time,
                                evolve, gamma_ed_loss, kappa_jacobian,
                                kappa_of_abscissa, loading_rate,
                                mt_temperature_prediction, steady_state)
@@ -473,6 +474,33 @@ class TestDecayJacobian:
             decay_jacobian(1e8, 0.02, 0.0, 1e-8, -1.0)
         with pytest.raises(ValueError):
             decay_jacobian(1e8, 0.02, 0.0, 0.0, 1.0)
+
+
+class TestDecayFitModel:
+    def test_matches_decay_and_its_jacobian(self):
+        # bit for bit the public functions, on the samples given once
+        n0, v = 2e8, 1e-8
+        t = np.geomspace(0.05, 150, 30)
+        t[0] = 0.0
+        model, jacobian = decay_fit_model(n0, v, t)
+        for gamma, beta in ((0.02, 3.8e-17), (0.0, 1e-16), (1e-5, 1e-22)):
+            n = model(None, [gamma, beta])
+            assert np.array_equal(n, decay(n0, gamma, beta, v, t))
+            assert np.array_equal(jacobian(None, [gamma, beta], n),
+                                  decay_jacobian(n0, gamma, beta, v, t))
+
+    def test_jacobian_needs_latest_values(self):
+        model, jacobian = decay_fit_model(2e8, 1e-8, np.linspace(0, 10, 5))
+        n = model(None, [0.02, 3.8e-17])
+        model(None, [0.03, 3.8e-17])
+        with pytest.raises(ValueError):
+            jacobian(None, [0.02, 3.8e-17], n)
+
+    def test_validates_like_decay(self):
+        with pytest.raises(ValueError):
+            decay_fit_model(2e8, 1e-8, [0.0, -1.0])
+        with pytest.raises(ValueError):
+            decay_fit_model(2e8, 0.0, [0.0, 1.0])
 
 
 class TestTemperaturePrediction:

@@ -258,6 +258,63 @@ class TestLeastSquares:
         assert "a" in text and "m/s" in text and "correlation" in text
         assert res["b"] == pytest.approx(2.5, abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cholesky_step_matches_numpy_solve(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            # SPD with a moderate condition number, up to 100
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = q @ np.diag(10 ** rng.uniform(-1, 1, n)) @ q.T
+            a = 0.5 * (a + a.T)
+            b = rng.standard_normal(n)
+            x = estimation._cholesky_solve(a.tolist(), b.tolist())
+            assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-12,
+                                      abs=1e-12 * np.abs(x).max())
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0], [2.0, 1.0]],       # indefinite
+        [[1.0, 1.0], [1.0, 1.0]],       # singular
+        [[0.0, 0.0], [0.0, 1.0]],       # zero pivot
+        [[math.nan, 0.0], [0.0, 1.0]],  # not a number
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 - 1e-17]]])
+    def test_cholesky_declines_non_positive_definite(self, a):
+        assert estimation._cholesky_solve(a, [1.0] * len(a)) is None
+
+    def test_falls_back_to_lstsq_when_cholesky_declines(self, monkeypatch):
+        # the step and the covariance then come from numpy's lstsq and inv
+        x = np.linspace(0, 4, 20)
+        rng = np.random.default_rng(3)
+        d = dataset(x, 3.0 * np.exp(-0.7 * x) + rng.normal(0, 0.01, x.size),
+                    0.01)
+        model = lambda xx, p: p[0] * np.exp(-p[1] * xx)
+        jac = lambda xx, p, f: np.column_stack([f / p[0], -xx * f])
+        want = least_squares(model, d, [1.0, 1.0], jacobian=jac,
+                             log=(True, False))
+        declined = []
+
+        def decline(a, b):
+            declined.append(a)
+            return None
+        monkeypatch.setattr(estimation, "_cholesky_solve", decline)
+        got = least_squares(model, d, [1.0, 1.0], jacobian=jac,
+                            log=(True, False))
+        # one per step, then one per column of the covariance
+        assert len(declined) == got.iterations + 2
+        assert got.converged and want.converged
+        assert got.values == pytest.approx(want.values, rel=1e-9)
+        assert got.covariance == pytest.approx(want.covariance, rel=1e-9)
+        assert got.correlation == pytest.approx(want.correlation, abs=1e-12)
+
+    def test_residual_norm_is_norm_of_final_residual(self):
+        x = np.linspace(0, 4, 20)
+        d = dataset(x, 3.0 * np.exp(-0.7 * x)
+                    + np.random.default_rng(8).normal(0, 0.01, x.size), 0.01)
+        model = lambda xx, p: p[0] * np.exp(-p[1] * xx)
+        res = least_squares(model, d, [1.0, 1.0])
+        r = (d.y - model(d.x, res.values.tolist())) * (1.0 / d.sigma_y)
+        assert res.residual_norm == pytest.approx(np.linalg.norm(r),
+                                                  rel=1e-15)
+
 
 class TestFitLoadingRate:
     def test_exact_line(self):
@@ -282,6 +339,18 @@ class TestFitLoadingRate:
         t = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             fit_loading_rate(dataset(t, t), window=0.5)
+
+    def test_slope_matches_polyfit(self):
+        scen = make_scenario()
+        rng = np.random.default_rng(11)
+        for seed in range(100):
+            t, n = dynamics.evolve(scen, 0.0, rng.uniform(0.3, 3.0),
+                                   samples=int(rng.integers(20, 200)))
+            n = n * (1 + 0.02 * rng.standard_normal(n.size))
+            data = DataSet(t, n, np.full(t.size, 1.0))
+            sel = t <= 0.25
+            want = np.polyfit(t[sel], n[sel], 1)[0]
+            assert fit_loading_rate(data) == pytest.approx(want, rel=1e-12)
 
 
 class TestFitKappa:
@@ -444,6 +513,91 @@ class TestFitDecay:
         t = np.linspace(0, 10, 5)
         with pytest.raises(ValueError):
             fit_decay(dataset(t, np.exp(-t)), v=0.0)
+
+    @pytest.mark.parametrize("grid", ["linear", "geometric"])
+    def test_first_sample_after_t_zero(self, grid):
+        # n0 is N at the earliest sample time: a curve sampled from 2 s
+        # used to fit gamma 6-16 % high and beta_dd 13-24 % low
+        n0, gamma, beta, v = 2e8, 0.02, 3.8e-17, 1e-8
+        t = (np.linspace(2.0, 150.0, 40) if grid == "linear"
+             else np.geomspace(2.0, 150.0, 40))
+        y = dynamics.decay(n0, gamma, beta, v, t)
+        res = fit_decay(DataSet(t, y, y * 1e-3), v=v)
+        assert res.converged
+        assert res["gamma"] == pytest.approx(gamma, rel=1e-6)
+        assert res["beta_dd"] == pytest.approx(beta, rel=1e-6)
+
+    def test_sorted_input_is_fitted_as_given(self, monkeypatch):
+        scen = make_scenario(gamma_d=0.02)
+        data = sweeps.synthesize_measurements(scen, "decay_curve",
+                                              noise=0.03, seed=4)
+        seen = []
+        real = estimation.least_squares
+
+        def spy(model, d, *a, **kw):
+            seen.append(d)
+            return real(model, d, *a, **kw)
+        monkeypatch.setattr(estimation, "least_squares", spy)
+        res = fit_decay(data, scen.v_mt)
+        order = np.random.default_rng(1).permutation(len(data))
+        shuffled = fit_decay(DataSet(data.x[order], data.y[order],
+                                     data.sigma_y[order]), scen.v_mt)
+        assert seen[0] is data and seen[1] is not data
+        assert np.array_equal(seen[1].x, data.x)
+        assert shuffled.values.tolist() == res.values.tolist()
+
+    def test_rate_arithmetic_once_per_evaluation(self, monkeypatch):
+        # every candidate runs the rate-equation arithmetic once; the
+        # Jacobian of an accepted one reuses it, and a rejected one
+        # builds none; the arguments are checked once per fit
+        scen = make_scenario(gamma_d=0.02)
+        events = []
+        terms, jacobian_of = dynamics._decay_terms, dynamics._decay_jacobian_of
+        times = dynamics._decay_times
+
+        def counted_terms(*args):
+            out = terms(*args)
+            events.append(("terms", out[0]))
+            return out
+
+        def counted_jacobian(n0, v, t, n, held):
+            events.append(("jacobian", n))
+            return jacobian_of(n0, v, t, n, held)
+
+        def counted_times(*args):
+            events.append(("times", None))
+            return times(*args)
+        monkeypatch.setattr(dynamics, "_decay_terms", counted_terms)
+        monkeypatch.setattr(dynamics, "_decay_jacobian_of", counted_jacobian)
+        monkeypatch.setattr(dynamics, "_decay_times", counted_times)
+        rejected = 0
+        for seed in range(50):
+            data = sweeps.synthesize_measurements(
+                scen, "decay_curve", noise=[0.005, 0.03, 0.1][seed % 3],
+                seed=seed)
+            events.clear()
+            res = fit_decay(data, scen.v_mt)
+            assert [e for e, _ in events].count("times") == 1
+            passes = [n for e, n in events if e == "terms"]
+            assert len(passes) == res.iterations + 1
+            # a Jacobian follows exactly the passes the solver accepts, and
+            # takes that pass's values
+            w = 1.0 / data.sigma_y
+            best = math.inf
+            steps = [e for e in events if e[0] != "times"]
+            for i, (kind, n) in enumerate(steps):
+                if kind != "terms":
+                    continue
+                r = (data.y - n) * w
+                cost = float(r @ r)
+                follows = i + 1 < len(steps) and steps[i + 1][0] == "jacobian"
+                assert follows == (cost <= best), (seed, i)
+                if follows:
+                    assert steps[i + 1][1] is n
+                    best = cost
+                else:
+                    rejected += 1
+        assert rejected > 0
 
     @pytest.mark.parametrize("noise", [0.03, 0.1])
     def test_synthetic_ensemble_recovery(self, noise):

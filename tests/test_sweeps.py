@@ -5,8 +5,9 @@ import pytest
 
 from cliptrap import dynamics
 from cliptrap.estimation import fit_kappa
-from cliptrap.sweeps import (SweepSpec, kappa_curve, run_sweep, scenario_at,
-                             synthesize_measurements)
+from cliptrap import cloud
+from cliptrap.sweeps import (SWEEPABLE, SweepSpec, kappa_curve, run_sweep,
+                             scenario_at, synthesize_measurements)
 from conftest import make_scenario
 
 
@@ -29,6 +30,16 @@ class TestSweepSpec:
 
     def test_offset_may_be_negative(self):
         SweepSpec("offset_field", [-1e-5, 0.0, 1e-5], make_scenario())
+
+    @pytest.mark.parametrize("parameter", SWEEPABLE)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_parameter(self, parameter, bad):
+        # a lone NaN passed both the monotone and the positive checks, and
+        # each sweep point then failed deep inside the geometry
+        for vals in ([bad], [bad, 2e-5], [1e-5, bad]):
+            with pytest.raises(ValueError, match=f"{parameter} values must "
+                                                 "be finite"):
+                SweepSpec(parameter, vals, make_scenario())
 
     def test_n_mot_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -158,6 +169,16 @@ class TestSynthesize:
         assert len(data) == 8
         assert np.all(np.diff(data.y) > 0)  # ballistic growth
 
+    def test_tof_series_matches_scalar_radii(self):
+        # one array call of tof_radius, bit for bit the per-time calls
+        scen = make_scenario()
+        data = synthesize_measurements(scen, "tof_series", noise=0.0)
+        sigma0 = cloud.scale_lengths(scen.species, scen.trap,
+                                     scen.mt_temperature)[0]
+        want = [cloud.tof_radius(sigma0, scen.mt_temperature, scen.species,
+                                 float(ti)) for ti in data.x]
+        assert data.y.tolist() == want
+
     def test_kappa_roundtrip_noiseless(self):
         data = synthesize_measurements(make_scenario(), "kappa_points",
                                        noise=0.0)
@@ -169,5 +190,8 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_measurements(make_scenario(), "loading_curve",
                                     noise=-0.1)
+        with pytest.raises(ValueError, match="noise must be >= 0"):
+            synthesize_measurements(make_scenario(), "decay_curve",
+                                    noise=math.nan)
         with pytest.raises(ValueError):
             synthesize_measurements(make_scenario(), "spectrum")
