@@ -12,9 +12,8 @@ conventions differ by exactly this factor.
 
 Note: published closed forms for the steady state and the accumulation
 efficiency of this model often carry a factor-2 slip relative to the
-equation they solve; here both are the exact algebraic solutions of the
-ODE above, so evolve(), steady_state() and accumulation_efficiency() are
-mutually consistent to rounding error.
+equation they solve; here kappa is N_inf / N_MOT, and evolve() and
+decay() share one closed form, so all of them agree to rounding error.
 """
 
 from __future__ import annotations
@@ -119,21 +118,37 @@ def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
     return 2 * r / (gamma + math.sqrt(gamma * gamma + 8 * beta * r / v))
 
 
+def _riccati_terms(u0: float, d: float, k: float, t: np.ndarray):
+    """u of du/dt = -D u - k u^2 from u(0) = u0: the rate equation's core.
+
+    Returns u = u0 e^{-D t} / q and the terms (k u0 t, -D t, expm1(-D t),
+    phi, q), with phi = -expm1(-D t) / (D t), its limit 1 where D t == 0,
+    and q = 1 + k u0 t phi; u is accurate to rounding for every D t.  D t
+    is carried negated, which spares the negations that expm1, the
+    exponential and phi would take.  The callers check t.
+    """
+    bt = k * u0 * t
+    neg_dt = t * -d
+    em = np.expm1(neg_dt)
+    phi = np.empty_like(neg_dt)
+    phi.fill(1.0)
+    np.divide(em, neg_dt, out=phi, where=neg_dt != 0)
+    q = 1.0 + bt * phi
+    return u0 * np.exp(neg_dt) / q, (bt, neg_dt, em, phi, q)
+
+
 def evolve(scenario: LoadingScenario, n0: float, t_end: float,
            samples: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Solve the rate equation from N(0) = n0 over [0, t_end].
 
-    Returns (t, N) on a uniform grid of `samples` points, from the exact
-    solution of this constant-coefficient Riccati equation.  With
-    k = 2 beta/V, D = sqrt(gamma^2 + 4 k R), the stable root
-    N+ = 2 R / (gamma + D) (free of cancellation), u0 = n0 - N+ and
-    w = 1 - exp(-D t):
-
-        N(t) = n0 - u0 w (D + k u0) / (D + k u0 w),
-
-    which returns n0 exactly at t = 0 and N+ as t -> inf.  At D = 0 the
-    limits are n0 + R t (no two-body loss) and n0 / (1 + k n0 t) (no
-    loading).
+    Returns (t, N) on a uniform grid of `samples` points.  With
+    k = 2 beta/V and D = sqrt(gamma^2 + 4 k R), u = N - N+ obeys the decay
+    equation du/dt = -D u - k u^2, so u comes from decay()'s core,
+    _riccati_terms, with u0 = n0 - N+.  N is N+ + u where |u| <= |u0| / 2,
+    and n0 - u0 t phi (D + k u0) / q (the same u, taken from n0) elsewhere:
+    each base is the one that does not cancel, so N is accurate to
+    rounding, n0 exactly at t = 0 and decay() at R = 0.  Without any loss
+    channel (gamma = beta = 0) there is no N+, and N = n0 + R t.
     """
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
@@ -142,16 +157,17 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     r, gamma, beta, v = _rates(scenario)
-    k = 2 * beta / v
     t = np.linspace(0.0, t_end, samples)
+    if gamma == 0 and beta == 0:
+        return t, n0 + r * t
+    k = 2 * beta / v
+    n_plus = _steady_state_raw(r, gamma, beta, v)
+    u0 = n0 - n_plus
     d = math.sqrt(gamma * gamma + 4 * k * r)
-    if d == 0:
-        n = n0 + r * t if k == 0 else n0 / (1 + k * n0 * t)
-    else:
-        u0 = n0 - 2 * r / (gamma + d)
-        w = -np.expm1(-d * t)
-        n = n0 - u0 * w * (d + k * u0) / (d + k * u0 * w)
-    return t, np.maximum(n, 0.0)
+    u, (_, _, _, phi, q) = _riccati_terms(u0, d, k, t)
+    n = np.where(np.abs(u) <= 0.5 * abs(u0), n_plus + u,
+                 n0 - u0 * t * phi * (d + k * u0) / q)
+    return t, n
 
 
 def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
@@ -161,16 +177,13 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
     steady state per MOT atom under gamma_d = 0, V_eff = V_MT and a
     saturated MOT (N* = N_MOT / 2).  It is evaluated without the
     cancellation as 4 x / (beta_ed + S), S = sqrt(beta_ed^2 + 32 beta_dd x),
-    which is 2 x / beta_ed exactly at beta_dd = 0; at beta_ed = 0 it is
-    sqrt(x / (2 beta_dd)).  Vectorized over x.
+    which is 2 x / beta_ed exactly at beta_dd = 0 and sqrt(x / (2 beta_dd))
+    at beta_ed = 0 (for x > 0).  Vectorized over x.
     """
+    if beta_ed == 0 and beta_dd == 0:
+        raise ValueError("kappa undefined with both beta coefficients zero")
     x = np.asarray(x, float)
-    if beta_ed == 0:
-        if beta_dd == 0:
-            raise ValueError("kappa undefined with both beta coefficients zero")
-        out = np.sqrt(x / (2 * beta_dd))
-    else:
-        out = 4 * x / (beta_ed + np.sqrt(beta_ed ** 2 + 32 * beta_dd * x))
+    out = 4 * x / (beta_ed + np.sqrt(beta_ed ** 2 + 32 * beta_dd * x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,12 +212,13 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float,
 
 
 def accumulation_efficiency(scenario: LoadingScenario) -> float:
-    """kappa = N_inf / N_MOT under the saturated, gamma_d = 0 assumptions."""
-    c = scenario.coefficients
-    n_mot = scenario.mot.n_mot
-    r = loading_rate(scenario)
-    return kappa_of_abscissa(r * scenario.v_mt / n_mot ** 2,
-                             c.beta_dd, c.beta_ed)
+    """kappa = N_inf / N_MOT, also where the master curve does not hold."""
+    return steady_state(scenario) / scenario.mot.n_mot
+
+
+def kappa_abscissa(scenario: LoadingScenario) -> float:
+    """The master curve's abscissa x = R V_MT / N_MOT^2 (m^3/s)."""
+    return loading_rate(scenario) * scenario.v_mt / scenario.mot.n_mot ** 2
 
 
 def effective_loading_time(n_mt: float, r: float) -> float:
@@ -226,30 +240,9 @@ def _decay_times(n0: float, v: float, t) -> np.ndarray:
     return t
 
 
-def _decay_terms(n0: float, gamma: float, beta: float, v: float,
-                 t: np.ndarray):
-    """The rate-equation arithmetic of decay: N and its terms.
-
-    Returns N and the terms (b t, -u, expm1(-u), phi, q) with
-    b = 2 beta n0 / V and u = gamma t; phi(u) = -expm1(-u) / u, with its
-    limit 1 where gamma t == 0, and q = 1 + b t phi(u), so that
-    N = n0 e^{-u} / q.  u is carried negated, which spares the negations
-    that expm1(-u), e^{-u} and phi would take.  The arguments are those
-    _decay_times has checked.
-    """
-    bt = (2 * beta * n0 / v) * t
-    neg_u = t * -gamma
-    em = np.expm1(neg_u)
-    phi = np.empty_like(neg_u)
-    phi.fill(1.0)
-    np.divide(em, neg_u, out=phi, where=neg_u != 0)
-    q = 1.0 + bt * phi
-    return n0 * np.exp(neg_u) / q, (bt, neg_u, em, phi, q)
-
-
 def _decay_jacobian_of(n0: float, v: float, t: np.ndarray, n: np.ndarray,
                        terms) -> np.ndarray:
-    """decay_jacobian from the N and the terms _decay_terms returned."""
+    """decay_jacobian from the N and the terms _riccati_terms returned."""
     bt, neg_u, em, phi, q = terms
     tail = 1 / 24 + neg_u * (1 / 120 + neg_u / 720)
     chi = np.asarray(0.5 + neg_u * (1 / 6 + neg_u * tail))
@@ -270,12 +263,13 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
         N(t) = gamma n0 e^{-gamma t} / (gamma - b expm1(-gamma t)),
 
     evaluated divided through by gamma, as n0 e^{-gamma t} / (1 + b t phi)
-    with phi = -expm1(-gamma t) / (gamma t).  Where gamma t == 0, phi = 1
-    gives the two-body limit n0 / (1 + b t); elsewhere the formula is
-    accurate to rounding, so N is continuous in gamma and t.  Vectorized
-    over t.
+    with phi = -expm1(-gamma t) / (gamma t), by the core evolve() shares.
+    Where gamma t == 0, phi = 1 gives the two-body limit n0 / (1 + b t);
+    elsewhere the formula is accurate to rounding, so N is continuous in
+    gamma and t.  Vectorized over t.
     """
-    n, _ = _decay_terms(n0, gamma, beta, v, _decay_times(n0, v, t))
+    t = _decay_times(n0, v, t)
+    n, _ = _riccati_terms(n0, gamma, 2 * beta / v, t)
     return float(n) if n.ndim == 0 else n
 
 
@@ -295,7 +289,7 @@ def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
     it need not evaluate again.
     """
     t = _decay_times(n0, v, t)
-    value, terms = _decay_terms(n0, gamma, beta, v, t)
+    value, terms = _riccati_terms(n0, gamma, 2 * beta / v, t)
     return _decay_jacobian_of(n0, v, t, value if n is None else n, terms)
 
 
@@ -315,7 +309,7 @@ def decay_fit_model(n0: float, v: float, t):
     latest = []
 
     def model(_x, p):
-        n, terms = _decay_terms(n0, p[0], p[1], v, t)
+        n, terms = _riccati_terms(n0, p[0], 2 * p[1] / v, t)
         latest[:] = (n, terms)
         return n
 

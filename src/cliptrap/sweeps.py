@@ -48,9 +48,12 @@ class SweepSpec:
             raise ValueError("values must be strictly monotone")
         if self.swept_parameter != "offset_field" and min(vals) <= 0:
             raise ValueError(f"{self.swept_parameter} values must be positive")
-        if (self.n_mot_per_point is not None
-                and len(self.n_mot_per_point) != len(vals)):
-            raise ValueError("n_mot_per_point length must match values")
+        if self.n_mot_per_point is not None:
+            if len(self.n_mot_per_point) != len(vals):
+                raise ValueError("n_mot_per_point length must match values")
+            if not all(0 <= n < math.inf for n in self.n_mot_per_point):
+                raise ValueError("n_mot_per_point values must be finite "
+                                 "and >= 0")
         unknown = set(self.outputs) - set(OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs: {sorted(unknown)}")
@@ -78,18 +81,21 @@ def _row_outputs(scenario: LoadingScenario, outputs: Sequence[str]) -> dict:
         "n_mt_steady": lambda: dynamics.steady_state(scenario),
         "loading_rate": lambda: dynamics.loading_rate(scenario),
         "tau_eff": lambda: dynamics.effective_loading_time(
-            dynamics.steady_state(scenario), dynamics.loading_rate(scenario)),
+            value("n_mt_steady"), value("loading_rate")),
         "v_mt": lambda: scenario.v_mt,
         "kappa": lambda: dynamics.accumulation_efficiency(scenario),
-        "kappa_abscissa": lambda: (dynamics.loading_rate(scenario)
-                                   * scenario.v_mt / scenario.mot.n_mot ** 2),
+        "kappa_abscissa": lambda: dynamics.kappa_abscissa(scenario),
         "t_mt_prediction": lambda: dynamics.mt_temperature_prediction(
             scenario.mot.temperature),
         "majorana_safe": lambda: majorana_safe(scenario.trap),
     }
-    for name in outputs:
-        row[name] = lazy[name]()
-    return row
+
+    def value(name: str):
+        if name not in row:
+            row[name] = lazy[name]()
+        return row[name]
+
+    return {name: value(name) for name in outputs}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -118,13 +124,8 @@ def kappa_curve(points: Sequence[LoadingScenario]) -> DataSet:
     """Master-curve coordinates (R V_MT / N_MOT^2, kappa) per scenario."""
     if not points:
         raise ValueError("need at least one scenario")
-    xs, ys = [], []
-    for scen in points:
-        r = dynamics.loading_rate(scen)
-        xs.append(r * scen.v_mt / scen.mot.n_mot ** 2)
-        ys.append(dynamics.accumulation_efficiency(scen))
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    xs = np.array([dynamics.kappa_abscissa(scen) for scen in points])
+    ys = np.array([dynamics.accumulation_efficiency(scen) for scen in points])
     return DataSet(x=xs, y=ys, sigma_y=np.maximum(np.abs(ys), 1.0) * 1e-3,
                    x_label="rv_over_nmot2_m3_per_s", y_label="kappa")
 
@@ -168,7 +169,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         x = t
         labels = ("t_s", "sigma_m")
     elif kind == "kappa_points":
-        x0 = r * scenario.v_mt / scenario.mot.n_mot ** 2
+        x0 = dynamics.kappa_abscissa(scenario)
         x = np.geomspace(0.1 * x0, 10 * x0, points)
         y = dynamics.kappa_of_abscissa(x, scenario.coefficients.beta_dd,
                                        scenario.coefficients.beta_ed)

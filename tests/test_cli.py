@@ -45,6 +45,19 @@ class TestPredict:
         assert float(rep["n_steady_atoms"]) == 0.0
         assert float(rep["kappa"]) == 0.0
 
+    @pytest.mark.parametrize("override", ["mot_saturation=2",
+                                          "gamma_d_per_s=0.05",
+                                          "v_eff_cm3=2e-3"])
+    def test_kappa_is_steady_state_per_mot_atom(self, tmp_path, override):
+        # off the master curve's assumptions (saturated MOT, gamma_d = 0,
+        # V_eff = V_MT) kappa still reports N_inf / N_MOT
+        out = tmp_path / "report.txt"
+        assert run("predict", "--paper-defaults", "--set", override,
+                   "--out", str(out)) == 0
+        rep = read_report(out)
+        assert float(rep["kappa"]) * 5e6 == pytest.approx(
+            float(rep["n_steady_atoms"]), rel=1e-5)
+
     def test_config_file_with_overrides(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("# minimal run\nb_prime_g_per_cm = 12.5\n"
@@ -93,6 +106,17 @@ class TestSimulate:
                    f"n0_atoms={n_inf}", "--out", str(csv)) == 0
         table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
         assert np.all(np.abs(table[:, 1] / float(n_inf) - 1) < 1e-5)
+
+    def test_decay_tail_stays_positive(self, tmp_path):
+        # eta = 0 decays from n0 on the rate equation's one core; the tail
+        # near 1e-14 atoms used to cancel to 0
+        csv = tmp_path / "sim.csv"
+        assert run("simulate", "--paper-defaults", "--set", "eta=0",
+                   "--set", "n0_atoms=2e8", "--set", "t_end_s=2000",
+                   "--out", str(csv)) == 0
+        table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
+        assert np.all(table[:, 1] > 0)
+        assert np.all(np.diff(table[:, 1]) < 0)
 
     def test_two_samples(self, tmp_path):
         csv = tmp_path / "sim.csv"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,30 @@ def log_uniform(low_exp: float, high_exp: float):
 def maybe_zero(low_exp: float, high_exp: float):
     """0, or a log-uniform value between 10**low_exp and 10**high_exp."""
     return st.one_of(st.just(0.0), log_uniform(low_exp, high_exp))
+
+
+def riccati_oracle(r, gamma, beta, v, n0, times) -> list:
+    """N(t) of dN/dt = R - gamma N - (2 beta / V) N^2 in 50-digit arithmetic.
+
+    The float inputs are taken as exact.  N = N+ + u0 e^{-D t} / q with
+    q = 1 + k u0 (1 - e^{-D t}) / D (1 + k u0 t at D = 0), or n0 + R t
+    without any loss channel.
+    """
+    with mpmath.workdps(50):
+        r, gamma, beta, v, n0 = map(mpmath.mpf, (r, gamma, beta, v, n0))
+        times = [mpmath.mpf(float(t)) for t in times]
+        k = 2 * beta / v
+        if gamma == 0 and k == 0:
+            return [n0 + r * t for t in times]
+        d = mpmath.sqrt(gamma ** 2 + 4 * k * r)
+        n_plus = 2 * r / (gamma + d) if r else mpmath.mpf(0)
+        u0 = n0 - n_plus
+        out = []
+        for t in times:
+            e = mpmath.exp(-d * t)
+            q = 1 + k * u0 * ((1 - e) / d if d else t)
+            out.append(n_plus + u0 * e / q)
+        return out
 
 
 def central(f, p: float, h: float) -> float:
@@ -159,6 +184,69 @@ class TestEvolve:
         assert sol.success
         assert np.allclose(n, sol.y[0], rtol=1e-9, atol=1e-9 * scale)
         assert n[0] == n0
+
+    def test_matches_fifty_digit_solution(self):
+        # 400 scenarios, every fifth without loading, with n0 = 0 or
+        # 0.01 to 1000 N+ and D t from 1e-8 to 30: N is accurate to
+        # rounding from the first instant to the tail
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        for i in range(400):
+            r = 0.0 if i % 5 == 0 else 10 ** rng.uniform(5, 9)
+            gamma = 0.0 if i % 7 == 1 else 10 ** rng.uniform(-3, 1)
+            beta = (0.0 if i % 11 == 2 and gamma > 0
+                    else 10 ** rng.uniform(-19, -15))
+            v = 10 ** rng.uniform(-10, -7)
+            scen = make_scenario(eta=0.3 if r else 0.0, beta_ed=0.0,
+                                 beta_dd=beta, gamma_d=gamma, v_mt=v,
+                                 n_mot=(r or 1e8) / (0.3 * 0.5 * GAMMA_ED_CR))
+            r = loading_rate(scen)
+            scale = steady_state(scen) if r else 1e8
+            n0 = 0.0 if i % 3 == 0 else scale * 10 ** rng.uniform(-2, 3)
+            k = 2 * beta / v
+            # D, or the two-body rate where D = 0
+            rate = math.sqrt(gamma ** 2 + 4 * k * r) or k * n0 or 1.0
+            t_end = 10 ** rng.uniform(math.log10(3e-8), math.log10(30)) / rate
+            t, n = evolve(scen, n0, t_end, samples=4)
+            exact = riccati_oracle(r, gamma, beta, v, n0, t)
+            for got, want in zip(n, exact):
+                if want == 0:
+                    assert got == 0
+                else:
+                    worst = max(worst, float(abs(got - want) / want))
+        assert worst < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(n0=maybe_zero(3, 11), gamma=maybe_zero(-4, 1),
+           beta=maybe_zero(-20, -14), v=log_uniform(-10, -7),
+           span=log_uniform(-8, 2.5))
+    @example(n0=2e8, gamma=0.0, beta=3.8e-17, v=1e-8, span=5.0)
+    @example(n0=2e8, gamma=0.02, beta=3.8e-17, v=1e-8, span=300.0)
+    def test_without_loading_is_decay(self, n0, gamma, beta, v, span):
+        # eta = 0: the same physics as decay(), through the same core
+        scen = make_scenario(eta=0.0, beta_ed=0.0, beta_dd=beta,
+                             gamma_d=gamma, v_mt=v)
+        rate = max(gamma + 2 * beta / v * n0, 1e-3)
+        t, n = evolve(scen, n0, span / rate, samples=25)
+        ref = decay(n0, gamma, beta, v, t)
+        assert np.all(np.abs(n - ref) <= 2e-15 * ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=log_uniform(5, 9), gamma=maybe_zero(-3, 1),
+           beta=maybe_zero(-19, -15), v=log_uniform(-10, -7),
+           n0_scale=st.one_of(st.just(0.0), log_uniform(-2, 3)),
+           span=st.floats(40.0, 1000.0))
+    def test_tail_is_steady_state(self, r, gamma, beta, v, n0_scale, span):
+        if gamma == 0 and beta == 0:
+            beta = 1e-17
+        scen = make_scenario(beta_ed=0.0, beta_dd=beta, gamma_d=gamma,
+                             v_mt=v, n_mot=r / (0.3 * 0.5 * GAMMA_ED_CR))
+        r = loading_rate(scen)
+        n_plus = steady_state(scen)
+        n0 = n0_scale * n_plus
+        d = math.sqrt(gamma ** 2 + 8 * beta / v * r)
+        _, n = evolve(scen, n0, span / d, samples=3)
+        assert abs(n[-1] - n_plus) <= 4 * math.ulp(max(n0, n_plus))
 
     def test_invalid_inputs(self):
         scen = make_scenario()

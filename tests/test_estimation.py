@@ -552,7 +552,8 @@ class TestFitDecay:
         # builds none; the arguments are checked once per fit
         scen = make_scenario(gamma_d=0.02)
         events = []
-        terms, jacobian_of = dynamics._decay_terms, dynamics._decay_jacobian_of
+        terms = dynamics._riccati_terms
+        jacobian_of = dynamics._decay_jacobian_of
         times = dynamics._decay_times
 
         def counted_terms(*args):
@@ -567,7 +568,7 @@ class TestFitDecay:
         def counted_times(*args):
             events.append(("times", None))
             return times(*args)
-        monkeypatch.setattr(dynamics, "_decay_terms", counted_terms)
+        monkeypatch.setattr(dynamics, "_riccati_terms", counted_terms)
         monkeypatch.setattr(dynamics, "_decay_jacobian_of", counted_jacobian)
         monkeypatch.setattr(dynamics, "_decay_times", counted_times)
         rejected = 0

@@ -1,9 +1,10 @@
 """Every CLI command runs on numpy alone.
 
 scipy is needed only by effective_volume's 2D overlap quadrature and by
-the test oracles.  A fresh interpreter imports cliptrap, then runs each
-subcommand, synth kind and fit kind in turn, and reports the scipy
-modules loaded after each step.
+the test oracles, and mpmath only by the test oracles.  A fresh
+interpreter imports cliptrap, then runs each subcommand, synth kind and
+fit kind in turn, and reports the scipy and mpmath modules loaded after
+each step.
 """
 
 import json
@@ -17,12 +18,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = r'''
 import contextlib, io, json, sys
 
-def scipy_modules():
+def oracle_modules():
     return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
+                  if m.split(".")[0] in ("scipy", "mpmath"))
 
 import cliptrap
-report = {"import cliptrap": [0, scipy_modules()]}
+report = {"import cliptrap": [0, oracle_modules()]}
 
 from cliptrap import cli
 from cliptrap.cloud import column_density, make_thermal_cloud
@@ -58,7 +59,7 @@ for kind, data in (("kappa", "kappa_points"), ("decay", "decay_curve"),
 for argv in steps:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    report[" ".join(argv)] = [code, scipy_modules()]
+    report[" ".join(argv)] = [code, oracle_modules()]
 print(json.dumps(report))
 '''
 

@@ -46,6 +46,14 @@ class TestSweepSpec:
             SweepSpec("radial_gradient", [0.1, 0.2], make_scenario(),
                       n_mot_per_point=[5e6])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_n_mot_names_n_mot_per_point(self, bad):
+        # such a point used to fail inside the sweep with an error that
+        # named the detuning
+        with pytest.raises(ValueError, match="n_mot_per_point values must"):
+            SweepSpec("radial_gradient", [0.1, 0.2], make_scenario(),
+                      n_mot_per_point=[bad, 5e6])
+
     def test_unknown_output(self):
         with pytest.raises(ValueError):
             SweepSpec("radial_gradient", [0.1], make_scenario(),
