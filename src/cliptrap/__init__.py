@@ -16,7 +16,6 @@ from .dynamics import (LoadingScenario, RateCoefficients,
 from .estimation import (DataSet, FitResult, fit_column_profile, fit_decay,
                          fit_kappa, fit_loading_rate, fit_tof, least_squares)
 from .species import (MotBeamParams, Species, chromium_52, excited_fraction,
-                      gauss_per_cm2_to_si, gauss_per_cm_to_si, gauss_to_si,
                       load_species)
 from .sweeps import SweepSpec, kappa_curve, run_sweep, synthesize_measurements
 from .trap import (IpTrapConfig, field_magnitude, majorana_safe,

@@ -3,9 +3,11 @@
 Configuration is a flat key = value text file ('#' comments allowed);
 --set KEY=VALUE flags override file keys, and --paper-defaults loads the
 built-in optimum operating point.  KEYS gives each key's type, default
-and scale from its Gauss-derived lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s,
-uK) to SI.  Exit codes: 0 success, 2 configuration or input error (among
-them an unknown key, NaN, inf or a fractional count), 3 numerical failure.
+and scale from its lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK) to SI;
+it is the one place where config lab units are converted, and every
+layer below works in SI.  Exit codes: 0 success, 2 configuration or input
+error (among them an unknown key, NaN, inf, a fractional count, a volume
+<= 0 or a trap temperature < 0), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_decay, fit_kappa, fit_loading_rate,
                          fit_tof)
 from .flatfile import key_values, number, read_csv, read_lines
-from .species import MotBeamParams, chromium_52, load_species, si_to_cm3
+from .species import MotBeamParams, chromium_52, load_species
 from .trap import IpTrapConfig, majorana_safe
 
 
@@ -82,8 +84,17 @@ PAPER_DEFAULTS: dict[str, str] = {
     if key.paper or key.default}
 
 
+# Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
+_COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
+
+
 class ConfigError(Exception):
     """Bad configuration or input data."""
+
+
+def si_to_cm3(v: float) -> float:
+    """m^3 -> cm^3, for the reports."""
+    return v * 1e6
 
 
 def _get(cfg: dict[str, str], name: str):
@@ -103,6 +114,17 @@ def _get(cfg: dict[str, str], name: str):
     return value * scale if kind is float else value
 
 
+def _given(cfg: dict[str, str], name: str) -> float | None:
+    """A _COMPUTED key's value in SI units, or None if it is unset."""
+    value = _get(cfg, name)
+    if value is None or (value == 0 and name == "t_mt_uk"):
+        return None
+    if not value > 0:
+        raise ConfigError(f"config key {name} must be positive, or blank "
+                          f"to compute it: {cfg[name]!r}")
+    return value
+
+
 def build_config(args) -> dict[str, str]:
     cfg = dict(PAPER_DEFAULTS) if args.paper_defaults else {}
     if args.config:
@@ -113,7 +135,7 @@ def build_config(args) -> dict[str, str]:
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     for name in cfg:  # whether or not this command reads the key
-        _get(cfg, name)
+        (_given if name in _COMPUTED else _get)(cfg, name)
     return cfg
 
 
@@ -128,12 +150,12 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
     species = _species(cfg)
     trap_cfg = IpTrapConfig(_get(cfg, "b_prime_g_per_cm"),
                             _get(cfg, "b_dprime_g_per_cm2"),
-                            _get(cfg, "b0_mg"), _get(cfg, "gamma_d_per_s"))
+                            _get(cfg, "b0_mg"))
     coeff = RateCoefficients(
         eta=_get(cfg, "eta"),
         beta_ed=_get(cfg, "beta_ed_cm3_per_s"),
         beta_dd=_get(cfg, "beta_dd_cm3_per_s"),
-        gamma_d=trap_cfg.background_loss_rate,
+        gamma_d=_get(cfg, "gamma_d_per_s"),
     )
     t_mot = _get(cfg, "t_mot_uk")
     mot = MotBeamParams(
@@ -144,16 +166,16 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
         sigma_radial=_get(cfg, "sigma_mot_radial_mm"),
         sigma_axial=_get(cfg, "sigma_mot_axial_mm"),
     )
-    t_mt = _get(cfg, "t_mt_uk")
-    if t_mt <= 0:
+    t_mt = _given(cfg, "t_mt_uk")
+    if t_mt is None:
         t_mt = dynamics.mt_temperature_prediction(t_mot)
 
-    v_mt = _get(cfg, "v_mt_cm3")
-    if v_mt is None or v_mt <= 0:
+    v_mt = _given(cfg, "v_mt_cm3")
+    if v_mt is None:
         cl = make_thermal_cloud(species, trap_cfg, n=1.0, t=t_mt)
         v_mt = occupied_volume(cl)
-    v_eff = _get(cfg, "v_eff_cm3")
-    if v_eff is None or v_eff <= 0:
+    v_eff = _given(cfg, "v_eff_cm3")
+    if v_eff is None:
         v_eff = v_mt
 
     return LoadingScenario(species=species, trap=trap_cfg, coefficients=coeff,
@@ -238,6 +260,10 @@ _SWEPT_KEY = {  # swept parameter -> (key giving its SI scale, CSV unit)
 
 
 def cmd_sweep(cfg: dict[str, str], out: str | None) -> None:
+    for name in ("v_mt_cm3", "v_eff_cm3"):
+        if _get(cfg, name) is not None:
+            raise ConfigError(f"config key {name} cannot be given to a sweep, "
+                              "which computes it at every point")
     scen = scenario_from_config(cfg)
     parameter = _get(cfg, "sweep_parameter")
     if parameter not in _SWEPT_KEY:
@@ -348,7 +374,8 @@ def _read_kappa_csv(path: str) -> DataSet:
 
     Accepts synth output (abscissa, kappa, sigma_kappa), plain 3-column
     CSV, and sweep output, whose extra columns and error field would break
-    positional parsing; rows without usable numbers are skipped.
+    positional parsing.  Each cell read must be a finite number; only a
+    row with a filled error cell, a failed sweep point, is skipped.
     """
     header, rows = read_csv(path)
     if "kappa" not in header:
@@ -360,14 +387,14 @@ def _read_kappa_csv(path: str) -> DataSet:
         raise ConfigError(f"{path}: no abscissa column for the kappa fit")
     cols = [ix, header.index("kappa")] + (
         [header.index("sigma_kappa")] if "sigma_kappa" in header else [])
+    err = header.index("error") if "error" in header else None
     points = []
-    for _, cells in rows:
-        try:
-            points.append([float(cells[i]) for i in cols])
-        except (ValueError, IndexError):
-            continue
+    for where, cells in rows:
+        if err is not None and "".join(cells[err:]):
+            continue  # a failed sweep point; its message may hold commas
+        cells += [""] * (len(header) - len(cells))
+        points.append([number(cells[i], where) for i in cols])
     pts = np.array(points).reshape(-1, len(cols))
-    pts = pts[np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1])]
     if len(pts) < 3:
         raise ConfigError(f"{path}: fewer than 3 usable data rows")
     sigma = pts[:, 2] if len(cols) == 3 else np.abs(pts[:, 1]) * 1e-3

@@ -1,8 +1,10 @@
-"""Atomic species data, physical constants and unit conversions.
+"""Atomic species data, physical constants and the MOT operating point.
 
-SI units everywhere inside the package; Gauss-derived units (G, G/cm,
-G/cm^2) and cm^3 appear only at interface boundaries.  Keep this module
-free of heavy imports so every other layer can use it.
+Species and MOT parameters are held in SI units.  The config's lab units
+(G/cm, G/cm^2, mG, cm^3, uK) are converted in one place, the CLI's key
+table; load_species converts only its own file's units (amu, Bohr
+magnetons, Hz, mW/cm^2, nm).  Keep this module free of heavy imports so
+every other layer can use it.
 """
 
 from __future__ import annotations
@@ -20,43 +22,6 @@ GRAVITY = 9.80665                 # m/s^2, standard acceleration
 ATOMIC_MASS = 1.66053906660e-27   # kg
 
 
-# --- unit conversions (exact scale factors) ---------------------------------
-
-def gauss_per_cm_to_si(v: float) -> float:
-    """G/cm -> T/m."""
-    return v * 1e-2
-
-
-def si_to_gauss_per_cm(v: float) -> float:
-    """T/m -> G/cm."""
-    return v * 1e2
-
-
-def gauss_per_cm2_to_si(v: float) -> float:
-    """G/cm^2 -> T/m^2 (the two units coincide)."""
-    return v * 1.0
-
-
-def si_to_gauss_per_cm2(v: float) -> float:
-    """T/m^2 -> G/cm^2."""
-    return v * 1.0
-
-
-def gauss_to_si(v: float) -> float:
-    """G -> T."""
-    return v * 1e-4
-
-
-def si_to_gauss(v: float) -> float:
-    """T -> G."""
-    return v * 1e4
-
-
-def si_to_cm3(v: float) -> float:
-    """m^3 -> cm^3."""
-    return v * 1e6
-
-
 # --- species ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,16 +29,17 @@ class Species:
     """Atomic constants entering the loading model.
 
     gamma_eg is the angular linewidth of the strong cycling transition
-    (rad/s); gamma_ed is the leak rate into the metastable trapped state
-    (1/s).  branching_ratio_mg_md is informational only (an alternative
-    pumping path); no formula consumes it.
+    (rad/s) and branching_ratio_eg_ed its ratio to the leak rate into the
+    metastable trapped state, so gamma_ed = gamma_eg / branching_ratio_eg_ed
+    (1/s) is derived, never stored.  branching_ratio_mg_md is
+    informational only (an alternative pumping path); no formula consumes
+    it.
     """
 
     name: str
     mass: float                  # kg
     magnetic_moment: float       # J/T
     gamma_eg: float              # rad/s
-    gamma_ed: float              # 1/s
     branching_ratio_eg_ed: float
     saturation_intensity: float  # W/m^2
     mot_wavelength: float        # m
@@ -82,27 +48,24 @@ class Species:
     def __post_init__(self) -> None:
         if not (self.mass > 0 and self.magnetic_moment > 0 and self.gamma_eg > 0):
             raise ValueError("mass, magnetic_moment and gamma_eg must be positive")
-        if not (self.gamma_ed > 0 and self.branching_ratio_eg_ed > 0):
-            raise ValueError("gamma_ed and branching_ratio_eg_ed must be positive")
-        ratio = self.gamma_eg / self.gamma_ed
-        if abs(ratio - self.branching_ratio_eg_ed) > 0.01 * self.branching_ratio_eg_ed:
+        if not 0 < self.branching_ratio_eg_ed < math.inf:
             raise ValueError(
-                "inconsistent rates: gamma_eg/gamma_ed = %.4g but "
-                "branching_ratio_eg_ed = %.4g" % (ratio, self.branching_ratio_eg_ed)
-            )
+                "branching_ratio_eg_ed must be finite and positive")
+
+    @property
+    def gamma_ed(self) -> float:
+        """Leak rate into the metastable trapped state (1/s)."""
+        return self.gamma_eg / self.branching_ratio_eg_ed
 
 
 def chromium_52() -> Species:
     """The built-in default species: bosonic 52Cr."""
-    gamma_eg = 2 * math.pi * 5.02e6
-    branching = 2.5e5
     return Species(
         name="52Cr",
         mass=52 * ATOMIC_MASS,
         magnetic_moment=6 * BOHR_MAGNETON,
-        gamma_eg=gamma_eg,
-        gamma_ed=gamma_eg / branching,
-        branching_ratio_eg_ed=branching,
+        gamma_eg=2 * math.pi * 5.02e6,
+        branching_ratio_eg_ed=2.5e5,
         saturation_intensity=85.2,       # 8.52 mW/cm^2
         mot_wavelength=425.6e-9,
         branching_ratio_mg_md=5200.0,
@@ -128,15 +91,12 @@ def load_species(path: str | Path) -> Species:
     if missing:
         raise ValueError(f"species file missing keys: {', '.join(missing)}")
     num = {k: number(v, f"{path}: {k}") for k, v in raw.items() if k != "name"}
-    gamma_eg = 2 * math.pi * num["gamma_eg_hz"]
-    branching = num["branching_eg_ed"]
     return Species(
         name=raw["name"],
         mass=num["mass_amu"] * ATOMIC_MASS,
         magnetic_moment=num["mu_bohr"] * BOHR_MAGNETON,
-        gamma_eg=gamma_eg,
-        gamma_ed=gamma_eg / branching,
-        branching_ratio_eg_ed=branching,
+        gamma_eg=2 * math.pi * num["gamma_eg_hz"],
+        branching_ratio_eg_ed=num["branching_eg_ed"],
         saturation_intensity=num["isat_mw_cm2"] * 10.0,  # mW/cm^2 -> W/m^2
         mot_wavelength=num["wavelength_nm"] * 1e-9,
         branching_ratio_mg_md=num.get("branching_mg_md"),

@@ -5,6 +5,8 @@ dynamics modules: linear radial confinement with gradient B', harmonic
 axial confinement with curvature B'' and axial offset B0.  Convention:
 B(0,0,z) = B0 + B'' z^2 / 2, i.e. the axial potential is mu B'' z^2 / 2
 (curvature conventions in the literature differ by factors of two).
+Fields are in SI units (T, T/m, T/m^2); the CLI's key table converts the
+lab units G/cm, G/cm^2 and mG.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .species import (
-    GRAVITY,
-    Species,
-    gauss_per_cm2_to_si,
-    gauss_per_cm_to_si,
-    gauss_to_si,
-)
+from .species import GRAVITY, Species
 
 # Offset below which Majorana spin flips are not suppressed (40 mG; at the
 # radial parameters considered here this keeps the flip rate under 0.1/s).
@@ -27,12 +23,15 @@ MAJORANA_MIN_OFFSET = 4e-6  # T
 
 @dataclass(frozen=True)
 class IpTrapConfig:
-    """Static trap parameters plus the background one-body loss rate."""
+    """Static trap fields in SI units.
+
+    The background loss rate is a vacuum property, not a trap one: it lives
+    in dynamics.RateCoefficients.gamma_d.
+    """
 
     radial_gradient: float      # T/m
     axial_curvature: float      # T/m^2
     offset_field: float = 0.0   # T, may be negative
-    background_loss_rate: float = 0.0  # 1/s
 
     def __post_init__(self) -> None:
         if not self.radial_gradient > 0:
@@ -41,19 +40,6 @@ class IpTrapConfig:
             raise ValueError("axial_curvature must be positive")
         if not math.isfinite(self.offset_field):
             raise ValueError("offset_field must be finite")
-        if not self.background_loss_rate >= 0:
-            raise ValueError("background_loss_rate must be >= 0")
-
-    @classmethod
-    def from_gauss(cls, b_prime_g_per_cm: float, b_dprime_g_per_cm2: float,
-                   b0_mg: float = 0.0, gamma_d_per_s: float = 0.0) -> "IpTrapConfig":
-        """Build from the Gauss-unit boundary keys."""
-        return cls(
-            radial_gradient=gauss_per_cm_to_si(b_prime_g_per_cm),
-            axial_curvature=gauss_per_cm2_to_si(b_dprime_g_per_cm2),
-            offset_field=gauss_to_si(b0_mg * 1e-3),
-            background_loss_rate=gamma_d_per_s,
-        )
 
 
 def field_magnitude(cfg: IpTrapConfig, x: float, y: float, z: float) -> float:

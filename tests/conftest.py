@@ -11,7 +11,7 @@ def make_scenario(eta=0.3, beta_ed=6e-16, beta_dd=1.3e-17, gamma_d=0.0,
                   saturation=math.inf) -> LoadingScenario:
     """Optimum operating point unless overridden; volumes in m^3."""
     species = chromium_52()
-    trap = IpTrapConfig.from_gauss(b_prime, b_dprime, 0.0, gamma_d)
+    trap = IpTrapConfig(b_prime * 1e-2, b_dprime)
     mot = MotBeamParams(total_saturation=saturation,
                         detuning=-2 * species.gamma_eg, n_mot=n_mot,
                         temperature=140e-6, sigma_radial=1e-4,

@@ -17,7 +17,7 @@ from cliptrap.trap import IpTrapConfig
 from conftest import make_scenario
 
 CR = chromium_52()
-CFG = IpTrapConfig.from_gauss(12.5, 10.5)
+CFG = IpTrapConfig(0.125, 10.5)
 
 
 def test_criterion_01_loading_rate_anchor():

@@ -188,6 +188,47 @@ class TestSweep:
         assert float(rep["beta_ed_cm3_per_s"]) == pytest.approx(6e-10,
                                                                 rel=1e-3)
 
+    @pytest.mark.parametrize("key", ["v_mt_cm3", "v_eff_cm3"])
+    def test_given_volume_rejected(self, key, tmp_path, capsys):
+        # the sweep recomputes both volumes at every point, so a given one
+        # could not be honoured
+        csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--paper-defaults", "--set", "sweep_points=2",
+                   "--set", f"{key}=1e-3", "--out", str(csv)) == 2
+        assert (f"config key {key} cannot be given to a sweep"
+                in capsys.readouterr().err)
+        assert not csv.exists()
+
+    def test_failed_point_skipped_by_kappa_fit(self, tmp_path):
+        # 1 G/cm is below the gravity-sag limit: that point fails, the rest
+        # still determine both coefficients
+        sweep_csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--paper-defaults",
+                   "--set", "sweep_values=1.0,8,10,12,14",
+                   "--set", "sweep_outputs=kappa_abscissa,kappa",
+                   "--out", str(sweep_csv)) == 0
+        assert sweep_csv.read_text().splitlines()[1].startswith("1,nan,nan,un")
+        fit_out = tmp_path / "fit.txt"
+        assert run("fit", "kappa", "--paper-defaults",
+                   "--data", str(sweep_csv), "--out", str(fit_out)) == 0
+        rep = read_report(fit_out)
+        assert float(rep["beta_dd_cm3_per_s"]) == pytest.approx(1.3e-11,
+                                                                rel=1e-3)
+
+    def test_bad_cell_in_good_point_rejected(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--paper-defaults",
+                   "--set", "sweep_values=8,10,12,14",
+                   "--set", "sweep_outputs=kappa_abscissa,kappa",
+                   "--out", str(sweep_csv)) == 0
+        lines = sweep_csv.read_text().splitlines()
+        lines[2] = "10,3e-14,x,"
+        sweep_csv.write_text("\n".join(lines) + "\n")
+        assert run("fit", "kappa", "--paper-defaults",
+                   "--data", str(sweep_csv)) == 2
+        assert f"{sweep_csv}:3: not a finite number: 'x'" in (
+            capsys.readouterr().err)
+
 
 class TestSynthAndFit:
     def test_synth_seed_determinism(self, tmp_path):
@@ -210,6 +251,24 @@ class TestSynthAndFit:
         assert abs(float(rep["beta_dd_cm3_per_s"]) - 1.3e-11) < 0.3 * 1.3e-11
         assert abs(float(rep["beta_ed_cm3_per_s"]) - 6e-10) < 0.3 * 6e-10
         assert abs(float(rep["correlation"])) > 0.5
+
+    @pytest.mark.parametrize("row,bad", [("abc,1,2", "abc"),
+                                         ("1e-20,nan,0.1", "nan"),
+                                         ("1e-14,3", "")])
+    def test_fit_kappa_rejects_bad_row(self, tmp_path, capsys, row, bad):
+        # a synth CSV has no error column, so no row of it may be skipped
+        csv = tmp_path / "kappa.csv"
+        assert run("synth", "--paper-defaults", "--set", "synth_noise=0.01",
+                   "--out", str(csv)) == 0
+        lines = csv.read_text().splitlines()
+        lines[3] = row
+        csv.write_text("\n".join(lines) + "\n")
+        fit_out = tmp_path / "fit.txt"
+        assert run("fit", "kappa", "--paper-defaults", "--data", str(csv),
+                   "--out", str(fit_out)) == 2
+        assert (f"{csv}:4: not a finite number: '{bad}'"
+                in capsys.readouterr().err)
+        assert not fit_out.exists()
 
     def test_synth_fit_decay_pipeline(self, tmp_path):
         csv = tmp_path / "decay.csv"
@@ -272,8 +331,7 @@ class TestSynthAndFit:
         from cliptrap.species import chromium_52
         from cliptrap.trap import IpTrapConfig
 
-        cl = make_thermal_cloud(chromium_52(),
-                                IpTrapConfig.from_gauss(12.5, 10.5),
+        cl = make_thermal_cloud(chromium_52(), IpTrapConfig(0.125, 10.5),
                                 n=1e8, t=100e-6)
         y_mm = np.linspace(-0.8, 0.8, 17)
         z_mm = np.linspace(-5.0, 5.0, 11)
@@ -329,7 +387,7 @@ def test_fit_profile_with_non_positive_pixels(tmp_path):
     from cliptrap.species import chromium_52
     from cliptrap.trap import IpTrapConfig
 
-    cl = make_thermal_cloud(chromium_52(), IpTrapConfig.from_gauss(12.5, 10.5),
+    cl = make_thermal_cloud(chromium_52(), IpTrapConfig(0.125, 10.5),
                             n=1e8, t=100e-6)
     lines = ["y_mm,z_mm,column_density"]
     for ym in np.linspace(-0.8, 0.8, 17):

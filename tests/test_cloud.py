@@ -13,7 +13,7 @@ from cliptrap.trap import IpTrapConfig
 
 
 CR = chromium_52()
-CFG = IpTrapConfig.from_gauss(12.5, 10.5)
+CFG = IpTrapConfig(0.125, 10.5)
 
 
 def planar_oracle(xi1: float, xi2: float, power: float) -> float:
@@ -89,7 +89,7 @@ class TestScaleLengths:
 
     def test_untrapped_when_gravity_exceeds_gradient(self):
         # mu B' < m g for Cr below about 1.5 G/cm
-        weak = IpTrapConfig.from_gauss(1.0, 10.5)
+        weak = IpTrapConfig(0.01, 10.5)
         with pytest.raises(ValueError, match="untrapped"):
             make_thermal_cloud(CR, weak, n=1e8, t=100e-6)
 

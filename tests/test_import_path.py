@@ -30,7 +30,7 @@ from cliptrap.cloud import column_density, make_thermal_cloud
 from cliptrap.species import chromium_52
 from cliptrap.trap import IpTrapConfig
 
-cl = make_thermal_cloud(chromium_52(), IpTrapConfig.from_gauss(12.5, 10.5),
+cl = make_thermal_cloud(chromium_52(), IpTrapConfig(0.125, 10.5),
                         n=1e8, t=100e-6)
 rows = ["y_mm,z_mm,column_density"]
 for i in range(-8, 9):

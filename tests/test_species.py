@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,7 @@ import pytest
 
 from cliptrap.species import (ATOMIC_MASS, BOHR_MAGNETON, MotBeamParams,
                               Species, chromium_52, excited_fraction,
-                              gauss_per_cm2_to_si, gauss_per_cm_to_si,
-                              gauss_to_si, load_species, si_to_gauss,
-                              si_to_gauss_per_cm, si_to_gauss_per_cm2)
+                              load_species)
 
 
 def beams(s, detuning=0.0):
@@ -35,34 +34,26 @@ class TestChromium:
         ratio = cr.gamma_eg / cr.gamma_ed
         assert abs(ratio - cr.branching_ratio_eg_ed) < 0.01 * ratio
 
-    def test_inconsistent_rates_rejected(self):
+    def test_leak_rate_is_derived(self):
         cr = chromium_52()
-        with pytest.raises(ValueError, match="inconsistent"):
+        assert cr.gamma_ed == cr.gamma_eg / cr.branching_ratio_eg_ed
+        assert "gamma_ed" not in {f.name for f in dataclasses.fields(cr)}
+
+    def test_leak_rate_not_an_argument(self):
+        cr = chromium_52()
+        with pytest.raises(TypeError):
             Species(name="bad", mass=cr.mass,
                     magnetic_moment=cr.magnetic_moment, gamma_eg=cr.gamma_eg,
-                    gamma_ed=cr.gamma_ed * 1.1,
+                    gamma_ed=cr.gamma_ed,
                     branching_ratio_eg_ed=cr.branching_ratio_eg_ed,
                     saturation_intensity=cr.saturation_intensity,
                     mot_wavelength=cr.mot_wavelength)
 
-
-class TestUnitConversions:
-    def test_examples(self):
-        assert gauss_per_cm_to_si(12.5) == 0.125
-        assert gauss_per_cm2_to_si(10.5) == 10.5
-        assert gauss_to_si(40e-3) == pytest.approx(4e-6, rel=1e-15)
-
-    def test_roundtrip_powers_of_two_exact(self):
-        for v in (0.5, 1.0, 2.0, 64.0, 2.0 ** -20):
-            assert si_to_gauss_per_cm(gauss_per_cm_to_si(v)) == v
-            assert si_to_gauss(gauss_to_si(v)) == v
-            assert si_to_gauss_per_cm2(gauss_per_cm2_to_si(v)) == v
-
-    def test_roundtrip_general_one_ulp(self):
-        rng = np.random.default_rng(7)
-        for v in rng.uniform(1e-6, 1e3, 50):
-            back = si_to_gauss(gauss_to_si(v))
-            assert back == pytest.approx(v, rel=3e-16)
+    @pytest.mark.parametrize("branching", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_branching_ratio_rejected(self, branching):
+        # gamma_ed = gamma_eg / branching must stay finite and positive
+        with pytest.raises(ValueError, match="branching_ratio_eg_ed"):
+            dataclasses.replace(chromium_52(), branching_ratio_eg_ed=branching)
 
 
 class TestExcitedFraction:
@@ -108,6 +99,7 @@ branching_mg_md = 5200
         assert sp.mass == pytest.approx(cr.mass)
         assert sp.gamma_eg == pytest.approx(cr.gamma_eg)
         assert sp.gamma_ed == pytest.approx(cr.gamma_ed)
+        assert sp.gamma_ed == sp.gamma_eg / sp.branching_ratio_eg_ed
         assert sp.saturation_intensity == pytest.approx(85.2)
         assert sp.branching_ratio_mg_md == 5200
 

@@ -161,6 +161,33 @@ def test_non_numeric_sweep_value_rejected():
     assert "config key sweep_values: not a finite number: 'nan'" in err
 
 
+# --- given values that used to fall back to the computed default ----------
+
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+@pytest.mark.parametrize("key,value", [("v_mt_cm3", "-5"), ("v_mt_cm3", "0"),
+                                       ("v_eff_cm3", "-5"),
+                                       ("v_eff_cm3", "0"),
+                                       ("t_mt_uk", "-50")])
+def test_non_positive_override_rejected(key, value, command, tmp_path):
+    # only a blank (or t_mt_uk = 0) selects the computed value; a given
+    # value out of range must not read as unset
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(command, "--paper-defaults",
+                            "--set", f"{key}={value}", "--out", str(out))
+    assert code == 2
+    assert (f"config key {key} must be positive, or blank to compute it: "
+            f"'{value}'") in err
+    assert stdout == "" and not out.exists()
+
+
+def test_blank_or_zero_still_computes():
+    code, blank, _ = run("predict", "--paper-defaults", "--set", "v_mt_cm3=",
+                         "--set", "v_eff_cm3=", "--set", "t_mt_uk=0")
+    assert code == 0
+    _, virial, _ = run("predict", "--paper-defaults", "--set", "t_mt_uk=52.5")
+    assert blank == virial
+
+
 def test_species_file_misspelt_key(tmp_path):
     path = tmp_path / "cr.txt"
     path.write_text(SPECIES_FILE.replace("mass_amu", "mass_am"))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cliptrap import cli
 from cliptrap.species import GRAVITY, chromium_52
 from cliptrap.trap import (IpTrapConfig, field_magnitude, majorana_safe,
                            potential_energy)
@@ -10,15 +11,18 @@ from cliptrap.trap import (IpTrapConfig, field_magnitude, majorana_safe,
 
 @pytest.fixture
 def cfg():
-    return IpTrapConfig.from_gauss(12.5, 10.5, b0_mg=0.0)
+    return IpTrapConfig(0.125, 10.5)
 
 
-def test_from_gauss_boundary():
-    c = IpTrapConfig.from_gauss(12.5, 10.5, b0_mg=40.0, gamma_d_per_s=0.01)
-    assert c.radial_gradient == pytest.approx(0.125)
-    assert c.axial_curvature == pytest.approx(10.5)
-    assert c.offset_field == pytest.approx(4e-6)
-    assert c.background_loss_rate == 0.01
+def test_cli_boundary_converts_lab_units_exactly():
+    # the CLI's key table is the one place lab units become SI
+    scen = cli.scenario_from_config(dict(
+        cli.PAPER_DEFAULTS, b_prime_g_per_cm="12.5", b_dprime_g_per_cm2="10.5",
+        b0_mg="40", gamma_d_per_s="0.01"))
+    assert scen.trap.radial_gradient == 0.125
+    assert scen.trap.axial_curvature == 10.5
+    assert scen.trap.offset_field == 4e-6
+    assert scen.coefficients.gamma_d == 0.01
 
 
 def test_invalid_config_rejected():
