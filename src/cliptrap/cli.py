@@ -318,13 +318,11 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
             out: str | None) -> None:
     if not data_path:
         raise ConfigError("fit requires --data PATH")
-    try:
-        if kind == "kappa":
-            data = _read_kappa_csv(data_path)
-        elif kind != "profile":  # a profile table is no (x, y, sigma) list
-            data = DataSet.from_csv(data_path)
-    except ValueError as exc:
-        raise ConfigError(f"{data_path}: {exc}")
+    # each reader names the data file in its own errors
+    if kind == "kappa":
+        data = _read_kappa_csv(data_path)
+    elif kind != "profile":  # a profile table is no (x, y, sigma) list
+        data = DataSet.from_csv(data_path)
 
     if kind == "loading-rate":
         rate = fit_loading_rate(data, _get(cfg, "fit_window_s"))
@@ -392,7 +390,6 @@ def _read_kappa_csv(path: str) -> DataSet:
     for where, cells in rows:
         if err is not None and "".join(cells[err:]):
             continue  # a failed sweep point; its message may hold commas
-        cells += [""] * (len(header) - len(cells))
         points.append([number(cells[i], where) for i in cols])
     pts = np.array(points).reshape(-1, len(cols))
     if len(pts) < 3:
@@ -412,7 +409,8 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = np.unique(arr[:, 0]) * 1e-3
     z = np.unique(arr[:, 1]) * 1e-3
     if y.size * z.size != arr.shape[0]:
-        raise ConfigError("profile table is not a complete y/z grid")
+        raise ConfigError(
+            f"{path}: profile table is not a complete y/z grid")
     image = np.full((y.size, z.size), np.nan)
     yi = np.searchsorted(y, arr[:, 0] * 1e-3)
     zi = np.searchsorted(z, arr[:, 1] * 1e-3)

@@ -196,20 +196,14 @@ def occupied_volume(cloud: ThermalCloud) -> float:
 
 
 def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
-                     mode: str = "quadrature",
                      offset: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> float:
     """Overlap volume N_MOT N_MT / integral(n_MOT n_MT).
 
-    mode "quadrature" evaluates the overlap integral with the MOT centered
-    at `offset` relative to the trap center; mode "approximation" returns
-    the trap volume itself (valid when the MOT is much smaller than the
-    magnetic trap, where V_eff is dominated by the larger volume).
+    The overlap integral is evaluated with the MOT centered at `offset`
+    relative to the trap center.  Where the MOT is much smaller than the
+    magnetic trap, V_eff is often approximated by the trap volume,
+    occupied_volume(mt).
     """
-    if mode == "approximation":
-        return occupied_volume(mt)
-    if mode != "quadrature":
-        raise ValueError(f"unknown mode {mode!r}")
-
     x0, y0, z0 = offset
     sr, sa = mot.sigma_radial, mot.sigma_axial
     inv2 = 0.0 if math.isinf(mt.xi2) else 1.0 / mt.xi2

@@ -274,7 +274,7 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
 
 
 def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
-                   t, n=None) -> np.ndarray:
+                   t) -> np.ndarray:
     """Derivatives of decay by (gamma, beta), shape t.shape + (2,).
 
     With u = gamma t, q = 1 + b t phi(u) and
@@ -285,41 +285,28 @@ def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
 
     At gamma t == 0 (phi = 1, chi = 1/2) these are the gamma -> 0 limits,
     so the bound gamma = 0 of the decay fit has a nonzero gamma column.
-    n, if given, is decay(n0, gamma, beta, v, t), which a caller that holds
-    it need not evaluate again.
     """
     t = _decay_times(n0, v, t)
-    value, terms = _riccati_terms(n0, gamma, 2 * beta / v, t)
-    return _decay_jacobian_of(n0, v, t, value if n is None else n, terms)
+    n, terms = _riccati_terms(n0, gamma, 2 * beta / v, t)
+    return _decay_jacobian_of(n0, v, t, n, terms)
 
 
 def decay_fit_model(n0: float, v: float, t):
-    """decay over fixed samples t, as a model and Jacobian for least_squares.
+    """decay over fixed samples t, as a model for least_squares.
 
-    Returns model(x, p) = decay(n0, p[0], p[1], v, t) and
-    jacobian(x, p, n) = decay_jacobian(n0, p[0], p[1], v, t, n); both
-    ignore the x the solver passes and use t.  The arguments are checked
-    once, here.  Each model evaluation runs the rate-equation arithmetic
-    once and keeps its terms, and the Jacobian reuses the terms of the
-    latest evaluation: least_squares asks for a Jacobian only at the
-    parameters it has just evaluated, so a rejected candidate costs no
-    Jacobian and an accepted one no second pass.
+    model(x, p) returns decay(n0, p[0], p[1], v, t) and a callable for
+    decay_jacobian(n0, p[0], p[1], v, t); it ignores the x the solver
+    passes and uses t.  The arguments are checked once, here.  Each
+    evaluation runs the rate-equation arithmetic once, and its Jacobian
+    reuses those terms.
     """
     t = _decay_times(n0, v, t)
-    latest = []
 
     def model(_x, p):
         n, terms = _riccati_terms(n0, p[0], 2 * p[1] / v, t)
-        latest[:] = (n, terms)
-        return n
+        return n, lambda: _decay_jacobian_of(n0, v, t, n, terms)
 
-    def jacobian(_x, p, n):
-        held, terms = latest
-        if n is not held:
-            raise ValueError("the decay Jacobian needs the latest model values")
-        return _decay_jacobian_of(n0, v, t, n, terms)
-
-    return model, jacobian
+    return model
 
 
 def mt_temperature_prediction(t_mot: float, thermalized: bool = True):

@@ -4,16 +4,16 @@ The core engine is a damped Gauss-Newton iteration (Levenberg-Marquardt
 damping) that reports covariance, correlation and a convergence flag.
 Positivity-constrained parameters are fitted in log space through its one
 `log` option, which maps values and covariance back with the delta method.
-The kappa and decay fits start at the linear least-squares solution of
-their rate equation, which is linear in the loss coefficients, and pass the
-analytic Jacobians of their closed-form models, built from the model values
-the solver already holds (the decay fit also keeps the rate-equation terms
-of each evaluation for its Jacobian); the column-profile fit, whose
-derivative would need K0 beside K1, uses central differences.  The solver's
-few-parameter bookkeeping runs on Python floats, with a small Cholesky
-solve; numpy does the work on data-length arrays.  Only statistical uncertainty
-is reported; systematic density calibration errors are outside the fitter's
-scope.
+A model returns its values and a callable for their Jacobian.  The kappa
+and decay fits start at the linear least-squares solution of their rate
+equation, which is linear in the loss coefficients, and return the
+analytic Jacobians of their closed-form models, built from what the model
+evaluation already computed; the column-profile fit, whose derivative
+would need K0 beside K1, returns None and gets central differences.  The
+solver's few-parameter bookkeeping runs on Python floats, with a small
+Cholesky solve; numpy does the work on data-length arrays.  Only
+statistical uncertainty is reported; systematic density calibration errors
+are outside the fitter's scope.
 """
 
 from __future__ import annotations
@@ -60,29 +60,27 @@ class DataSet:
     def __len__(self) -> int:
         return self.x.size
 
-    def to_csv(self, path: str | Path) -> None:
-        header = f"{self.x_label},{self.y_label},sigma_{self.y_label}"
-        lines = [header]
-        for xi, yi, si in zip(self.x, self.y, self.sigma_y):
-            lines.append(f"{xi:.12g},{yi:.12g},{si:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "DataSet":
+        """Rows of x, y, sigma_y and an optional mask; errors name path."""
         header, rows = read_csv(path)
         if not rows:
             raise ValueError(f"no data rows in {path}")
         data = np.asarray([[number(c, where) for c in cells]
                            for where, cells in rows], float)
         if data.shape[1] < 3:
-            raise ValueError("expected at least 3 columns (x, y, sigma_y)")
+            raise ValueError(f"{path}: expected at least 3 columns "
+                             "(x, y, sigma_y)")
         # Optional 4th column: mask, nonzero keeps the row.
         if len(header) >= 4 and header[3] == "mask":
             data = data[data[:, 3] != 0]
             if data.shape[0] == 0:
-                raise ValueError("mask column excluded every row")
-        return cls(x=data[:, 0], y=data[:, 1], sigma_y=data[:, 2],
-                   x_label=header[0], y_label=header[1])
+                raise ValueError(f"{path}: mask column excluded every row")
+        try:
+            return cls(x=data[:, 0], y=data[:, 1], sigma_y=data[:, 2],
+                       x_label=header[0], y_label=header[1])
+        except ValueError as exc:  # a sigma_y <= 0
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -96,7 +94,6 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
-    units: tuple[str, ...] = ()
     message: str = ""
 
     def __getitem__(self, name: str) -> float:
@@ -105,21 +102,6 @@ class FitResult:
     def sigma(self, name: str) -> float:
         i = self.names.index(name)
         return float(math.sqrt(max(self.covariance[i, i], 0.0)))
-
-    def report(self) -> str:
-        units = self.units or ("",) * len(self.names)
-        lines = ["parameter, value, sigma, unit"]
-        for name, value, unit in zip(self.names, self.values, units):
-            lines.append(f"{name}, {value:.6g}, {self.sigma(name):.3g}, {unit}")
-        lines.append(f"residual_norm = {self.residual_norm:.6g}")
-        lines.append(f"iterations = {self.iterations}")
-        lines.append(f"converged = {self.converged}")
-        lines.append("correlation:")
-        for row in self.correlation:
-            lines.append("  " + " ".join(f"{v: .4f}" for v in row))
-        if self.message:
-            lines.append(f"note: {self.message}")
-        return "\n".join(lines)
 
 
 def _numeric_jacobian(fun, p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -189,11 +171,16 @@ def _cholesky_solve(a: list[list[float]], b: list[float]):
 
 def least_squares(model, data: DataSet, initial, bounds=None,
                   names: tuple[str, ...] | None = None,
-                  units: tuple[str, ...] = (), jacobian=None,
                   log=()) -> FitResult:
     """Damped Gauss-Newton fit of model(x, p) to the weighted data.
 
-    p reaches model as a list of floats.  log, if given, holds one flag per
+    p reaches model as a list of floats, and model returns (f, jac): f the
+    model values, and jac a zero-argument callable that gives d f / d p at
+    that p, shape (len(x), len(p)) and in p itself, or None, which means
+    central differences in the fitted parameters.  The solver applies the
+    chain rule for log parameters, and calls jac only for a candidate it
+    accepts, so a rejected candidate costs no Jacobian; the Jacobian serves
+    the next step and the covariance.  log, if given, holds one flag per
     parameter; a flagged parameter is fitted as log p, which keeps it
     positive.  initial, bounds, the returned values and the covariance are
     all in p itself: the covariance is mapped back once, with the delta
@@ -201,21 +188,13 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     flagged initial value must be positive; a lower bound of 0 on a flagged
     parameter is no bound.
 
-    jacobian, if given, is jacobian(x, p, f) -> d model / d p with shape
-    (len(x), len(p)), in p itself; f is model(x, p), which the solver
-    already holds, so the Jacobian need not evaluate the model again.  The
-    solver applies the chain rule for flagged parameters.  Without it the
-    Jacobian is taken by central differences in the fitted parameters.  It
-    is evaluated once per accepted step, right after the model evaluation
-    at the accepted parameters, and serves the next step and the
-    covariance; a rejected candidate costs no Jacobian.  bounds, if
-    given, is a (lower, upper) pair of arrays; a parameter on a bound that
-    the descent direction would cross is held for that step, and candidate
-    steps are projected onto the box.  Stops on an accepted step with relative
-    parameter change below 1e-9 or relative residual change below 1e-12,
-    or on a rejected step smaller than 1e-9 relative (a floating-point
-    minimum); after 200 iterations the best-so-far parameters are returned
-    with converged = False.
+    bounds, if given, is a (lower, upper) pair of arrays; a parameter on a
+    bound that the descent direction would cross is held for that step, and
+    candidate steps are projected onto the box.  Stops on an accepted step
+    with relative parameter change below 1e-9 or relative residual change
+    below 1e-12, or on a rejected step smaller than 1e-9 relative (a
+    floating-point minimum); after 200 iterations the best-so-far
+    parameters are returned with converged = False.
 
     numpy does the work on arrays of the data's length: the residual, the
     cost, J^T J, J^T r and the Jacobian's scaling.  The n-parameter
@@ -255,23 +234,23 @@ def least_squares(model, data: DataSet, initial, bounds=None,
 
     def evaluate(q):
         p = natural(q)
-        f = np.asarray(model(data.x, p), float)
-        return p, f, (data.y - f) * w
+        f, jac_of = model(data.x, p)
+        return p, jac_of, (data.y - np.asarray(f, float)) * w
 
-    def residual_jacobian(q, p, f, r):
-        if jacobian is None:
+    def residual_jacobian(q, p, jac_of, r):
+        if jac_of is None:
             return _numeric_jacobian(lambda v: evaluate(v.tolist())[2],
                                      np.array(q), r)
-        jac = np.asarray(jacobian(data.x, p, f), float)
+        jac = np.asarray(jac_of(), float)
         if any(flags):
             jac = jac * dp_dq(p)
         return jac * minus_w
 
-    p, f, r = evaluate(q)
+    p, jac_of, r = evaluate(q)
     if not np.isfinite(r).all():
         raise ValueError("model not evaluable at the initial parameters")
     cost = float(r @ r)
-    jac = residual_jacobian(q, p, f, r)
+    jac = residual_jacobian(q, p, jac_of, r)
     lam = 1e-3
     converged = False
     it = 0
@@ -299,7 +278,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         if bounds is not None:
             candidate = [min(max(c, l), h)
                          for c, (l, h) in zip(candidate, lo_hi)]
-        pc, fc, rc = evaluate(candidate)
+        pc, jac_of_c, rc = evaluate(candidate)
         cost_c = float(rc @ rc)
         if not math.isfinite(cost_c):
             cost_c = math.inf
@@ -307,8 +286,8 @@ def least_squares(model, data: DataSet, initial, bounds=None,
                   for c, v in zip(candidate, q)])
         if cost_c <= cost:
             dr = abs(cost - cost_c) / max(cost, 1e-300)
-            q, p, f, r, cost = candidate, pc, fc, rc, cost_c
-            jac = residual_jacobian(q, p, f, r)
+            q, p, r, cost = candidate, pc, rc, cost_c
+            jac = residual_jacobian(q, p, jac_of_c, r)
             lam /= 3.0
             if dp < _PTOL or dr < _RTOL:
                 converged = True
@@ -335,7 +314,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     return FitResult(names=tuple(names), values=np.array(p),
                      covariance=np.array(cov), correlation=_correlation(cov),
                      residual_norm=math.sqrt(cost),
-                     iterations=it, converged=converged, units=units)
+                     iterations=it, converged=converged)
 
 
 # --- specific fitting procedures -------------------------------------------
@@ -357,42 +336,38 @@ def fit_loading_rate(series: DataSet, window: float = 0.25) -> float:
     return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
-def fit_kappa(data: DataSet,
-              initial: tuple[float, float] | None = None) -> FitResult:
+def fit_kappa(data: DataSet) -> FitResult:
     """Fit the accumulation-efficiency curve for (beta_dd, beta_ed).
 
     Data abscissa is x = R V_MT / N_MOT^2 (m^3/s).  kappa solves
     4 beta_dd kappa^2 + beta_ed kappa = 2 x, which is linear in the two
     coefficients; the fit starts at the weighted linear least-squares
     solution of that equation over the data, or at (1e-17, 1e-15) m^3/s
-    if either coefficient comes out <= 0, unless initial is given.  Both
-    are fitted in log space for positivity.  The two parameters act on
-    opposite ends of the curve but both suppress kappa, so expect strong
-    negative correlation.
+    if either coefficient comes out <= 0.  Both are fitted in log space
+    for positivity.  The two parameters act on opposite ends of the curve
+    but both suppress kappa, so expect strong negative correlation.
     """
     if not (data.x > 0).all():
         raise ValueError("abscissa values must be positive")
-    if initial is None:
-        k, w = data.y, 1.0 / data.sigma_y
-        betas = np.linalg.lstsq(np.column_stack([4 * k * k, k]) * w[:, None],
-                                2 * data.x * w, rcond=None)[0]
-        initial = betas if (betas > 0).all() else (1e-17, 1e-15)
-    elif not (initial[0] > 0 and initial[1] > 0):
-        raise ValueError("initial guesses must be positive")
+    k, w = data.y, 1.0 / data.sigma_y
+    betas = np.linalg.lstsq(np.column_stack([4 * k * k, k]) * w[:, None],
+                            2 * data.x * w, rcond=None)[0]
+
+    def model(x, p):
+        kappa = kappa_of_abscissa(x, p[0], p[1])
+        return kappa, lambda: kappa_jacobian(x, p[0], p[1], kappa)
     return least_squares(
-        lambda x, p: kappa_of_abscissa(x, p[0], p[1]), data, initial,
-        names=("beta_dd", "beta_ed"), units=("m^3/s", "m^3/s"),
-        jacobian=lambda x, p, kappa: kappa_jacobian(x, p[0], p[1], kappa),
-        log=(True, True))
+        model, data, betas if (betas > 0).all() else (1e-17, 1e-15),
+        names=("beta_dd", "beta_ed"), log=(True, True))
 
 
-def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
+def fit_decay(series: DataSet, v: float) -> FitResult:
     """Fit the one- plus two-body decay curve for (gamma, beta_dd).
 
-    v is the occupied volume; n0 is N at t0, the earliest sample time, and
-    defaults to the earliest sample, so the model is
-    decay(n0, gamma, beta_dd, v, t - t0).  beta_dd is fitted in log space,
-    gamma linearly with a non-negativity bound.
+    v is the occupied volume; n0, N at t0, the earliest sample time, is
+    the earliest sample, so the model is decay(n0, gamma, beta_dd, v,
+    t - t0).  beta_dd is fitted in log space, gamma linearly with a
+    non-negativity bound.
     The rate equation integrated over the samples,
     y_i - n0 = -gamma int N dt - (2 beta_dd / V) int N^2 dt, is linear in
     the two coefficients; with trapezoid integrals of the samples, its
@@ -407,8 +382,7 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
         series = DataSet(series.x[order], series.y[order],
                          series.sigma_y[order])
     y = series.y
-    if n0 is None:
-        n0 = float(y[0])
+    n0 = float(y[0])
     if not n0 > 0:
         raise ValueError("n0 must be positive")
     t = series.x - series.x[0]
@@ -430,12 +404,10 @@ def fit_decay(series: DataSet, v: float, n0: float | None = None) -> FitResult:
     beta_min = math.exp(-200.0)
     beta0 = min(max(rate2 * v / (2 * n0), beta_min), 1.0)
 
-    model, jacobian = decay_fit_model(n0, v, t)
     return least_squares(
-        model, series, [max(gamma0, 0.0), beta0],
+        decay_fit_model(n0, v, t), series, [max(gamma0, 0.0), beta0],
         bounds=([0.0, beta_min], [math.inf, 1.0]),
-        names=("gamma", "beta_dd"), units=("1/s", "m^3/s"),
-        jacobian=jacobian, log=(False, True))
+        names=("gamma", "beta_dd"), log=(False, True))
 
 
 def fit_tof(series: DataSet, species: Species) -> FitResult:
@@ -468,18 +440,17 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
                      covariance=cov, correlation=_correlation(cov.tolist()),
                      residual_norm=float(np.linalg.norm(resid)),
                      iterations=1, converged=True,
-                     units=("m", "K"),
                      message="degenerate: fitted sigma0^2 < 0" if degenerate else "")
 
 
 def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
-                       species: Species, trap: IpTrapConfig,
-                       initial_temperature: float | None = None) -> FitResult:
+                       species: Species, trap: IpTrapConfig) -> FitResult:
     """Fit the projected trap profile for (n0, temperature, center_y, center_z).
 
     y, z are the grid coordinate vectors (m) and image the column density
     sampled on their outer product, shape (len(y), len(z)).  All three
     scale lengths derive from the single temperature given species + trap.
+    The fit starts at 100 uK.
     """
     from .cloud import ThermalCloud, column_density, scale_lengths
 
@@ -493,9 +464,6 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     if peak <= 0:
         raise ValueError("image contains no signal")
 
-    if initial_temperature is None:
-        initial_temperature = 100e-6
-
     def cloud_for(t_k, n0):
         xi1, xi2, sigma_z = scale_lengths(species, trap, t_k)
         return ThermalCloud(atom_number=1.0, temperature=t_k, xi1=xi1,
@@ -505,14 +473,15 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
         n0, t_k, y0, z0 = p
         cl = cloud_for(t_k, n0)
         # K1 runs on the len(y) radial offsets; broadcasting fills the grid
-        return column_density(cl, (y - y0)[:, None], (z - z0)[None, :]).ravel()
+        return column_density(cl, (y - y0)[:, None],
+                              (z - z0)[None, :]).ravel(), None
 
-    xi1_guess = scale_lengths(species, trap, initial_temperature)[0]
+    t_guess = 100e-6
+    xi1_guess = scale_lengths(species, trap, t_guess)[0]
     n0_guess = peak / (2 * xi1_guess)
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))
     return least_squares(model, flat,
-                         [n0_guess, initial_temperature, 0.0, 0.0],
+                         [n0_guess, t_guess, 0.0, 0.0],
                          names=("n0", "temperature", "center_y", "center_z"),
-                         units=("1/m^3", "K", "m", "m"),
                          log=(True, True, False, False))

@@ -16,8 +16,12 @@ _BLANK = " \t\n\r\v\f"
 
 def read_lines(path: str | Path) -> list[tuple[str, str]]:
     """('path:lineno', text) of each line left once comments and blanks go."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     lines = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip(_BLANK)
         if line:
             lines.append((f"{path}:{lineno}", line))
@@ -42,10 +46,18 @@ def key_values(items, known) -> dict[str, str]:
 
 def read_csv(path: str | Path
              ) -> tuple[list[str], list[tuple[str, list[str]]]]:
-    """Header cells, and ('path:lineno', cells) of each data row, stripped."""
+    """Header cells, and ('path:lineno', cells) of each data row, stripped.
+
+    A row with fewer cells than the header is padded with empty cells, so
+    a missing cell is read, and rejected with its line, like a blank one.
+    """
     rows = [(where, [c.strip(_BLANK) for c in line.split(",")])
             for where, line in read_lines(path)]
-    return (rows[0][1], rows[1:]) if rows else ([], [])
+    if not rows:
+        return [], []
+    width = len(rows[0][1])
+    return rows[0][1], [(where, cells + [""] * (width - len(cells)))
+                        for where, cells in rows[1:]]
 
 
 def number(text: str, where: str, integer: bool = False,

@@ -132,12 +132,12 @@ def kappa_curve(points: Sequence[LoadingScenario]) -> DataSet:
 
 def synthesize_measurements(scenario: LoadingScenario, kind: str,
                             noise: float = 0.0, seed: int = 0,
-                            points: int = 30,
-                            t_end: float | None = None) -> DataSet:
+                            points: int = 30) -> DataSet:
     """Forward-model data with multiplicative Gaussian noise.
 
-    kinds: loading_curve (t, N), decay_curve (t, N), tof_series (t, sigma),
-    kappa_points (R V/N^2, kappa).  Deterministic for a given seed.
+    kinds: loading_curve (t, N) over 10 tau_eff, decay_curve (t, N) over
+    150 s, tof_series (t, sigma), kappa_points (R V/N^2, kappa).
+    Deterministic for a given seed.
     """
     if not noise >= 0:
         raise ValueError("noise must be >= 0")
@@ -146,15 +146,12 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     n_inf = dynamics.steady_state(scenario)
 
     if kind == "loading_curve":
-        if t_end is None:
-            t_end = 10 * dynamics.effective_loading_time(n_inf, r)
+        t_end = 10 * dynamics.effective_loading_time(n_inf, r)
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
         x, y = t, n
         labels = ("t_s", "n_atoms")
     elif kind == "decay_curve":
-        if t_end is None:
-            t_end = 150.0
-        t = np.geomspace(0.05, t_end, points)
+        t = np.geomspace(0.05, 150.0, points)
         t[0] = 0.0  # anchor the initial atom number
         y = dynamics.decay(n_inf, scenario.coefficients.gamma_d,
                            scenario.coefficients.beta_dd, scenario.v_mt, t)

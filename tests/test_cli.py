@@ -380,6 +380,22 @@ def test_fit_rejects_non_finite_data(tmp_path, capfd, kind, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["bad cell", "short row"])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_FILES))
+def test_fit_error_names_data_file_once(tmp_path, capsys, kind, row):
+    # a row with a missing cell used to reach numpy as a ragged list, which
+    # exited with its "inhomogeneous shape" text, and a bad cell in an
+    # (x, y, sigma) file was reported as "<path>: <path>:<line>: ..."
+    text = NON_FINITE_FILES[kind]
+    text, bad = ((text.format(bad="abc"), "abc") if row == "bad cell"
+                 else (text.replace(",{bad}", ""), ""))
+    csv = tmp_path / "data.csv"
+    csv.write_text(text)
+    assert run("fit", kind, "--paper-defaults", "--data", str(csv)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}:4: not a finite number: '{bad}'\n")
+
+
 def test_fit_profile_with_non_positive_pixels(tmp_path):
     # noise in the wings of an image can leave pixels at or below zero;
     # the profile table is not read as (x, y, sigma) rows

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from cliptrap import cli, sweeps
 from cliptrap.cloud import (GaussianCloud, ThermalCloud, column_density,
                             effective_volume, make_thermal_cloud, mot_density,
                             mt_density, occupied_volume, scale_lengths,
@@ -279,19 +280,22 @@ class TestEffectiveVolume:
         assert effective_volume(self.MOT, c) == pytest.approx(oracle, rel=1e-5)
 
     def test_approximation_mode_is_trap_volume(self, cloud100):
-        assert effective_volume(self.MOT, cloud100, mode="approximation") \
-            == occupied_volume(cloud100)
+        # the CLI and the sweeps take V_eff = V_MT, the trap cloud's
+        # occupied volume, in place of the overlap integral
+        scen = cli.scenario_from_config(dict(cli.PAPER_DEFAULTS,
+                                             t_mt_uk="100"))
+        point = sweeps.scenario_at(scen, "radial_gradient", 0.125)
+        for s in (scen, point):
+            assert s.v_eff == s.v_mt
+            assert s.v_mt == pytest.approx(occupied_volume(cloud100),
+                                           rel=1e-12)
 
     def test_approximation_order_of_magnitude(self, cloud100):
         # small MOT inside the trap: the overlap volume is below the trap
         # volume but stays within one order of magnitude
         ratio = (effective_volume(self.MOT, cloud100)
-                 / effective_volume(self.MOT, cloud100, mode="approximation"))
+                 / occupied_volume(cloud100))
         assert 0.1 < ratio < 1.2
-
-    def test_unknown_mode(self, cloud100):
-        with pytest.raises(ValueError):
-            effective_volume(self.MOT, cloud100, mode="exact")
 
 
 class TestTofRadius:
