@@ -7,7 +7,8 @@ and scale from its lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK) to SI;
 it is the one place where config lab units are converted, and every
 layer below works in SI.  Exit codes: 0 success, 2 configuration or input
 error (among them an unknown key, NaN, inf, a fractional count, a volume
-<= 0 or a trap temperature < 0), 3 numerical failure.
+<= 0, a trap temperature < 0, a negative loss coefficient or MOT atom
+number, and a file that cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from . import dynamics, sweeps
 from .cloud import make_thermal_cloud, occupied_volume
 from .dynamics import LoadingScenario, RateCoefficients
-from .estimation import (DataSet, fit_decay, fit_kappa, fit_loading_rate,
-                         fit_tof)
+from .estimation import (DataSet, fit_column_profile, fit_decay, fit_kappa,
+                         fit_loading_rate, fit_tof)
 from .flatfile import key_values, number, read_csv, read_lines
 from .species import MotBeamParams, chromium_52, load_species
 from .trap import IpTrapConfig, majorana_safe
@@ -86,6 +87,10 @@ PAPER_DEFAULTS: dict[str, str] = {
 
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
+# Keys whose value must be >= 0.  The dataclasses they feed check that too,
+# but their messages cannot name the key.
+_NON_NEGATIVE = ("gamma_d_per_s", "beta_ed_cm3_per_s", "beta_dd_cm3_per_s",
+                 "n_mot")
 
 
 class ConfigError(Exception):
@@ -111,6 +116,8 @@ def _get(cfg: dict[str, str], name: str):
         return raw or None
     value = number(raw, f"config key {name}", integer=kind is int,
                    allow_inf=name == "mot_saturation")
+    if name in _NON_NEGATIVE and value < 0:
+        raise ConfigError(f"config key {name} must be >= 0: {raw!r}")
     return value * scale if kind is float else value
 
 
@@ -354,7 +361,6 @@ def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
     elif kind == "profile":
         scen = scenario_from_config(cfg)
         y, z, image = _read_profile_csv(data_path)
-        from .estimation import fit_column_profile
         res = fit_column_profile(y, z, image, scen.species, scen.trap)
         text = (
             f"temperature_uk = {res['temperature'] * 1e6:.6g}\n"
@@ -401,9 +407,12 @@ def _read_kappa_csv(path: str) -> DataSet:
 
 def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Long-format profile table: y_mm, z_mm, column_density columns."""
-    _, rows = read_csv(path)
+    header, rows = read_csv(path)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
+    if len(header) != 3:
+        raise ConfigError(f"{path}: expected 3 columns (y_mm, z_mm, "
+                          f"column_density), got {len(header)}")
     arr = np.asarray([[number(c, where) for c in cells]
                       for where, cells in rows], float)
     y = np.unique(arr[:, 0]) * 1e-3
@@ -457,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_synth(cfg, args.out)
         elif args.command == "fit":
             cmd_fit(cfg, args.kind, args.data, args.out)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

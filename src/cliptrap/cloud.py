@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import scaled_x_k1
+from .bessel import scaled_x_k0_k1
 from .species import BOLTZMANN, GRAVITY, Species
 from .trap import IpTrapConfig
 
@@ -159,18 +159,32 @@ def mt_density(cloud: ThermalCloud, x, y, z):
     return float(out) if out.ndim == 0 else out
 
 
-def column_density(cloud: ThermalCloud, y, z):
-    """Line-of-sight integral of mt_density along x, in closed form:
+def column_density_terms(cloud: ThermalCloud, y, z):
+    """(f, amp, uK0) of the line-of-sight integral of mt_density along x.
 
-    2 n0 xi1 * (|y|/xi1) K1(|y|/xi1) * exp(-y/xi2 - z^2/(2 sigma_z^2)),
-    with the removable y = 0 singularity replaced by its limit 2 n0 xi1.
+    In closed form, f = amp * uK1(u), with u = |y|/xi1 and
+    amp = 2 n0 xi1 exp(-y/xi2 - z^2/(2 sigma_z^2)); the removable y = 0
+    singularity is replaced by its limit uK1 = 1.  uK0(u) is the
+    derivative's factor, d(uK1)/du = -uK0, from the same Bessel pass.
+    Arrays of y and z broadcast against each other.
     """
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     inv2 = 0.0 if math.isinf(cloud.xi2) else 1.0 / cloud.xi2
-    radial = scaled_x_k1(np.abs(y) / cloud.xi1)
-    out = (2 * cloud.peak_density * cloud.xi1 * radial
-           * np.exp(-y * inv2 - z * z / (2 * cloud.sigma_z ** 2)))
+    uk0, uk1 = scaled_x_k0_k1(np.abs(y) / cloud.xi1)
+    scale = 2 * cloud.peak_density * cloud.xi1
+    gauss = np.exp(-y * inv2 - z * z / (2 * cloud.sigma_z ** 2))
+    return scale * uk1 * gauss, scale * gauss, uk0
+
+
+def column_density(cloud: ThermalCloud, y, z):
+    """Line-of-sight integral of mt_density along x, in closed form:
+
+    2 n0 xi1 * (|y|/xi1) K1(|y|/xi1) * exp(-y/xi2 - z^2/(2 sigma_z^2)),
+    with the removable y = 0 singularity replaced by its limit 2 n0 xi1
+    (see column_density_terms).
+    """
+    out = column_density_terms(cloud, y, z)[0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,12 +8,11 @@ A model returns its values and a callable for their Jacobian.  The kappa
 and decay fits start at the linear least-squares solution of their rate
 equation, which is linear in the loss coefficients, and return the
 analytic Jacobians of their closed-form models, built from what the model
-evaluation already computed; the column-profile fit, whose derivative
-would need K0 beside K1, returns None and gets central differences.  The
-solver's few-parameter bookkeeping runs on Python floats, with a small
-Cholesky solve; numpy does the work on data-length arrays.  Only
-statistical uncertainty is reported; systematic density calibration errors
-are outside the fitter's scope.
+evaluation already computed; so does the column-profile fit, from one
+K0/K1 pass.  The solver's few-parameter bookkeeping runs on Python
+floats, with a small Cholesky solve; numpy does the work on data-length
+arrays.  Only statistical uncertainty is reported; systematic density
+calibration errors are outside the fitter's scope.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .cloud import ThermalCloud, column_density_terms, scale_lengths
 from .dynamics import decay_fit_model, kappa_jacobian, kappa_of_abscissa
 from .flatfile import number, read_csv
 from .species import BOLTZMANN, Species
 from .trap import IpTrapConfig
 
 _MAX_ITER = 200
-_STEP_REL = 1e-6
 _STEP_ABS = 1e-12
 _PTOL = 1e-9
 _RTOL = 1e-12
@@ -104,28 +103,6 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[i, i], 0.0)))
 
 
-def _numeric_jacobian(fun, p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of fun at p, where fun(p) is r."""
-    jac = np.empty((r.size, p.size))
-    for i in range(p.size):
-        h = max(_STEP_REL * abs(p[i]), _STEP_ABS)
-        pp = p.copy()
-        pm = p.copy()
-        pp[i] += h
-        pm[i] -= h
-        jac[:, i] = (fun(pp) - fun(pm)) / (2 * h)
-    return jac
-
-
-def _covariance(jac: np.ndarray) -> np.ndarray:
-    a = jac.T @ jac
-    try:
-        cov = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(a)
-    return cov
-
-
 def _correlation(cov: list[list[float]]) -> np.ndarray:
     sig = [math.sqrt(max(row[i], 0.0)) for i, row in enumerate(cov)]
     return np.array([[min(max(c / (si * sj), -1.0), 1.0) if si * sj > 0
@@ -169,6 +146,27 @@ def _cholesky_solve(a: list[list[float]], b: list[float]):
     return y
 
 
+def _inverse(a: list[list[float]]) -> list[list[float]]:
+    """a^-1 for a symmetric a, column by column by Cholesky (a symmetric
+    inverse's columns are its rows); numpy's inv, or pinv if a is singular,
+    when a is not positive definite to rounding."""
+    n = len(a)
+    cols = [_cholesky_solve(a, [float(i == j) for i in range(n)])
+            for j in range(n)]
+    if None not in cols:
+        return cols
+    try:
+        return np.linalg.inv(a).tolist()
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(a).tolist()
+
+
+def _delta_method(cov: list[list[float]], scale: list[float]):
+    """The covariance of g(p) from that of p, for d g_i / d p_i = scale_i."""
+    return [[si * c * sj for c, sj in zip(row, scale)]
+            for row, si in zip(cov, scale)]
+
+
 def least_squares(model, data: DataSet, initial, bounds=None,
                   names: tuple[str, ...] | None = None,
                   log=()) -> FitResult:
@@ -176,8 +174,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
 
     p reaches model as a list of floats, and model returns (f, jac): f the
     model values, and jac a zero-argument callable that gives d f / d p at
-    that p, shape (len(x), len(p)) and in p itself, or None, which means
-    central differences in the fitted parameters.  The solver applies the
+    that p, shape (len(x), len(p)) and in p itself.  The solver applies the
     chain rule for log parameters, and calls jac only for a candidate it
     accepts, so a rejected candidate costs no Jacobian; the Jacobian serves
     the next step and the covariance.  log, if given, holds one flag per
@@ -237,10 +234,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         f, jac_of = model(data.x, p)
         return p, jac_of, (data.y - np.asarray(f, float)) * w
 
-    def residual_jacobian(q, p, jac_of, r):
-        if jac_of is None:
-            return _numeric_jacobian(lambda v: evaluate(v.tolist())[2],
-                                     np.array(q), r)
+    def residual_jacobian(p, jac_of):
         jac = np.asarray(jac_of(), float)
         if any(flags):
             jac = jac * dp_dq(p)
@@ -250,7 +244,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     if not np.isfinite(r).all():
         raise ValueError("model not evaluable at the initial parameters")
     cost = float(r @ r)
-    jac = residual_jacobian(q, p, jac_of, r)
+    jac = residual_jacobian(p, jac_of)
     lam = 1e-3
     converged = False
     it = 0
@@ -287,7 +281,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         if cost_c <= cost:
             dr = abs(cost - cost_c) / max(cost, 1e-300)
             q, p, r, cost = candidate, pc, rc, cost_c
-            jac = residual_jacobian(q, p, jac_of_c, r)
+            jac = residual_jacobian(p, jac_of_c)
             lam /= 3.0
             if dp < _PTOL or dr < _RTOL:
                 converged = True
@@ -300,16 +294,9 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         else:
             lam *= 10.0
 
-    # (J^T J)^-1 column by column, symmetric, so the columns are its rows
-    a = (jac.T @ jac).tolist()
-    cov = [_cholesky_solve(a, [float(i == j) for i in range(n)])
-           for j in range(n)]
-    if None in cov:
-        cov = _covariance(jac).tolist()
-    if any(flags):  # the delta method
-        scale = dp_dq(p)
-        cov = [[si * c * sj for c, sj in zip(row, scale)]
-               for row, si in zip(cov, scale)]
+    cov = _inverse((jac.T @ jac).tolist())
+    if any(flags):
+        cov = _delta_method(cov, dp_dq(p))
     names = names or tuple(f"p{i}" for i in range(n))
     return FitResult(names=tuple(names), values=np.array(p),
                      covariance=np.array(cov), correlation=_correlation(cov),
@@ -424,20 +411,20 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y, 1e-300)
     a = np.column_stack([np.ones_like(u), u]) * w[:, None]
     b = v * w
+    # lstsq for the coefficients: cond(A^T A) is 1e10 and more here
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    cov_lin = _covariance(a)
     intercept, slope = coef
     temperature = species.mass * slope / BOLTZMANN
     degenerate = intercept < 0
     sigma0 = math.sqrt(max(intercept, 0.0))
     # Delta method: d sigma0 / d intercept = 1 / (2 sigma0).
     d0 = 1.0 / (2 * sigma0) if sigma0 > 0 else 0.0
-    jac = np.diag([d0, species.mass / BOLTZMANN])
-    cov = jac @ cov_lin @ jac
+    cov = _delta_method(_inverse((a.T @ a).tolist()),
+                        [d0, species.mass / BOLTZMANN])
     resid = (v - (intercept + slope * u)) * w
     return FitResult(names=("sigma0", "temperature"),
                      values=np.array([sigma0, temperature]),
-                     covariance=cov, correlation=_correlation(cov.tolist()),
+                     covariance=np.array(cov), correlation=_correlation(cov),
                      residual_norm=float(np.linalg.norm(resid)),
                      iterations=1, converged=True,
                      message="degenerate: fitted sigma0^2 < 0" if degenerate else "")
@@ -450,10 +437,9 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     y, z are the grid coordinate vectors (m) and image the column density
     sampled on their outer product, shape (len(y), len(z)).  All three
     scale lengths derive from the single temperature given species + trap.
-    The fit starts at 100 uK.
+    The fit starts at 100 uK.  The model's Jacobian is exact, from the
+    K0/K1 pass of its values, with xi1, xi2 and sigma_z^2 proportional to T.
     """
-    from .cloud import ThermalCloud, column_density, scale_lengths
-
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     image = np.asarray(image, float)
@@ -464,17 +450,27 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     if peak <= 0:
         raise ValueError("image contains no signal")
 
-    def cloud_for(t_k, n0):
-        xi1, xi2, sigma_z = scale_lengths(species, trap, t_k)
-        return ThermalCloud(atom_number=1.0, temperature=t_k, xi1=xi1,
-                            xi2=xi2, sigma_z=sigma_z, peak_density=n0)
-
     def model(_x, p):
         n0, t_k, y0, z0 = p
-        cl = cloud_for(t_k, n0)
-        # K1 runs on the len(y) radial offsets; broadcasting fills the grid
-        return column_density(cl, (y - y0)[:, None],
-                              (z - z0)[None, :]).ravel(), None
+        xi1, xi2, sigma_z = scale_lengths(species, trap, t_k)
+        cl = ThermalCloud(atom_number=1.0, temperature=t_k, xi1=xi1,
+                          xi2=xi2, sigma_z=sigma_z, peak_density=n0)
+        # K0 and K1 run on the len(y) offsets y' = y - y0; broadcasting
+        # fills the grid.  f = amp * uK1(u), u = |y'| / xi1, and
+        # d(uK1)/du = -uK0.
+        dy = (y - y0)[:, None]
+        dz = (z - z0)[None, :]
+        f, amp, uk0 = column_density_terms(cl, dy, dz)
+
+        def jac():
+            amp_uk0 = amp * uk0
+            return np.column_stack([c.ravel() for c in (
+                f / n0,
+                (f * (1 + dy / xi2 + dz * dz / (2 * sigma_z ** 2))
+                 + amp_uk0 * (np.abs(dy) / xi1)) / t_k,
+                amp_uk0 * (np.sign(dy) / xi1) + f / xi2,
+                f * (dz / sigma_z ** 2))])
+        return f.ravel(), jac
 
     t_guess = 100e-6
     xi1_guess = scale_lengths(species, trap, t_guess)[0]

@@ -50,14 +50,22 @@ def read_csv(path: str | Path
 
     A row with fewer cells than the header is padded with empty cells, so
     a missing cell is read, and rejected with its line, like a blank one.
+    A row with more cells raises ValueError naming its line, unless the
+    header's last column is `error`, whose message (a failed sweep point's)
+    may hold commas.
     """
     rows = [(where, [c.strip(_BLANK) for c in line.split(",")])
             for where, line in read_lines(path)]
     if not rows:
         return [], []
-    width = len(rows[0][1])
-    return rows[0][1], [(where, cells + [""] * (width - len(cells)))
-                        for where, cells in rows[1:]]
+    header = rows[0][1]
+    width = len(header)
+    for where, cells in rows[1:]:
+        if len(cells) > width and header[-1] != "error":
+            raise ValueError(f"{where}: {len(cells)} cells, but the header "
+                             f"has {width}")
+    return header, [(where, cells + [""] * (width - len(cells)))
+                    for where, cells in rows[1:]]
 
 
 def number(text: str, where: str, integer: bool = False,

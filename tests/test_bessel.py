@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import k0, k1
 
-from cliptrap.bessel import bessel_k1, scaled_x_k1
+from cliptrap.bessel import _k0_k1, bessel_k1, scaled_x_k0_k1, scaled_x_k1
 
 
 def k1_integral_oracle(x: float) -> float:
@@ -15,6 +15,14 @@ def k1_integral_oracle(x: float) -> float:
     tmax = math.acosh(745.0 / x) + 1.0 if x < 745 else 1.0
     val, _ = quad(lambda t: math.exp(-x * math.cosh(t)) * math.cosh(t),
                   0.0, tmax, epsabs=0.0, epsrel=1e-13, limit=300)
+    return val
+
+
+def k0_integral_oracle(x: float) -> float:
+    """Independent route: K0(x) = int_0^inf exp(-x cosh t) dt."""
+    tmax = math.acosh(745.0 / x) + 1.0 if x < 745 else 1.0
+    val, _ = quad(lambda t: math.exp(-x * math.cosh(t)), 0.0, tmax,
+                  epsabs=0.0, epsrel=1e-13, limit=300)
     return val
 
 
@@ -211,3 +219,52 @@ def test_array_underflow_and_zero_limit():
     assert u[1] == pytest.approx(1.0, rel=1e-6)
     assert u[2] == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-15)
     assert u[3] == 0.0
+
+
+# --- K0, from the same pass ------------------------------------------------
+
+def k0_of(x):
+    return _k0_k1(np.asarray(x, float))[0]
+
+
+def test_k0_against_integral_representation_across_switch():
+    # a log grid from 0.01 to 30 and a fine one around the x = 2 switch
+    grid = np.concatenate([np.geomspace(0.01, 30, 60),
+                           np.linspace(1.9, 2.1, 21)])
+    oracle = np.array([k0_integral_oracle(float(x)) for x in grid])
+    assert np.allclose(k0_of(grid), oracle, rtol=1e-12, atol=0.0)
+
+
+def test_k0_against_scipy_across_switch():
+    grid = np.concatenate([np.geomspace(1e-10, 700, 20000),
+                           np.linspace(1.5, 2.5, 10001)])
+    assert np.allclose(k0_of(grid), k0(grid), rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(1.9, 2.1), dx=st.floats(0.0, 1e-6))
+@example(x=BELOW_TWO, dx=0.0)
+@example(x=BELOW_TWO, dx=2 * (2.0 - BELOW_TWO))  # series, then CF2
+@example(x=2.0, dx=1e-15)
+def test_property_k0_continuous_across_crossover(x, dx):
+    # as for K1: either side of the switch K0 matches scipy's to 1e-14,
+    # and the step between two arguments is the slope K0' = -K1 times
+    # their distance, to 1e-14 of K0 plus the curvature term (K0'' < 1)
+    y = x + dx
+    k = k0_of([x, y])
+    assert np.allclose(k, k0([x, y]), rtol=1e-14, atol=0.0)
+    assert abs((k[1] - k[0]) + k1(x) * (y - x)) <= 1e-14 * k[0] + (y - x) ** 2
+
+
+def test_scaled_pair_limits_and_values():
+    u = np.array([0.0, 1e-300, 1e-8, 0.5, 2.0, 30.0, 800.0])
+    uk0, uk1 = scaled_x_k0_k1(u)
+    assert uk0[0] == 0.0 and uk1[0] == 1.0
+    assert uk0[-1] == 0.0 and uk1[-1] == 0.0
+    assert np.allclose(uk0[1:-1], u[1:-1] * k0(u[1:-1]), rtol=1e-14, atol=0)
+    assert np.array_equal(uk1, scaled_x_k1(u))
+    pair = scaled_x_k0_k1(2.0)
+    assert all(type(v) is float for v in pair)
+    assert pair == (uk0[4], uk1[4])
+    with pytest.raises(ValueError):
+        scaled_x_k0_k1(np.array([1.0, -1.0]))

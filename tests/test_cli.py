@@ -419,3 +419,74 @@ def test_fit_profile_with_non_positive_pixels(tmp_path):
                "--out", str(fit_out)) == 0
     rep = read_report(fit_out)
     assert float(rep["temperature_uk"]) == pytest.approx(100.0, rel=0.02)
+
+
+def test_fit_tof_sigma_from_the_normal_equations(tmp_path, capsys):
+    # the covariance is the inverse of the weighted normal matrix A^T A,
+    # mapped to (sigma0, T) by the delta method: the printed sigmas are
+    # those of numpy's inverse to every digit
+    from cliptrap.species import BOLTZMANN, chromium_52
+
+    csv = tmp_path / "tof.csv"
+    assert run("synth", "--paper-defaults", "--set", "synth_kind=tof_series",
+               "--set", "synth_noise=0.03", "--seed", "11",
+               "--out", str(csv)) == 0
+    assert run("fit", "tof", "--paper-defaults", "--data", str(csv)) == 0
+    rep = dict(line.split(" = ") for line in
+               capsys.readouterr().out.splitlines())
+    data = DataSet.from_csv(csv)
+    w = 1.0 / (2.0 * np.abs(data.y) * data.sigma_y)
+    a = np.column_stack([np.ones_like(data.x), data.x ** 2]) * w[:, None]
+    cov = np.linalg.inv(a.T @ a)
+    sigma_t = chromium_52().mass / BOLTZMANN * np.sqrt(cov[1, 1])
+    assert rep["temperature_sigma_uk"] == f"{sigma_t * 1e6:.6g}"
+
+
+@pytest.mark.parametrize("flag", ["--data", "--out"])
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, flag):
+    # a directory given as the data file or the output file used to end in
+    # an IsADirectoryError traceback with exit code 1
+    where = tmp_path / "a_directory"
+    where.mkdir()
+    argv = (["fit", "decay", "--paper-defaults", "--data", str(where)]
+            if flag == "--data" else
+            ["predict", "--paper-defaults", "--out", str(where)])
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(where) in err
+    assert where.is_dir() and list(where.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
+
+
+def test_row_width_checked_against_the_header(tmp_path, capsys):
+    # a row longer than the header used to reach numpy as a ragged list,
+    # and a profile table of two columns ended in an IndexError traceback;
+    # a sweep's error message may still hold commas
+    csv = tmp_path / "decay.csv"
+    csv.write_text("t_s,n_atoms,sigma_n_atoms\n0,2e8,1\n1,1.4e8,1,9\n"
+                   "2,1.2e8,1\n5,8e7,1\n")
+    assert run("fit", "decay", "--paper-defaults", "--data", str(csv)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}:3: 4 cells, but the header has 3\n")
+
+    profile = tmp_path / "profile.csv"
+    profile.write_text("y_mm,z_mm\n-0.1,-1\n-0.1,1\n0.1,-1\n0.1,1\n")
+    assert run("fit", "profile", "--paper-defaults",
+               "--data", str(profile)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {profile}: expected 3 columns (y_mm, z_mm, "
+        "column_density), got 2\n")
+
+    sweep = tmp_path / "sweep.csv"
+    assert run("sweep", "--paper-defaults",
+               "--set", "sweep_values=1.0,8,10,12,14",
+               "--set", "sweep_outputs=kappa_abscissa,kappa",
+               "--out", str(sweep)) == 0
+    lines = sweep.read_text().splitlines()
+    lines[1] += ", with, commas"
+    sweep.write_text("\n".join(lines) + "\n")
+    fit_out = tmp_path / "fit.txt"
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(sweep),
+               "--out", str(fit_out)) == 0
+    assert float(read_report(fit_out)["beta_dd_cm3_per_s"]) == (
+        pytest.approx(1.3e-11, rel=1e-3))

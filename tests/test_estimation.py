@@ -20,9 +20,28 @@ def dataset(x, y, sigma=1.0):
     return DataSet(x, np.asarray(y, float), np.full(x.shape, sigma))
 
 
+def numeric_jacobian_reference(fun, p):
+    """Central differences of fun at p, steps of 1e-6 relative (at least
+    1e-12), the output sized by one more fun(p)."""
+    r0 = fun(p)
+    jac = np.empty((r0.size, p.size))
+    for i in range(p.size):
+        h = max(1e-6 * abs(p[i]), 1e-12)
+        pp = p.copy()
+        pm = p.copy()
+        pp[i] += h
+        pm[i] -= h
+        jac[:, i] = (fun(pp) - fun(pm)) / (2 * h)
+    return jac
+
+
 def numeric(f):
-    """f(x, p) as a least_squares model with a central-difference Jacobian."""
-    return lambda x, p: (f(x, p), None)
+    """f(x, p) as a least_squares model whose Jacobian callable takes
+    central differences of f in p."""
+    def model(x, p):
+        return f(x, p), lambda: numeric_jacobian_reference(
+            lambda v: np.asarray(f(x, v), float), np.array(p, float))
+    return model
 
 
 LINE = numeric(lambda x, p: p[0] + p[1] * x)
@@ -676,42 +695,29 @@ class TestFitTof:
                             np.array([1e-6])), CR)
 
 
-def numeric_jacobian_reference(fun, p):
-    """The central-difference Jacobian as it was, sized by one more fun(p)."""
-    r0 = fun(p)
-    jac = np.empty((r0.size, p.size))
-    for i in range(p.size):
-        h = max(1e-6 * abs(p[i]), 1e-12)
-        pp = p.copy()
-        pm = p.copy()
-        pp[i] += h
-        pm[i] -= h
-        jac[:, i] = (fun(pp) - fun(pm)) / (2 * h)
-    return jac
+def profile_model(monkeypatch, y, z, image):
+    """The model fit_column_profile hands least_squares, and the fit."""
+    models = []
+    real = estimation.least_squares
+
+    def spy(model, *args, **kwargs):
+        models.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "least_squares", spy)
+    res = fit_column_profile(y, z, image, CR, CFG)
+    assert len(models) == 1
+    return models[0], res
 
 
 class TestFitColumnProfile:
-    def test_numeric_jacobian_reuses_residual(self, monkeypatch):
-        # the 41 x 31 image of a command-line profile fit: each Jacobian
-        # costs 2 evaluations per parameter, and is bit-identical to the
-        # one that evaluated the residual again
-        numeric = estimation._numeric_jacobian
-        jacobians = []
-
-        def checked(fun, p, r):
-            calls = []
-
-            def counted(q):
-                calls.append(q)
-                return fun(q)
-            jac = numeric(counted, p, r)
-            assert len(calls) == 2 * p.size
-            assert np.array_equal(r, fun(p))
-            assert np.array_equal(jac, numeric_jacobian_reference(fun, p))
-            jacobians.append(jac)
-            return jac
-
-        monkeypatch.setattr(estimation, "_numeric_jacobian", checked)
+    def test_jacobian_matches_central_differences(self, monkeypatch):
+        # the 41 x 31 image of a command-line profile fit; at random
+        # (n0, T, y0, z0), every other draw with y0 on a pixel row, where
+        # y' = 0 and u K1 has its removable singularity, the analytic
+        # Jacobian matches central differences column by column; the
+        # differences' own rounding, 1e-16 xi1 / h, is about 1e-8 in the
+        # y0 column when y0 = 0 and the step h is 1e-12 m
         cl = cloud.make_thermal_cloud(CR, CFG, n=1e8, t=120e-6)
         y = np.linspace(-6, 6, 41) * cl.xi1
         z = np.linspace(-3, 3, 31) * cl.sigma_z
@@ -719,11 +725,21 @@ class TestFitColumnProfile:
                                      z[None, :])
         rng = np.random.default_rng(7)
         image = image * (1 + 0.015 * rng.standard_normal(image.shape))
-        res = fit_column_profile(y, z, image, CR, CFG)
+        model, res = profile_model(monkeypatch, y, z, image)
         assert res.converged
         assert res["temperature"] == pytest.approx(120e-6, rel=0.03)
-        assert len(jacobians) >= 2
-
+        for draw in range(40):
+            t_k = 120e-6 * rng.uniform(0.5, 2.0)
+            xi1, _, sigma_z = cloud.scale_lengths(CR, CFG, t_k)
+            y0 = (float(y[rng.integers(y.size)]) if draw % 2 else
+                  xi1 * rng.uniform(-1.0, 1.0))
+            p = [cl.peak_density * rng.uniform(0.5, 2.0), t_k, y0,
+                 sigma_z * rng.uniform(-1.0, 1.0)]
+            f, jac = model(None, p)
+            ref = numeric_jacobian_reference(
+                lambda v: model(None, v.tolist())[0], np.array(p))
+            err = np.abs(jac() - ref).max(axis=0) / np.abs(ref).max(axis=0)
+            assert np.all(err <= 1e-7), (draw, err)
 
     @staticmethod
     def forward(temperature=100e-6, scale=1.0, y_shift=0.0):

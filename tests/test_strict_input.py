@@ -180,6 +180,21 @@ def test_non_positive_override_rejected(key, value, command, tmp_path):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("key", ["gamma_d_per_s", "beta_ed_cm3_per_s",
+                                 "beta_dd_cm3_per_s", "n_mot"])
+def test_negative_rate_or_atom_number_names_key(key, tmp_path):
+    # the dataclass checks behind these keys said only "loss coefficients
+    # must be >= 0", or named the detuning for a negative n_mot
+    out = tmp_path / "out.txt"
+    code, stdout, err = run("predict", "--paper-defaults",
+                            "--set", f"{key}=-5", "--out", str(out))
+    assert code == 2
+    assert err == f"error: config key {key} must be >= 0: '-5'\n"
+    assert stdout == "" and not out.exists()
+    assert run("simulate", "--paper-defaults", "--set", f"{key}=0",
+               "--set", "samples=2")[0] == 0
+
+
 def test_blank_or_zero_still_computes():
     code, blank, _ = run("predict", "--paper-defaults", "--set", "v_mt_cm3=",
                          "--set", "v_eff_cm3=", "--set", "t_mt_uk=0")
