@@ -5,21 +5,21 @@ Configuration is a flat key = value text file ('#' comments allowed);
 built-in optimum operating point.  KEYS gives each key's type, default
 and scale from its lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK) to SI;
 it is the one place where config lab units are converted, and every
-layer below works in SI.  Exit codes: 0 success, 2 configuration or input
-error (among them an unknown key, NaN, inf, a fractional count, a volume
-<= 0, a trap temperature < 0, a negative loss coefficient or MOT atom
-number, and a file that cannot be read or written), 3 numerical failure.
+layer below works in SI.  COMMANDS and FITS name the subcommands and fit
+kinds.  Exit codes: 0 success, 2 configuration or input error (among them
+an unknown key, NaN, inf, a fractional count, a volume <= 0, a trap
+temperature < 0, a negative loss coefficient, an n_mot <= 0, and a file
+that cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,19 +87,14 @@ PAPER_DEFAULTS: dict[str, str] = {
 
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
-# Keys whose value must be >= 0.  The dataclasses they feed check that too,
-# but their messages cannot name the key.
-_NON_NEGATIVE = ("gamma_d_per_s", "beta_ed_cm3_per_s", "beta_dd_cm3_per_s",
-                 "n_mot")
+# Keys with a lower bound.  The dataclasses they feed check the sign too, but
+# cannot name the key.  eta = 0, not n_mot = 0, switches loading off.
+_LOWER_BOUND = {"gamma_d_per_s": ">= 0", "beta_ed_cm3_per_s": ">= 0",
+                "beta_dd_cm3_per_s": ">= 0", "n_mot": "> 0"}
 
 
 class ConfigError(Exception):
     """Bad configuration or input data."""
-
-
-def si_to_cm3(v: float) -> float:
-    """m^3 -> cm^3, for the reports."""
-    return v * 1e6
 
 
 def _get(cfg: dict[str, str], name: str):
@@ -116,8 +111,9 @@ def _get(cfg: dict[str, str], name: str):
         return raw or None
     value = number(raw, f"config key {name}", integer=kind is int,
                    allow_inf=name == "mot_saturation")
-    if name in _NON_NEGATIVE and value < 0:
-        raise ConfigError(f"config key {name} must be >= 0: {raw!r}")
+    bound = _LOWER_BOUND.get(name)
+    if bound and not (value > 0 or value == 0 and bound == ">= 0"):
+        raise ConfigError(f"config key {name} must be {bound}: {raw!r}")
     return value * scale if kind is float else value
 
 
@@ -222,41 +218,52 @@ def _csv(rows: list[list], header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- subcommands ------------------------------------------------------------
+def _report(rows: list[tuple]) -> str:
+    """`key = value` lines: floats to 6 significant digits, bools by str,
+    correlation to 4 decimals, and a note row as a `note: ...` line."""
+    lines = []
+    for key, value in rows:
+        if key == "note":
+            lines.append(f"note: {value}\n")
+        elif key == "correlation":
+            lines.append(f"{key} = {value:.4f}\n")
+        elif isinstance(value, float):
+            lines.append(f"{key} = {value:.6g}\n")
+        else:
+            lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
-def cmd_predict(cfg: dict[str, str], out: str | None) -> None:
+
+# --- subcommands ------------------------------------------------------------
+# Each returns its text, built from the checked config and the parsed args.
+
+def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
     r = dynamics.loading_rate(scen)
-    g_ed = dynamics.gamma_ed_loss(scen.n_mot_excited,
-                                  scen.coefficients.beta_ed, scen.v_eff)
     n_inf = dynamics.steady_state(scen)
-    kappa = dynamics.accumulation_efficiency(scen)
     cl_off = make_thermal_cloud(scen.species, scen.trap, n=1.0,
                                 t=scen.mt_temperature, include_gravity=False)
-    v_off = occupied_volume(cl_off)
-    tau = dynamics.effective_loading_time(n_inf, r) if r > 0 else math.inf
-    t_pred = dynamics.mt_temperature_prediction(scen.mot.temperature)
-    lines = [
-        f"loading_rate_atoms_per_s = {r:.6g}",
-        f"gamma_ed_per_s = {g_ed:.6g}",
-        f"v_mt_cm3 = {si_to_cm3(scen.v_mt):.6g}",
-        f"v_mt_cm3_no_gravity = {si_to_cm3(v_off):.6g}",
-        f"v_eff_cm3 = {si_to_cm3(scen.v_eff):.6g}",
-        f"n_steady_atoms = {n_inf:.6g}",
-        f"kappa = {kappa:.6g}",
-        f"tau_eff_s = {tau:.6g}",
-        f"t_mt_virial_prediction_uk = {t_pred * 1e6:.6g}",
-        f"majorana_safe = {majorana_safe(scen.trap)}",
-    ]
-    _write_atomic(out, "\n".join(lines) + "\n")
+    return _report([
+        ("loading_rate_atoms_per_s", r),
+        ("gamma_ed_per_s", dynamics.gamma_ed_loss(
+            scen.n_mot_excited, scen.coefficients.beta_ed, scen.v_eff)),
+        ("v_mt_cm3", scen.v_mt * 1e6),
+        ("v_mt_cm3_no_gravity", occupied_volume(cl_off) * 1e6),
+        ("v_eff_cm3", scen.v_eff * 1e6),
+        ("n_steady_atoms", n_inf),
+        ("kappa", dynamics.accumulation_efficiency(scen)),
+        ("tau_eff_s", dynamics.effective_loading_time(n_inf, r)),
+        ("t_mt_virial_prediction_uk",
+         dynamics.mt_temperature_prediction(scen.mot.temperature) * 1e6),
+        ("majorana_safe", majorana_safe(scen.trap)),
+    ])
 
 
-def cmd_simulate(cfg: dict[str, str], out: str | None) -> None:
+def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
     t, n = dynamics.evolve(scen, _get(cfg, "n0_atoms"), _get(cfg, "t_end_s"),
                            _get(cfg, "samples"))
-    _write_atomic(out, _csv([[ti, ni] for ti, ni in zip(t, n)],
-                            ["t_s", "n_atoms"]))
+    return _csv([[ti, ni] for ti, ni in zip(t, n)], ["t_s", "n_atoms"])
 
 
 _SWEPT_KEY = {  # swept parameter -> (key giving its SI scale, CSV unit)
@@ -266,7 +273,7 @@ _SWEPT_KEY = {  # swept parameter -> (key giving its SI scale, CSV unit)
 }
 
 
-def cmd_sweep(cfg: dict[str, str], out: str | None) -> None:
+def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     for name in ("v_mt_cm3", "v_eff_cm3"):
         if _get(cfg, name) is not None:
             raise ConfigError(f"config key {name} cannot be given to a sweep, "
@@ -296,81 +303,19 @@ def cmd_sweep(cfg: dict[str, str], out: str | None) -> None:
     rows = sweeps.run_sweep(sweeps.SweepSpec(
         swept_parameter=parameter, values=[v * scale for v in values_b],
         base_scenario=scen, outputs=outputs, n_mot_per_point=n_mot_pp))
-
-    header = [f"{parameter}_{unit_name}"] + list(outputs) + ["error"]
-    csv_rows = []
-    for vb, row in zip(values_b, rows):
-        cells: list = [float(vb)]
-        for name in outputs:
-            v = row[name]
-            if name == "v_mt" and isinstance(v, float):
-                v = si_to_cm3(v)
-            cells.append(v)
-        cells.append(row["error"])
-        csv_rows.append(cells)
-    _write_atomic(out, _csv(csv_rows, header))
+    return _csv([[float(vb)]
+                 + [row[n] * 1e6 if n == "v_mt" else row[n] for n in outputs]
+                 + [row["error"]] for vb, row in zip(values_b, rows)],
+                [f"{parameter}_{unit_name}", *outputs, "error"])
 
 
-def cmd_synth(cfg: dict[str, str], out: str | None) -> None:
+def cmd_synth(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
     data = sweeps.synthesize_measurements(
         scen, _get(cfg, "synth_kind"), noise=_get(cfg, "synth_noise"),
         seed=_get(cfg, "seed"), points=_get(cfg, "synth_points"))
-    _write_atomic(out, _csv(
-        [[x, y, s] for x, y, s in zip(data.x, data.y, data.sigma_y)],
-        [data.x_label, data.y_label, f"sigma_{data.y_label}"]))
-
-
-def cmd_fit(cfg: dict[str, str], kind: str, data_path: str,
-            out: str | None) -> None:
-    if not data_path:
-        raise ConfigError("fit requires --data PATH")
-    # each reader names the data file in its own errors
-    if kind == "kappa":
-        data = _read_kappa_csv(data_path)
-    elif kind != "profile":  # a profile table is no (x, y, sigma) list
-        data = DataSet.from_csv(data_path)
-
-    if kind == "loading-rate":
-        rate = fit_loading_rate(data, _get(cfg, "fit_window_s"))
-        text = f"loading_rate_atoms_per_s = {rate:.6g}\n"
-    elif kind == "kappa":
-        res = fit_kappa(data)
-        text = (
-            f"beta_dd_cm3_per_s = {si_to_cm3(res['beta_dd']):.6g}\n"
-            f"beta_dd_sigma_cm3_per_s = {si_to_cm3(res.sigma('beta_dd')):.6g}\n"
-            f"beta_ed_cm3_per_s = {si_to_cm3(res['beta_ed']):.6g}\n"
-            f"beta_ed_sigma_cm3_per_s = {si_to_cm3(res.sigma('beta_ed')):.6g}\n"
-            f"correlation = {res.correlation[0, 1]:.4f}\n"
-            f"converged = {res.converged}\n")
-    elif kind == "decay":
-        res = fit_decay(data, scenario_from_config(cfg).v_mt)
-        text = (
-            f"gamma_per_s = {res['gamma']:.6g}\n"
-            f"gamma_sigma_per_s = {res.sigma('gamma'):.6g}\n"
-            f"beta_dd_cm3_per_s = {si_to_cm3(res['beta_dd']):.6g}\n"
-            f"beta_dd_sigma_cm3_per_s = {si_to_cm3(res.sigma('beta_dd')):.6g}\n"
-            f"converged = {res.converged}\n")
-    elif kind == "tof":
-        res = fit_tof(data, _species(cfg))
-        text = (
-            f"temperature_uk = {res['temperature'] * 1e6:.6g}\n"
-            f"temperature_sigma_uk = {res.sigma('temperature') * 1e6:.6g}\n"
-            f"sigma0_mm = {res['sigma0'] * 1e3:.6g}\n"
-            + (f"note: {res.message}\n" if res.message else ""))
-    elif kind == "profile":
-        scen = scenario_from_config(cfg)
-        y, z, image = _read_profile_csv(data_path)
-        res = fit_column_profile(y, z, image, scen.species, scen.trap)
-        text = (
-            f"temperature_uk = {res['temperature'] * 1e6:.6g}\n"
-            f"peak_density_per_cm3 = {res['n0'] * 1e-6:.6g}\n"
-            f"center_y_mm = {res['center_y'] * 1e3:.6g}\n"
-            f"center_z_mm = {res['center_z'] * 1e3:.6g}\n"
-            f"converged = {res.converged}\n")
-    else:
-        raise ConfigError(f"unknown fit kind: {kind}")
-    _write_atomic(out, text)
+    return _csv([[x, y, s] for x, y, s in zip(data.x, data.y, data.sigma_y)],
+                [data.x_label, data.y_label, f"sigma_{data.y_label}"])
 
 
 def _read_kappa_csv(path: str) -> DataSet:
@@ -427,16 +372,77 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, z, image
 
 
+# --- fit kinds: read the data file, fit, return the report rows -------------
+# Each reader names the data file in its own errors.  The fits are called by
+# module-global name, so a wrapper installed on this module sees them.
+
+def _fit_loading_rate(cfg: dict[str, str], path: str) -> list[tuple]:
+    rate = fit_loading_rate(DataSet.from_csv(path), _get(cfg, "fit_window_s"))
+    return [("loading_rate_atoms_per_s", rate)]
+
+
+def _fit_kappa(cfg: dict[str, str], path: str) -> list[tuple]:
+    res = fit_kappa(_read_kappa_csv(path))
+    return [("beta_dd_cm3_per_s", res["beta_dd"] * 1e6),
+            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd") * 1e6),
+            ("beta_ed_cm3_per_s", res["beta_ed"] * 1e6),
+            ("beta_ed_sigma_cm3_per_s", res.sigma("beta_ed") * 1e6),
+            ("correlation", res.correlation[0, 1]),
+            ("converged", res.converged)]
+
+
+def _fit_decay(cfg: dict[str, str], path: str) -> list[tuple]:
+    res = fit_decay(DataSet.from_csv(path), scenario_from_config(cfg).v_mt)
+    return [("gamma_per_s", res["gamma"]),
+            ("gamma_sigma_per_s", res.sigma("gamma")),
+            ("beta_dd_cm3_per_s", res["beta_dd"] * 1e6),
+            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd") * 1e6),
+            ("converged", res.converged)]
+
+
+def _fit_tof(cfg: dict[str, str], path: str) -> list[tuple]:
+    res = fit_tof(DataSet.from_csv(path), _species(cfg))
+    return [("temperature_uk", res["temperature"] * 1e6),
+            ("temperature_sigma_uk", res.sigma("temperature") * 1e6),
+            ("sigma0_mm", res["sigma0"] * 1e3),
+            *([("note", res.message)] if res.message else [])]
+
+
+def _fit_profile(cfg: dict[str, str], path: str) -> list[tuple]:
+    scen = scenario_from_config(cfg)
+    y, z, image = _read_profile_csv(path)
+    res = fit_column_profile(y, z, image, scen.species, scen.trap)
+    return [("temperature_uk", res["temperature"] * 1e6),
+            ("peak_density_per_cm3", res["n0"] * 1e-6),
+            ("center_y_mm", res["center_y"] * 1e3),
+            ("center_z_mm", res["center_z"] * 1e3),
+            ("converged", res.converged)]
+
+
+FITS: dict[str, Callable[[dict[str, str], str], list[tuple]]] = {
+    "loading-rate": _fit_loading_rate, "kappa": _fit_kappa,
+    "decay": _fit_decay, "tof": _fit_tof, "profile": _fit_profile}
+
+
+def cmd_fit(cfg: dict[str, str], args: argparse.Namespace) -> str:
+    if not args.data:
+        raise ConfigError("fit requires --data PATH")
+    return _report(FITS[args.kind](cfg, args.data))
+
+
 # --- entry point ------------------------------------------------------------
+
+COMMANDS: dict[str, Callable[[dict[str, str], argparse.Namespace], str]] = {
+    "predict": cmd_predict, "simulate": cmd_simulate, "sweep": cmd_sweep,
+    "synth": cmd_synth, "fit": cmd_fit}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliptrap",
         description="Continuously loaded Ioffe-Pritchard trap toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_data in (("predict", False), ("simulate", False),
-                             ("sweep", False), ("synth", False),
-                             ("fit", True)):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--paper-defaults", action="store_true",
@@ -445,9 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a config key")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if needs_data:
-            p.add_argument("kind", choices=("loading-rate", "kappa", "decay",
-                                            "tof", "profile"))
+        if command is cmd_fit:
+            p.add_argument("kind", choices=FITS)
             p.add_argument("--data", default=None, help="input data CSV")
     return parser
 
@@ -455,17 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "predict":
-            cmd_predict(cfg, args.out)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, args.out)
-        elif args.command == "sweep":
-            cmd_sweep(cfg, args.out)
-        elif args.command == "synth":
-            cmd_synth(cfg, args.out)
-        elif args.command == "fit":
-            cmd_fit(cfg, args.kind, args.data, args.out)
+        text = COMMANDS[args.command](build_config(args), args)
+        _write_atomic(args.out, text)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

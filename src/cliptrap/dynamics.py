@@ -222,10 +222,10 @@ def kappa_abscissa(scenario: LoadingScenario) -> float:
 
 
 def effective_loading_time(n_mt: float, r: float) -> float:
-    """tau = N_MT / R, the single-number loss measure."""
-    if not r > 0:
-        raise ValueError("loading rate must be positive")
-    return n_mt / r
+    """tau = N_MT / R, the single-number loss measure; inf when R = 0."""
+    if not r >= 0:
+        raise ValueError("loading rate must be >= 0")
+    return n_mt / r if r > 0 else math.inf
 
 
 def _decay_times(n0: float, v: float, t) -> np.ndarray:

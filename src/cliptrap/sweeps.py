@@ -20,8 +20,22 @@ from .estimation import DataSet
 from .trap import majorana_safe
 
 SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
-OUTPUTS = ("n_mot", "n_mt_steady", "loading_rate", "tau_eff", "v_mt",
-           "kappa", "kappa_abscissa", "t_mt_prediction", "majorana_safe")
+# Each sweep output of one point, from its scenario; `get` returns another
+# output of the same point, computed at most once.
+_FORMULAS = {
+    "n_mot": lambda scen, get: scen.mot.n_mot,
+    "n_mt_steady": lambda scen, get: dynamics.steady_state(scen),
+    "loading_rate": lambda scen, get: dynamics.loading_rate(scen),
+    "tau_eff": lambda scen, get: dynamics.effective_loading_time(
+        get("n_mt_steady"), get("loading_rate")),
+    "v_mt": lambda scen, get: scen.v_mt,
+    "kappa": lambda scen, get: dynamics.accumulation_efficiency(scen),
+    "kappa_abscissa": lambda scen, get: dynamics.kappa_abscissa(scen),
+    "t_mt_prediction": lambda scen, get: dynamics.mt_temperature_prediction(
+        scen.mot.temperature),
+    "majorana_safe": lambda scen, get: majorana_safe(scen.trap),
+}
+OUTPUTS = tuple(_FORMULAS)
 
 
 @dataclass(frozen=True)
@@ -76,26 +90,13 @@ def scenario_at(base: LoadingScenario, parameter: str, value: float,
 
 def _row_outputs(scenario: LoadingScenario, outputs: Sequence[str]) -> dict:
     row: dict[str, float | bool] = {}
-    lazy = {
-        "n_mot": lambda: scenario.mot.n_mot,
-        "n_mt_steady": lambda: dynamics.steady_state(scenario),
-        "loading_rate": lambda: dynamics.loading_rate(scenario),
-        "tau_eff": lambda: dynamics.effective_loading_time(
-            value("n_mt_steady"), value("loading_rate")),
-        "v_mt": lambda: scenario.v_mt,
-        "kappa": lambda: dynamics.accumulation_efficiency(scenario),
-        "kappa_abscissa": lambda: dynamics.kappa_abscissa(scenario),
-        "t_mt_prediction": lambda: dynamics.mt_temperature_prediction(
-            scenario.mot.temperature),
-        "majorana_safe": lambda: majorana_safe(scenario.trap),
-    }
 
-    def value(name: str):
+    def get(name: str):
         if name not in row:
-            row[name] = lazy[name]()
+            row[name] = _FORMULAS[name](scenario, get)
         return row[name]
 
-    return {name: value(name) for name in outputs}
+    return {name: get(name) for name in outputs}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -146,6 +147,8 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     n_inf = dynamics.steady_state(scenario)
 
     if kind == "loading_curve":
+        if not r > 0:
+            raise ValueError("a loading curve needs a loading rate > 0")
         t_end = 10 * dynamics.effective_loading_time(n_inf, r)
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
         x, y = t, n

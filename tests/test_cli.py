@@ -1,6 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+from cliptrap import cli
 from cliptrap.cli import main
 from cliptrap.estimation import DataSet
 
@@ -29,6 +33,21 @@ class TestPredict:
         assert 1e8 <= float(rep["n_steady_atoms"]) <= 6e8
         assert rep["majorana_safe"] == "False"
         assert float(rep["t_mt_virial_prediction_uk"]) == pytest.approx(52.5)
+
+    def test_paper_defaults_report_is_pinned(self, capsys):
+        # every line's key, unit and digits, byte for byte
+        assert run("predict", "--paper-defaults") == 0
+        assert capsys.readouterr().out == (
+            "loading_rate_atoms_per_s = 9.46248e+07\n"
+            "gamma_ed_per_s = 0.271814\n"
+            "v_mt_cm3 = 0.00551847\n"
+            "v_mt_cm3_no_gravity = 0.00539624\n"
+            "v_eff_cm3 = 0.00551847\n"
+            "n_steady_atoms = 1.15778e+08\n"
+            "kappa = 23.1556\n"
+            "tau_eff_s = 1.22355\n"
+            "t_mt_virial_prediction_uk = 52.5\n"
+            "majorana_safe = False\n")
 
     def test_offset_forty_milligauss_safe(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -166,6 +185,21 @@ class TestSweep:
                    "--set", "sweep_values=10,12.5",
                    "--set", f"sweep_nmot_csv={nmot}") == 2
 
+    def test_zero_loading_rate_points_hold_values(self, tmp_path):
+        # no loading is no point error: tau_eff = N/R is inf at R = 0, the
+        # value predict prints, and the other outputs are filled in
+        csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--paper-defaults", "--set", "eta=0",
+                   "--set", "sweep_points=2", "--out", str(csv)) == 0
+        header, *rows = [ln.split(",") for ln in csv.read_text().splitlines()]
+        assert len(rows) == 2
+        for cells in (dict(zip(header, row)) for row in rows):
+            assert cells["error"] == ""
+            assert float(cells["n_mot"]) == 5e6
+            assert float(cells["v_mt"]) > 0
+            assert float(cells["kappa"]) == 0
+            assert float(cells["tau_eff"]) == math.inf
+
     def test_bad_sweep_parameter(self):
         assert run("sweep", "--paper-defaults",
                    "--set", "sweep_parameter=detuning",
@@ -251,6 +285,8 @@ class TestSynthAndFit:
         assert abs(float(rep["beta_dd_cm3_per_s"]) - 1.3e-11) < 0.3 * 1.3e-11
         assert abs(float(rep["beta_ed_cm3_per_s"]) - 6e-10) < 0.3 * 6e-10
         assert abs(float(rep["correlation"])) > 0.5
+        assert re.fullmatch(r"-?[01]\.\d{4}", rep["correlation"])
+        assert rep["converged"] == "True"
 
     @pytest.mark.parametrize("row,bad", [("abc,1,2", "abc"),
                                          ("1e-20,nan,0.1", "nan"),
@@ -490,3 +526,78 @@ def test_row_width_checked_against_the_header(tmp_path, capsys):
                "--out", str(fit_out)) == 0
     assert float(read_report(fit_out)["beta_dd_cm3_per_s"]) == (
         pytest.approx(1.3e-11, rel=1e-3))
+
+
+def test_fit_tof_degenerate_note_line(tmp_path, capsys):
+    # sigma^2 = (kT/m) t^2 - 1e-9 m^2 fits a negative sigma0^2: the report
+    # gives sigma0 = 0 and ends with a note line
+    t = np.linspace(1e-3, 8e-3, 8)
+    s = np.sqrt(0.05 ** 2 * t ** 2 - 1e-9)
+    csv = tmp_path / "tof.csv"
+    csv.write_text("t_s,sigma_m,sigma_sigma_m\n" + "".join(
+        f"{a:.6g},{b:.10g},{b * 0.01:.10g}\n" for a, b in zip(t, s)))
+    assert run("fit", "tof", "--paper-defaults", "--data", str(csv)) == 0
+    assert capsys.readouterr().out == (
+        "temperature_uk = 15.6354\n"
+        "temperature_sigma_uk = 0.124875\n"
+        "sigma0_mm = 0\n"
+        "note: degenerate: fitted sigma0^2 < 0\n")
+
+
+SYNTH_KINDS = ("kappa_points", "decay_curve", "tof_series", "loading_curve")
+FIT_DATA = {"loading-rate": "loading_curve", "kappa": "kappa_points",
+            "decay": "decay_curve", "tof": "tof_series", "profile": "profile"}
+
+
+@pytest.fixture(scope="module")
+def fit_data(tmp_path_factory):
+    """One data file per FIT_DATA entry, from synth and a profile table."""
+    from cliptrap.cloud import column_density, make_thermal_cloud
+    from cliptrap.species import chromium_52
+    from cliptrap.trap import IpTrapConfig
+
+    d = tmp_path_factory.mktemp("fit_data")
+    for kind in SYNTH_KINDS:
+        assert run("synth", "--paper-defaults", "--set", f"synth_kind={kind}",
+                   "--set", "synth_points=200", "--seed", "3",
+                   "--out", str(d / f"{kind}.csv")) == 0
+    cl = make_thermal_cloud(chromium_52(), IpTrapConfig(0.125, 10.5),
+                            n=1e8, t=100e-6)
+    lines = ["y_mm,z_mm,column_density"]
+    for ym in np.linspace(-0.8, 0.8, 9):
+        for zm in np.linspace(-5.0, 5.0, 7):
+            val = column_density(cl, ym * 1e-3, zm * 1e-3)
+            lines.append(f"{ym:.6g},{zm:.6g},{val:.10g}")
+    (d / "profile.csv").write_text("\n".join(lines) + "\n")
+    return d
+
+
+def _every_command():
+    """Arguments for each subcommand, each synth kind and each fit kind."""
+    for name in cli.COMMANDS:
+        if name == "synth":
+            yield from ([name, "--set", f"synth_kind={kind}"]
+                        for kind in SYNTH_KINDS)
+        elif name == "fit":
+            yield from ([name, kind] for kind in cli.FITS)
+        else:
+            yield [name]
+
+
+@pytest.mark.parametrize("argv", list(_every_command()), ids=" ".join)
+def test_stdout_equals_out_file_and_repeats(argv, fit_data, tmp_path,
+                                            capsysbinary):
+    # every command's text goes through one writer: the --out file holds
+    # stdout's bytes, and the same seed gives the same bytes (criterion 12)
+    if argv[0] == "fit":
+        argv = [*argv, "--data", str(fit_data / f"{FIT_DATA[argv[1]]}.csv")]
+    argv = [*argv, "--paper-defaults", "--seed", "5",
+            "--set", "sweep_points=3"]
+    out = tmp_path / "out.txt"
+    assert run(*argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert run(*argv, "--out", str(out)) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert run(*argv) == 0
+    assert capsysbinary.readouterr().out == stdout == out.read_bytes()
+    assert stdout.endswith(b"\n")

@@ -457,8 +457,11 @@ class TestEffectiveLoadingTime:
             2e8, 1e8)
 
     def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            effective_loading_time(1e8, 0.0)
+        # no loading never fills the trap; a negative or NaN rate is an error
+        assert effective_loading_time(0.0, 0.0) == math.inf
+        for r in (-1e8, math.nan):
+            with pytest.raises(ValueError):
+                effective_loading_time(1e8, r)
 
 
 class TestDecay:

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cliptrap import cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = r'''
@@ -71,5 +73,10 @@ def test_no_command_loads_scipy(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert len(report) == 1 + 3 + 4 + 5
     assert report == {step: [0, []] for step in report}
+    # a new subcommand or fit kind cannot skip this check
+    commands = {step.split()[0] for step in report} - {"import"}
+    assert commands == set(cli.COMMANDS)
+    assert {step.split()[1] for step in report
+            if step.startswith("fit ")} == set(cli.FITS)
+    assert len(report) == 1 + 3 + 4 + len(cli.FITS)

@@ -184,15 +184,19 @@ def test_non_positive_override_rejected(key, value, command, tmp_path):
                                  "beta_dd_cm3_per_s", "n_mot"])
 def test_negative_rate_or_atom_number_names_key(key, tmp_path):
     # the dataclass checks behind these keys said only "loss coefficients
-    # must be >= 0", or named the detuning for a negative n_mot
+    # must be >= 0", or named the detuning for a negative n_mot; n_mot = 0
+    # divided by zero in kappa = N/N_MOT and exited 3
+    bound, bad = (("> 0", ["-5", "0"]) if key == "n_mot"
+                  else (">= 0", ["-5"]))
     out = tmp_path / "out.txt"
-    code, stdout, err = run("predict", "--paper-defaults",
-                            "--set", f"{key}=-5", "--out", str(out))
-    assert code == 2
-    assert err == f"error: config key {key} must be >= 0: '-5'\n"
-    assert stdout == "" and not out.exists()
+    for value in bad:
+        code, stdout, err = run("predict", "--paper-defaults",
+                                "--set", f"{key}={value}", "--out", str(out))
+        assert code == 2
+        assert err == f"error: config key {key} must be {bound}: '{value}'\n"
+        assert stdout == "" and not out.exists()
     assert run("simulate", "--paper-defaults", "--set", f"{key}=0",
-               "--set", "samples=2")[0] == 0
+               "--set", "samples=2")[0] == (2 if key == "n_mot" else 0)
 
 
 def test_blank_or_zero_still_computes():
