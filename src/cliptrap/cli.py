@@ -72,8 +72,7 @@ KEYS: dict[str, Key] = {
     "sweep_points": Key(int, "10"),
     "sweep_values": Key(str, ""),
     "sweep_nmot_csv": Key(str, ""),
-    "sweep_outputs": Key(str,
-                         "n_mot,n_mt_steady,loading_rate,tau_eff,v_mt,kappa"),
+    "sweep_outputs": Key(str, ",".join(sweeps.DEFAULT_OUTPUTS)),
     "synth_kind": Key(str, "kappa_points"),
     "synth_noise": Key(float, "0.0", 1.0, "0.1"),
     "synth_points": Key(int, "30"),
@@ -266,7 +265,8 @@ def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
     return _csv([[ti, ni] for ti, ni in zip(t, n)], ["t_s", "n_atoms"])
 
 
-_SWEPT_KEY = {  # swept parameter -> (key giving its SI scale, CSV unit)
+# Each of sweeps.SWEEPABLE -> (the key that gives its SI scale, CSV unit).
+_SWEPT_UNIT = {
     "radial_gradient": ("b_prime_g_per_cm", "g_per_cm"),
     "axial_curvature": ("b_dprime_g_per_cm2", "g_per_cm2"),
     "offset_field": ("b0_mg", "mg"),
@@ -280,10 +280,10 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
                               "which computes it at every point")
     scen = scenario_from_config(cfg)
     parameter = _get(cfg, "sweep_parameter")
-    if parameter not in _SWEPT_KEY:
-        raise ConfigError(f"sweep_parameter must be one of {sorted(_SWEPT_KEY)}")
-    key, unit_name = _SWEPT_KEY[parameter]
-    scale = KEYS[key].scale
+    # SweepSpec rejects a name outside sweeps.SWEEPABLE; until then, such a
+    # name has no unit and its values are taken as they are
+    key, unit_name = _SWEPT_UNIT.get(parameter, (None, ""))
+    scale = KEYS[key].scale if key else 1.0
     if listed := _get(cfg, "sweep_values"):
         values_b = [number(v, "config key sweep_values")
                     for v in listed.split(",")]

@@ -152,8 +152,8 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     """
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite: {t_end!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     r, gamma, beta, v = _rates(scenario)
@@ -235,8 +235,8 @@ def _decay_times(n0: float, v: float, t) -> np.ndarray:
     if not v > 0:
         raise ValueError("v must be positive")
     t = np.asarray(t, float)
-    if not (t >= 0).all():
-        raise ValueError("t must be >= 0")
+    if not ((t >= 0) & (t < math.inf)).all():
+        raise ValueError("t must be finite and >= 0")
     return t
 
 

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from cliptrap import cli
+from cliptrap import cli, sweeps
 from cliptrap.cli import main
 from cliptrap.estimation import DataSet
+from conftest import make_scenario
 
 
 def read_report(path):
@@ -200,10 +201,24 @@ class TestSweep:
             assert float(cells["kappa"]) == 0
             assert float(cells["tau_eff"]) == math.inf
 
-    def test_bad_sweep_parameter(self):
-        assert run("sweep", "--paper-defaults",
-                   "--set", "sweep_parameter=detuning",
-                   "--set", "sweep_values=1,2") == 2
+    def test_bad_sweep_parameter(self, capsys):
+        # one check, SweepSpec's, and so one message on both paths, with
+        # listed values or a start-stop range
+        with pytest.raises(ValueError) as spec_error:
+            sweeps.SweepSpec("detuning", [1.0, 2.0], make_scenario())
+        for values in (["--set", "sweep_values=1,2"], []):
+            assert run("sweep", "--paper-defaults",
+                       "--set", "sweep_parameter=detuning", *values) == 2
+            assert capsys.readouterr().err == f"error: {spec_error.value}\n"
+
+    def test_unit_table_covers_the_sweepable_parameters(self):
+        assert set(cli._SWEPT_UNIT) == set(sweeps.SWEEPABLE)
+
+    def test_default_outputs_have_one_home(self):
+        spec = sweeps.SweepSpec("radial_gradient", [0.1], make_scenario())
+        assert tuple(spec.outputs) == sweeps.DEFAULT_OUTPUTS
+        assert cli.KEYS["sweep_outputs"].default.split(",") == list(
+            sweeps.DEFAULT_OUTPUTS)
 
     def test_sweep_output_feeds_kappa_fit(self, tmp_path):
         sweep_csv = tmp_path / "sweep.csv"

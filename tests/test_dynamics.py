@@ -261,6 +261,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(scen, 0.0, 1.0, samples=1)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_time_must_be_finite(self, t_end):
+        # an infinite t_end used to give NaN atom numbers after three
+        # RuntimeWarnings
+        with pytest.raises(ValueError, match="t_end must be positive and "
+                           "finite"):
+            evolve(make_scenario(), 0.0, t_end)
+
 
 class TestSteadyState:
     def test_two_body_only_limit(self):
@@ -525,6 +533,23 @@ class TestDecay:
             decay(1e8, 0.02, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             decay(1e8, 0.02, 0.0, 1e-8, -1.0)
+
+
+# A time that is not finite, alone and among finite samples; each decay
+# function rejects it, naming t, where it used to return NaN with warnings.
+NON_FINITE_TIMES = [math.inf, math.nan, [0.0, 1.0, math.inf],
+                    [0.0, math.nan, 2.0]]
+
+
+@pytest.mark.parametrize("t", NON_FINITE_TIMES)
+@pytest.mark.parametrize("function", [
+    lambda t: decay(2e8, 0.02, 3.8e-17, 1e-8, t),
+    lambda t: decay_jacobian(2e8, 0.02, 3.8e-17, 1e-8, t),
+    lambda t: decay_fit_model(2e8, 1e-8, t)],
+    ids=["decay", "decay_jacobian", "decay_fit_model"])
+def test_decay_times_must_be_finite(function, t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        function(t)
 
 
 class TestDecayJacobian:

@@ -6,8 +6,8 @@ import pytest
 from cliptrap import dynamics
 from cliptrap.estimation import fit_kappa
 from cliptrap import cloud
-from cliptrap.sweeps import (SWEEPABLE, SweepSpec, kappa_curve, run_sweep,
-                             scenario_at, synthesize_measurements)
+from cliptrap.sweeps import (SWEEPABLE, SweepSpec, _log_grid, kappa_curve,
+                             run_sweep, scenario_at, synthesize_measurements)
 from conftest import make_scenario
 
 
@@ -170,6 +170,21 @@ class TestSynthesize:
         assert data.y[0] == pytest.approx(dynamics.steady_state(scen),
                                           rel=1e-12)
         assert np.all(np.diff(data.y) < 0)
+
+    def test_log_grid_is_geomspace_bit_for_bit(self):
+        # the decay range at every length, and random kappa ranges
+        for n in range(0, 401):
+            assert np.array_equal(_log_grid(0.05, 150.0, n),
+                                  np.geomspace(0.05, 150.0, n)), n
+        rng = np.random.default_rng(11)
+        for x0, n in zip(10 ** rng.uniform(-30, 5, 3000),
+                         rng.integers(2, 100, 3000)):
+            assert np.array_equal(_log_grid(0.1 * x0, 10 * x0, n),
+                                  np.geomspace(0.1 * x0, 10 * x0, n)), x0
+
+    def test_kappa_points_need_a_positive_abscissa(self):
+        with pytest.raises(ValueError, match="abscissa"):
+            synthesize_measurements(make_scenario(eta=0.0), "kappa_points")
 
     def test_tof_series_shape(self):
         data = synthesize_measurements(make_scenario(), "tof_series",
