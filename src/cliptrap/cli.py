@@ -86,10 +86,12 @@ PAPER_DEFAULTS: dict[str, str] = {
 
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
-# Keys with a lower bound.  The dataclasses they feed check the sign too, but
-# cannot name the key.  eta = 0, not n_mot = 0, switches loading off.
-_LOWER_BOUND = {"gamma_d_per_s": ">= 0", "beta_ed_cm3_per_s": ">= 0",
-                "beta_dd_cm3_per_s": ">= 0", "n_mot": "> 0"}
+# Keys with a lower bound: (comparison, bound).  The dataclasses and functions
+# they feed check it too, but cannot name the key.  eta = 0, not n_mot = 0,
+# switches loading off; a synthetic data set needs two points.
+_LOWER_BOUND = {"gamma_d_per_s": (">=", 0), "beta_ed_cm3_per_s": (">=", 0),
+                "beta_dd_cm3_per_s": (">=", 0), "n_mot": (">", 0),
+                "synth_points": (">=", 2)}
 
 
 class ConfigError(Exception):
@@ -110,9 +112,11 @@ def _get(cfg: dict[str, str], name: str):
         return raw or None
     value = number(raw, f"config key {name}", integer=kind is int,
                    allow_inf=name == "mot_saturation")
-    bound = _LOWER_BOUND.get(name)
-    if bound and not (value > 0 or value == 0 and bound == ">= 0"):
-        raise ConfigError(f"config key {name} must be {bound}: {raw!r}")
+    if name in _LOWER_BOUND:
+        op, low = _LOWER_BOUND[name]
+        if not (value > low or value == low and op == ">="):
+            raise ConfigError(f"config key {name} must be {op} {low}: "
+                              f"{raw!r}")
     return value * scale if kind is float else value
 
 
@@ -238,20 +242,18 @@ def _report(rows: list[tuple]) -> str:
 
 def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
-    r = dynamics.loading_rate(scen)
-    n_inf = dynamics.steady_state(scen)
+    rates = dynamics.rate_summary(scen)
     cl_off = make_thermal_cloud(scen.species, scen.trap, n=1.0,
                                 t=scen.mt_temperature, include_gravity=False)
     return _report([
-        ("loading_rate_atoms_per_s", r),
-        ("gamma_ed_per_s", dynamics.gamma_ed_loss(
-            scen.n_mot_excited, scen.coefficients.beta_ed, scen.v_eff)),
+        ("loading_rate_atoms_per_s", rates.loading_rate),
+        ("gamma_ed_per_s", rates.gamma_ed),
         ("v_mt_cm3", scen.v_mt * 1e6),
         ("v_mt_cm3_no_gravity", occupied_volume(cl_off) * 1e6),
         ("v_eff_cm3", scen.v_eff * 1e6),
-        ("n_steady_atoms", n_inf),
-        ("kappa", dynamics.accumulation_efficiency(scen)),
-        ("tau_eff_s", dynamics.effective_loading_time(n_inf, r)),
+        ("n_steady_atoms", rates.n_mt_steady),
+        ("kappa", rates.kappa),
+        ("tau_eff_s", rates.tau_eff),
         ("t_mt_virial_prediction_uk",
          dynamics.mt_temperature_prediction(scen.mot.temperature) * 1e6),
         ("majorana_safe", majorana_safe(scen.trap)),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +81,7 @@ class LoadingScenario:
 
 def loading_rate(scenario: LoadingScenario) -> float:
     """R = eta N*_MOT Gamma_ed (atoms/s)."""
-    return (scenario.coefficients.eta * scenario.n_mot_excited
-            * scenario.species.gamma_ed)
+    return _rates(scenario)[0]
 
 
 def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
@@ -91,12 +91,13 @@ def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
     return n_star * beta_ed / v_eff
 
 
-def _rates(scenario: LoadingScenario) -> tuple[float, float, float, float]:
+def _rates(scenario: LoadingScenario) -> tuple[float, float, float]:
+    """(R, gamma_ed, gamma = gamma_d + gamma_ed), from one N*_MOT."""
     c = scenario.coefficients
-    r = loading_rate(scenario)
-    gamma = c.gamma_d + gamma_ed_loss(scenario.n_mot_excited, c.beta_ed,
-                                      scenario.v_eff)
-    return r, gamma, c.beta_dd, scenario.v_mt
+    n_star = scenario.n_mot_excited
+    gamma_ed = gamma_ed_loss(n_star, c.beta_ed, scenario.v_eff)
+    return (c.eta * n_star * scenario.species.gamma_ed, gamma_ed,
+            c.gamma_d + gamma_ed)
 
 
 def steady_state(scenario: LoadingScenario) -> float:
@@ -106,8 +107,40 @@ def steady_state(scenario: LoadingScenario) -> float:
     without the cancellation as 2 R / (gamma + sqrt(gamma^2 + 8 beta R / V)),
     the stable root N+ of evolve(); it is R / gamma exactly at beta = 0.
     """
-    r, gamma, beta, v = _rates(scenario)
-    return _steady_state_raw(r, gamma, beta, v)
+    r, _, gamma = _rates(scenario)
+    return _steady_state_raw(r, gamma, scenario.coefficients.beta_dd,
+                             scenario.v_mt)
+
+
+class RateSummary(NamedTuple):
+    """A scenario's rate quantities, from one pass: see rate_summary."""
+
+    loading_rate: float    # R, atoms/s
+    gamma_ed: float        # 1/s
+    gamma: float           # gamma_d + gamma_ed, 1/s
+    n_mt_steady: float     # N_inf
+    kappa: float           # N_inf / N_MOT
+    tau_eff: float         # N_inf / R, s
+    kappa_abscissa: float  # R V_MT / N_MOT^2, m^3/s
+
+
+def rate_summary(scenario: LoadingScenario) -> RateSummary:
+    """R, gamma_ed, gamma, N_inf, kappa, tau_eff and the abscissa, each once.
+
+    The one place kappa and the abscissa are formed; every value equals
+    the public function of the same quantity bit for bit.  N*_MOT (the
+    excited fraction) is evaluated once.  Raises ValueError if n_mot is
+    not > 0, where kappa and the abscissa are undefined, and if there is
+    no steady state.
+    """
+    n_mot = scenario.mot.n_mot
+    if not n_mot > 0:
+        raise ValueError("n_mot must be > 0")
+    r, gamma_ed, gamma = _rates(scenario)
+    v = scenario.v_mt
+    n_inf = _steady_state_raw(r, gamma, scenario.coefficients.beta_dd, v)
+    return RateSummary(r, gamma_ed, gamma, n_inf, n_inf / n_mot,
+                       effective_loading_time(n_inf, r), r * v / n_mot ** 2)
 
 
 def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
@@ -156,7 +189,8 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
         raise ValueError(f"t_end must be positive and finite: {t_end!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    r, gamma, beta, v = _rates(scenario)
+    r, _, gamma = _rates(scenario)
+    beta, v = scenario.coefficients.beta_dd, scenario.v_mt
     t = np.linspace(0.0, t_end, samples)
     if gamma == 0 and beta == 0:
         return t, n0 + r * t
@@ -212,13 +246,19 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float,
 
 
 def accumulation_efficiency(scenario: LoadingScenario) -> float:
-    """kappa = N_inf / N_MOT, also where the master curve does not hold."""
-    return steady_state(scenario) / scenario.mot.n_mot
+    """kappa = N_inf / N_MOT, also where the master curve does not hold.
+
+    rate_summary's value: n_mot must be > 0.
+    """
+    return rate_summary(scenario).kappa
 
 
 def kappa_abscissa(scenario: LoadingScenario) -> float:
-    """The master curve's abscissa x = R V_MT / N_MOT^2 (m^3/s)."""
-    return loading_rate(scenario) * scenario.v_mt / scenario.mot.n_mot ** 2
+    """The master curve's abscissa x = R V_MT / N_MOT^2 (m^3/s).
+
+    rate_summary's value: n_mot must be > 0 and a steady state must exist.
+    """
+    return rate_summary(scenario).kappa_abscissa
 
 
 def effective_loading_time(n_mt: float, r: float) -> float:

@@ -1,9 +1,12 @@
 """Scenario construction, trap-parameter sweeps and synthetic data.
 
-Sweeps rebuild the cloud geometry for every swept value and recompute the
-rate-model outputs.  The MOT atom number is never predicted from trap
-parameters (the model contains no MOT physics); it is held constant or
-supplied per point.
+Sweeps rebuild the cloud geometry for every swept value and read the
+rate-model outputs off one dynamics.rate_summary pass per point, so each
+point evaluates the excited fraction, R, gamma and N_inf once.  A point
+that fails, an untrapped cloud or an n_mot of 0 among them, keeps its
+row, with the message in its 'error' field.  The MOT atom number is never
+predicted from trap parameters (the model contains no MOT physics); it is
+held constant or supplied per point.
 """
 
 from __future__ import annotations
@@ -17,24 +20,26 @@ import numpy as np
 from . import cloud, dynamics
 from .dynamics import LoadingScenario
 from .estimation import DataSet
-from .trap import majorana_safe
+from .trap import IpTrapConfig, majorana_safe
 
 SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
-# Each sweep output of one point, from its scenario; `get` returns another
-# output of the same point, computed at most once.
+# Each sweep output of one point, from its scenario and its
+# dynamics.rate_summary; the pass runs once per point, and only if a
+# requested output is one of _RATE_OUTPUTS.
 _FORMULAS = {
-    "n_mot": lambda scen, get: scen.mot.n_mot,
-    "n_mt_steady": lambda scen, get: dynamics.steady_state(scen),
-    "loading_rate": lambda scen, get: dynamics.loading_rate(scen),
-    "tau_eff": lambda scen, get: dynamics.effective_loading_time(
-        get("n_mt_steady"), get("loading_rate")),
-    "v_mt": lambda scen, get: scen.v_mt,
-    "kappa": lambda scen, get: dynamics.accumulation_efficiency(scen),
-    "kappa_abscissa": lambda scen, get: dynamics.kappa_abscissa(scen),
-    "t_mt_prediction": lambda scen, get: dynamics.mt_temperature_prediction(
+    "n_mot": lambda scen, rates: scen.mot.n_mot,
+    "n_mt_steady": lambda scen, rates: rates.n_mt_steady,
+    "loading_rate": lambda scen, rates: rates.loading_rate,
+    "tau_eff": lambda scen, rates: rates.tau_eff,
+    "v_mt": lambda scen, rates: scen.v_mt,
+    "kappa": lambda scen, rates: rates.kappa,
+    "kappa_abscissa": lambda scen, rates: rates.kappa_abscissa,
+    "t_mt_prediction": lambda scen, rates: dynamics.mt_temperature_prediction(
         scen.mot.temperature),
-    "majorana_safe": lambda scen, get: majorana_safe(scen.trap),
+    "majorana_safe": lambda scen, rates: majorana_safe(scen.trap),
 }
+_RATE_OUTPUTS = frozenset(("n_mt_steady", "loading_rate", "tau_eff", "kappa",
+                           "kappa_abscissa"))
 OUTPUTS = tuple(_FORMULAS)
 DEFAULT_OUTPUTS = OUTPUTS[:6]
 
@@ -54,7 +59,12 @@ class SweepSpec:
             raise ValueError(f"sweep parameter must be one of "
                              f"{', '.join(SWEEPABLE)}: "
                              f"{self.swept_parameter!r}")
-        vals = list(self.values)
+        # held as tuples, so an iterator given here is not used up by the
+        # checks below and the sweep still sees every value
+        for name in ("values", "outputs", "n_mot_per_point"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        vals = self.values
         if not vals:
             raise ValueError("values must be non-empty")
         if not np.isfinite(vals).all():
@@ -82,23 +92,27 @@ def scenario_at(base: LoadingScenario, parameter: str, value: float,
     The cloud geometry (hence V_MT) is recomputed at the scenario's trap
     temperature; V_eff uses the trap-volume approximation.
     """
-    trap_cfg = replace(base.trap, **{parameter: value})
+    # built directly: dataclasses.replace, which looks up every field,
+    # cost more per point than the cloud geometry
+    trap = base.trap
+    trap_cfg = IpTrapConfig(**{"radial_gradient": trap.radial_gradient,
+                               "axial_curvature": trap.axial_curvature,
+                               "offset_field": trap.offset_field,
+                               parameter: value})
     mot = base.mot if n_mot is None else replace(base.mot, n_mot=n_mot)
     cl = cloud.make_thermal_cloud(base.species, trap_cfg, n=1.0,
                                   t=base.mt_temperature)
     v_mt = cloud.occupied_volume(cl)
-    return replace(base, trap=trap_cfg, mot=mot, v_mt=v_mt, v_eff=v_mt)
+    return LoadingScenario(species=base.species, trap=trap_cfg,
+                           coefficients=base.coefficients, mot=mot,
+                           mt_temperature=base.mt_temperature, v_mt=v_mt,
+                           v_eff=v_mt)
 
 
 def _row_outputs(scenario: LoadingScenario, outputs: Sequence[str]) -> dict:
-    row: dict[str, float | bool] = {}
-
-    def get(name: str):
-        if name not in row:
-            row[name] = _FORMULAS[name](scenario, get)
-        return row[name]
-
-    return {name: get(name) for name in outputs}
+    rates = (dynamics.rate_summary(scenario)
+             if not _RATE_OUTPUTS.isdisjoint(outputs) else None)
+    return {name: _FORMULAS[name](scenario, rates) for name in outputs}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -127,8 +141,9 @@ def kappa_curve(points: Sequence[LoadingScenario]) -> DataSet:
     """Master-curve coordinates (R V_MT / N_MOT^2, kappa) per scenario."""
     if not points:
         raise ValueError("need at least one scenario")
-    xs = np.array([dynamics.kappa_abscissa(scen) for scen in points])
-    ys = np.array([dynamics.accumulation_efficiency(scen) for scen in points])
+    rates = [dynamics.rate_summary(scen) for scen in points]
+    xs = np.array([r.kappa_abscissa for r in rates])
+    ys = np.array([r.kappa for r in rates])
     return DataSet(x=xs, y=ys, sigma_y=np.maximum(np.abs(ys), 1.0) * 1e-3,
                    x_label="rv_over_nmot2_m3_per_s", y_label="kappa")
 
@@ -151,11 +166,13 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     """Forward-model data with multiplicative Gaussian noise.
 
     kinds: loading_curve (t, N) over 10 tau_eff, decay_curve (t, N) over
-    150 s, tof_series (t, sigma), kappa_points (R V/N^2, kappa).
-    Deterministic for a given seed.
+    150 s, tof_series (t, sigma), kappa_points (R V/N^2, kappa), each of
+    `points` >= 2 samples.  Deterministic for a given seed.
     """
     if not noise >= 0:
         raise ValueError("noise must be >= 0")
+    if points < 2:
+        raise ValueError(f"points must be >= 2: {points}")
     rng = np.random.default_rng(seed)
     r = dynamics.loading_rate(scenario)
     n_inf = dynamics.steady_state(scenario)
@@ -175,7 +192,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         x = t
         labels = ("t_s", "n_atoms")
     elif kind == "tof_series":
-        t = np.linspace(1e-3, 8e-3, max(points, 3))
+        t = np.linspace(1e-3, 8e-3, points)
         kt = scenario.mt_temperature
         # the trap cloud's xi1 is the pre-expansion size
         sigma0 = cloud.scale_lengths(scenario.species, scenario.trap, kt)[0]

@@ -179,6 +179,85 @@ class TestSweep:
         n_mots = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert n_mots == [4e6, 5e6, 4.5e6]
 
+    # Sweep CSVs with all nine outputs, byte for byte: one per swept
+    # parameter (the radial one with an untrapped point), eta = 0, and
+    # per-point MOT atom numbers from sweep_nmot_csv
+    ALL_OUTPUTS = ",".join(sweeps.OUTPUTS)
+    HEADER = ",n_mot,n_mt_steady,loading_rate,tau_eff,v_mt,kappa,"
+    PINNED = {
+        ("sweep_parameter=radial_gradient",
+         "sweep_values=1.0,8.0,12.5,20.0"): (
+            "radial_gradient_g_per_cm" + HEADER +
+            "kappa_abscissa,t_mt_prediction,majorana_safe,error\n"
+            "1,nan,nan,nan,nan,nan,nan,nan,nan,nan,untrapped cloud: gravity "
+            "scale xi2 must exceed xi1\n"
+            "8,5000000,198100092.121,94624770.7261,2.09353312669,"
+            "0.0139232564267,39.6200184242,5.26993978855e-14,5.25e-05,0,\n"
+            "12.5,5000000,115777859.219,94624770.7261,1.22354705148,"
+            "0.00551847169235,23.1555718438,2.08873647459e-14,5.25e-05,0,\n"
+            "20,5000000,63732209.7337,94624770.7261,0.673525644973,"
+            "0.00212634568679,12.7464419467,8.04819892387e-15,5.25e-05,0,\n"),
+        ("sweep_parameter=axial_curvature", "sweep_start=2",
+         "sweep_stop=30", "sweep_points=3"): (
+            "axial_curvature_g_per_cm2" + HEADER +
+            "kappa_abscissa,t_mt_prediction,majorana_safe,error\n"
+            "2,5000000,187603230.945,94624770.7261,1.98260169621,"
+            "0.0126444071253,37.520646189,4.78589650081e-14,5.25e-05,0,\n"
+            "16,5000000,101928476.002,94624770.7261,1.07718597593,"
+            "0.0044704730112,20.3856952003,1.69206993489e-14,5.25e-05,0,\n"
+            "30,5000000,83910034.134,94624770.7261,0.88676604963,"
+            "0.00326477188127,16.7820068268,1.23571316295e-14,5.25e-05,0,\n"),
+        ("sweep_parameter=offset_field", "sweep_values=0,50,500"): (
+            "offset_field_mg" + HEADER +
+            "kappa_abscissa,t_mt_prediction,majorana_safe,error\n"
+            "0,5000000,115777859.219,94624770.7261,1.22354705148,"
+            "0.00551847169235,23.1555718438,2.08873647459e-14,5.25e-05,0,\n"
+            "50,5000000,115777859.219,94624770.7261,1.22354705148,"
+            "0.00551847169235,23.1555718438,2.08873647459e-14,5.25e-05,1,\n"
+            "500,5000000,115777859.219,94624770.7261,1.22354705148,"
+            "0.00551847169235,23.1555718438,2.08873647459e-14,5.25e-05,1,\n"),
+        ("sweep_parameter=radial_gradient", "sweep_values=8,20", "eta=0"): (
+            "radial_gradient_g_per_cm" + HEADER +
+            "kappa_abscissa,t_mt_prediction,majorana_safe,error\n"
+            "8,5000000,0,0,inf,0.0139232564267,0,0,5.25e-05,0,\n"
+            "20,5000000,0,0,inf,0.00212634568679,0,0,5.25e-05,0,\n"),
+    }
+
+    @pytest.mark.parametrize("sets", PINNED)
+    def test_all_outputs_pinned(self, sets, capsys):
+        argv = ["sweep", "--paper-defaults",
+                "--set", f"sweep_outputs={self.ALL_OUTPUTS}"]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == self.PINNED[sets]
+
+    def test_nmot_csv_sweep_pinned(self, tmp_path, capsys):
+        nmot = tmp_path / "nmot.csv"
+        nmot.write_text("b_prime_g_per_cm,n_mot,sigma\n8,4e6,1\n"
+                        "12.5,5.5e6,1\n20,6e6,1\n")
+        assert run("sweep", "--paper-defaults",
+                   "--set", "sweep_values=8,12.5,20",
+                   "--set", f"sweep_nmot_csv={nmot}") == 0
+        assert capsys.readouterr().out == (
+            "radial_gradient_g_per_cm" + self.HEADER + "error\n"
+            "8,4000000,179581762.284,75699816.5809,2.37228794461,"
+            "0.0139232564267,44.895440571,\n"
+            "12.5,5500000,120253594.227,104087247.799,1.15531534141,"
+            "0.00551847169235,21.8642898595,\n"
+            "20,6000000,67778991.3326,113549724.871,0.596910220693,"
+            "0.00212634568679,11.2964985554,\n")
+
+    def test_nmot_csv_zero_is_a_point_error(self, tmp_path, capsys):
+        # it used to print kappa = nan with an empty error cell
+        nmot = tmp_path / "nmot.csv"
+        nmot.write_text("b_prime_g_per_cm,n_mot,sigma\n8,0,1\n20,6e6,1\n")
+        assert run("sweep", "--paper-defaults", "--set", "sweep_values=8,20",
+                   "--set", f"sweep_nmot_csv={nmot}") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "8,nan,nan,nan,nan,nan,nan,n_mot must be > 0"
+        assert lines[2].startswith("20,6000000,67778991.3326,")
+
     def test_nmot_csv_missing_value(self, tmp_path):
         nmot = tmp_path / "nmot.csv"
         nmot.write_text("b_prime,n_mot,sigma\n10,4e6,1\n")

@@ -199,6 +199,22 @@ def test_negative_rate_or_atom_number_names_key(key, tmp_path):
                "--set", "samples=2")[0] == (2 if key == "n_mot" else 0)
 
 
+@pytest.mark.parametrize("kind", ["loading_curve", "decay_curve",
+                                  "tof_series", "kappa_points"])
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_synth_points_below_two_names_key(kind, points, tmp_path):
+    # 0 points once ended in an IndexError traceback (decay_curve), a
+    # header-only CSV (kappa_points) or 3 points (tof_series)
+    out = tmp_path / "synth.csv"
+    code, stdout, err = run("synth", "--paper-defaults",
+                            "--set", f"synth_kind={kind}",
+                            "--set", f"synth_points={points}",
+                            "--out", str(out))
+    assert code == 2
+    assert err == f"error: config key synth_points must be >= 2: '{points}'\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_blank_or_zero_still_computes():
     code, blank, _ = run("predict", "--paper-defaults", "--set", "v_mt_cm3=",
                          "--set", "v_eff_cm3=", "--set", "t_mt_uk=0")

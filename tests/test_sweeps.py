@@ -1,13 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliptrap import dynamics
 from cliptrap.estimation import fit_kappa
 from cliptrap import cloud
-from cliptrap.sweeps import (SWEEPABLE, SweepSpec, _log_grid, kappa_curve,
-                             run_sweep, scenario_at, synthesize_measurements)
+from cliptrap.sweeps import (OUTPUTS, SWEEPABLE, SweepSpec, _log_grid,
+                             kappa_curve, run_sweep, scenario_at,
+                             synthesize_measurements)
+from cliptrap.trap import IpTrapConfig, majorana_safe
 from conftest import make_scenario
 
 
@@ -58,6 +63,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("radial_gradient", [0.1], make_scenario(),
                       outputs=("n_mt_steady", "entropy"))
+
+    def test_iterators_are_not_used_up(self):
+        # the checks once consumed a generator, and the sweep then ran no
+        # point and returned [] without an error
+        spec = SweepSpec("radial_gradient", (v for v in [0.1, 0.12]),
+                         make_scenario(), outputs=iter(["n_mot", "kappa"]),
+                         n_mot_per_point=(n for n in [4e6, 5e6]))
+        assert spec.values == (0.1, 0.12)
+        assert spec.outputs == ("n_mot", "kappa")
+        assert spec.n_mot_per_point == (4e6, 5e6)
+        rows = run_sweep(spec)
+        assert [row["n_mot"] for row in rows] == [4e6, 5e6]
+        assert all(row["kappa"] > 0 for row in rows)
 
 
 class TestRunSweep:
@@ -124,6 +142,66 @@ class TestRunSweep:
         assert rows[1]["n_mt_steady"] > 0
 
 
+    def test_zero_n_mot_point_names_n_mot(self):
+        # kappa = N / N_MOT used to fail as "float division by zero"; the
+        # point is still isolated, and outputs that need no rate model
+        # are still computed
+        spec = SweepSpec("radial_gradient", [0.1, 0.125], make_scenario(),
+                         n_mot_per_point=[0.0, 5e6])
+        rows = run_sweep(spec)
+        assert rows[0]["error"] == "n_mot must be > 0"
+        assert math.isnan(rows[0]["kappa"])
+        assert rows[1]["error"] == "" and rows[1]["kappa"] > 0
+        geometry = run_sweep(replace(spec, outputs=("n_mot", "v_mt")))
+        assert geometry[0]["error"] == "" and geometry[0]["n_mot"] == 0.0
+
+    def test_excited_fraction_once_per_point(self, monkeypatch):
+        # one rate-model pass per point: the rows once evaluated the
+        # excited fraction six times each
+        calls = []
+        original = dynamics.excited_fraction
+        monkeypatch.setattr(dynamics, "excited_fraction",
+                            lambda *a: calls.append(1) or original(*a))
+        rows = run_sweep(SweepSpec("axial_curvature", [5.0, 10.0, 20.0],
+                                   make_scenario(), outputs=OUTPUTS))
+        assert all(row["error"] == "" for row in rows)
+        assert len(calls) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(parameter=st.sampled_from(SWEEPABLE),
+       b_prime=st.floats(0.03, 0.3), b_dprime=st.floats(1.0, 50.0),
+       b0=st.floats(-1e-4, 1e-4), n_mot=st.floats(1e3, 1e9),
+       gamma_d=st.sampled_from([0.0, 0.05]))
+def test_row_outputs_equal_public_functions(parameter, b_prime, b_dprime, b0,
+                                            n_mot, gamma_d):
+    # each of the nine outputs, bit for bit, from the public function of
+    # its quantity; kappa and the abscissa also from their definitions
+    base = replace(make_scenario(gamma_d=gamma_d),
+                   trap=IpTrapConfig(b_prime, b_dprime, b0))
+    value = getattr(base.trap, parameter)
+    row = run_sweep(SweepSpec(parameter, [value], base, outputs=OUTPUTS,
+                              n_mot_per_point=[n_mot]))[0]
+    scen = scenario_at(base, parameter, value, n_mot=n_mot)
+    n_inf = dynamics.steady_state(scen)
+    r = dynamics.loading_rate(scen)
+    assert row == {
+        "value": value, "error": "",
+        "n_mot": n_mot, "n_mt_steady": n_inf, "loading_rate": r,
+        "tau_eff": dynamics.effective_loading_time(n_inf, r),
+        "v_mt": scen.v_mt, "kappa": dynamics.accumulation_efficiency(scen),
+        "kappa_abscissa": dynamics.kappa_abscissa(scen),
+        "t_mt_prediction": dynamics.mt_temperature_prediction(
+            scen.mot.temperature),
+        "majorana_safe": majorana_safe(scen.trap)}
+    assert row["kappa"] == n_inf / n_mot
+    assert row["kappa_abscissa"] == r * scen.v_mt / n_mot ** 2
+    rates = dynamics.rate_summary(scen)
+    assert rates.gamma_ed == dynamics.gamma_ed_loss(
+        scen.n_mot_excited, scen.coefficients.beta_ed, scen.v_eff)
+    assert rates.gamma == gamma_d + rates.gamma_ed
+
+
 class TestKappaCurve:
     def test_points_lie_on_master_curve(self):
         scens = [make_scenario(v_mt=v) for v in (4e-9, 6e-9, 1e-8)]
@@ -185,6 +263,18 @@ class TestSynthesize:
     def test_kappa_points_need_a_positive_abscissa(self):
         with pytest.raises(ValueError, match="abscissa"):
             synthesize_measurements(make_scenario(eta=0.0), "kappa_points")
+
+    @pytest.mark.parametrize("kind", ["loading_curve", "decay_curve",
+                                      "tof_series", "kappa_points"])
+    def test_fewer_than_two_points_rejected(self, kind):
+        # 0 points once raised IndexError (decay_curve), gave an empty set
+        # (kappa_points) or silently became 3 (tof_series)
+        for points in (-1, 0, 1):
+            with pytest.raises(ValueError, match="points must be >= 2"):
+                synthesize_measurements(make_scenario(), kind,
+                                        points=points)
+        assert len(synthesize_measurements(make_scenario(), kind,
+                                           points=2)) == 2
 
     def test_tof_series_shape(self):
         data = synthesize_measurements(make_scenario(), "tof_series",
