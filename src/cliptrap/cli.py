@@ -242,7 +242,7 @@ def _report(rows: list[tuple]) -> str:
 
 def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
-    rates = dynamics.rate_summary(scen)
+    rates = dynamics.RateSummary(scen)
     cl_off = make_thermal_cloud(scen.species, scen.trap, n=1.0,
                                 t=scen.mt_temperature, include_gravity=False)
     return _report([

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,35 +111,54 @@ def steady_state(scenario: LoadingScenario) -> float:
                              scenario.v_mt)
 
 
-class RateSummary(NamedTuple):
-    """A scenario's rate quantities, from one pass: see rate_summary."""
+class RateSummary:
+    """A scenario's rate quantities, each formed at most once.
 
-    loading_rate: float    # R, atoms/s
-    gamma_ed: float        # 1/s
-    gamma: float           # gamma_d + gamma_ed, 1/s
-    n_mt_steady: float     # N_inf
-    kappa: float           # N_inf / N_MOT
-    tau_eff: float         # N_inf / R, s
-    kappa_abscissa: float  # R V_MT / N_MOT^2, m^3/s
-
-
-def rate_summary(scenario: LoadingScenario) -> RateSummary:
-    """R, gamma_ed, gamma, N_inf, kappa, tau_eff and the abscissa, each once.
-
-    The one place kappa and the abscissa are formed; every value equals
-    the public function of the same quantity bit for bit.  N*_MOT (the
-    excited fraction) is evaluated once.  Raises ValueError if n_mot is
-    not > 0, where kappa and the abscissa are undefined, and if there is
-    no steady state.
+    R, gamma_ed and gamma share one N*_MOT (one excited-fraction
+    evaluation).  N_inf is formed from them when first read, and kappa,
+    tau_eff and the abscissa R V_MT / N_MOT^2 from those when read.  This
+    is the one place kappa and the abscissa are formed, and every value
+    equals the public function of the same quantity bit for bit.  So R
+    and the abscissa need no loss channel, and R, N_inf and tau_eff no
+    n_mot > 0.
     """
-    n_mot = scenario.mot.n_mot
-    if not n_mot > 0:
-        raise ValueError("n_mot must be > 0")
-    r, gamma_ed, gamma = _rates(scenario)
-    v = scenario.v_mt
-    n_inf = _steady_state_raw(r, gamma, scenario.coefficients.beta_dd, v)
-    return RateSummary(r, gamma_ed, gamma, n_inf, n_inf / n_mot,
-                       effective_loading_time(n_inf, r), r * v / n_mot ** 2)
+
+    def __init__(self, scenario: LoadingScenario) -> None:
+        self.scenario = scenario
+        self.loading_rate, self.gamma_ed, self.gamma = _rates(scenario)
+        self._n_inf: float | None = None
+
+    @property
+    def n_mt_steady(self) -> float:
+        """N_inf: see steady_state."""
+        if self._n_inf is None:
+            s = self.scenario
+            self._n_inf = _steady_state_raw(self.loading_rate, self.gamma,
+                                            s.coefficients.beta_dd, s.v_mt)
+        return self._n_inf
+
+    @property
+    def tau_eff(self) -> float:
+        """N_inf / R, s."""
+        return effective_loading_time(self.n_mt_steady, self.loading_rate)
+
+    @property
+    def kappa(self) -> float:
+        """N_inf / N_MOT."""
+        n_mot = self._n_mot()
+        return self.n_mt_steady / n_mot
+
+    @property
+    def kappa_abscissa(self) -> float:
+        """R V_MT / N_MOT^2, m^3/s."""
+        n_mot = self._n_mot()
+        return self.loading_rate * self.scenario.v_mt / n_mot ** 2
+
+    def _n_mot(self) -> float:
+        n_mot = self.scenario.mot.n_mot
+        if not n_mot > 0:
+            raise ValueError("n_mot must be > 0")
+        return n_mot
 
 
 def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
@@ -248,17 +266,17 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float,
 def accumulation_efficiency(scenario: LoadingScenario) -> float:
     """kappa = N_inf / N_MOT, also where the master curve does not hold.
 
-    rate_summary's value: n_mot must be > 0.
+    RateSummary's value: n_mot must be > 0.
     """
-    return rate_summary(scenario).kappa
+    return RateSummary(scenario).kappa
 
 
 def kappa_abscissa(scenario: LoadingScenario) -> float:
     """The master curve's abscissa x = R V_MT / N_MOT^2 (m^3/s).
 
-    rate_summary's value: n_mot must be > 0 and a steady state must exist.
+    RateSummary's value: n_mot must be > 0.  It needs no loss channel.
     """
-    return rate_summary(scenario).kappa_abscissa
+    return RateSummary(scenario).kappa_abscissa
 
 
 def effective_loading_time(n_mt: float, r: float) -> float:

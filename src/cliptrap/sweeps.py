@@ -1,12 +1,13 @@
 """Scenario construction, trap-parameter sweeps and synthetic data.
 
 Sweeps rebuild the cloud geometry for every swept value and read the
-rate-model outputs off one dynamics.rate_summary pass per point, so each
-point evaluates the excited fraction, R, gamma and N_inf once.  A point
-that fails, an untrapped cloud or an n_mot of 0 among them, keeps its
-row, with the message in its 'error' field.  The MOT atom number is never
-predicted from trap parameters (the model contains no MOT physics); it is
-held constant or supplied per point.
+rate-model outputs off one dynamics.RateSummary per point, so each point
+evaluates the excited fraction, R and gamma once, and N_inf once if an
+output needs it.  A point that fails keeps its row, with the message in
+its 'error' field: an untrapped cloud, kappa or the abscissa at
+n_mot = 0, or N_inf without any loss channel.  The MOT atom number is
+never predicted from trap parameters (the model contains no MOT physics);
+it is held constant or supplied per point.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 from . import cloud, dynamics
 from .dynamics import LoadingScenario
 from .estimation import DataSet
-from .trap import IpTrapConfig, majorana_safe
+from .trap import majorana_safe
 
 SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
 # Each sweep output of one point, from its scenario and its
-# dynamics.rate_summary; the pass runs once per point, and only if a
-# requested output is one of _RATE_OUTPUTS.
+# dynamics.RateSummary, which forms N_inf once, when first read.
 _FORMULAS = {
     "n_mot": lambda scen, rates: scen.mot.n_mot,
     "n_mt_steady": lambda scen, rates: rates.n_mt_steady,
@@ -38,8 +38,6 @@ _FORMULAS = {
         scen.mot.temperature),
     "majorana_safe": lambda scen, rates: majorana_safe(scen.trap),
 }
-_RATE_OUTPUTS = frozenset(("n_mt_steady", "loading_rate", "tau_eff", "kappa",
-                           "kappa_abscissa"))
 OUTPUTS = tuple(_FORMULAS)
 DEFAULT_OUTPUTS = OUTPUTS[:6]
 
@@ -92,26 +90,16 @@ def scenario_at(base: LoadingScenario, parameter: str, value: float,
     The cloud geometry (hence V_MT) is recomputed at the scenario's trap
     temperature; V_eff uses the trap-volume approximation.
     """
-    # built directly: dataclasses.replace, which looks up every field,
-    # cost more per point than the cloud geometry
-    trap = base.trap
-    trap_cfg = IpTrapConfig(**{"radial_gradient": trap.radial_gradient,
-                               "axial_curvature": trap.axial_curvature,
-                               "offset_field": trap.offset_field,
-                               parameter: value})
+    trap_cfg = replace(base.trap, **{parameter: value})
     mot = base.mot if n_mot is None else replace(base.mot, n_mot=n_mot)
     cl = cloud.make_thermal_cloud(base.species, trap_cfg, n=1.0,
                                   t=base.mt_temperature)
     v_mt = cloud.occupied_volume(cl)
-    return LoadingScenario(species=base.species, trap=trap_cfg,
-                           coefficients=base.coefficients, mot=mot,
-                           mt_temperature=base.mt_temperature, v_mt=v_mt,
-                           v_eff=v_mt)
+    return replace(base, trap=trap_cfg, mot=mot, v_mt=v_mt, v_eff=v_mt)
 
 
 def _row_outputs(scenario: LoadingScenario, outputs: Sequence[str]) -> dict:
-    rates = (dynamics.rate_summary(scenario)
-             if not _RATE_OUTPUTS.isdisjoint(outputs) else None)
+    rates = dynamics.RateSummary(scenario)
     return {name: _FORMULAS[name](scenario, rates) for name in outputs}
 
 
@@ -141,7 +129,7 @@ def kappa_curve(points: Sequence[LoadingScenario]) -> DataSet:
     """Master-curve coordinates (R V_MT / N_MOT^2, kappa) per scenario."""
     if not points:
         raise ValueError("need at least one scenario")
-    rates = [dynamics.rate_summary(scen) for scen in points]
+    rates = [dynamics.RateSummary(scen) for scen in points]
     xs = np.array([r.kappa_abscissa for r in rates])
     ys = np.array([r.kappa for r in rates])
     return DataSet(x=xs, y=ys, sigma_y=np.maximum(np.abs(ys), 1.0) * 1e-3,

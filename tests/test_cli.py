@@ -232,6 +232,20 @@ class TestSweep:
         assert run(*argv) == 0
         assert capsys.readouterr().out == self.PINNED[sets]
 
+    def test_no_loss_channel_rate_outputs_pinned(self, capsys):
+        # R and the abscissa need no loss coefficient, and all three
+        # default to 0 without --paper-defaults
+        assert run("sweep", "--paper-defaults",
+                   "--set", "beta_dd_cm3_per_s=0",
+                   "--set", "beta_ed_cm3_per_s=0", "--set", "gamma_d_per_s=0",
+                   "--set", "sweep_values=8,12.5,20",
+                   "--set", "sweep_outputs=loading_rate,kappa_abscissa") == 0
+        assert capsys.readouterr().out == (
+            "radial_gradient_g_per_cm,loading_rate,kappa_abscissa,error\n"
+            "8,94624770.7261,5.26993978855e-14,\n"
+            "12.5,94624770.7261,2.08873647459e-14,\n"
+            "20,94624770.7261,8.04819892387e-15,\n")
+
     def test_nmot_csv_sweep_pinned(self, tmp_path, capsys):
         nmot = tmp_path / "nmot.csv"
         nmot.write_text("b_prime_g_per_cm,n_mot,sigma\n8,4e6,1\n"

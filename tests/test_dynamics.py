@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from cliptrap.dynamics import (RateCoefficients, accumulation_efficiency,
-                               decay, decay_fit_model, decay_jacobian,
-                               effective_loading_time,
-                               evolve, gamma_ed_loss, kappa_jacobian,
+from cliptrap import dynamics
+from cliptrap.dynamics import (RateCoefficients, RateSummary,
+                               accumulation_efficiency, decay, decay_fit_model, decay_jacobian,
+                               effective_loading_time, evolve,
+                               gamma_ed_loss, kappa_abscissa, kappa_jacobian,
                                kappa_of_abscissa, loading_rate,
                                mt_temperature_prediction, steady_state)
 from conftest import make_scenario
@@ -386,6 +387,52 @@ class TestAccumulationEfficiency:
         lo, hi = (kappa_of_abscissa(x, beta_switch * f, beta_ed)
                   for f in (1 - side, 1 + side))
         assert hi == pytest.approx(lo, rel=1e-14)
+
+
+class TestRateSummary:
+    def test_abscissa_needs_no_loss_channel(self):
+        # x = R V / N_MOT^2 is defined before any beta is known: measured
+        # kappa data are placed on the master curve with it
+        scen = make_scenario(beta_ed=0.0, beta_dd=0.0, gamma_d=0.0)
+        expected = loading_rate(scen) * scen.v_mt / scen.mot.n_mot ** 2
+        assert kappa_abscissa(scen) == expected == 2.0423432014443823e-14
+        rates = RateSummary(scen)
+        assert rates.kappa_abscissa == expected
+        assert rates.loading_rate == loading_rate(scen)
+        with pytest.raises(ValueError, match="no steady state"):
+            rates.n_mt_steady
+        with pytest.raises(ValueError, match="no steady state"):
+            accumulation_efficiency(scen)
+
+    def test_zero_n_mot(self):
+        # R = N_inf = 0 and tau = inf, as steady_state and loading_rate
+        # give them; kappa and the abscissa divide by N_MOT
+        scen = make_scenario(n_mot=0.0)
+        rates = RateSummary(scen)
+        assert rates.loading_rate == 0.0 == loading_rate(scen)
+        assert rates.n_mt_steady == 0.0 == steady_state(scen)
+        assert rates.tau_eff == math.inf
+        for read in (lambda: rates.kappa, lambda: rates.kappa_abscissa,
+                     lambda: accumulation_efficiency(scen),
+                     lambda: kappa_abscissa(scen)):
+            with pytest.raises(ValueError, match="n_mot must be > 0"):
+                read()
+
+    def test_each_quantity_formed_once(self, monkeypatch):
+        calls = []
+        original = dynamics.excited_fraction
+        monkeypatch.setattr(dynamics, "excited_fraction",
+                            lambda *a: calls.append(1) or original(*a))
+        steady = []
+        original_steady = dynamics._steady_state_raw
+        monkeypatch.setattr(dynamics, "_steady_state_raw",
+                            lambda *a: steady.append(1) or original_steady(*a))
+        rates = RateSummary(make_scenario())
+        assert (len(calls), steady) == (1, [])
+        for _ in range(2):
+            (rates.loading_rate, rates.gamma, rates.n_mt_steady, rates.kappa,
+             rates.tau_eff, rates.kappa_abscissa)
+        assert (len(calls), len(steady)) == (1, 1)
 
 
 def assert_matches_differences(analytic: float, diff, steps) -> None:

@@ -144,8 +144,8 @@ class TestRunSweep:
 
     def test_zero_n_mot_point_names_n_mot(self):
         # kappa = N / N_MOT used to fail as "float division by zero"; the
-        # point is still isolated, and outputs that need no rate model
-        # are still computed
+        # point is still isolated, and outputs that do not divide by
+        # N_MOT are still computed: R = N_inf = 0 and tau = inf
         spec = SweepSpec("radial_gradient", [0.1, 0.125], make_scenario(),
                          n_mot_per_point=[0.0, 5e6])
         rows = run_sweep(spec)
@@ -154,6 +154,27 @@ class TestRunSweep:
         assert rows[1]["error"] == "" and rows[1]["kappa"] > 0
         geometry = run_sweep(replace(spec, outputs=("n_mot", "v_mt")))
         assert geometry[0]["error"] == "" and geometry[0]["n_mot"] == 0.0
+        no_kappa = run_sweep(replace(spec, outputs=(
+            "loading_rate", "n_mt_steady", "tau_eff")))[0]
+        assert no_kappa == {"value": 0.1, "error": "", "loading_rate": 0.0,
+                            "n_mt_steady": 0.0, "tau_eff": math.inf}
+        abscissa = run_sweep(replace(spec, outputs=("kappa_abscissa",)))
+        assert abscissa[0]["error"] == "n_mot must be > 0"
+
+    def test_no_loss_channel(self):
+        # R and the abscissa need no loss coefficient; N_inf does
+        base = make_scenario(beta_ed=0.0, beta_dd=0.0, gamma_d=0.0)
+        spec = SweepSpec("radial_gradient", [0.1, 0.125], base,
+                         outputs=("loading_rate", "kappa_abscissa"))
+        for value, row in zip(spec.values, run_sweep(spec)):
+            scen = scenario_at(base, "radial_gradient", value)
+            assert row == {
+                "value": value, "error": "",
+                "loading_rate": dynamics.loading_rate(scen),
+                "kappa_abscissa": dynamics.kappa_abscissa(scen)}
+        rows = run_sweep(replace(spec, outputs=("loading_rate", "kappa")))
+        assert all(row["error"] == "no steady state: loading without any "
+                   "loss channel" for row in rows)
 
     def test_excited_fraction_once_per_point(self, monkeypatch):
         # one rate-model pass per point: the rows once evaluated the
@@ -196,7 +217,7 @@ def test_row_outputs_equal_public_functions(parameter, b_prime, b_dprime, b0,
         "majorana_safe": majorana_safe(scen.trap)}
     assert row["kappa"] == n_inf / n_mot
     assert row["kappa_abscissa"] == r * scen.v_mt / n_mot ** 2
-    rates = dynamics.rate_summary(scen)
+    rates = dynamics.RateSummary(scen)
     assert rates.gamma_ed == dynamics.gamma_ed_loss(
         scen.n_mot_excited, scen.coefficients.beta_ed, scen.v_eff)
     assert rates.gamma == gamma_d + rates.gamma_ed
