@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics, sweeps
-from .cloud import make_thermal_cloud, occupied_volume
+from .cloud import trap_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_column_profile, fit_decay, fit_kappa,
                          fit_loading_rate, fit_tof)
@@ -88,10 +88,11 @@ PAPER_DEFAULTS: dict[str, str] = {
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
 # Keys with a lower bound: (comparison, bound).  The dataclasses and functions
 # they feed check it too, but cannot name the key.  eta = 0, not n_mot = 0,
-# switches loading off; a synthetic data set needs two points.
+# switches loading off; a data set or a curve needs two points, a sweep one.
 _LOWER_BOUND = {"gamma_d_per_s": (">=", 0), "beta_ed_cm3_per_s": (">=", 0),
                 "beta_dd_cm3_per_s": (">=", 0), "n_mot": (">", 0),
-                "synth_points": (">=", 2)}
+                "synth_points": (">=", 2), "samples": (">=", 2),
+                "sweep_points": (">=", 1)}
 
 
 class ConfigError(Exception):
@@ -178,8 +179,7 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
 
     v_mt = _given(cfg, "v_mt_cm3")
     if v_mt is None:
-        cl = make_thermal_cloud(species, trap_cfg, n=1.0, t=t_mt)
-        v_mt = occupied_volume(cl)
+        v_mt = trap_volume(species, trap_cfg, t_mt)
     v_eff = _given(cfg, "v_eff_cm3")
     if v_eff is None:
         v_eff = v_mt
@@ -243,13 +243,12 @@ def _report(rows: list[tuple]) -> str:
 def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
     rates = dynamics.RateSummary(scen)
-    cl_off = make_thermal_cloud(scen.species, scen.trap, n=1.0,
-                                t=scen.mt_temperature, include_gravity=False)
     return _report([
         ("loading_rate_atoms_per_s", rates.loading_rate),
         ("gamma_ed_per_s", rates.gamma_ed),
         ("v_mt_cm3", scen.v_mt * 1e6),
-        ("v_mt_cm3_no_gravity", occupied_volume(cl_off) * 1e6),
+        ("v_mt_cm3_no_gravity", trap_volume(scen.species, scen.trap,
+                                            scen.mt_temperature, False) * 1e6),
         ("v_eff_cm3", scen.v_eff * 1e6),
         ("n_steady_atoms", rates.n_mt_steady),
         ("kappa", rates.kappa),

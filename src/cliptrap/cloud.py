@@ -13,8 +13,9 @@ transform yields
     integral exp(-a rho - b y) dA = 2 pi a / (a^2 - b^2)^(3/2)
 
 (Gradshteyn & Ryzhik 6.623), and the axial Gaussian factor integrates
-analytically.  Only the MOT overlap integral of effective_volume is still
-done by 2D adaptive quadrature; scipy is imported there, on first use.
+analytically.  trap_volume, the one V_MT path, uses both without building
+a cloud.  Only the MOT overlap integral of effective_volume is still done
+by 2D adaptive quadrature; scipy is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -131,6 +132,20 @@ def _planar_integral(xi1: float, xi2: float, power: float) -> float:
     return 2 * math.pi * a / (a * a - b * b) ** 1.5
 
 
+def _square_integral(n0, xi1, xi2, sigma_z) -> float:
+    """Integral of n^2 over space for peak density n0, in closed form."""
+    return n0 ** 2 * _planar_integral(xi1, xi2, 2.0) * math.sqrt(math.pi) * sigma_z
+
+
+def _shape(species, cfg, n, t, include_gravity):
+    """(xi1, xi2, sigma_z, peak density) of make_thermal_cloud's cloud."""
+    if not (n > 0 and t > 0):
+        raise ValueError("atom number and temperature must be positive")
+    xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
+    norm = _planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi) * sigma_z
+    return xi1, xi2, sigma_z, n / norm
+
+
 def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
                        n: float, t: float,
                        include_gravity: bool = True) -> ThermalCloud:
@@ -139,12 +154,16 @@ def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
     Scale lengths follow from the trap and species; the peak density
     normalizes the (gravity-modified) distribution to n atoms.
     """
-    if not (n > 0 and t > 0):
-        raise ValueError("atom number and temperature must be positive")
-    xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
-    norm = _planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi) * sigma_z
-    return ThermalCloud(atom_number=n, temperature=t, xi1=xi1, xi2=xi2,
-                        sigma_z=sigma_z, peak_density=n / norm)
+    return ThermalCloud(n, t, *_shape(species, cfg, n, t, include_gravity))
+
+
+def trap_volume(species: Species, cfg: IpTrapConfig, t: float,
+                include_gravity: bool = True) -> float:
+    """occupied_volume(make_thermal_cloud(..., n=1.0, ...)): same bits, errors."""
+    xi1, xi2, sigma_z, n0 = _shape(species, cfg, 1.0, t, include_gravity)
+    if not (sigma_z > 0 and n0 > 0):  # ThermalCloud raises its own message
+        ThermalCloud(1.0, t, xi1, xi2, sigma_z, n0)
+    return 1.0 / _square_integral(n0, xi1, xi2, sigma_z)
 
 
 def mt_density(cloud: ThermalCloud, x, y, z):
@@ -204,9 +223,8 @@ def occupied_volume(cloud: ThermalCloud) -> float:
 
     With gravity off this reduces to 16 pi^(3/2) xi1^2 sigma_z.
     """
-    i2 = (cloud.peak_density ** 2 * _planar_integral(cloud.xi1, cloud.xi2, 2.0)
-          * math.sqrt(math.pi) * cloud.sigma_z)
-    return cloud.atom_number ** 2 / i2
+    return cloud.atom_number ** 2 / _square_integral(
+        cloud.peak_density, cloud.xi1, cloud.xi2, cloud.sigma_z)
 
 
 def effective_volume(mot: GaussianCloud, mt: ThermalCloud,

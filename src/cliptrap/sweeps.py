@@ -21,7 +21,7 @@ import numpy as np
 from . import cloud, dynamics
 from .dynamics import LoadingScenario
 from .estimation import DataSet
-from .trap import majorana_safe
+from .trap import IpTrapConfig, majorana_safe
 
 SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
 # Each sweep output of one point, from its scenario and its
@@ -65,10 +65,10 @@ class SweepSpec:
         vals = self.values
         if not vals:
             raise ValueError("values must be non-empty")
-        if not np.isfinite(vals).all():
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"{self.swept_parameter} values must be finite")
-        diffs = np.diff(vals)
-        if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        steps = tuple(zip(vals, vals[1:]))
+        if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
             raise ValueError("values must be strictly monotone")
         if self.swept_parameter != "offset_field" and min(vals) <= 0:
             raise ValueError(f"{self.swept_parameter} values must be positive")
@@ -85,17 +85,15 @@ class SweepSpec:
 
 def scenario_at(base: LoadingScenario, parameter: str, value: float,
                 n_mot: float | None = None) -> LoadingScenario:
-    """Rebuild the scenario with one trap parameter changed.
-
-    The cloud geometry (hence V_MT) is recomputed at the scenario's trap
+    """Rebuild the scenario with one trap parameter changed, without the
+    ~5 us of dataclasses.replace.  V_MT is cloud.trap_volume at the trap
     temperature; V_eff uses the trap-volume approximation.
     """
-    trap_cfg = replace(base.trap, **{parameter: value})
+    trap_cfg = IpTrapConfig(**(vars(base.trap) | {parameter: value}))
     mot = base.mot if n_mot is None else replace(base.mot, n_mot=n_mot)
-    cl = cloud.make_thermal_cloud(base.species, trap_cfg, n=1.0,
-                                  t=base.mt_temperature)
-    v_mt = cloud.occupied_volume(cl)
-    return replace(base, trap=trap_cfg, mot=mot, v_mt=v_mt, v_eff=v_mt)
+    v_mt = cloud.trap_volume(base.species, trap_cfg, base.mt_temperature)
+    return LoadingScenario(**(vars(base) | {"trap": trap_cfg, "mot": mot,
+                                            "v_mt": v_mt, "v_eff": v_mt}))
 
 
 def _row_outputs(scenario: LoadingScenario, outputs: Sequence[str]) -> dict:

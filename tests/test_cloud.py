@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from cliptrap import cli, sweeps
 from cliptrap.cloud import (GaussianCloud, ThermalCloud, column_density,
                             effective_volume, make_thermal_cloud, mot_density,
                             mt_density, occupied_volume, scale_lengths,
-                            tof_radius)
+                            tof_radius, trap_volume)
 from cliptrap.species import chromium_52
 from cliptrap.trap import IpTrapConfig
 
@@ -238,6 +240,57 @@ class TestOccupiedVolume:
                               peak_density=c.peak_density)
         assert occupied_volume(tilted) == pytest.approx(
             occupied_volume(c), rel=1e-6)
+
+
+def outcome(f, *args, **kwargs):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def two_call_volume(species, cfg, t, include_gravity=True):
+    return occupied_volume(make_thermal_cloud(
+        species, cfg, n=1.0, t=t, include_gravity=include_gravity))
+
+
+class TestTrapVolume:
+    @settings(max_examples=200, deadline=None)
+    @given(b_prime=st.floats(0.005, 0.5), b_dprime=st.floats(0.5, 100.0),
+           t=st.floats(1e-6, 1e-3), gravity=st.booleans())
+    def test_equals_the_two_call_oracle(self, b_prime, b_dprime, t, gravity):
+        # bit for bit, or the same untrapped-cloud error: B' below about
+        # 1.5 G/cm cannot hold 52Cr against gravity
+        cfg = IpTrapConfig(b_prime, b_dprime)
+        want = outcome(two_call_volume, CR, cfg, t, gravity)
+        assert outcome(trap_volume, CR, cfg, t, gravity) == want
+        if isinstance(want, tuple):
+            assert gravity and want == (
+                ValueError,
+                "untrapped cloud: gravity scale xi2 must exceed xi1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_b_prime=st.floats(-300, 300), log_b_dprime=st.floats(-300, 300),
+           log_t=st.floats(-320, 300), gravity=st.booleans())
+    @example(10.0, 25.0, -300.0, False)   # sigma_z underflows to 0
+    @example(10.0, 0.0, -300.0, True)     # 1/xi1 overflows: n0 is NaN
+    @example(-100.0, -250.0, -4.0, False)  # normalization overflows: n0 = 0
+    @example(-160.0, 300.0, -4.0, False)  # float division by zero
+    def test_same_errors_at_any_scale(self, log_b_prime, log_b_dprime, log_t,
+                                      gravity):
+        # every ThermalCloud check that can still fail after the
+        # normalization raises the same error through both paths
+        cfg = IpTrapConfig(10 ** log_b_prime, 10 ** log_b_dprime)
+        t = 10 ** log_t
+        assert (outcome(trap_volume, CR, cfg, t, gravity)
+                == outcome(two_call_volume, CR, cfg, t, gravity))
+
+    @pytest.mark.parametrize("t", [0.0, -1e-4, math.nan])
+    def test_temperature_checked(self, t):
+        with pytest.raises(ValueError, match="atom number and temperature "
+                                             "must be positive"):
+            trap_volume(CR, CFG, t)
 
 
 class TestEffectiveVolume:

@@ -215,6 +215,26 @@ def test_synth_points_below_two_names_key(kind, points, tmp_path):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command,key,bound,values", [
+    ("simulate", "samples", 2, ["-1", "0", "1"]),
+    ("sweep", "sweep_points", 1, ["-1", "0"]),
+])
+def test_point_counts_name_their_key(command, key, bound, values, tmp_path):
+    # samples = 1 said "need at least 2 samples", sweep_points = 0 "values
+    # must be non-empty" and -1 numpy's "Number of samples, -1, must be
+    # non-negative."; none named its key
+    out = tmp_path / "out.csv"
+    for value in values:
+        code, stdout, err = run(command, "--paper-defaults",
+                                "--set", f"{key}={value}", "--out", str(out))
+        assert code == 2
+        assert err == f"error: config key {key} must be >= {bound}: " \
+                      f"'{value}'\n"
+        assert stdout == "" and not out.exists()
+    assert run(command, "--paper-defaults", "--set", f"{key}={bound}",
+               "--out", str(out))[0] == 0
+
+
 def test_blank_or_zero_still_computes():
     code, blank, _ = run("predict", "--paper-defaults", "--set", "v_mt_cm3=",
                          "--set", "v_eff_cm3=", "--set", "t_mt_uk=0")

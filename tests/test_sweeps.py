@@ -77,6 +77,50 @@ class TestSweepSpec:
         assert [row["n_mot"] for row in rows] == [4e6, 5e6]
         assert all(row["kappa"] > 0 for row in rows)
 
+    @pytest.mark.parametrize("args,kwargs,message", [
+        (("detuning", [0.1]), {}, "sweep parameter must be one of "
+         "radial_gradient, axial_curvature, offset_field: 'detuning'"),
+        (("radial_gradient", []), {}, "values must be non-empty"),
+        (("radial_gradient", [0.1, math.nan]), {},
+         "radial_gradient values must be finite"),
+        (("radial_gradient", [0.1, 0.3, 0.2]), {},
+         "values must be strictly monotone"),
+        (("radial_gradient", [0.1, 0.1]), {},
+         "values must be strictly monotone"),
+        (("offset_field", [2e-6, -1e-6, -1e-6]), {},
+         "values must be strictly monotone"),
+        (("axial_curvature", [-1.0, 5.0]), {},
+         "axial_curvature values must be positive"),
+        (("radial_gradient", [0.2, 0.0]), {},
+         "radial_gradient values must be positive"),
+        (("radial_gradient", [0.1, 0.2]), {"n_mot_per_point": [5e6]},
+         "n_mot_per_point length must match values"),
+        (("radial_gradient", [0.1]), {"n_mot_per_point": [-1.0]},
+         "n_mot_per_point values must be finite and >= 0"),
+        (("radial_gradient", [0.1]), {"outputs": ("kappa", "entropy")},
+         "unknown outputs: ['entropy']"),
+    ])
+    def test_messages(self, args, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            SweepSpec(*args, make_scenario(), **kwargs)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2e-6, -1e-300, 0.0, 5e-324, 1e-6,
+                                     1e-6 + 1e-21, 3.0, 1e300]),
+                    min_size=1, max_size=5))
+    def test_monotone_check_matches_numpy(self, values):
+        # the checks run on Python floats; np.diff gave the same verdict
+        diffs = np.diff(values)
+        monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
+        try:
+            SweepSpec("offset_field", values, make_scenario())
+        except ValueError as exc:
+            assert not monotone and str(exc) == \
+                "values must be strictly monotone"
+        else:
+            assert monotone
+
 
 class TestRunSweep:
     def test_row_count_and_columns(self):
@@ -221,6 +265,50 @@ def test_row_outputs_equal_public_functions(parameter, b_prime, b_dprime, b0,
     assert rates.gamma_ed == dynamics.gamma_ed_loss(
         scen.n_mot_excited, scen.coefficients.beta_ed, scen.v_eff)
     assert rates.gamma == gamma_d + rates.gamma_ed
+
+
+def scenario_at_oracle(base, parameter, value, n_mot):
+    """scenario_at through dataclasses.replace and the two-call V_MT."""
+    trap = replace(base.trap, **{parameter: value})
+    mot = base.mot if n_mot is None else replace(base.mot, n_mot=n_mot)
+    v_mt = cloud.occupied_volume(cloud.make_thermal_cloud(
+        base.species, trap, n=1.0, t=base.mt_temperature))
+    return replace(base, trap=trap, mot=mot, v_mt=v_mt, v_eff=v_mt)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parameter=st.sampled_from(SWEEPABLE), value=st.floats(0.005, 50.0),
+       b_prime=st.floats(0.03, 0.3), b_dprime=st.floats(1.0, 50.0),
+       b0=st.floats(-1e-4, 1e-4).filter(bool),
+       t_mt=st.floats(2e-5, 5e-4), eta=st.floats(0.01, 1.0),
+       gamma_d=st.floats(0.0, 0.1), beta_dd=st.floats(0.0, 1e-16),
+       n_mot=st.none() | st.floats(0.0, 1e9))
+def test_scenario_at_equals_replace_oracle(parameter, value, b_prime,
+                                           b_dprime, b0, t_mt, eta, gamma_d,
+                                           beta_dd, n_mot):
+    # every field of the base differs from its default and from the new
+    # point's, so a field the direct construction drops or takes from the
+    # wrong place fails here; an untrapped B' fails with the same message
+    if parameter == "offset_field":
+        value = (value - 25.0) * 1e-5
+    elif parameter == "radial_gradient":
+        value /= 100.0
+    base = replace(make_scenario(eta=eta, beta_dd=beta_dd, gamma_d=gamma_d,
+                                 n_mot=7.5e6, v_mt=3e-9, v_eff=4e-9,
+                                 t_mt=t_mt, saturation=3.0),
+                   trap=IpTrapConfig(b_prime, b_dprime, b0))
+    got = outcome(scenario_at, base, parameter, value, n_mot)
+    assert got == outcome(scenario_at_oracle, base, parameter, value, n_mot)
+    if isinstance(got, str):
+        assert parameter == "radial_gradient" and got.startswith(
+            "untrapped cloud")
 
 
 class TestKappaCurve:
