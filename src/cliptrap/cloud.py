@@ -159,7 +159,7 @@ def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
 
 def trap_volume(species: Species, cfg: IpTrapConfig, t: float,
                 include_gravity: bool = True) -> float:
-    """occupied_volume(make_thermal_cloud(..., n=1.0, ...)): same bits, errors."""
+    """V_MT: occupied_volume of make_thermal_cloud(n=1.0), same bits and errors."""
     xi1, xi2, sigma_z, n0 = _shape(species, cfg, 1.0, t, include_gravity)
     if not (sigma_z > 0 and n0 > 0):  # ThermalCloud raises its own message
         ThermalCloud(1.0, t, xi1, xi2, sigma_z, n0)
