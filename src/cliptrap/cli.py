@@ -77,7 +77,6 @@ KEYS: dict[str, Key] = {
     "synth_noise": Key(float, "0.0", 1.0, "0.1"),
     "synth_points": Key(int, "30"),
     "seed": Key(int, "20021114"),
-    "fit_window_s": Key(float, "0.25"),
 }
 PAPER_DEFAULTS: dict[str, str] = {
     name: key.paper or key.default for name, key in KEYS.items()
@@ -173,13 +172,18 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
         sigma_radial=_get(cfg, "sigma_mot_radial_mm"),
         sigma_axial=_get(cfg, "sigma_mot_axial_mm"),
     )
-    t_mt = _given(cfg, "t_mt_uk")
+    t_mt, t_key = _given(cfg, "t_mt_uk"), "t_mt_uk"
     if t_mt is None:
-        t_mt = dynamics.mt_temperature_prediction(t_mot)
+        t_mt, t_key = dynamics.mt_temperature_prediction(t_mot), "t_mot_uk"
 
     v_mt = _given(cfg, "v_mt_cm3")
     if v_mt is None:
-        v_mt = trap_volume(species, trap_cfg, t_mt)
+        try:
+            v_mt = trap_volume(species, trap_cfg, t_mt)
+        except ArithmeticError as exc:  # the cloud under- or overflows
+            raise ConfigError(f"config keys b_prime_g_per_cm, "
+                              f"b_dprime_g_per_cm2 and {t_key} are out of "
+                              f"range: {exc}")
     v_eff = _given(cfg, "v_eff_cm3")
     if v_eff is None:
         v_eff = v_mt
@@ -378,7 +382,7 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # module-global name, so a wrapper installed on this module sees them.
 
 def _fit_loading_rate(cfg: dict[str, str], path: str) -> list[tuple]:
-    rate = fit_loading_rate(DataSet.from_csv(path), _get(cfg, "fit_window_s"))
+    rate = fit_loading_rate(DataSet.from_csv(path))
     return [("loading_rate_atoms_per_s", rate)]
 
 

@@ -143,7 +143,10 @@ def _shape(species, cfg, n, t, include_gravity):
         raise ValueError("atom number and temperature must be positive")
     xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
     norm = _planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi) * sigma_z
-    return xi1, xi2, sigma_z, n / norm
+    n0 = n / norm if norm > 0 else math.inf
+    if not 0 < n0 < math.inf:  # a scale length under- or overflowed
+        raise ArithmeticError("trap cloud size under- or overflows a float")
+    return xi1, xi2, sigma_z, n0
 
 
 def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
@@ -161,8 +164,6 @@ def trap_volume(species: Species, cfg: IpTrapConfig, t: float,
                 include_gravity: bool = True) -> float:
     """V_MT: occupied_volume of make_thermal_cloud(n=1.0), same bits and errors."""
     xi1, xi2, sigma_z, n0 = _shape(species, cfg, 1.0, t, include_gravity)
-    if not (sigma_z > 0 and n0 > 0):  # ThermalCloud raises its own message
-        ThermalCloud(1.0, t, xi1, xi2, sigma_z, n0)
     return 1.0 / _square_integral(n0, xi1, xi2, sigma_z)
 
 

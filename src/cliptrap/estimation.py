@@ -6,13 +6,14 @@ Positivity-constrained parameters are fitted in log space through its one
 `log` option, which maps values and covariance back with the delta method.
 A model returns its values and a callable for their Jacobian.  The kappa
 and decay fits start at the linear least-squares solution of their rate
-equation, which is linear in the loss coefficients (the decay fit's
-integrals take N as exponential between samples), and return the
-analytic Jacobians of their closed-form models, built from what the model
-evaluation already computed; so does the column-profile fit, from one
-K0/K1 pass.  The solver's few-parameter bookkeeping runs on Python
-floats, with a small Cholesky solve; so do the fits' linear systems (the
-two starts and fit_tof), through one column-scaled normal-equation solve.
+equation, and the loading rate is one: the decay and loading fits share
+the rate equation integrated over the curve, with N exponential between
+samples.  The iterative fits return the analytic Jacobians of their
+closed-form models, built from what the model evaluation already
+computed; so does the column-profile fit, from one K0/K1 pass.  The
+solver's few-parameter bookkeeping runs on Python floats, with a small
+Cholesky solve; so do the fits' linear systems, through one
+column-scaled normal-equation solve.
 numpy does the work on data-length arrays.  Only statistical uncertainty
 is reported; systematic density calibration errors are outside the
 fitter's scope.
@@ -331,22 +332,6 @@ def least_squares(model, data: DataSet, initial, bounds=None,
 # --- specific fitting procedures -------------------------------------------
 
 
-def fit_loading_rate(series: DataSet, window: float = 0.25) -> float:
-    """Loading rate from an unweighted linear fit over t in [0, window] s.
-
-    The early-time slope of the accumulation curve; the finite window
-    introduces a small curvature bias toward lower values.
-    """
-    if not window > 0:
-        raise ValueError("window must be positive")
-    sel = (series.x >= 0) & (series.x <= window)
-    if np.count_nonzero(sel) < 3:
-        raise ValueError("need at least 3 points inside the fit window")
-    x, y = series.x[sel], series.y[sel]
-    xc = x - x.mean()
-    return float(xc @ (y - y.mean()) / (xc @ xc))
-
-
 def _segment_integrals(t: np.ndarray, y: np.ndarray):
     """int N dt and int N^2 dt over each interval between samples (t, y).
 
@@ -371,6 +356,31 @@ def _segment_integrals(t: np.ndarray, y: np.ndarray):
     np.divide(d, log, out=n1, where=exponential)
     np.multiply(n1, mean, out=n2, where=exponential)
     return n1 * dt, n2 * dt
+
+
+def _integrated_rows(series: DataSet):
+    """(series sorted by t, t - t0, 1 / sigma of the rows after the anchor,
+    and int N dt and int N^2 dt from t0 to those rows): the terms of the
+    rate equation integrated from the earliest sample, at t0."""
+    if not (series.x[1:] >= series.x[:-1]).all():
+        order = np.argsort(series.x)
+        series = DataSet(series.x[order], series.y[order],
+                         series.sigma_y[order])
+    t = series.x - series.x[0]
+    int_n, int_n2 = map(np.cumsum, _segment_integrals(t, series.y))
+    return series, t, 1.0 / series.sigma_y[1:], int_n, int_n2
+
+
+def fit_loading_rate(series: DataSet) -> float:
+    """Loading rate R over the whole curve: with n0 the earliest sample,
+    y_i - n0 = R (t_i - t0) - gamma int N dt - k int N^2 dt
+    (_integrated_rows) is linear in (R, gamma, k); R is its weighted
+    least-squares solution."""
+    if len(series) < 4:
+        raise ValueError("need at least 4 samples")
+    series, t, w, int_n, int_n2 = _integrated_rows(series)
+    return _linear_solve(np.column_stack([t[1:], -int_n, -int_n2])
+                         * w[:, None], (series.y[1:] - series.y[0]) * w)[0]
 
 
 def fit_kappa(data: DataSet) -> FitResult:
@@ -417,24 +427,17 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
     """
     if not v > 0:
         raise ValueError("v must be positive")
-    if not (series.x[1:] >= series.x[:-1]).all():
-        order = np.argsort(series.x)
-        series = DataSet(series.x[order], series.y[order],
-                         series.sigma_y[order])
+    series, t, w, int_n, int_n2 = _integrated_rows(series)
     y = series.y
     n0 = float(y[0])
     if not n0 > 0:
         raise ValueError("n0 must be positive")
-    t = series.x - series.x[0]
 
     # n0 - y_i = gamma int N dt + (2 beta n0 / V) int N^2 / n0 dt: the
     # two-body column is scaled by 1 / n0, so both columns are of one
     # magnitude
-    w = 1.0 / series.sigma_y[1:]
-    int_n, int_n2 = _segment_integrals(t, y)
     gamma0, rate2 = _linear_solve(
-        np.column_stack([np.cumsum(int_n), np.cumsum(int_n2) / n0])
-        * w[:, None], (n0 - y[1:]) * w)
+        np.column_stack([int_n, int_n2 / n0]) * w[:, None], (n0 - y[1:]) * w)
     if not rate2 > 0:
         # no two-body loss resolved: start where it would remove 1e-6 of
         # the atoms over the record, not on the floor, where the model

@@ -159,10 +159,10 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     if points < 2:
         raise ValueError(f"points must be >= 2: {points}")
     rng = np.random.default_rng(seed)
-    r = dynamics.loading_rate(scenario)
-    n_inf = dynamics.steady_state(scenario)
 
     if kind == "loading_curve":
+        r = dynamics.loading_rate(scenario)
+        n_inf = dynamics.steady_state(scenario)
         if not r > 0:
             raise ValueError("a loading curve needs a loading rate > 0")
         t_end = 10 * dynamics.effective_loading_time(n_inf, r)
@@ -172,7 +172,8 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     elif kind == "decay_curve":
         t = _log_grid(0.05, 150.0, points)
         t[0] = 0.0  # anchor the initial atom number
-        y = dynamics.decay(n_inf, scenario.coefficients.gamma_d,
+        y = dynamics.decay(dynamics.steady_state(scenario),
+                           scenario.coefficients.gamma_d,
                            scenario.coefficients.beta_dd, scenario.v_mt, t)
         x = t
         labels = ("t_s", "n_atoms")

@@ -104,6 +104,18 @@ class TestPredict:
                    "b_prime_g_per_cm=1.0") == 2
         assert "untrapped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,t_key", [
+        ([], "t_mt_uk"), (["--set", "t_mt_uk=0"], "t_mot_uk")])
+    def test_cloud_out_of_range_names_its_keys(self, extra, t_key, capsys):
+        # the trap temperature's key is t_mot_uk when t_mt_uk = 0 asks for
+        # the virial prediction
+        assert run("predict", "--paper-defaults", "--set",
+                   "b_prime_g_per_cm=1e305", *extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: config keys b_prime_g_per_cm, b_dprime_g_per_cm2 and "
+            f"{t_key} are out of range: trap cloud size under- or overflows "
+            "a float\n")
+
 
 class TestSimulate:
     def test_final_value_matches_predict(self, tmp_path):
@@ -709,3 +721,55 @@ def test_stdout_equals_out_file_and_repeats(argv, fit_data, tmp_path,
     assert run(*argv) == 0
     assert capsysbinary.readouterr().out == stdout == out.read_bytes()
     assert stdout.endswith(b"\n")
+
+
+@pytest.mark.parametrize("kind,fit", [
+    ("kappa_points", "kappa"), ("decay_curve", "decay"),
+    ("tof_series", "tof"), ("loading_curve", "loading-rate")])
+def test_default_synth_fits(kind, fit, tmp_path):
+    # each synth kind at the paper defaults, no other key set, piped into
+    # its fit: every reported value is finite
+    data, report = tmp_path / "data.csv", tmp_path / "report.txt"
+    assert run("synth", "--paper-defaults", "--set", f"synth_kind={kind}",
+               "--out", str(data)) == 0
+    assert run("fit", fit, "--paper-defaults", "--data", str(data),
+               "--out", str(report)) == 0
+    values = read_report(report)
+    assert values
+    for key, value in values.items():
+        if key != "converged":
+            assert math.isfinite(float(value)), key
+
+
+def test_tof_synth_needs_no_loss_channel(tmp_path):
+    # a TOF series reads neither R nor N_inf, so a scenario without any
+    # loss channel (no steady state) still synthesises one
+    base = ["synth", "--paper-defaults", "--set", "synth_kind=tof_series"]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert run(*base, "--out", str(want)) == 0
+    assert run(*base, "--set", "beta_ed_cm3_per_s=0",
+               "--set", "beta_dd_cm3_per_s=0", "--out", str(got)) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_every_key_is_read(fit_data, monkeypatch):
+    # each cli.KEYS entry is read by some command, not only by
+    # build_config's check: a key that no command reads has no effect
+    read = set()
+    get = cli._get
+
+    def recorder(cfg, name):
+        read.add(name)
+        return get(cfg, name)
+
+    parser = cli._build_parser()
+    for argv in _every_command():
+        if argv[0] == "fit":
+            argv = [*argv, "--data",
+                    str(fit_data / f"{FIT_DATA[argv[1]]}.csv")]
+        args = parser.parse_args([*argv, "--paper-defaults"])
+        cfg = cli.build_config(args)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_get", recorder)
+            cli.COMMANDS[args.command](cfg, args)
+    assert set(cli.KEYS) - read == set()

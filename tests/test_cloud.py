@@ -96,6 +96,20 @@ class TestScaleLengths:
         with pytest.raises(ValueError, match="untrapped"):
             make_thermal_cloud(CR, weak, n=1e8, t=100e-6)
 
+    @pytest.mark.parametrize("b_prime,b_dprime,t,gravity", [
+        (1e303, 10.5, 100e-6, True),     # the normalization is NaN
+        (1e10, 1e25, 1e-300, False)])    # sigma_z underflows to 0
+    def test_out_of_range_cloud_says_so(self, b_prime, b_dprime, t,
+                                        gravity):
+        # one message in trap terms, from both V_MT paths
+        cfg = IpTrapConfig(b_prime, b_dprime)
+        for volume in (lambda: trap_volume(CR, cfg, t, gravity),
+                       lambda: occupied_volume(
+                           make_thermal_cloud(CR, cfg, 1.0, t, gravity))):
+            with pytest.raises(ArithmeticError, match="trap cloud size "
+                               "under- or overflows a float"):
+                volume()
+
 
 class TestNormalization:
     def test_peak_density_against_analytic_oracle(self, cloud100):

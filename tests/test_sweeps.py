@@ -185,6 +185,15 @@ class TestRunSweep:
         assert rows[1]["error"] == ""
         assert rows[1]["n_mt_steady"] > 0
 
+    def test_out_of_range_point_says_so(self):
+        # 1e303 T/m makes the cloud's size overflow a float; the row says
+        # so in trap terms, not through an internal field
+        rows = run_sweep(SweepSpec("radial_gradient", [0.125, 1e303],
+                                   make_scenario(), outputs=("v_mt",)))
+        assert rows[1]["error"] == ("trap cloud size under- or overflows "
+                                    "a float")
+        assert rows[0]["error"] == ""
+
 
     def test_zero_n_mot_point_names_n_mot(self):
         # kappa = N / N_MOT used to fail as "float division by zero"; the
