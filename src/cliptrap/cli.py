@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics, sweeps
-from .cloud import trap_volume
+from .cloud import CloudRangeError, trap_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_column_profile, fit_decay, fit_kappa,
                          fit_loading_rate, fit_tof)
@@ -180,10 +180,9 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
     if v_mt is None:
         try:
             v_mt = trap_volume(species, trap_cfg, t_mt)
-        except ArithmeticError as exc:  # the cloud under- or overflows
-            raise ConfigError(f"config keys b_prime_g_per_cm, "
-                              f"b_dprime_g_per_cm2 and {t_key} are out of "
-                              f"range: {exc}")
+        except CloudRangeError as exc:
+            raise ConfigError(f"{exc}; it is set by b_prime_g_per_cm, "
+                              f"b_dprime_g_per_cm2 and {t_key}")
     v_eff = _given(cfg, "v_eff_cm3")
     if v_eff is None:
         v_eff = v_mt

@@ -36,6 +36,10 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class CloudRangeError(ValueError):
+    """The trap cloud's size under- or overflows a float."""
+
+
 def _dblquad_checked(f, box_x, box_y) -> float:
     """Two-pass adaptive double integral with a self-consistency check.
 
@@ -145,7 +149,7 @@ def _shape(species, cfg, n, t, include_gravity):
     norm = _planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi) * sigma_z
     n0 = n / norm if norm > 0 else math.inf
     if not 0 < n0 < math.inf:  # a scale length under- or overflowed
-        raise ArithmeticError("trap cloud size under- or overflows a float")
+        raise CloudRangeError("trap cloud size under- or overflows a float")
     return xi1, xi2, sigma_z, n0
 
 

@@ -6,14 +6,13 @@ Positivity-constrained parameters are fitted in log space through its one
 `log` option, which maps values and covariance back with the delta method.
 A model returns its values and a callable for their Jacobian.  The kappa
 and decay fits start at the linear least-squares solution of their rate
-equation, and the loading rate is one: the decay and loading fits share
-the rate equation integrated over the curve, with N exponential between
-samples.  The iterative fits return the analytic Jacobians of their
-closed-form models, built from what the model evaluation already
+equation; the loading rate is such a solution.  The decay and loading
+fits share the rate equation integrated over the curve, N exponential
+between samples.  The iterative fits return the analytic Jacobians of
+their closed-form models, built from what the model evaluation already
 computed; so does the column-profile fit, from one K0/K1 pass.  The
 solver's few-parameter bookkeeping runs on Python floats, with a small
-Cholesky solve; so do the fits' linear systems, through one
-column-scaled normal-equation solve.
+Cholesky solve; so do the fits' linear systems, through one scaled solve.
 numpy does the work on data-length arrays.  Only statistical uncertainty
 is reported; systematic density calibration errors are outside the
 fitter's scope.
@@ -359,9 +358,8 @@ def _segment_integrals(t: np.ndarray, y: np.ndarray):
 
 
 def _integrated_rows(series: DataSet):
-    """(series sorted by t, t - t0, 1 / sigma of the rows after the anchor,
-    and int N dt and int N^2 dt from t0 to those rows): the terms of the
-    rate equation integrated from the earliest sample, at t0."""
+    """Sorted series, t - t0, and 1 / sigma, int N dt and int N^2 dt from
+    t0 for the rows after the earliest sample, the rate equation's anchor."""
     if not (series.x[1:] >= series.x[:-1]).all():
         order = np.argsort(series.x)
         series = DataSet(series.x[order], series.y[order],

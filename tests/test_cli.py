@@ -112,9 +112,8 @@ class TestPredict:
         assert run("predict", "--paper-defaults", "--set",
                    "b_prime_g_per_cm=1e305", *extra) == 2
         assert capsys.readouterr().err == (
-            f"error: config keys b_prime_g_per_cm, b_dprime_g_per_cm2 and "
-            f"{t_key} are out of range: trap cloud size under- or overflows "
-            "a float\n")
+            "error: trap cloud size under- or overflows a float; it is set "
+            f"by b_prime_g_per_cm, b_dprime_g_per_cm2 and {t_key}\n")
 
 
 class TestSimulate:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from cliptrap import cli, sweeps
-from cliptrap.cloud import (GaussianCloud, ThermalCloud, column_density,
-                            effective_volume, make_thermal_cloud, mot_density,
-                            mt_density, occupied_volume, scale_lengths,
-                            tof_radius, trap_volume)
+from cliptrap.cloud import (CloudRangeError, GaussianCloud, ThermalCloud,
+                            column_density, effective_volume,
+                            make_thermal_cloud, mot_density, mt_density,
+                            occupied_volume, scale_lengths, tof_radius,
+                            trap_volume)
 from cliptrap.species import chromium_52
 from cliptrap.trap import IpTrapConfig
 
@@ -106,7 +107,7 @@ class TestScaleLengths:
         for volume in (lambda: trap_volume(CR, cfg, t, gravity),
                        lambda: occupied_volume(
                            make_thermal_cloud(CR, cfg, 1.0, t, gravity))):
-            with pytest.raises(ArithmeticError, match="trap cloud size "
+            with pytest.raises(CloudRangeError, match="trap cloud size "
                                "under- or overflows a float"):
                 volume()
 
