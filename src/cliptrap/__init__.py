@@ -8,7 +8,7 @@ loss coefficients.
 from .bessel import bessel_k1
 from .cloud import (GaussianCloud, QuadratureError, ThermalCloud,
                     column_density, effective_volume, make_thermal_cloud,
-                    mot_density, mt_density, occupied_volume, tof_radius)
+                    mt_density, occupied_volume, tof_radius)
 from .dynamics import (LoadingScenario, RateCoefficients,
                        accumulation_efficiency, decay, effective_loading_time,
                        evolve, gamma_ed_loss, kappa_of_abscissa, loading_rate,
@@ -17,8 +17,7 @@ from .estimation import (DataSet, FitResult, fit_column_profile, fit_decay,
                          fit_kappa, fit_loading_rate, fit_tof, least_squares)
 from .species import (MotBeamParams, Species, chromium_52, excited_fraction,
                       load_species)
-from .sweeps import SweepSpec, kappa_curve, run_sweep, synthesize_measurements
-from .trap import (IpTrapConfig, field_magnitude, majorana_safe,
-                   potential_energy)
+from .sweeps import SweepSpec, run_sweep, synthesize_measurements
+from .trap import IpTrapConfig, majorana_safe
 
 __version__ = "0.1.0"

@@ -83,6 +83,10 @@ PAPER_DEFAULTS: dict[str, str] = {
     if key.paper or key.default}
 
 
+# Each RateCoefficients field's key.
+_COEFFICIENT_KEYS = {"eta": "eta", "beta_ed": "beta_ed_cm3_per_s",
+                     "beta_dd": "beta_dd_cm3_per_s",
+                     "gamma_d": "gamma_d_per_s"}
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
 # Keys with a lower bound: (comparison, bound).  The dataclasses and functions
@@ -157,12 +161,8 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
     trap_cfg = IpTrapConfig(_get(cfg, "b_prime_g_per_cm"),
                             _get(cfg, "b_dprime_g_per_cm2"),
                             _get(cfg, "b0_mg"))
-    coeff = RateCoefficients(
-        eta=_get(cfg, "eta"),
-        beta_ed=_get(cfg, "beta_ed_cm3_per_s"),
-        beta_dd=_get(cfg, "beta_dd_cm3_per_s"),
-        gamma_d=_get(cfg, "gamma_d_per_s"),
-    )
+    coeff = RateCoefficients(**{field: _get(cfg, key) for field, key
+                                in _COEFFICIENT_KEYS.items()})
     t_mot = _get(cfg, "t_mot_uk")
     mot = MotBeamParams(
         total_saturation=_get(cfg, "mot_saturation"),
@@ -467,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
         text = COMMANDS[args.command](build_config(args), args)
         _write_atomic(args.out, text)
     except (ConfigError, ValueError, OSError) as exc:
+        if isinstance(exc, dynamics.NoLossChannelError):
+            keys = [_COEFFICIENT_KEYS[field] for field in exc.coefficients]
+            exc = f"{exc}; it is set by {', '.join(keys[:-1])} and {keys[-1]}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -138,16 +138,26 @@ def _planar_integral(xi1: float, xi2: float, power: float) -> float:
 
 def _square_integral(n0, xi1, xi2, sigma_z) -> float:
     """Integral of n^2 over space for peak density n0, in closed form."""
-    return n0 ** 2 * _planar_integral(xi1, xi2, 2.0) * math.sqrt(math.pi) * sigma_z
+    try:  # a power may overflow, and a divisor underflow to 0
+        out = (n0 ** 2 * _planar_integral(xi1, xi2, 2.0) * math.sqrt(math.pi)
+               * sigma_z)
+    except (OverflowError, ZeroDivisionError):
+        out = math.nan
+    if not 0 < out < math.inf:
+        raise CloudRangeError("trap cloud size under- or overflows a float")
+    return out
 
 
 def _shape(species, cfg, n, t, include_gravity):
     """(xi1, xi2, sigma_z, peak density) of make_thermal_cloud's cloud."""
     if not (n > 0 and t > 0):
         raise ValueError("atom number and temperature must be positive")
-    xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
-    norm = _planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi) * sigma_z
-    n0 = n / norm if norm > 0 else math.inf
+    try:  # a power may overflow, and a divisor underflow to 0
+        xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
+        n0 = n / (_planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi)
+                  * sigma_z)
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
     if not 0 < n0 < math.inf:  # a scale length under- or overflowed
         raise CloudRangeError("trap cloud size under- or overflows a float")
     return xi1, xi2, sigma_z, n0
@@ -209,17 +219,6 @@ def column_density(cloud: ThermalCloud, y, z):
     (see column_density_terms).
     """
     out = column_density_terms(cloud, y, z)[0]
-    return float(out) if out.ndim == 0 else out
-
-
-def mot_density(cloud: GaussianCloud, x, y, z):
-    """Normalized Gaussian MOT density."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    sr, sa = cloud.sigma_radial, cloud.sigma_axial
-    peak = cloud.atom_number / ((2 * math.pi) ** 1.5 * sr * sr * sa)
-    out = peak * np.exp(-(x * x + y * y) / (2 * sr * sr) - z * z / (2 * sa * sa))
     return float(out) if out.ndim == 0 else out
 
 

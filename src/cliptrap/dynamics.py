@@ -34,6 +34,15 @@ _CHI_SWITCH = 1e-2
 DEFAULT_ETA = 0.3  # theoretical optical-pumping transfer efficiency
 
 
+class NoLossChannelError(ValueError):
+    """No loss channel where one is needed; coefficients names the
+    RateCoefficients fields that are all zero."""
+
+    def __init__(self, message: str, *coefficients: str) -> None:
+        super().__init__(message)
+        self.coefficients = coefficients
+
+
 @dataclass(frozen=True)
 class RateCoefficients:
     """Transfer efficiency and loss coefficients of the loading model."""
@@ -165,7 +174,9 @@ def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
     if r == 0:
         return 0.0
     if beta == 0 and gamma == 0:
-        raise ValueError("no steady state: loading without any loss channel")
+        raise NoLossChannelError(
+            "no steady state: loading without any loss channel",
+            "gamma_d", "beta_ed", "beta_dd")
     return 2 * r / (gamma + math.sqrt(gamma * gamma + 8 * beta * r / v))
 
 
@@ -216,9 +227,13 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     n_plus = _steady_state_raw(r, gamma, beta, v)
     u0 = n0 - n_plus
     d = math.sqrt(gamma * gamma + 4 * k * r)
-    u, (_, _, _, phi, q) = _riccati_terms(u0, d, k, t)
-    n = np.where(np.abs(u) <= 0.5 * abs(u0), n_plus + u,
-                 n0 - u0 * t * phi * (d + k * u0) / q)
+    # N(0) = n0 needs no D, which may overflow to inf; the n0 base is
+    # formed only where it is taken, since at D = inf it is 0 * inf
+    ts = t[1:]
+    u, (_, _, _, phi, q) = _riccati_terms(u0, d, k, ts)
+    far = ~(np.abs(u) <= 0.5 * abs(u0))
+    n = np.concatenate(([n0], n_plus + u))
+    n[1:][far] = n0 - u0 * ts[far] * phi[far] * (d + k * u0) / q[far]
     return t, n
 
 
@@ -233,7 +248,9 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
     at beta_ed = 0 (for x > 0).  Vectorized over x.
     """
     if beta_ed == 0 and beta_dd == 0:
-        raise ValueError("kappa undefined with both beta coefficients zero")
+        raise NoLossChannelError(
+            "kappa undefined with both beta coefficients zero",
+            "beta_ed", "beta_dd")
     x = np.asarray(x, float)
     out = 4 * x / (beta_ed + np.sqrt(beta_ed ** 2 + 32 * beta_dd * x))
     return float(out) if out.ndim == 0 else out
@@ -300,7 +317,15 @@ def _decay_times(n0: float, v: float, t) -> np.ndarray:
 
 def _decay_jacobian_of(n0: float, v: float, t: np.ndarray, n: np.ndarray,
                        terms) -> np.ndarray:
-    """decay_jacobian from the N and the terms _riccati_terms returned."""
+    """Derivatives of decay by (gamma, beta), shape t.shape + (2,), from
+    the N and terms of _riccati_terms.  With u = gamma t,
+    q = 1 + b t phi(u) and chi(u) = (u - 1 + e^{-u}) / u^2 = phi + phi':
+
+        dN/dgamma = -N t (1 + b t chi) / q,
+        dN/dbeta = -N (2 n0 / V) t phi / q.
+
+    At gamma t == 0 (phi = 1, chi = 1/2) these are the gamma -> 0 limits,
+    so the decay fit's bound gamma = 0 has a nonzero gamma column."""
     bt, neg_u, em, phi, q = terms
     tail = 1 / 24 + neg_u * (1 / 120 + neg_u / 720)
     chi = np.asarray(0.5 + neg_u * (1 / 6 + neg_u * tail))
@@ -331,32 +356,14 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
     return float(n) if n.ndim == 0 else n
 
 
-def decay_jacobian(n0: float, gamma: float, beta: float, v: float,
-                   t) -> np.ndarray:
-    """Derivatives of decay by (gamma, beta), shape t.shape + (2,).
-
-    With u = gamma t, q = 1 + b t phi(u) and
-    chi(u) = (u - 1 + e^{-u}) / u^2 = phi(u) + phi'(u):
-
-        dN/dgamma = -N t (1 + b t chi) / q,
-        dN/dbeta = -N (2 n0 / V) t phi / q.
-
-    At gamma t == 0 (phi = 1, chi = 1/2) these are the gamma -> 0 limits,
-    so the bound gamma = 0 of the decay fit has a nonzero gamma column.
-    """
-    t = _decay_times(n0, v, t)
-    n, terms = _riccati_terms(n0, gamma, 2 * beta / v, t)
-    return _decay_jacobian_of(n0, v, t, n, terms)
-
-
 def decay_fit_model(n0: float, v: float, t):
     """decay over fixed samples t, as a model for least_squares.
 
     model(x, p) returns decay(n0, p[0], p[1], v, t) and a callable for
-    decay_jacobian(n0, p[0], p[1], v, t); it ignores the x the solver
-    passes and uses t.  The arguments are checked once, here.  Each
-    evaluation runs the rate-equation arithmetic once, and its Jacobian
-    reuses those terms.
+    its derivatives by (gamma, beta), _decay_jacobian_of; it ignores the x
+    the solver passes and uses t.  The arguments are checked once, here.
+    Each evaluation runs the rate-equation arithmetic once, and its
+    Jacobian reuses those terms.
     """
     t = _decay_times(n0, v, t)
 

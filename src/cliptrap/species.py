@@ -3,7 +3,7 @@
 Species and MOT parameters are held in SI units.  The config's lab units
 (G/cm, G/cm^2, mG, cm^3, uK) are converted in one place, the CLI's key
 table; load_species converts only its own file's units (amu, Bohr
-magnetons, Hz, mW/cm^2, nm).  Keep this module free of heavy imports so
+magnetons, Hz).  Keep this module free of heavy imports so
 every other layer can use it.
 """
 
@@ -31,9 +31,7 @@ class Species:
     gamma_eg is the angular linewidth of the strong cycling transition
     (rad/s) and branching_ratio_eg_ed its ratio to the leak rate into the
     metastable trapped state, so gamma_ed = gamma_eg / branching_ratio_eg_ed
-    (1/s) is derived, never stored.  branching_ratio_mg_md is
-    informational only (an alternative pumping path); no formula consumes
-    it.
+    (1/s) is derived, never stored.
     """
 
     name: str
@@ -41,9 +39,6 @@ class Species:
     magnetic_moment: float       # J/T
     gamma_eg: float              # rad/s
     branching_ratio_eg_ed: float
-    saturation_intensity: float  # W/m^2
-    mot_wavelength: float        # m
-    branching_ratio_mg_md: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.mass > 0 and self.magnetic_moment > 0 and self.gamma_eg > 0):
@@ -66,27 +61,21 @@ def chromium_52() -> Species:
         magnetic_moment=6 * BOHR_MAGNETON,
         gamma_eg=2 * math.pi * 5.02e6,
         branching_ratio_eg_ed=2.5e5,
-        saturation_intensity=85.2,       # 8.52 mW/cm^2
-        mot_wavelength=425.6e-9,
-        branching_ratio_mg_md=5200.0,
     )
 
 
-_SPECIES_KEYS = (
-    "name", "mass_amu", "mu_bohr", "gamma_eg_hz",
-    "branching_eg_ed", "isat_mw_cm2", "wavelength_nm",
-)
+_SPECIES_KEYS = ("name", "mass_amu", "mu_bohr", "gamma_eg_hz",
+                 "branching_eg_ed")
 
 
 def load_species(path: str | Path) -> Species:
     """Load species data from a flat key = value text file.
 
     Required keys: name, mass_amu, mu_bohr, gamma_eg_hz (linewidth in Hz,
-    i.e. gamma_eg / 2 pi), branching_eg_ed, isat_mw_cm2, wavelength_nm.
-    Optional: branching_mg_md.  '#' comments are skipped; an unknown key
-    or a non-finite number is an error.
+    i.e. gamma_eg / 2 pi) and branching_eg_ed.  '#' comments are skipped;
+    an unknown key or a non-finite number is an error.
     """
-    raw = key_values(read_lines(path), _SPECIES_KEYS + ("branching_mg_md",))
+    raw = key_values(read_lines(path), _SPECIES_KEYS)
     missing = [k for k in _SPECIES_KEYS if k not in raw]
     if missing:
         raise ValueError(f"species file missing keys: {', '.join(missing)}")
@@ -97,9 +86,6 @@ def load_species(path: str | Path) -> Species:
         magnetic_moment=num["mu_bohr"] * BOHR_MAGNETON,
         gamma_eg=2 * math.pi * num["gamma_eg_hz"],
         branching_ratio_eg_ed=num["branching_eg_ed"],
-        saturation_intensity=num["isat_mw_cm2"] * 10.0,  # mW/cm^2 -> W/m^2
-        mot_wavelength=num["wavelength_nm"] * 1e-9,
-        branching_ratio_mg_md=num.get("branching_mg_md"),
     )
 
 

@@ -122,17 +122,6 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def kappa_curve(points: Sequence[LoadingScenario]) -> DataSet:
-    """Master-curve coordinates (R V_MT / N_MOT^2, kappa) per scenario."""
-    if not points:
-        raise ValueError("need at least one scenario")
-    rates = [dynamics.RateSummary(scen) for scen in points]
-    xs = np.array([r.kappa_abscissa for r in rates])
-    ys = np.array([r.kappa for r in rates])
-    return DataSet(x=xs, y=ys, sigma_y=np.maximum(np.abs(ys), 1.0) * 1e-3,
-                   x_label="rv_over_nmot2_m3_per_s", y_label="kappa")
-
-
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """np.geomspace(lo, hi, n) for 0 < lo, bit for bit, at a third of its
     cost: the same powers of 10 of a linspace of log10, with the endpoints

@@ -1,4 +1,4 @@
-"""Ioffe-Pritchard field magnitude, trapping potential and offset check.
+"""Ioffe-Pritchard trap fields and the Majorana offset check.
 
 The trap is taken in the separable form used throughout the cloud and
 dynamics modules: linear radial confinement with gradient B', harmonic
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .species import GRAVITY, Species
 
 # Offset below which Majorana spin flips are not suppressed (40 mG; at the
 # radial parameters considered here this keeps the flip rate under 0.1/s).
@@ -40,26 +38,6 @@ class IpTrapConfig:
             raise ValueError("axial_curvature must be positive")
         if not math.isfinite(self.offset_field):
             raise ValueError("offset_field must be finite")
-
-
-def field_magnitude(cfg: IpTrapConfig, x: float, y: float, z: float) -> float:
-    """|B| at (x, y, z) for the separable IP form (no radial cross terms)."""
-    radial = cfg.radial_gradient ** 2 * (x * x + y * y)
-    axial = cfg.offset_field + 0.5 * cfg.axial_curvature * z * z
-    return math.sqrt(radial + axial * axial)
-
-
-def potential_energy(species: Species, cfg: IpTrapConfig,
-                     x: float, y: float, z: float,
-                     include_gravity: bool = False) -> float:
-    """Trapping potential mu B' rho + mu B'' z^2 / 2 (+ m g y), zero at the
-    origin with gravity off."""
-    mu = species.magnetic_moment
-    u = mu * cfg.radial_gradient * math.hypot(x, y)
-    u += 0.5 * mu * cfg.axial_curvature * z * z
-    if include_gravity:
-        u += species.mass * GRAVITY * y
-    return u
 
 
 def majorana_safe(cfg: IpTrapConfig) -> bool:

@@ -105,15 +105,22 @@ class TestPredict:
         assert "untrapped" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra,t_key", [
-        ([], "t_mt_uk"), (["--set", "t_mt_uk=0"], "t_mot_uk")])
+        (["b_prime_g_per_cm=1e305"], "t_mt_uk"),
+        (["b_prime_g_per_cm=1e305", "t_mt_uk=0"], "t_mot_uk"),
+        (["b_prime_g_per_cm=1e-300"], "t_mt_uk"),
+        (["b_dprime_g_per_cm2=1e300"], "t_mt_uk"),
+        (["b_dprime_g_per_cm2=1e-310"], "t_mt_uk"),
+        (["t_mt_uk=1e300"], "t_mt_uk")])
     def test_cloud_out_of_range_names_its_keys(self, extra, t_key, capsys):
         # the trap temperature's key is t_mot_uk when t_mt_uk = 0 asks for
-        # the virial prediction
-        assert run("predict", "--paper-defaults", "--set",
-                   "b_prime_g_per_cm=1e305", *extra) == 2
-        assert capsys.readouterr().err == (
-            "error: trap cloud size under- or overflows a float; it is set "
-            f"by b_prime_g_per_cm, b_dprime_g_per_cm2 and {t_key}\n")
+        # the virial prediction; a scale length, the normalization or the
+        # square integral under- or overflows, whichever comes first
+        for command in ("predict", "simulate", "synth"):
+            assert run(command, "--paper-defaults",
+                       *(a for kv in extra for a in ("--set", kv))) == 2
+            assert capsys.readouterr().err == (
+                "error: trap cloud size under- or overflows a float; it is "
+                f"set by b_prime_g_per_cm, b_dprime_g_per_cm2 and {t_key}\n")
 
 
 class TestSimulate:
@@ -749,6 +756,25 @@ def test_tof_synth_needs_no_loss_channel(tmp_path):
     assert run(*base, "--set", "beta_ed_cm3_per_s=0",
                "--set", "beta_dd_cm3_per_s=0", "--out", str(got)) == 0
     assert got.read_bytes() == want.read_bytes()
+
+
+NO_STEADY_STATE = ("no steady state: loading without any loss channel; it "
+                   "is set by gamma_d_per_s, beta_ed_cm3_per_s and "
+                   "beta_dd_cm3_per_s")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["predict"], NO_STEADY_STATE),
+    (["synth", "--set", "synth_kind=decay_curve"], NO_STEADY_STATE),
+    (["synth", "--set", "synth_kind=loading_curve"], NO_STEADY_STATE),
+    (["synth", "--set", "synth_kind=kappa_points"],
+     "kappa undefined with both beta coefficients zero; it is set by "
+     "beta_ed_cm3_per_s and beta_dd_cm3_per_s")],
+    ids=["predict", "decay_curve", "loading_curve", "kappa_points"])
+def test_no_loss_channel_names_its_keys(argv, message, capsys):
+    assert run(*argv, "--paper-defaults", "--set", "beta_ed_cm3_per_s=0",
+               "--set", "beta_dd_cm3_per_s=0") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_key_is_read(fit_data, monkeypatch):

@@ -9,7 +9,7 @@ from scipy.integrate import dblquad, quad
 from cliptrap import cli, sweeps
 from cliptrap.cloud import (CloudRangeError, GaussianCloud, ThermalCloud,
                             column_density, effective_volume,
-                            make_thermal_cloud, mot_density, mt_density,
+                            make_thermal_cloud, mt_density,
                             occupied_volume, scale_lengths, tof_radius,
                             trap_volume)
 from cliptrap.species import chromium_52
@@ -99,7 +99,12 @@ class TestScaleLengths:
 
     @pytest.mark.parametrize("b_prime,b_dprime,t,gravity", [
         (1e303, 10.5, 100e-6, True),     # the normalization is NaN
-        (1e10, 1e25, 1e-300, False)])    # sigma_z underflows to 0
+        (1e10, 1e25, 1e-300, False),     # sigma_z underflows to 0
+        (1e-302, 10.5, 100e-6, True),    # mu B' underflows to 0
+        (0.125, 1e-310, 100e-6, True),   # mu B'' underflows to 0
+        (0.125, 1e300, 100e-6, True),    # n0 ** 2 overflows
+        (1e100, 10.5, 100e-6, False),    # (a^2 - b^2) ** 1.5 overflows
+        (0.125, 10.5, 1e294, True)])     # a^2 - b^2 underflows to 0
     def test_out_of_range_cloud_says_so(self, b_prime, b_dprime, t,
                                         gravity):
         # one message in trap terms, from both V_MT paths
@@ -190,26 +195,6 @@ class TestColumnDensity:
 
 
 class TestMotDensity:
-    MOT = GaussianCloud(atom_number=5e6, temperature=140e-6,
-                        sigma_radial=1e-4, sigma_axial=1e-4)
-
-    def test_peak_value(self):
-        peak = mot_density(self.MOT, 0, 0, 0)
-        assert peak == pytest.approx(5e6 / ((2 * math.pi) ** 1.5 * 1e-12),
-                                     rel=1e-12)
-        assert peak == pytest.approx(3.2e17, rel=0.01)
-
-    def test_radius_definition(self):
-        peak = mot_density(self.MOT, 0, 0, 0)
-        assert mot_density(self.MOT, 1e-4, 0, 0) == pytest.approx(
-            peak / math.sqrt(math.e), rel=1e-12)
-
-    def test_normalization(self):
-        # separable Gaussian: 1D quadratures multiply
-        gx, _ = quad(lambda x: math.exp(-x * x / (2e-8)), -2e-3, 2e-3)
-        total = mot_density(self.MOT, 0, 0, 0) * gx ** 3
-        assert total == pytest.approx(5e6, rel=1e-9)
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             GaussianCloud(atom_number=-1, temperature=140e-6,
@@ -337,9 +322,13 @@ class TestEffectiveVolume:
         xs = np.linspace(-span, span, 401)
         zs = np.linspace(-8 * sr, 8 * sr, 201)
         xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        # both densities separate in z with unit factor at z = 0
-        plane = mot_density(self.MOT, xx, yy, 0.0) * mt_density(c, xx, yy, 0.0)
-        axial = np.exp(-zs ** 2 / (2 * self.MOT.sigma_axial ** 2)
+        # both densities separate in z with unit factor at z = 0; the MOT's
+        # is the normalised Gaussian of 1/sqrt(e) radii sr and sa
+        sa = self.MOT.sigma_axial
+        mot = (self.MOT.atom_number / ((2 * math.pi) ** 1.5 * sr * sr * sa)
+               * np.exp(-(xx * xx + yy * yy) / (2 * sr * sr)))
+        plane = mot * mt_density(c, xx, yy, 0.0)
+        axial = np.exp(-zs ** 2 / (2 * sa ** 2)
                        - zs ** 2 / (2 * c.sigma_z ** 2))
         from scipy.integrate import simpson
         overlap = simpson(simpson(plane, x=xs, axis=1), x=xs) \

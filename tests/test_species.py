@@ -26,9 +26,6 @@ class TestChromium:
         # 2 pi 5.02e6 / 2.5e5, hand evaluation
         assert chromium_52().gamma_ed == pytest.approx(126.17, rel=1e-4)
 
-    def test_saturation_intensity(self):
-        assert chromium_52().saturation_intensity == pytest.approx(85.2)
-
     def test_rate_self_consistency(self):
         cr = chromium_52()
         ratio = cr.gamma_eg / cr.gamma_ed
@@ -45,9 +42,7 @@ class TestChromium:
             Species(name="bad", mass=cr.mass,
                     magnetic_moment=cr.magnetic_moment, gamma_eg=cr.gamma_eg,
                     gamma_ed=cr.gamma_ed,
-                    branching_ratio_eg_ed=cr.branching_ratio_eg_ed,
-                    saturation_intensity=cr.saturation_intensity,
-                    mot_wavelength=cr.mot_wavelength)
+                    branching_ratio_eg_ed=cr.branching_ratio_eg_ed)
 
     @pytest.mark.parametrize("branching", [0.0, -1.0, math.inf, math.nan])
     def test_bad_branching_ratio_rejected(self, branching):
@@ -86,9 +81,6 @@ mass_amu = 52
 mu_bohr = 6
 gamma_eg_hz = 5.02e6
 branching_eg_ed = 2.5e5
-isat_mw_cm2 = 8.52
-wavelength_nm = 425.6
-branching_mg_md = 5200
 """
 
     def test_roundtrip(self, tmp_path):
@@ -100,8 +92,6 @@ branching_mg_md = 5200
         assert sp.gamma_eg == pytest.approx(cr.gamma_eg)
         assert sp.gamma_ed == pytest.approx(cr.gamma_ed)
         assert sp.gamma_ed == sp.gamma_eg / sp.branching_ratio_eg_ed
-        assert sp.saturation_intensity == pytest.approx(85.2)
-        assert sp.branching_ratio_mg_md == 5200
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.txt"

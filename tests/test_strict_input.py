@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliptrap import cli
+from cliptrap import cli, species
 from cliptrap.dynamics import RateCoefficients
 from cliptrap.estimation import DataSet
 from cliptrap.species import MotBeamParams, chromium_52
@@ -35,9 +35,6 @@ mass_amu = 52
 mu_bohr = 6
 gamma_eg_hz = 5.02e6
 branching_eg_ed = 2.5e5
-isat_mw_cm2 = 8.52
-wavelength_nm = 425.6
-branching_mg_md = 5200
 """
 SPECIES_FLOAT_KEYS = [line.split(" = ")[0]
                       for line in SPECIES_FILE.splitlines()[1:]]
@@ -262,6 +259,31 @@ def test_species_file_non_finite_rejected(key, value, tmp_path):
     assert code == 2
     assert f"{key}: not a finite number: '{value}'" in err
     assert stdout == ""
+
+
+def test_every_species_key_has_an_effect(tmp_path):
+    # the species-file version of test_every_key_is_read: 10 % more of each
+    # number a species file gives changes predict's report, and a key that
+    # no formula reads is unknown
+    path = tmp_path / "cr.txt"
+
+    def predict(text):
+        path.write_text(text)
+        return run("predict", "--paper-defaults", "--set", f"species={path}")
+
+    code, base, _ = predict(SPECIES_FILE)
+    assert code == 0
+    for key in species._SPECIES_KEYS:
+        if key != "name":
+            value = float(re.search(rf"^{key} = (.*)$", SPECIES_FILE,
+                                    flags=re.M).group(1))
+            code, report, _ = predict(with_species_line(key, 1.1 * value))
+            assert code == 0 and report != base, key
+    for line in ("isat_mw_cm2 = 8.52", "wavelength_nm = 425.6",
+                 "branching_mg_md = 5200"):
+        code, report, err = predict(f"{SPECIES_FILE}{line}\n")
+        assert code == 2 and report == ""
+        assert f"unknown key {line.split()[0]!r}" in err
 
 
 def test_species_file_accepted_through_cli(tmp_path):

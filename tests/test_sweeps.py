@@ -10,8 +10,7 @@ from cliptrap import dynamics
 from cliptrap.estimation import fit_kappa
 from cliptrap import cloud
 from cliptrap.sweeps import (OUTPUTS, SWEEPABLE, SweepSpec, _log_grid,
-                             kappa_curve, run_sweep, scenario_at,
-                             synthesize_measurements)
+                             run_sweep, scenario_at, synthesize_measurements)
 from cliptrap.trap import IpTrapConfig, majorana_safe
 from conftest import make_scenario
 
@@ -186,13 +185,15 @@ class TestRunSweep:
         assert rows[1]["n_mt_steady"] > 0
 
     def test_out_of_range_point_says_so(self):
-        # 1e303 T/m makes the cloud's size overflow a float; the row says
-        # so in trap terms, not through an internal field
-        rows = run_sweep(SweepSpec("radial_gradient", [0.125, 1e303],
+        # 1e303 T/m makes the cloud's size overflow a float, and 1e-302 T/m
+        # mu B' underflow to 0; the row says so in trap terms, not through
+        # an internal field or a division by zero
+        rows = run_sweep(SweepSpec("radial_gradient", [1e-302, 0.125, 1e303],
                                    make_scenario(), outputs=("v_mt",)))
-        assert rows[1]["error"] == ("trap cloud size under- or overflows "
+        for row in (rows[0], rows[2]):
+            assert row["error"] == ("trap cloud size under- or overflows "
                                     "a float")
-        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == ""
 
 
     def test_zero_n_mot_point_names_n_mot(self):
@@ -318,28 +319,6 @@ def test_scenario_at_equals_replace_oracle(parameter, value, b_prime,
     if isinstance(got, str):
         assert parameter == "radial_gradient" and got.startswith(
             "untrapped cloud")
-
-
-class TestKappaCurve:
-    def test_points_lie_on_master_curve(self):
-        scens = [make_scenario(v_mt=v) for v in (4e-9, 6e-9, 1e-8)]
-        data = kappa_curve(scens)
-        expected = dynamics.kappa_of_abscissa(data.x, 1.3e-17, 6e-16)
-        assert np.allclose(data.y, expected, rtol=1e-12)
-
-    def test_identical_scenarios_identical_points(self):
-        data = kappa_curve([make_scenario(), make_scenario()])
-        assert data.x[0] == data.x[1]
-        assert data.y[0] == data.y[1]
-
-    def test_abscissa_linear_in_volume(self):
-        d1 = kappa_curve([make_scenario(v_mt=5e-9)])
-        d2 = kappa_curve([make_scenario(v_mt=1e-8)])
-        assert d2.x[0] == pytest.approx(2 * d1.x[0], rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kappa_curve([])
 
 
 class TestSynthesize:
