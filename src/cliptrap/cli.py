@@ -8,8 +8,9 @@ it is the one place where config lab units are converted, and every
 layer below works in SI.  COMMANDS and FITS name the subcommands and fit
 kinds.  Exit codes: 0 success, 2 configuration or input error (among them
 an unknown key, NaN, inf, a fractional count, a volume <= 0, a trap
-temperature < 0, a negative loss coefficient, an n_mot <= 0, and a file
-that cannot be read or written), 3 numerical failure.
+temperature < 0, a negative loss coefficient, an n_mot <= 0, a value that
+takes a rate, the cloud or the data out of float range, and a file that
+cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dynamics, sweeps
-from .cloud import CloudRangeError, trap_volume
+from .cloud import CloudRangeError, UntrappedCloudError, trap_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_column_profile, fit_decay, fit_kappa,
                          fit_loading_rate, fit_tof)
@@ -83,10 +85,11 @@ PAPER_DEFAULTS: dict[str, str] = {
     if key.paper or key.default}
 
 
-# Each RateCoefficients field's key.
-_COEFFICIENT_KEYS = {"eta": "eta", "beta_ed": "beta_ed_cm3_per_s",
-                     "beta_dd": "beta_dd_cm3_per_s",
-                     "gamma_d": "gamma_d_per_s"}
+# Each model input's key: the RateCoefficients fields, the MOT atom number
+# and the synthesis noise, as a dynamics.ModelInputError names them.
+_INPUT_KEYS = {"eta": "eta", "beta_ed": "beta_ed_cm3_per_s",
+               "beta_dd": "beta_dd_cm3_per_s", "gamma_d": "gamma_d_per_s",
+               "n_mot": "n_mot", "noise": "synth_noise"}
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
 # Keys with a lower bound: (comparison, bound).  The dataclasses and functions
@@ -161,8 +164,8 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
     trap_cfg = IpTrapConfig(_get(cfg, "b_prime_g_per_cm"),
                             _get(cfg, "b_dprime_g_per_cm2"),
                             _get(cfg, "b0_mg"))
-    coeff = RateCoefficients(**{field: _get(cfg, key) for field, key
-                                in _COEFFICIENT_KEYS.items()})
+    coeff = RateCoefficients(**{f.name: _get(cfg, _INPUT_KEYS[f.name])
+                                for f in fields(RateCoefficients)})
     t_mot = _get(cfg, "t_mot_uk")
     mot = MotBeamParams(
         total_saturation=_get(cfg, "mot_saturation"),
@@ -183,6 +186,8 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
         except CloudRangeError as exc:
             raise ConfigError(f"{exc}; it is set by b_prime_g_per_cm, "
                               f"b_dprime_g_per_cm2 and {t_key}")
+        except UntrappedCloudError as exc:
+            raise ConfigError(f"{exc}; it is set by b_prime_g_per_cm")
     v_eff = _given(cfg, "v_eff_cm3")
     if v_eff is None:
         v_eff = v_mt
@@ -245,17 +250,16 @@ def _report(rows: list[tuple]) -> str:
 
 def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
-    rates = dynamics.RateSummary(scen)
     return _report([
-        ("loading_rate_atoms_per_s", rates.loading_rate),
-        ("gamma_ed_per_s", rates.gamma_ed),
+        ("loading_rate_atoms_per_s", scen.loading_rate),
+        ("gamma_ed_per_s", scen.gamma_ed),
         ("v_mt_cm3", scen.v_mt * 1e6),
         ("v_mt_cm3_no_gravity", trap_volume(scen.species, scen.trap,
                                             scen.mt_temperature, False) * 1e6),
         ("v_eff_cm3", scen.v_eff * 1e6),
-        ("n_steady_atoms", rates.n_mt_steady),
-        ("kappa", rates.kappa),
-        ("tau_eff_s", rates.tau_eff),
+        ("n_steady_atoms", scen.n_mt_steady),
+        ("kappa", scen.kappa),
+        ("tau_eff_s", scen.tau_eff),
         ("t_mt_virial_prediction_uk",
          dynamics.mt_temperature_prediction(scen.mot.temperature) * 1e6),
         ("majorana_safe", majorana_safe(scen.trap)),
@@ -292,22 +296,23 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
         values_b = [number(v, "config key sweep_values")
                     for v in listed.split(",")]
     else:
-        values_b = list(np.linspace(_get(cfg, "sweep_start"),
-                                    _get(cfg, "sweep_stop"),
-                                    _get(cfg, "sweep_points")))
+        # Python floats, which overflow to inf without numpy's warnings
+        values_b = np.linspace(_get(cfg, "sweep_start"),
+                               _get(cfg, "sweep_stop"),
+                               _get(cfg, "sweep_points")).tolist()
     outputs = tuple(s.strip() for s in _get(cfg, "sweep_outputs").split(","))
     n_mot_pp = None
     if nmot_csv := _get(cfg, "sweep_nmot_csv"):
         table = DataSet.from_csv(nmot_csv)
-        lookup = dict(zip(np.round(table.x, 9), table.y))
+        lookup = dict(zip(np.round(table.x, 9).tolist(), table.y.tolist()))
         try:
-            n_mot_pp = [lookup[round(v, 9)] for v in values_b]
+            n_mot_pp = [lookup[float(np.round(v, 9))] for v in values_b]
         except KeyError as exc:
             raise ConfigError(f"sweep_nmot_csv has no row for value {exc}")
     rows = sweeps.run_sweep(sweeps.SweepSpec(
         swept_parameter=parameter, values=[v * scale for v in values_b],
         base_scenario=scen, outputs=outputs, n_mot_per_point=n_mot_pp))
-    return _csv([[float(vb)]
+    return _csv([[vb]
                  + [row[n] * 1e6 if n == "v_mt" else row[n] for n in outputs]
                  + [row["error"]] for vb, row in zip(values_b, rows)],
                 [f"{parameter}_{unit_name}", *outputs, "error"])
@@ -467,9 +472,10 @@ def main(argv: list[str] | None = None) -> int:
         text = COMMANDS[args.command](build_config(args), args)
         _write_atomic(args.out, text)
     except (ConfigError, ValueError, OSError) as exc:
-        if isinstance(exc, dynamics.NoLossChannelError):
-            keys = [_COEFFICIENT_KEYS[field] for field in exc.coefficients]
-            exc = f"{exc}; it is set by {', '.join(keys[:-1])} and {keys[-1]}"
+        if isinstance(exc, dynamics.ModelInputError):
+            *keys, last = (_INPUT_KEYS[name] for name in exc.inputs)
+            keys = f"{', '.join(keys)} and {last}" if keys else last
+            exc = f"{exc}; it is set by {keys}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -40,6 +40,13 @@ class CloudRangeError(ValueError):
     """The trap cloud's size under- or overflows a float."""
 
 
+class UntrappedCloudError(ValueError):
+    """Gravity exceeds the trap's radial force: mu B' <= m g."""
+
+    def __init__(self) -> None:
+        super().__init__("untrapped cloud: gravity scale xi2 must exceed xi1")
+
+
 def _dblquad_checked(f, box_x, box_y) -> float:
     """Two-pass adaptive double integral with a self-consistency check.
 
@@ -129,9 +136,9 @@ def _planar_integral(xi1: float, xi2: float, power: float) -> float:
     Closed form 2 pi a / (a^2 - b^2)^(3/2) with a = power/xi1 and
     b = power/xi2 (b = 0 with gravity off).
     """
-    if not math.isinf(xi2) and xi2 <= xi1:
-        raise ValueError("untrapped cloud: gravity scale xi2 must exceed xi1")
-    a = power / xi1
+    a = power / xi1  # xi1 = 0, a kT that underflowed, divides by zero here
+    if not math.isinf(xi2) and xi2 <= xi1:  # only a cloud built by hand
+        raise UntrappedCloudError
     b = 0.0 if math.isinf(xi2) else power / xi2
     return 2 * math.pi * a / (a * a - b * b) ** 1.5
 
@@ -154,6 +161,11 @@ def _shape(species, cfg, n, t, include_gravity):
         raise ValueError("atom number and temperature must be positive")
     try:  # a power may overflow, and a divisor underflow to 0
         xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
+        # mu B' > m g is xi2 > xi1 without T; after the scale lengths, a
+        # mu B' that underflows to 0 is out of range, not untrapped
+        hold = species.magnetic_moment * cfg.radial_gradient
+        if include_gravity and not hold > species.mass * GRAVITY:
+            raise UntrappedCloudError
         n0 = n / (_planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi)
                   * sigma_z)
     except (OverflowError, ZeroDivisionError):

@@ -34,13 +34,13 @@ _CHI_SWITCH = 1e-2
 DEFAULT_ETA = 0.3  # theoretical optical-pumping transfer efficiency
 
 
-class NoLossChannelError(ValueError):
-    """No loss channel where one is needed; coefficients names the
-    RateCoefficients fields that are all zero."""
+class ModelInputError(ValueError):
+    """No loss channel where one is needed, or a value out of float range;
+    inputs names the RateCoefficients fields, n_mot or noise that set it."""
 
-    def __init__(self, message: str, *coefficients: str) -> None:
+    def __init__(self, message: str, *inputs: str) -> None:
         super().__init__(message)
-        self.coefficients = coefficients
+        self.inputs = inputs
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,14 @@ class RateCoefficients:
 
 @dataclass(frozen=True)
 class LoadingScenario:
-    """Everything the rate equation needs, volumes included.
+    """Everything the rate equation needs, volumes included, and the one
+    place its rate quantities are formed.
 
     v_mt and v_eff may come from cloud-module geometry or be supplied
-    directly (e.g. measured values).
+    directly (e.g. measured values).  R (loading_rate), gamma_ed and gamma
+    come from one N*_MOT when the scenario is built, as attributes, not
+    fields; N_inf (n_mt_steady) when first read.  R and the abscissa need
+    no loss channel, and R, N_inf and tau_eff no n_mot > 0.
     """
 
     species: Species
@@ -81,69 +85,29 @@ class LoadingScenario:
             raise ValueError("volumes must be positive")
         if not self.mt_temperature > 0:
             raise ValueError("mt_temperature must be positive")
+        c = self.coefficients
+        n_star = self.n_mot_excited
+        gamma_ed = gamma_ed_loss(n_star, c.beta_ed, self.v_eff)
+        r, gamma = c.eta * n_star * self.species.gamma_ed, c.gamma_d + gamma_ed
+        if not (r < math.inf and gamma < math.inf):
+            raise ModelInputError("loading or loss rate overflows a float",
+                                  "beta_ed", "n_mot")
+        object.__setattr__(self, "loading_rate", r)
+        object.__setattr__(self, "gamma_ed", gamma_ed)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "_n_inf", None)
 
     @property
     def n_mot_excited(self) -> float:
         return excited_fraction(self.mot, self.species) * self.mot.n_mot
 
-
-def loading_rate(scenario: LoadingScenario) -> float:
-    """R = eta N*_MOT Gamma_ed (atoms/s)."""
-    return _rates(scenario)[0]
-
-
-def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
-    """Effective one-body loss rate N* beta_ed / V_eff (1/s)."""
-    if not v_eff > 0:
-        raise ValueError("v_eff must be positive")
-    return n_star * beta_ed / v_eff
-
-
-def _rates(scenario: LoadingScenario) -> tuple[float, float, float]:
-    """(R, gamma_ed, gamma = gamma_d + gamma_ed), from one N*_MOT."""
-    c = scenario.coefficients
-    n_star = scenario.n_mot_excited
-    gamma_ed = gamma_ed_loss(n_star, c.beta_ed, scenario.v_eff)
-    return (c.eta * n_star * scenario.species.gamma_ed, gamma_ed,
-            c.gamma_d + gamma_ed)
-
-
-def steady_state(scenario: LoadingScenario) -> float:
-    """Closed-form stationary atom number of the rate equation.
-
-    N_inf = [-gamma V + sqrt(gamma^2 V^2 + 8 beta R V)] / (4 beta), written
-    without the cancellation as 2 R / (gamma + sqrt(gamma^2 + 8 beta R / V)),
-    the stable root N+ of evolve(); it is R / gamma exactly at beta = 0.
-    """
-    r, _, gamma = _rates(scenario)
-    return _steady_state_raw(r, gamma, scenario.coefficients.beta_dd,
-                             scenario.v_mt)
-
-
-class RateSummary:
-    """A scenario's rate quantities, each formed at most once.
-
-    R, gamma_ed and gamma share one N*_MOT (one excited-fraction
-    evaluation).  N_inf is formed from them when first read, and kappa,
-    tau_eff and the abscissa R V_MT / N_MOT^2 from those when read.  This
-    is the one place kappa and the abscissa are formed, and every value
-    equals the public function of the same quantity bit for bit.  So R
-    and the abscissa need no loss channel, and R, N_inf and tau_eff no
-    n_mot > 0.
-    """
-
-    def __init__(self, scenario: LoadingScenario) -> None:
-        self.scenario = scenario
-        self.loading_rate, self.gamma_ed, self.gamma = _rates(scenario)
-        self._n_inf: float | None = None
-
     @property
     def n_mt_steady(self) -> float:
         """N_inf: see steady_state."""
         if self._n_inf is None:
-            s = self.scenario
-            self._n_inf = _steady_state_raw(self.loading_rate, self.gamma,
-                                            s.coefficients.beta_dd, s.v_mt)
+            object.__setattr__(self, "_n_inf", _steady_state_raw(
+                self.loading_rate, self.gamma, self.coefficients.beta_dd,
+                self.v_mt))
         return self._n_inf
 
     @property
@@ -154,27 +118,52 @@ class RateSummary:
     @property
     def kappa(self) -> float:
         """N_inf / N_MOT."""
-        n_mot = self._n_mot()
-        return self.n_mt_steady / n_mot
+        return self.n_mt_steady / self._n_mot()
 
     @property
     def kappa_abscissa(self) -> float:
-        """R V_MT / N_MOT^2, m^3/s."""
+        """The master curve's abscissa x = R V_MT / N_MOT^2, m^3/s."""
         n_mot = self._n_mot()
-        return self.loading_rate * self.scenario.v_mt / n_mot ** 2
+        n_mot2 = n_mot * n_mot
+        if not 0 < n_mot2 < math.inf:
+            raise ModelInputError("abscissa: N_MOT^2 under- or overflows "
+                                  "a float", "n_mot")
+        return self.loading_rate * self.v_mt / n_mot2
 
     def _n_mot(self) -> float:
-        n_mot = self.scenario.mot.n_mot
+        n_mot = self.mot.n_mot
         if not n_mot > 0:
             raise ValueError("n_mot must be > 0")
         return n_mot
+
+
+def loading_rate(scenario: LoadingScenario) -> float:
+    """R = eta N*_MOT Gamma_ed (atoms/s)."""
+    return scenario.loading_rate
+
+
+def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
+    """Effective one-body loss rate N* beta_ed / V_eff (1/s)."""
+    if not v_eff > 0:
+        raise ValueError("v_eff must be positive")
+    return n_star * beta_ed / v_eff
+
+
+def steady_state(scenario: LoadingScenario) -> float:
+    """Closed-form stationary atom number of the rate equation.
+
+    N_inf = [-gamma V + sqrt(gamma^2 V^2 + 8 beta R V)] / (4 beta), written
+    without the cancellation as 2 R / (gamma + sqrt(gamma^2 + 8 beta R / V)),
+    the stable root N+ of evolve(); it is R / gamma exactly at beta = 0.
+    """
+    return scenario.n_mt_steady
 
 
 def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
     if r == 0:
         return 0.0
     if beta == 0 and gamma == 0:
-        raise NoLossChannelError(
+        raise ModelInputError(
             "no steady state: loading without any loss channel",
             "gamma_d", "beta_ed", "beta_dd")
     return 2 * r / (gamma + math.sqrt(gamma * gamma + 8 * beta * r / v))
@@ -218,13 +207,13 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
         raise ValueError(f"t_end must be positive and finite: {t_end!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    r, _, gamma = _rates(scenario)
+    r, gamma = scenario.loading_rate, scenario.gamma
     beta, v = scenario.coefficients.beta_dd, scenario.v_mt
     t = np.linspace(0.0, t_end, samples)
     if gamma == 0 and beta == 0:
         return t, n0 + r * t
     k = 2 * beta / v
-    n_plus = _steady_state_raw(r, gamma, beta, v)
+    n_plus = scenario.n_mt_steady
     u0 = n0 - n_plus
     d = math.sqrt(gamma * gamma + 4 * k * r)
     # N(0) = n0 needs no D, which may overflow to inf; the n0 base is
@@ -248,11 +237,14 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
     at beta_ed = 0 (for x > 0).  Vectorized over x.
     """
     if beta_ed == 0 and beta_dd == 0:
-        raise NoLossChannelError(
+        raise ModelInputError(
             "kappa undefined with both beta coefficients zero",
             "beta_ed", "beta_dd")
+    beta_ed2 = beta_ed * beta_ed
+    if not beta_ed2 < math.inf:
+        raise ModelInputError("kappa: beta_ed^2 overflows a float", "beta_ed")
     x = np.asarray(x, float)
-    out = 4 * x / (beta_ed + np.sqrt(beta_ed ** 2 + 32 * beta_dd * x))
+    out = 4 * x / (beta_ed + np.sqrt(beta_ed2 + 32 * beta_dd * x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -281,19 +273,9 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float,
 
 
 def accumulation_efficiency(scenario: LoadingScenario) -> float:
-    """kappa = N_inf / N_MOT, also where the master curve does not hold.
-
-    RateSummary's value: n_mot must be > 0.
-    """
-    return RateSummary(scenario).kappa
-
-
-def kappa_abscissa(scenario: LoadingScenario) -> float:
-    """The master curve's abscissa x = R V_MT / N_MOT^2 (m^3/s).
-
-    RateSummary's value: n_mot must be > 0.  It needs no loss channel.
-    """
-    return RateSummary(scenario).kappa_abscissa
+    """kappa = N_inf / N_MOT, also where the master curve does not hold;
+    n_mot must be > 0."""
+    return scenario.kappa
 
 
 def effective_loading_time(n_mt: float, r: float) -> float:

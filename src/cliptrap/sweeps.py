@@ -1,7 +1,7 @@
 """Scenario construction, trap-parameter sweeps and synthetic data.
 
 Sweeps rebuild the cloud geometry for every swept value and read the
-rate-model outputs off one dynamics.RateSummary per point, so each point
+rate-model outputs off the point's LoadingScenario, so each point
 evaluates the excited fraction, R and gamma once, and N_inf once if an
 output needs it.  A point that fails keeps its row, with the message in
 its 'error' field: an untrapped cloud, kappa or the abscissa at
@@ -24,19 +24,19 @@ from .estimation import DataSet
 from .trap import IpTrapConfig, majorana_safe
 
 SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
-# Each sweep output of one point, from its scenario and its
-# dynamics.RateSummary, which forms N_inf once, when first read.
+# Each sweep output of one point, read off its scenario, which forms N_inf
+# once, when first read.
 _FORMULAS = {
-    "n_mot": lambda scen, rates: scen.mot.n_mot,
-    "n_mt_steady": lambda scen, rates: rates.n_mt_steady,
-    "loading_rate": lambda scen, rates: rates.loading_rate,
-    "tau_eff": lambda scen, rates: rates.tau_eff,
-    "v_mt": lambda scen, rates: scen.v_mt,
-    "kappa": lambda scen, rates: rates.kappa,
-    "kappa_abscissa": lambda scen, rates: rates.kappa_abscissa,
-    "t_mt_prediction": lambda scen, rates: dynamics.mt_temperature_prediction(
+    "n_mot": lambda scen: scen.mot.n_mot,
+    "n_mt_steady": lambda scen: scen.n_mt_steady,
+    "loading_rate": lambda scen: scen.loading_rate,
+    "tau_eff": lambda scen: scen.tau_eff,
+    "v_mt": lambda scen: scen.v_mt,
+    "kappa": lambda scen: scen.kappa,
+    "kappa_abscissa": lambda scen: scen.kappa_abscissa,
+    "t_mt_prediction": lambda scen: dynamics.mt_temperature_prediction(
         scen.mot.temperature),
-    "majorana_safe": lambda scen, rates: majorana_safe(scen.trap),
+    "majorana_safe": lambda scen: majorana_safe(scen.trap),
 }
 OUTPUTS = tuple(_FORMULAS)
 DEFAULT_OUTPUTS = OUTPUTS[:6]
@@ -95,11 +95,6 @@ def scenario_at(base: LoadingScenario, parameter: str, value: float,
                            base.mt_temperature, v_mt, v_mt)
 
 
-def _row_outputs(scenario: LoadingScenario, outputs: Sequence[str]) -> dict:
-    rates = dynamics.RateSummary(scenario)
-    return {name: _FORMULAS[name](scenario, rates) for name in outputs}
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per swept value with the requested outputs.
 
@@ -114,7 +109,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         try:
             scen = scenario_at(spec.base_scenario, spec.swept_parameter,
                                value, n_mot)
-            row.update(_row_outputs(scen, spec.outputs))
+            row.update({name: _FORMULAS[name](scen) for name in spec.outputs})
         except Exception as exc:  # per-point isolation is the contract
             row["error"] = str(exc)
             row.update({name: math.nan for name in spec.outputs})
@@ -150,18 +145,16 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     rng = np.random.default_rng(seed)
 
     if kind == "loading_curve":
-        r = dynamics.loading_rate(scenario)
-        n_inf = dynamics.steady_state(scenario)
-        if not r > 0:
+        if not scenario.loading_rate > 0:
             raise ValueError("a loading curve needs a loading rate > 0")
-        t_end = 10 * dynamics.effective_loading_time(n_inf, r)
+        t_end = 10 * scenario.tau_eff
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
         x, y = t, n
         labels = ("t_s", "n_atoms")
     elif kind == "decay_curve":
         t = _log_grid(0.05, 150.0, points)
         t[0] = 0.0  # anchor the initial atom number
-        y = dynamics.decay(dynamics.steady_state(scenario),
+        y = dynamics.decay(scenario.n_mt_steady,
                            scenario.coefficients.gamma_d,
                            scenario.coefficients.beta_dd, scenario.v_mt, t)
         x = t
@@ -175,7 +168,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         x = t
         labels = ("t_s", "sigma_m")
     elif kind == "kappa_points":
-        x0 = dynamics.kappa_abscissa(scenario)
+        x0 = scenario.kappa_abscissa
         if not x0 > 0:
             raise ValueError("kappa points need an abscissa R V / N_MOT^2 > 0")
         x = _log_grid(0.1 * x0, 10 * x0, points)
@@ -186,8 +179,13 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         raise ValueError(f"unknown kind {kind!r}")
 
     y = np.asarray(y, float)
-    if noise > 0:
-        y = y * (1.0 + noise * rng.standard_normal(y.shape))
-    sigma = np.maximum(np.abs(y) * max(noise, 1e-6), 1e-300)
+    finite = np.isfinite(y).all()  # if not, DataSet says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise > 0:
+            y = y * (1.0 + noise * rng.standard_normal(y.shape))
+        sigma = np.maximum(np.abs(y) * max(noise, 1e-6), 1e-300)
+    if finite and not np.isfinite(sigma).all():
+        raise dynamics.ModelInputError(
+            "noise makes the data or their sigma overflow a float", "noise")
     return DataSet(x=np.asarray(x, float), y=y, sigma_y=sigma,
                    x_label=labels[0], y_label=labels[1])

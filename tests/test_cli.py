@@ -777,6 +777,34 @@ def test_no_loss_channel_names_its_keys(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["predict", "--set", "beta_ed_cm3_per_s=1e300"],
+     "loading or loss rate overflows a float; it is set by "
+     "beta_ed_cm3_per_s and n_mot"),
+    (["synth", "--set", "n_mot=1e300"],
+     "abscissa: N_MOT^2 under- or overflows a float; it is set by n_mot"),
+    (["synth", "--set", "n_mot=1e-300"],
+     "abscissa: N_MOT^2 under- or overflows a float; it is set by n_mot"),
+    (["synth", "--set", "beta_ed_cm3_per_s=1e200"],
+     "kappa: beta_ed^2 overflows a float; it is set by beta_ed_cm3_per_s"),
+    (["synth", "--set", "synth_noise=1e300"],
+     "noise makes the data or their sigma overflow a float; it is set by "
+     "synth_noise"),
+    (["sweep", "--set", "b_prime_g_per_cm=1e-30"],
+     "untrapped cloud: gravity scale xi2 must exceed xi1; it is set by "
+     "b_prime_g_per_cm"),
+    (["predict", "--set", "t_mt_uk=1e-300"],
+     "trap cloud size under- or overflows a float; it is set by "
+     "b_prime_g_per_cm, b_dprime_g_per_cm2 and t_mt_uk")],
+    ids=["rates", "n_mot_big", "n_mot_small", "beta_ed_squared", "noise",
+         "untrapped", "cold"])
+def test_out_of_range_names_its_keys(argv, message, capsys):
+    # each exited 0 with an inf, exited 3, or named no key; at 1e-300 uK
+    # the trap holds the cloud, but kT underflows to 0
+    assert run(*argv, "--paper-defaults") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_every_key_is_read(fit_data, monkeypatch):
     # each cli.KEYS entry is read by some command, not only by
     # build_config's check: a key that no command reads has no effect

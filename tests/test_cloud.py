@@ -8,8 +8,8 @@ from scipy.integrate import dblquad, quad
 
 from cliptrap import cli, sweeps
 from cliptrap.cloud import (CloudRangeError, GaussianCloud, ThermalCloud,
-                            column_density, effective_volume,
-                            make_thermal_cloud, mt_density,
+                            UntrappedCloudError, column_density,
+                            effective_volume, make_thermal_cloud, mt_density,
                             occupied_volume, scale_lengths, tof_radius,
                             trap_volume)
 from cliptrap.species import chromium_52
@@ -96,6 +96,24 @@ class TestScaleLengths:
         weak = IpTrapConfig(0.01, 10.5)
         with pytest.raises(ValueError, match="untrapped"):
             make_thermal_cloud(CR, weak, n=1e8, t=100e-6)
+
+    def test_trapping_does_not_depend_on_temperature(self, cloud100):
+        # at 1e-306 K, kT underflows to 0 and so do xi1 and xi2: the trap
+        # still holds the cloud, whose size is out of range; at any T a
+        # weak B' is untrapped
+        for volume in (lambda t: trap_volume(CR, CFG, t),
+                       lambda t: make_thermal_cloud(CR, CFG, 1.0, t)):
+            with pytest.raises(CloudRangeError):
+                volume(1e-306)
+        for t in (1e-306, 100e-6, 1e300):
+            with pytest.raises(UntrappedCloudError):
+                trap_volume(CR, IpTrapConfig(1e-32, 10.5), t)
+        # a cloud built by hand with xi2 <= xi1 is untrapped too
+        c = cloud100
+        with pytest.raises(UntrappedCloudError):
+            occupied_volume(ThermalCloud(c.atom_number, c.temperature,
+                                         c.xi1, c.xi1, c.sigma_z,
+                                         c.peak_density))
 
     @pytest.mark.parametrize("b_prime,b_dprime,t,gravity", [
         (1e303, 10.5, 100e-6, True),     # the normalization is NaN
@@ -267,7 +285,7 @@ class TestTrapVolume:
         assert outcome(trap_volume, CR, cfg, t, gravity) == want
         if isinstance(want, tuple):
             assert gravity and want == (
-                ValueError,
+                UntrappedCloudError,
                 "untrapped cloud: gravity scale xi2 must exceed xi1")
 
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cliptrap import dynamics
-from cliptrap.dynamics import (RateCoefficients, RateSummary,
+from cliptrap.dynamics import (ModelInputError, RateCoefficients,
                                accumulation_efficiency, decay, decay_fit_model,
                                effective_loading_time, evolve,
-                               gamma_ed_loss, kappa_abscissa, kappa_jacobian,
+                               gamma_ed_loss, kappa_jacobian,
                                kappa_of_abscissa, loading_rate,
                                mt_temperature_prediction, steady_state)
 from conftest import make_scenario
@@ -310,9 +311,9 @@ class TestSteadyState:
 
     def test_lossless_loading_rejected(self):
         scen = make_scenario(beta_ed=0.0, beta_dd=0.0, gamma_d=0.0)
-        with pytest.raises(dynamics.NoLossChannelError) as exc:
+        with pytest.raises(ModelInputError) as exc:
             steady_state(scen)
-        assert exc.value.coefficients == ("gamma_d", "beta_ed", "beta_dd")
+        assert exc.value.inputs == ("gamma_d", "beta_ed", "beta_dd")
 
     def test_fixed_point_of_rate_equation(self):
         scen = make_scenario(gamma_d=0.02)
@@ -392,9 +393,16 @@ class TestAccumulationEfficiency:
         assert np.all(np.diff(k) > 0)
 
     def test_both_zero_rejected(self):
-        with pytest.raises(dynamics.NoLossChannelError) as exc:
+        with pytest.raises(ModelInputError) as exc:
             kappa_of_abscissa(1e-14, 0.0, 0.0)
-        assert exc.value.coefficients == ("beta_ed", "beta_dd")
+        assert exc.value.inputs == ("beta_ed", "beta_dd")
+
+    def test_beta_ed_squared_overflow_named(self):
+        # beta_ed^2 is formed by *, which overflows to inf where ** raised
+        # OverflowError; either way kappa is not formed
+        with pytest.raises(ModelInputError) as exc:
+            kappa_of_abscissa(1e-14, 1.3e-17, 1e200)
+        assert exc.value.inputs == ("beta_ed",)
 
     def test_magnitude_at_optimum(self):
         # with the self-consistent closed form this lands in the twenties
@@ -412,18 +420,17 @@ class TestAccumulationEfficiency:
         assert hi == pytest.approx(lo, rel=1e-14)
 
 
-class TestRateSummary:
+class TestScenarioRates:
     def test_abscissa_needs_no_loss_channel(self):
         # x = R V / N_MOT^2 is defined before any beta is known: measured
         # kappa data are placed on the master curve with it
         scen = make_scenario(beta_ed=0.0, beta_dd=0.0, gamma_d=0.0)
-        expected = loading_rate(scen) * scen.v_mt / scen.mot.n_mot ** 2
-        assert kappa_abscissa(scen) == expected == 2.0423432014443823e-14
-        rates = RateSummary(scen)
-        assert rates.kappa_abscissa == expected
-        assert rates.loading_rate == loading_rate(scen)
+        n_mot = scen.mot.n_mot
+        expected = loading_rate(scen) * scen.v_mt / (n_mot * n_mot)
+        assert scen.kappa_abscissa == expected == 2.0423432014443823e-14
+        assert scen.loading_rate == loading_rate(scen)
         with pytest.raises(ValueError, match="no steady state"):
-            rates.n_mt_steady
+            scen.n_mt_steady
         with pytest.raises(ValueError, match="no steady state"):
             accumulation_efficiency(scen)
 
@@ -431,15 +438,41 @@ class TestRateSummary:
         # R = N_inf = 0 and tau = inf, as steady_state and loading_rate
         # give them; kappa and the abscissa divide by N_MOT
         scen = make_scenario(n_mot=0.0)
-        rates = RateSummary(scen)
-        assert rates.loading_rate == 0.0 == loading_rate(scen)
-        assert rates.n_mt_steady == 0.0 == steady_state(scen)
-        assert rates.tau_eff == math.inf
-        for read in (lambda: rates.kappa, lambda: rates.kappa_abscissa,
-                     lambda: accumulation_efficiency(scen),
-                     lambda: kappa_abscissa(scen)):
+        assert scen.loading_rate == 0.0 == loading_rate(scen)
+        assert scen.n_mt_steady == 0.0 == steady_state(scen)
+        assert scen.tau_eff == math.inf
+        for read in (lambda: scen.kappa, lambda: scen.kappa_abscissa,
+                     lambda: accumulation_efficiency(scen)):
             with pytest.raises(ValueError, match="n_mot must be > 0"):
                 read()
+
+    @pytest.mark.parametrize("n_mot", [1e-300, 1e300])
+    def test_abscissa_out_of_range_names_n_mot(self, n_mot):
+        # N_MOT^2 under- or overflows; R, N_inf and kappa are still formed
+        scen = make_scenario(n_mot=n_mot)
+        assert math.isfinite(scen.kappa)
+        with pytest.raises(ModelInputError, match="N_MOT") as exc:
+            scen.kappa_abscissa
+        assert exc.value.inputs == ("n_mot",)
+
+    @pytest.mark.parametrize("overrides", [{"beta_ed": 1e294},
+                                           {"n_mot": 1.7e308}])
+    def test_rates_out_of_range_named(self, overrides):
+        # gamma_ed, or R, overflows to inf when the scenario is built
+        with pytest.raises(ModelInputError) as exc:
+            make_scenario(**overrides)
+        assert exc.value.inputs == ("beta_ed", "n_mot")
+
+    def test_rates_are_not_fields(self):
+        # ==, repr and dataclasses.replace see the scenario's inputs only,
+        # and a replaced scenario forms its own rates
+        scen = make_scenario()
+        scen.n_mt_steady
+        assert scen == make_scenario()
+        assert "loading_rate" not in repr(scen)
+        more = replace(scen, coefficients=replace(scen.coefficients, eta=0.6))
+        assert more.loading_rate == 2 * scen.loading_rate
+        assert more.n_mt_steady > scen.n_mt_steady
 
     def test_each_quantity_formed_once(self, monkeypatch):
         calls = []
@@ -450,11 +483,11 @@ class TestRateSummary:
         original_steady = dynamics._steady_state_raw
         monkeypatch.setattr(dynamics, "_steady_state_raw",
                             lambda *a: steady.append(1) or original_steady(*a))
-        rates = RateSummary(make_scenario())
+        scen = make_scenario()
         assert (len(calls), steady) == (1, [])
         for _ in range(2):
-            (rates.loading_rate, rates.gamma, rates.n_mt_steady, rates.kappa,
-             rates.tau_eff, rates.kappa_abscissa)
+            (scen.loading_rate, scen.gamma, scen.n_mt_steady, scen.kappa,
+             scen.tau_eff, scen.kappa_abscissa)
         assert (len(calls), len(steady)) == (1, 1)
 
 

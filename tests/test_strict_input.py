@@ -9,6 +9,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -230,6 +231,54 @@ def test_point_counts_name_their_key(command, key, bound, values, tmp_path):
         assert stdout == "" and not out.exists()
     assert run(command, "--paper-defaults", "--set", f"{key}={bound}",
                "--out", str(out))[0] == 0
+
+
+def non_finite_cells(command, stdout):
+    """The printed numbers that are inf or NaN, outside a sweep row whose
+    error cell is filled (a failed point, whose outputs are NaN)."""
+    lines = stdout.splitlines()
+    if command == "predict":
+        cells = [line.split(" = ", 1)[1] for line in lines]
+    else:
+        rows = [row.split(",") for row in lines[1:]]
+        if command == "sweep":
+            rows = [row for row in rows if not row[-1]]
+        cells = [cell for row in rows for cell in row]
+    bad = []
+    for cell in cells:
+        try:
+            if not math.isfinite(float(cell)):
+                bad.append(cell)
+        except ValueError:
+            pass  # a word, such as True
+    return bad
+
+
+def test_key_scan_exits_cleanly():
+    # every float key alone at four extremes, through the four commands
+    # that build a scenario: exit 0 with finite numbers, or exit 2 naming
+    # the key that was set; never exit 3, and never a numpy warning
+    failures, runs = [], 0
+    for key in FLOAT_KEYS:
+        for value in ("1e-300", "1e-30", "1e30", "1e300"):
+            for command in ("predict", "simulate", "sweep", "synth"):
+                runs += 1
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, stdout, err = run(command, "--paper-defaults",
+                                            "--set", f"{key}={value}")
+                what = f"{command} {key}={value}: exit {code} {err.strip()}"
+                if caught:
+                    failures.append(f"{what}; warned {caught[0].message}")
+                elif code == 2 and key not in err:
+                    failures.append(f"{what}; key not named")
+                elif code == 0 and (bad := non_finite_cells(command,
+                                                           stdout)):
+                    failures.append(f"{what}; printed {bad}")
+                elif code not in (0, 2):
+                    failures.append(what)
+    assert runs == 336
+    assert failures == []
 
 
 def test_blank_or_zero_still_computes():

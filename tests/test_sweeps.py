@@ -225,20 +225,22 @@ class TestRunSweep:
             assert row == {
                 "value": value, "error": "",
                 "loading_rate": dynamics.loading_rate(scen),
-                "kappa_abscissa": dynamics.kappa_abscissa(scen)}
+                "kappa_abscissa": scen.kappa_abscissa}
         rows = run_sweep(replace(spec, outputs=("loading_rate", "kappa")))
         assert all(row["error"] == "no steady state: loading without any "
                    "loss channel" for row in rows)
 
     def test_excited_fraction_once_per_point(self, monkeypatch):
         # one rate-model pass per point: the rows once evaluated the
-        # excited fraction six times each
+        # excited fraction six times each.  The base scenario forms its
+        # own rates when built, so it is built before the count starts
+        base = make_scenario()
         calls = []
         original = dynamics.excited_fraction
         monkeypatch.setattr(dynamics, "excited_fraction",
                             lambda *a: calls.append(1) or original(*a))
         rows = run_sweep(SweepSpec("axial_curvature", [5.0, 10.0, 20.0],
-                                   make_scenario(), outputs=OUTPUTS))
+                                   base, outputs=OUTPUTS))
         assert all(row["error"] == "" for row in rows)
         assert len(calls) == 3
 
@@ -251,7 +253,8 @@ class TestRunSweep:
 def test_row_outputs_equal_public_functions(parameter, b_prime, b_dprime, b0,
                                             n_mot, gamma_d):
     # each of the nine outputs, bit for bit, from the public function of
-    # its quantity; kappa and the abscissa also from their definitions
+    # its quantity or, for the abscissa, its definition; kappa also from
+    # its definition
     base = replace(make_scenario(gamma_d=gamma_d),
                    trap=IpTrapConfig(b_prime, b_dprime, b0))
     value = getattr(base.trap, parameter)
@@ -265,16 +268,14 @@ def test_row_outputs_equal_public_functions(parameter, b_prime, b_dprime, b0,
         "n_mot": n_mot, "n_mt_steady": n_inf, "loading_rate": r,
         "tau_eff": dynamics.effective_loading_time(n_inf, r),
         "v_mt": scen.v_mt, "kappa": dynamics.accumulation_efficiency(scen),
-        "kappa_abscissa": dynamics.kappa_abscissa(scen),
+        "kappa_abscissa": r * scen.v_mt / (n_mot * n_mot),
         "t_mt_prediction": dynamics.mt_temperature_prediction(
             scen.mot.temperature),
         "majorana_safe": majorana_safe(scen.trap)}
     assert row["kappa"] == n_inf / n_mot
-    assert row["kappa_abscissa"] == r * scen.v_mt / n_mot ** 2
-    rates = dynamics.RateSummary(scen)
-    assert rates.gamma_ed == dynamics.gamma_ed_loss(
+    assert scen.gamma_ed == dynamics.gamma_ed_loss(
         scen.n_mot_excited, scen.coefficients.beta_ed, scen.v_eff)
-    assert rates.gamma == gamma_d + rates.gamma_ed
+    assert scen.gamma == gamma_d + scen.gamma_ed
 
 
 def scenario_at_oracle(base, parameter, value, n_mot):
