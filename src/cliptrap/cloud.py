@@ -163,8 +163,8 @@ def _shape(species, cfg, n, t, include_gravity):
         xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
         # mu B' > m g is xi2 > xi1 without T; after the scale lengths, a
         # mu B' that underflows to 0 is out of range, not untrapped
-        hold = species.magnetic_moment * cfg.radial_gradient
-        if include_gravity and not hold > species.mass * GRAVITY:
+        force = species.magnetic_moment * cfg.radial_gradient
+        if include_gravity and not force > species.mass * GRAVITY:
             raise UntrappedCloudError
         n0 = n / (_planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi)
                   * sigma_z)

@@ -79,6 +79,7 @@ class LoadingScenario:
     mt_temperature: float  # K
     v_mt: float            # m^3
     v_eff: float           # m^3
+    _n_inf = None          # N_inf once formed; not a field
 
     def __post_init__(self) -> None:
         if not (self.v_mt > 0 and self.v_eff > 0):
@@ -95,7 +96,6 @@ class LoadingScenario:
         object.__setattr__(self, "loading_rate", r)
         object.__setattr__(self, "gamma_ed", gamma_ed)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_n_inf", None)
 
     @property
     def n_mot_excited(self) -> float:

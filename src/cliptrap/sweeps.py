@@ -178,13 +178,13 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    y = np.asarray(y, float)
-    finite = np.isfinite(y).all()  # if not, DataSet says so
+    y = model = np.asarray(y, float)
     with np.errstate(over="ignore", invalid="ignore"):
         if noise > 0:
-            y = y * (1.0 + noise * rng.standard_normal(y.shape))
+            y = model * (1.0 + noise * rng.standard_normal(model.shape))
         sigma = np.maximum(np.abs(y) * max(noise, 1e-6), 1e-300)
-    if finite and not np.isfinite(sigma).all():
+    # a non-finite model value is DataSet's error, not the noise's
+    if not np.isfinite(sigma).all() and np.isfinite(model).all():
         raise dynamics.ModelInputError(
             "noise makes the data or their sigma overflow a float", "noise")
     return DataSet(x=np.asarray(x, float), y=y, sigma_y=sigma,

@@ -92,23 +92,15 @@ class TestScaleLengths:
         assert math.isinf(xi2) and math.isinf(cloud100_nog.xi2)
 
     def test_untrapped_when_gravity_exceeds_gradient(self):
-        # mu B' < m g for Cr below about 1.5 G/cm
+        # mu B' < m g for Cr below about 1.5 G/cm, whatever the temperature
         weak = IpTrapConfig(0.01, 10.5)
         with pytest.raises(ValueError, match="untrapped"):
             make_thermal_cloud(CR, weak, n=1e8, t=100e-6)
-
-    def test_trapping_does_not_depend_on_temperature(self, cloud100):
-        # at 1e-306 K, kT underflows to 0 and so do xi1 and xi2: the trap
-        # still holds the cloud, whose size is out of range; at any T a
-        # weak B' is untrapped
-        for volume in (lambda t: trap_volume(CR, CFG, t),
-                       lambda t: make_thermal_cloud(CR, CFG, 1.0, t)):
-            with pytest.raises(CloudRangeError):
-                volume(1e-306)
-        for t in (1e-306, 100e-6, 1e300):
+        for t in (1e-306, 1e300):
             with pytest.raises(UntrappedCloudError):
                 trap_volume(CR, IpTrapConfig(1e-32, 10.5), t)
-        # a cloud built by hand with xi2 <= xi1 is untrapped too
+
+    def test_untrapped_cloud_built_by_hand(self, cloud100):
         c = cloud100
         with pytest.raises(UntrappedCloudError):
             occupied_volume(ThermalCloud(c.atom_number, c.temperature,
@@ -122,7 +114,8 @@ class TestScaleLengths:
         (0.125, 1e-310, 100e-6, True),   # mu B'' underflows to 0
         (0.125, 1e300, 100e-6, True),    # n0 ** 2 overflows
         (1e100, 10.5, 100e-6, False),    # (a^2 - b^2) ** 1.5 overflows
-        (0.125, 10.5, 1e294, True)])     # a^2 - b^2 underflows to 0
+        (0.125, 10.5, 1e294, True),      # a^2 - b^2 underflows to 0
+        (0.125, 10.5, 1e-306, True)])    # kT underflows to 0: trapped
     def test_out_of_range_cloud_says_so(self, b_prime, b_dprime, t,
                                         gravity):
         # one message in trap terms, from both V_MT paths
