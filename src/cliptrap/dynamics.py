@@ -152,9 +152,9 @@ def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
 def steady_state(scenario: LoadingScenario) -> float:
     """Closed-form stationary atom number of the rate equation.
 
-    N_inf = [-gamma V + sqrt(gamma^2 V^2 + 8 beta R V)] / (4 beta), written
-    without the cancellation as 2 R / (gamma + sqrt(gamma^2 + 8 beta R / V)),
-    the stable root N+ of evolve(); it is R / gamma exactly at beta = 0.
+    N_inf = 2 R / (gamma + D), D = hypot(gamma, sqrt(8 beta) sqrt(R)/sqrt(V))
+    = sqrt(gamma^2 + 8 beta R / V) with no rate squared, is the stable root N+
+    of evolve() without its cancellation; it is R / gamma exactly at beta = 0.
     """
     return scenario.n_mt_steady
 
@@ -166,7 +166,8 @@ def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
         raise ModelInputError(
             "no steady state: loading without any loss channel",
             "gamma_d", "beta_ed", "beta_dd")
-    return 2 * r / (gamma + math.sqrt(gamma * gamma + 8 * beta * r / v))
+    return 2 * r / (gamma + math.hypot(
+        gamma, math.sqrt(8 * beta) * math.sqrt(r) / math.sqrt(v)))
 
 
 def _riccati_terms(u0: float, d: float, k: float, t: np.ndarray):
@@ -193,13 +194,13 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     """Solve the rate equation from N(0) = n0 over [0, t_end].
 
     Returns (t, N) on a uniform grid of `samples` points.  With
-    k = 2 beta/V and D = sqrt(gamma^2 + 4 k R), u = N - N+ obeys the decay
-    equation du/dt = -D u - k u^2, so u comes from decay()'s core,
-    _riccati_terms, with u0 = n0 - N+.  N is N+ + u where |u| <= |u0| / 2,
-    and n0 - u0 t phi (D + k u0) / q (the same u, taken from n0) elsewhere:
-    each base is the one that does not cancel, so N is accurate to
-    rounding, n0 exactly at t = 0 and decay() at R = 0.  Without any loss
-    channel (gamma = beta = 0) there is no N+, and N = n0 + R t.
+    k = 2 beta/V and D = sqrt(gamma^2 + 4 k R), taken as gamma + 2 k N+,
+    u = N - N+ obeys the decay equation du/dt = -D u - k u^2, so u comes
+    from decay()'s core, _riccati_terms, with u0 = n0 - N+.  N is N+ + u
+    where |u| <= |u0| / 2, and n0 - u0 t phi (D + k u0) / q (the same u,
+    taken from n0) elsewhere: each base is the one that does not cancel,
+    so N is accurate to rounding, n0 exactly at t = 0 and decay() at R = 0.
+    Without a loss channel (gamma = beta = 0) there is no N+, and N = n0 + R t.
     """
     if not n0 >= 0:
         raise ValueError("n0 must be >= 0")
@@ -215,7 +216,7 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     k = 2 * beta / v
     n_plus = scenario.n_mt_steady
     u0 = n0 - n_plus
-    d = math.sqrt(gamma * gamma + 4 * k * r)
+    d = gamma + 2 * k * n_plus
     # N(0) = n0 needs no D, which may overflow to inf; the n0 base is
     # formed only where it is taken, since at D = inf it is 0 * inf
     ts = t[1:]
@@ -232,19 +233,17 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
     kappa = [-beta_ed + sqrt(beta_ed^2 + 32 beta_dd x)] / (8 beta_dd), the
     steady state per MOT atom under gamma_d = 0, V_eff = V_MT and a
     saturated MOT (N* = N_MOT / 2).  It is evaluated without the
-    cancellation as 4 x / (beta_ed + S), S = sqrt(beta_ed^2 + 32 beta_dd x),
-    which is 2 x / beta_ed exactly at beta_dd = 0 and sqrt(x / (2 beta_dd))
-    at beta_ed = 0 (for x > 0).  Vectorized over x.
+    cancellation as 4 x / (beta_ed + S), S = hypot(beta_ed, sqrt(32 beta_dd)
+    sqrt(x)) squaring no coefficient: 2 x / beta_ed exactly at beta_dd = 0
+    and sqrt(x / (2 beta_dd)) at beta_ed = 0 (x > 0).  Vectorized over x.
     """
     if beta_ed == 0 and beta_dd == 0:
         raise ModelInputError(
             "kappa undefined with both beta coefficients zero",
             "beta_ed", "beta_dd")
-    beta_ed2 = beta_ed * beta_ed
-    if not beta_ed2 < math.inf:
-        raise ModelInputError("kappa: beta_ed^2 overflows a float", "beta_ed")
     x = np.asarray(x, float)
-    out = 4 * x / (beta_ed + np.sqrt(beta_ed2 + 32 * beta_dd * x))
+    out = 4 * x / (beta_ed + np.hypot(beta_ed,
+                                      math.sqrt(32 * beta_dd) * np.sqrt(x)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -253,14 +252,13 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float,
     """Derivatives of kappa_of_abscissa, shape x.shape + (2,).
 
     kappa is the positive root of 4 beta_dd k^2 + beta_ed k - 2 x = 0, so
-    with S = sqrt(beta_ed^2 + 32 beta_dd x) = 8 beta_dd kappa + beta_ed:
+    with S = hypot(beta_ed, sqrt(32 beta_dd x)) = 8 beta_dd kappa + beta_ed:
 
         d kappa / d beta_dd = -4 kappa^2 / S,
         d kappa / d beta_ed = -kappa / S.
 
-    S is formed from kappa, as a sum of non-negative terms with no second
-    square root.  kappa, if given, is kappa_of_abscissa(x, beta_dd,
-    beta_ed), which a caller that holds it need not evaluate again.
+    S is formed from kappa, a sum of non-negative terms with no root; a
+    caller that holds kappa = kappa_of_abscissa(x, beta_dd, beta_ed) passes it.
     """
     if kappa is None:
         kappa = kappa_of_abscissa(x, beta_dd, beta_ed)

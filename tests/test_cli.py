@@ -157,6 +157,15 @@ class TestSimulate:
         assert np.all(table[:, 1] > 0)
         assert np.all(np.diff(table[:, 1]) < 0)
 
+    def test_reaches_steady_state_at_huge_n_mot(self, tmp_path):
+        # gamma * gamma overflows a float at n_mot = 1e300, where R / gamma
+        # is about 3.5e8: neither N_inf nor D may be formed from it
+        csv = tmp_path / "sim.csv"
+        assert run("simulate", "--paper-defaults", "--set", "n_mot=1e300",
+                   "--out", str(csv)) == 0
+        table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
+        assert table[-1, 1] == pytest.approx(3.48123e8, rel=1e-6)
+
     def test_two_samples(self, tmp_path):
         csv = tmp_path / "sim.csv"
         assert run("simulate", "--paper-defaults", "--set", "samples=2",
@@ -786,20 +795,34 @@ def test_no_loss_channel_names_its_keys(argv, message, capsys):
      "abscissa: N_MOT^2 under- or overflows a float; it is set by n_mot"),
     (["synth", "--set", "n_mot=1e-300"],
      "abscissa: N_MOT^2 under- or overflows a float; it is set by n_mot"),
-    (["synth", "--set", "beta_ed_cm3_per_s=1e200"],
-     "kappa: beta_ed^2 overflows a float; it is set by beta_ed_cm3_per_s"),
     (["synth", "--set", "synth_noise=1e300"],
      "noise makes the data or their sigma overflow a float; it is set by "
      "synth_noise"),
     (["sweep", "--set", "b_prime_g_per_cm=1e-30"],
      "untrapped cloud: gravity scale xi2 must exceed xi1; it is set by "
      "b_prime_g_per_cm")],
-    ids=["rates", "n_mot_big", "n_mot_small", "beta_ed_squared", "noise",
-         "untrapped"])
+    ids=["rates", "n_mot_big", "n_mot_small", "noise", "untrapped"])
 def test_out_of_range_names_its_keys(argv, message, capsys):
     # each exited 0 with an inf, exited 3, or named no key
     assert run(*argv, "--paper-defaults") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_kappa_at_huge_beta_ed(tmp_path):
+    # beta_ed squared is past float range here, so S is formed without it;
+    # kappa is at its beta_ed end, 2 x / beta_ed
+    cfg = {**cli.PAPER_DEFAULTS, "beta_ed_cm3_per_s": "1e200",
+           "synth_noise": "0"}
+    beta_ed = 1e200 * cli.KEYS["beta_ed_cm3_per_s"].scale
+    data = sweeps.synthesize_measurements(cli.scenario_from_config(cfg),
+                                          "kappa_points")
+    assert data.y == pytest.approx(2 * data.x / beta_ed, rel=1e-12)
+    csv = tmp_path / "kappa.csv"
+    assert run("synth", "--paper-defaults", "--set", "beta_ed_cm3_per_s=1e200",
+               "--set", "synth_noise=0", "--out", str(csv)) == 0
+    table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
+    # the CSV holds 12 significant digits
+    assert table[:, 1] == pytest.approx(2 * table[:, 0] / beta_ed, rel=1e-11)
 
 
 def test_every_key_is_read(fit_data, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -29,6 +30,10 @@ def log_uniform(low_exp: float, high_exp: float):
 def maybe_zero(low_exp: float, high_exp: float):
     """0, or a log-uniform value between 10**low_exp and 10**high_exp."""
     return st.one_of(st.just(0.0), log_uniform(low_exp, high_exp))
+
+
+# The natural logarithms of the least normal and the largest float
+NORMAL_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 def riccati_oracle(r, gamma, beta, v, n0, times) -> list:
@@ -158,8 +163,8 @@ class TestEvolve:
                              ids=["gamma_d", "v_mt"])
     def test_finite_where_d_overflows(self, overrides):
         # gamma^2 overflows (at V_MT = V_eff = 1e-306 m^3 through gamma_ed),
-        # so D = sqrt(gamma^2 + 4 k R) is inf: N(0) = n0 needs no D, and the
-        # n0 base, 0 * inf there, is not formed; N(0) was NaN
+        # so D is formed as gamma + 2 k N+; and N(0) = n0 needs no D at all,
+        # nor the n0 base, which is 0 * inf where D is inf
         for n0 in (0.0, 3.3e7):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -397,12 +402,30 @@ class TestAccumulationEfficiency:
             kappa_of_abscissa(1e-14, 0.0, 0.0)
         assert exc.value.inputs == ("beta_ed", "beta_dd")
 
-    def test_beta_ed_squared_overflow_named(self):
-        # beta_ed^2 is formed by *, which overflows to inf where ** raised
-        # OverflowError; either way kappa is not formed
-        with pytest.raises(ModelInputError) as exc:
-            kappa_of_abscissa(1e-14, 1.3e-17, 1e200)
-        assert exc.value.inputs == ("beta_ed",)
+    def test_beta_dd_zero_limit_over_float_range(self):
+        # beta_ed^2 underflows to 0 below about 1e-154, where kappa formed
+        # from it would be twice this limit, and overflows above about 1e154
+        x = 1e-14
+        for beta_ed in np.geomspace(1e-300, 1e300, 61):
+            assert kappa_of_abscissa(x, 0.0, beta_ed) == 2 * x / beta_ed
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=log_uniform(-300, 300), beta_dd=maybe_zero(-300, 300),
+           beta_ed=maybe_zero(-300, 300))
+    def test_within_bracket(self, x, beta_dd, beta_ed):
+        # kappa = 4 x / (beta_ed + S), S between max and sum of beta_ed and
+        # sqrt(32 beta_dd x), lies in [m / 2, m], m = min(2 x / beta_ed,
+        # sqrt(x / (2 beta_dd))); checked wherever m is a normal float
+        if beta_dd == beta_ed == 0:
+            return
+        logs = [math.log(2 * x) - math.log(beta_ed)] if beta_ed else []
+        if beta_dd:
+            logs.append(0.5 * (math.log(x) - math.log(2 * beta_dd)))
+        if not NORMAL_LOGS[0] <= min(logs) <= NORMAL_LOGS[1]:
+            return
+        m = math.exp(min(logs))
+        assert 0.5 * m <= kappa_of_abscissa(x, beta_dd, beta_ed) <= m * (
+            1 + 1e-12)
 
     def test_magnitude_at_optimum(self):
         # with the self-consistent closed form this lands in the twenties

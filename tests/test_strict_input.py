@@ -6,8 +6,10 @@ message naming the key; library constructors raise ValueError for NaN.
 
 import contextlib
 import io
+import itertools
 import math
 import re
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -278,6 +280,51 @@ def test_key_scan_exits_cleanly():
                 elif code not in (0, 2):
                     failures.append(what)
     assert runs == 336
+    assert failures == []
+
+
+def steady_state_bracket(scen):
+    """m = min(R / gamma, sqrt(R V / (2 beta))), with N_inf in [m / 2, m],
+    or None where m is 0, inf or not a normal float; formed in log space,
+    so that it is exact to about 1e-13 wherever it is a float."""
+    r, gamma = scen.loading_rate, scen.gamma
+    beta, v = scen.coefficients.beta_dd, scen.v_mt
+    if not r > 0 or gamma == beta == 0:
+        return None
+    logs = [math.log(r) - math.log(gamma)] if gamma else []
+    if beta:
+        logs.append(0.5 * (math.log(r) + math.log(v) - math.log(2 * beta)))
+    log_m = min(logs)
+    if not math.log(sys.float_info.min) <= log_m <= math.log(
+            sys.float_info.max):
+        return None
+    return math.exp(log_m)
+
+
+def test_steady_state_within_bracket_key_scan():
+    # every float key alone at 1e+-30 and 1e+-300, and every pair of them
+    # at 1e+-150 and 1e+-300: wherever the scenario builds and its bracket
+    # is a normal float, N_inf lies in it.  gamma * gamma overflows a float
+    # at gamma_d_per_s=1e300 or n_mot=1e300, so N_inf may not square gamma
+    singles = [{key: value} for key in FLOAT_KEYS
+               for value in ("1e-300", "1e-30", "1e30", "1e300")]
+    extremes = ("1e-300", "1e-150", "1e150", "1e300")
+    pairs = [{a: va, b: vb} for a, b in itertools.combinations(FLOAT_KEYS, 2)
+             for va in extremes for vb in extremes]
+    failures, checked = [], 0
+    for setting in singles + pairs:
+        try:
+            scen = cli.scenario_from_config({**cli.PAPER_DEFAULTS,
+                                             **setting})
+        except (cli.ConfigError, ValueError):
+            continue
+        m = steady_state_bracket(scen)
+        if m is None:
+            continue
+        checked += 1
+        if not 0.5 * m <= scen.n_mt_steady <= m * (1 + 1e-12):
+            failures.append((setting, scen.n_mt_steady, m))
+    assert checked > 2000
     assert failures == []
 
 
