@@ -1,4 +1,5 @@
 import math
+import sys
 
 from cliptrap.dynamics import LoadingScenario, RateCoefficients
 from cliptrap.species import MotBeamParams, chromium_52
@@ -24,6 +25,17 @@ def make_scenario(eta=0.3, beta_ed=6e-16, beta_dd=1.3e-17, gamma_d=0.0,
                            v_eff=v_mt if v_eff is None else v_eff)
 
 
+def root_bracket(logs) -> float | None:
+    """m = exp(min(logs)) for a root in [m / 2, m] whose bounds are given
+    as natural logarithms, or None unless m is a normal float.  Formed in
+    log space, m is exact to about 1e-13 wherever it is a float."""
+    log_m = min(logs, default=math.inf)
+    if not _NORMAL_LOGS[0] <= log_m <= _NORMAL_LOGS[1]:
+        return None
+    return math.exp(log_m)
+
+
+_NORMAL_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 _criterion_outcomes: dict[str, str] = {}
 
 

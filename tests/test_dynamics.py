@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 from dataclasses import replace
 
@@ -17,7 +16,7 @@ from cliptrap.dynamics import (ModelInputError, RateCoefficients,
                                gamma_ed_loss, kappa_jacobian,
                                kappa_of_abscissa, loading_rate,
                                mt_temperature_prediction, steady_state)
-from conftest import make_scenario
+from conftest import make_scenario, root_bracket
 
 GAMMA_ED_CR = 126.17  # 52Cr leak rate to the metastable state, 1/s
 
@@ -30,10 +29,6 @@ def log_uniform(low_exp: float, high_exp: float):
 def maybe_zero(low_exp: float, high_exp: float):
     """0, or a log-uniform value between 10**low_exp and 10**high_exp."""
     return st.one_of(st.just(0.0), log_uniform(low_exp, high_exp))
-
-
-# The natural logarithms of the least normal and the largest float
-NORMAL_LOGS = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 def riccati_oracle(r, gamma, beta, v, n0, times) -> list:
@@ -416,16 +411,13 @@ class TestAccumulationEfficiency:
         # kappa = 4 x / (beta_ed + S), S between max and sum of beta_ed and
         # sqrt(32 beta_dd x), lies in [m / 2, m], m = min(2 x / beta_ed,
         # sqrt(x / (2 beta_dd))); checked wherever m is a normal float
-        if beta_dd == beta_ed == 0:
-            return
         logs = [math.log(2 * x) - math.log(beta_ed)] if beta_ed else []
         if beta_dd:
             logs.append(0.5 * (math.log(x) - math.log(2 * beta_dd)))
-        if not NORMAL_LOGS[0] <= min(logs) <= NORMAL_LOGS[1]:
-            return
-        m = math.exp(min(logs))
-        assert 0.5 * m <= kappa_of_abscissa(x, beta_dd, beta_ed) <= m * (
-            1 + 1e-12)
+        m = root_bracket(logs)
+        if m is not None:
+            assert 0.5 * m <= kappa_of_abscissa(x, beta_dd, beta_ed) <= m * (
+                1 + 1e-12)
 
     def test_magnitude_at_optimum(self):
         # with the self-consistent closed form this lands in the twenties

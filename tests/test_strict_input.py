@@ -9,7 +9,6 @@ import io
 import itertools
 import math
 import re
-import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -26,7 +25,7 @@ from cliptrap.estimation import DataSet
 from cliptrap.species import MotBeamParams, chromium_52
 from cliptrap.trap import IpTrapConfig
 
-from conftest import make_scenario
+from conftest import make_scenario, root_bracket
 
 FLOAT_KEYS = [k for k, key in cli.KEYS.items() if key.kind is float]
 INT_KEYS = [k for k, key in cli.KEYS.items() if key.kind is int]
@@ -285,20 +284,15 @@ def test_key_scan_exits_cleanly():
 
 def steady_state_bracket(scen):
     """m = min(R / gamma, sqrt(R V / (2 beta))), with N_inf in [m / 2, m],
-    or None where m is 0, inf or not a normal float; formed in log space,
-    so that it is exact to about 1e-13 wherever it is a float."""
+    or None at R = 0 or where m is not a normal float."""
     r, gamma = scen.loading_rate, scen.gamma
     beta, v = scen.coefficients.beta_dd, scen.v_mt
-    if not r > 0 or gamma == beta == 0:
+    if not r > 0:
         return None
     logs = [math.log(r) - math.log(gamma)] if gamma else []
     if beta:
         logs.append(0.5 * (math.log(r) + math.log(v) - math.log(2 * beta)))
-    log_m = min(logs)
-    if not math.log(sys.float_info.min) <= log_m <= math.log(
-            sys.float_info.max):
-        return None
-    return math.exp(log_m)
+    return root_bracket(logs)
 
 
 def test_steady_state_within_bracket_key_scan():
