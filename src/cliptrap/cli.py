@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics, sweeps
-from .cloud import CloudRangeError, UntrappedCloudError, trap_volume
+from .cloud import trap_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_column_profile, fit_decay, fit_kappa,
                          fit_loading_rate, fit_tof)
@@ -85,11 +85,16 @@ PAPER_DEFAULTS: dict[str, str] = {
     if key.paper or key.default}
 
 
-# Each model input's key: the RateCoefficients fields, the MOT atom number
-# and the synthesis noise, as a dynamics.ModelInputError names them.
+# The config key of each model input a dynamics.ModelInputError names;
+# main() reads mt_temperature as t_mot_uk when t_mt_uk is computed.
 _INPUT_KEYS = {"eta": "eta", "beta_ed": "beta_ed_cm3_per_s",
                "beta_dd": "beta_dd_cm3_per_s", "gamma_d": "gamma_d_per_s",
-               "n_mot": "n_mot", "noise": "synth_noise"}
+               "radial_gradient": "b_prime_g_per_cm",
+               "axial_curvature": "b_dprime_g_per_cm2",
+               "n_mot": "n_mot", "total_saturation": "mot_saturation",
+               "detuning": "mot_detuning_gamma", "mt_temperature": "t_mt_uk",
+               "v_mt": "v_mt_cm3", "species": "species",
+               "noise": "synth_noise"}
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
 # Keys with a lower bound: (comparison, bound).  The dataclasses and functions
@@ -175,19 +180,13 @@ def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
         sigma_radial=_get(cfg, "sigma_mot_radial_mm"),
         sigma_axial=_get(cfg, "sigma_mot_axial_mm"),
     )
-    t_mt, t_key = _given(cfg, "t_mt_uk"), "t_mt_uk"
+    t_mt = _given(cfg, "t_mt_uk")
     if t_mt is None:
-        t_mt, t_key = dynamics.mt_temperature_prediction(t_mot), "t_mot_uk"
+        t_mt = dynamics.mt_temperature_prediction(t_mot)
 
     v_mt = _given(cfg, "v_mt_cm3")
     if v_mt is None:
-        try:
-            v_mt = trap_volume(species, trap_cfg, t_mt)
-        except CloudRangeError as exc:
-            raise ConfigError(f"{exc}; it is set by b_prime_g_per_cm, "
-                              f"b_dprime_g_per_cm2 and {t_key}")
-        except UntrappedCloudError as exc:
-            raise ConfigError(f"{exc}; it is set by b_prime_g_per_cm")
+        v_mt = trap_volume(species, trap_cfg, t_mt)
     v_eff = _given(cfg, "v_eff_cm3")
     if v_eff is None:
         v_eff = v_mt
@@ -300,6 +299,9 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
         values_b = np.linspace(_get(cfg, "sweep_start"),
                                _get(cfg, "sweep_stop"),
                                _get(cfg, "sweep_points")).tolist()
+        if len(set(values_b)) < len(values_b):
+            raise ConfigError("config keys sweep_start and sweep_stop are "
+                              "too close for sweep_points distinct values")
     outputs = tuple(s.strip() for s in _get(cfg, "sweep_outputs").split(","))
     n_mot_pp = None
     if nmot_csv := _get(cfg, "sweep_nmot_csv"):
@@ -468,12 +470,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    cfg: dict[str, str] = {}
     try:
-        text = COMMANDS[args.command](build_config(args), args)
-        _write_atomic(args.out, text)
+        cfg = build_config(args)
+        _write_atomic(args.out, COMMANDS[args.command](cfg, args))
     except (ConfigError, ValueError, OSError) as exc:
         if isinstance(exc, dynamics.ModelInputError):
-            *keys, last = (_INPUT_KEYS[name] for name in exc.inputs)
+            key = dict(_INPUT_KEYS)
+            if _given(cfg, "t_mt_uk") is None:  # the virial prediction's
+                key["mt_temperature"] = "t_mot_uk"
+            *keys, last = (key[name] for name in exc.inputs)
             keys = f"{', '.join(keys)} and {last}" if keys else last
             exc = f"{exc}; it is set by {keys}"
         print(f"error: {exc}", file=sys.stderr)

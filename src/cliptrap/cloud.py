@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import scaled_x_k0_k1
+from .dynamics import ModelInputError
 from .species import BOLTZMANN, GRAVITY, Species
 from .trap import IpTrapConfig
 
@@ -36,15 +37,21 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class CloudRangeError(ValueError):
+class CloudRangeError(ModelInputError):
     """The trap cloud's size under- or overflows a float."""
 
+    def __init__(self) -> None:
+        super().__init__("trap cloud size under- or overflows a float",
+                         "radial_gradient", "axial_curvature",
+                         "mt_temperature")
 
-class UntrappedCloudError(ValueError):
+
+class UntrappedCloudError(ModelInputError):
     """Gravity exceeds the trap's radial force: mu B' <= m g."""
 
     def __init__(self) -> None:
-        super().__init__("untrapped cloud: gravity scale xi2 must exceed xi1")
+        super().__init__("untrapped cloud: gravity scale xi2 must exceed xi1",
+                         "radial_gradient")
 
 
 def _dblquad_checked(f, box_x, box_y) -> float:
@@ -151,7 +158,7 @@ def _square_integral(n0, xi1, xi2, sigma_z) -> float:
     except (OverflowError, ZeroDivisionError):
         out = math.nan
     if not 0 < out < math.inf:
-        raise CloudRangeError("trap cloud size under- or overflows a float")
+        raise CloudRangeError
     return out
 
 
@@ -171,7 +178,7 @@ def _shape(species, cfg, n, t, include_gravity):
     except (OverflowError, ZeroDivisionError):
         n0 = math.nan
     if not 0 < n0 < math.inf:  # a scale length under- or overflowed
-        raise CloudRangeError("trap cloud size under- or overflows a float")
+        raise CloudRangeError
     return xi1, xi2, sigma_z, n0
 
 

@@ -32,11 +32,14 @@ from .trap import IpTrapConfig
 _CHI_SWITCH = 1e-2
 
 DEFAULT_ETA = 0.3  # theoretical optical-pumping transfer efficiency
+# The inputs R = eta N_MOT f Gamma_ed is formed from, f the excited fraction
+LOADING_RATE_INPUTS = ("eta", "n_mot", "total_saturation", "detuning",
+                       "species")
 
 
 class ModelInputError(ValueError):
-    """No loss channel where one is needed, or a value out of float range;
-    inputs names the RateCoefficients fields, n_mot or noise that set it."""
+    """No loss channel where one is needed, an untrapped cloud or a value
+    out of float range; inputs names the model inputs that set it."""
 
     def __init__(self, message: str, *inputs: str) -> None:
         super().__init__(message)
@@ -112,7 +115,12 @@ class LoadingScenario:
 
     @property
     def tau_eff(self) -> float:
-        """N_inf / R, s."""
+        """N_inf / R, s: inf only where eta, n_mot or the saturation is 0,
+        and a range error where R underflows to 0 without one."""
+        if self.loading_rate == 0 < min(self.coefficients.eta, self.mot.n_mot,
+                                        self.mot.total_saturation):
+            raise ModelInputError("loading rate underflows to 0",
+                                  *LOADING_RATE_INPUTS)
         return effective_loading_time(self.n_mt_steady, self.loading_rate)
 
     @property
@@ -122,13 +130,23 @@ class LoadingScenario:
 
     @property
     def kappa_abscissa(self) -> float:
-        """The master curve's abscissa x = R V_MT / N_MOT^2, m^3/s."""
+        """The master curve's abscissa x = R V_MT / N_MOT^2, m^3/s.  Where
+        R V_MT leaves float range, x is R / N_MOT^2 times V_MT, whose first
+        factor, at most Gamma_ed / (2 N_MOT), stays in it."""
         n_mot = self._n_mot()
         n_mot2 = n_mot * n_mot
         if not 0 < n_mot2 < math.inf:
             raise ModelInputError("abscissa: N_MOT^2 under- or overflows "
                                   "a float", "n_mot")
-        return self.loading_rate * self.v_mt / n_mot2
+        r = self.loading_rate
+        x = r * self.v_mt / n_mot2
+        if not 0 < x < math.inf:
+            x = r / n_mot2 * self.v_mt
+            if not x < math.inf or x == 0 < r:
+                raise ModelInputError("abscissa: R V_MT / N_MOT^2 under- or "
+                                      "overflows a float",
+                                      *LOADING_RATE_INPUTS, "v_mt")
+        return x
 
     def _n_mot(self) -> float:
         n_mot = self.mot.n_mot
@@ -170,6 +188,15 @@ def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
         gamma, math.sqrt(8 * beta) * math.sqrt(r) / math.sqrt(v)))
 
 
+def _two_body_rate(beta: float, v: float) -> float:
+    """k = 2 beta / V, the rate equation's N^2 coefficient."""
+    k = 2 * beta / v
+    if not k < math.inf:
+        raise ModelInputError("two-body loss rate 2 beta_dd / V_MT "
+                              "overflows a float", "beta_dd", "v_mt")
+    return k
+
+
 def _riccati_terms(u0: float, d: float, k: float, t: np.ndarray):
     """u of du/dt = -D u - k u^2 from u(0) = u0: the rate equation's core.
 
@@ -198,8 +225,11 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     u = N - N+ obeys the decay equation du/dt = -D u - k u^2, so u comes
     from decay()'s core, _riccati_terms, with u0 = n0 - N+.  N is N+ + u
     where |u| <= |u0| / 2, and n0 - u0 t phi (D + k u0) / q (the same u,
-    taken from n0) elsewhere: each base is the one that does not cancel,
-    so N is accurate to rounding, n0 exactly at t = 0 and decay() at R = 0.
+    taken from n0) elsewhere, formed as n0 - u0 (k u0 t phi - expm1(-D t))
+    / q, whose quotient lies in [-1, 1]: each base is the one that does not
+    cancel, so N is accurate to rounding, n0 exactly at t = 0 and decay()
+    at R = 0.  Past D t = 800, e^{-D t} is 0 and N is N+ to the last bit,
+    so the core takes its times cut there: D t and k u0 t stay finite.
     Without a loss channel (gamma = beta = 0) there is no N+, and N = n0 + R t.
     """
     if not n0 >= 0:
@@ -213,17 +243,19 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     t = np.linspace(0.0, t_end, samples)
     if gamma == 0 and beta == 0:
         return t, n0 + r * t
-    k = 2 * beta / v
+    k = _two_body_rate(beta, v)
     n_plus = scenario.n_mt_steady
     u0 = n0 - n_plus
     d = gamma + 2 * k * n_plus
     # N(0) = n0 needs no D, which may overflow to inf; the n0 base is
     # formed only where it is taken, since at D = inf it is 0 * inf
     ts = t[1:]
-    u, (_, _, _, phi, q) = _riccati_terms(u0, d, k, ts)
+    if 0 < d < math.inf:
+        ts = np.minimum(ts, 800 / d)
+    u, (bt, _, em, phi, q) = _riccati_terms(u0, d, k, ts)
     far = ~(np.abs(u) <= 0.5 * abs(u0))
     n = np.concatenate(([n0], n_plus + u))
-    n[1:][far] = n0 - u0 * ts[far] * phi[far] * (d + k * u0) / q[far]
+    n[1:][far] = n0 - u0 * ((bt[far] * phi[far] - em[far]) / q[far])
     return t, n
 
 
@@ -332,7 +364,7 @@ def decay(n0: float, gamma: float, beta: float, v: float, t):
     gamma and t.  Vectorized over t.
     """
     t = _decay_times(n0, v, t)
-    n, _ = _riccati_terms(n0, gamma, 2 * beta / v, t)
+    n, _ = _riccati_terms(n0, gamma, _two_body_rate(beta, v), t)
     return float(n) if n.ndim == 0 else n
 
 

@@ -145,9 +145,9 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     rng = np.random.default_rng(seed)
 
     if kind == "loading_curve":
+        t_end = 10 * scenario.tau_eff
         if not scenario.loading_rate > 0:
             raise ValueError("a loading curve needs a loading rate > 0")
-        t_end = 10 * scenario.tau_eff
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
         x, y = t, n
         labels = ("t_s", "n_atoms")
@@ -169,8 +169,11 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         labels = ("t_s", "sigma_m")
     elif kind == "kappa_points":
         x0 = scenario.kappa_abscissa
-        if not x0 > 0:
-            raise ValueError("kappa points need an abscissa R V / N_MOT^2 > 0")
+        if not (0.1 * x0 > 0 and 10 * x0 < math.inf):
+            raise dynamics.ModelInputError(
+                "kappa points need an abscissa x = R V_MT / N_MOT^2 with "
+                "x / 10 > 0 and 10 x finite", *dynamics.LOADING_RATE_INPUTS,
+                "v_mt")
         x = _log_grid(0.1 * x0, 10 * x0, points)
         y = dynamics.kappa_of_abscissa(x, scenario.coefficients.beta_dd,
                                        scenario.coefficients.beta_ed)

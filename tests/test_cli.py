@@ -800,12 +800,69 @@ def test_no_loss_channel_names_its_keys(argv, message, capsys):
      "synth_noise"),
     (["sweep", "--set", "b_prime_g_per_cm=1e-30"],
      "untrapped cloud: gravity scale xi2 must exceed xi1; it is set by "
-     "b_prime_g_per_cm")],
-    ids=["rates", "n_mot_big", "n_mot_small", "noise", "untrapped"])
+     "b_prime_g_per_cm"),
+    *((argv + ["--set", "beta_dd_cm3_per_s=1e300", "--set", "v_mt_cm3=1e-300"],
+       "two-body loss rate 2 beta_dd / V_MT overflows a float; it is set by "
+       "beta_dd_cm3_per_s and v_mt_cm3")
+      for argv in (["simulate"], ["synth", "--set", "synth_kind=decay_curve"],
+                   ["synth", "--set", "synth_kind=loading_curve"])),
+    (["predict", "--set", "eta=1e-300", "--set", "n_mot=1e-150"],
+     "loading rate underflows to 0; it is set by eta, n_mot, mot_saturation, "
+     "mot_detuning_gamma and species"),
+    *((["synth", "--set", a, "--set", b],
+       "abscissa: R V_MT / N_MOT^2 under- or overflows a float; it is set by "
+       "eta, n_mot, mot_saturation, mot_detuning_gamma, species and v_mt_cm3")
+      for a, b in (("n_mot=1e-150", "v_mt_cm3=1e300"),
+                   ("eta=1e-300", "n_mot=1e150"))),
+    *((["synth", "--set", a, "--set", b],
+       "kappa points need an abscissa x = R V_MT / N_MOT^2 with x / 10 > 0 "
+       "and 10 x finite; it is set by eta, n_mot, mot_saturation, "
+       "mot_detuning_gamma, species and v_mt_cm3")
+      for a, b in (("n_mot=1e-12", "v_mt_cm3=1e300"),
+                   ("eta=1e-12", "v_mt_cm3=1e-300"))),
+    (["predict", "--set", "v_mt_cm3=5e-3", "--set", "b_prime_g_per_cm=1e300"],
+     "trap cloud size under- or overflows a float; it is set by "
+     "b_prime_g_per_cm, b_dprime_g_per_cm2 and t_mt_uk")],
+    ids=["rates", "n_mot_big", "n_mot_small", "noise", "untrapped",
+         "k_simulate", "k_decay_curve", "k_loading_curve", "r_underflow",
+         "abscissa_over", "abscissa_under", "kappa_grid_over",
+         "kappa_grid_under", "no_gravity_volume"])
 def test_out_of_range_names_its_keys(argv, message, capsys):
-    # each exited 0 with an inf, exited 3, or named no key
+    # each exited 0 with an inf or a NaN, exited 3, or named no key
     assert run(*argv, "--paper-defaults") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("stop", ["8", "8.000000000000002"])
+def test_sweep_endpoints_too_close_named(stop, capsys):
+    # ten values between equal or adjacent floats repeat; SweepSpec said
+    # only "values must be strictly monotone"
+    assert run("sweep", "--paper-defaults", "--set", "sweep_start=8",
+               "--set", f"sweep_stop={stop}") == 2
+    assert capsys.readouterr().err == (
+        "error: config keys sweep_start and sweep_stop are too close for "
+        "sweep_points distinct values\n")
+    assert run("sweep", "--paper-defaults", "--set", "sweep_start=8",
+               "--set", f"sweep_stop={stop}", "--set", "sweep_points=1") == 0
+
+
+def test_huge_values_within_float_range(tmp_path):
+    # R V_MT overflowed in the abscissa, which synth then failed to grid,
+    # and u0 t in simulate's n0 base, which printed inf
+    csv = tmp_path / "kappa.csv"
+    assert run("synth", "--paper-defaults", "--set", "v_mt_cm3=1e300",
+               "--set", "n_mot=1e150", "--out", str(csv)) == 0
+    x = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")[:, 0]
+    # the grid starts at x / 10, x = eta N_MOT / 2 Gamma_ed V_MT / N_MOT^2
+    gamma_ed = 2 * math.pi * 5.02e6 / 2.5e5
+    assert x[0] == pytest.approx(0.1 * 0.3 / 2 * gamma_ed * 1e294 / 1e150,
+                                 rel=1e-11)
+    assert run("simulate", "--paper-defaults", "--set", "v_mt_cm3=1e300",
+               "--set", "t_end_s=1e150", "--out", str(csv)) == 0
+    n = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")[:, 1]
+    assert np.isfinite(n).all()
+    # N(1e150 s) of the fifty-digit solution, test_dynamics.riccati_oracle
+    assert n[-1] == pytest.approx(9.45472470067685e157, rel=1e-11)
 
 
 def test_kappa_at_huge_beta_ed(tmp_path):

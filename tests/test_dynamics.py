@@ -168,6 +168,32 @@ class TestEvolve:
             assert n[0] == n0
             assert np.isfinite(n).all()
 
+    @pytest.mark.parametrize("overrides,tol", [
+        ({"v_mt": 1e294}, 1e-13), ({"gamma_d": 1e200}, 1e-15)],
+        ids=["v_mt", "gamma_d"])
+    def test_matches_fifty_digit_solution_at_huge_times(self, overrides, tol):
+        # t_end = 1e150 s: at V_MT = 1e294 m^3, N+ ~ 2e159 and u0 t
+        # overflowed in the n0 base, which printed inf; at gamma = 1e200 /s,
+        # D t overflowed with a warning.  At V_MT = 1e294, k = 2.6e-311 is
+        # subnormal: its spacing, 5e-324, is 2e-13 of it
+        scen = make_scenario(**overrides)
+        t, n = evolve(scen, 0.0, 1e150, samples=200)
+        exact = riccati_oracle(scen.loading_rate, scen.gamma,
+                               scen.coefficients.beta_dd, scen.v_mt, 0.0, t)
+        assert n[0] == 0
+        assert max(float(abs(got - want) / want)
+                   for got, want in zip(n[1:], exact[1:])) < tol
+
+    def test_two_body_rate_out_of_range_named(self):
+        # k = 2 beta / V = inf made every N(t > 0) NaN
+        scen = make_scenario(beta_dd=1e294, v_mt=1e-306)
+        with pytest.raises(ModelInputError, match="2 beta_dd / V_MT") as exc:
+            evolve(scen, 0.0, 10.0)
+        assert exc.value.inputs == ("beta_dd", "v_mt")
+        with pytest.raises(ModelInputError, match="2 beta_dd / V_MT") as exc:
+            decay(1e3, 0.0, 1e294, 1e-306, [0.0, 1.0])
+        assert exc.value.inputs == ("beta_dd", "v_mt")
+
     @settings(max_examples=60, deadline=None)
     @given(r=maybe_zero(5, 9), gamma=maybe_zero(-3, 1),
            beta=maybe_zero(-19, -15), v=st.floats(-10, -7),
@@ -469,6 +495,37 @@ class TestScenarioRates:
         with pytest.raises(ModelInputError, match="N_MOT") as exc:
             scen.kappa_abscissa
         assert exc.value.inputs == ("n_mot",)
+
+    def test_abscissa_where_r_v_overflows(self):
+        # R V_MT = 1.9e151 * 1e294 overflows, x = 1.9e145 does not
+        scen = make_scenario(v_mt=1e294, n_mot=1e150)
+        r = scen.loading_rate
+        assert scen.kappa_abscissa == r / 1e300 * 1e294
+        assert scen.kappa_abscissa == pytest.approx(
+            math.exp(math.log(r) + math.log(1e294) - math.log(1e300)),
+            rel=1e-13)
+
+    @pytest.mark.parametrize("overrides", [
+        {"v_mt": 1e294, "n_mot": 1e-150}, {"eta": 1e-300, "n_mot": 1e150}],
+        ids=["over", "under"])
+    def test_abscissa_out_of_range_named(self, overrides):
+        scen = make_scenario(**overrides)
+        with pytest.raises(ModelInputError, match="R V_MT / N_MOT") as exc:
+            scen.kappa_abscissa
+        assert exc.value.inputs == dynamics.LOADING_RATE_INPUTS + ("v_mt",)
+
+    @pytest.mark.parametrize("overrides", [
+        {"eta": 1e-300, "n_mot": 1e-150},
+        {"saturation": 1e-300, "n_mot": 1e-30}])
+    def test_loading_rate_underflow_named(self, overrides):
+        # R = 0 printed tau_eff = inf, which stands for loading switched off;
+        # the scenario builds, as one with N_MOT = 5e-324 must
+        scen = make_scenario(**overrides)
+        assert scen.loading_rate == 0
+        with pytest.raises(ModelInputError, match="loading rate") as exc:
+            scen.tau_eff
+        assert exc.value.inputs == dynamics.LOADING_RATE_INPUTS
+        assert make_scenario(eta=0.0, n_mot=1e-150).tau_eff == math.inf
 
     @pytest.mark.parametrize("overrides", [{"beta_ed": 1e294},
                                            {"n_mot": 1.7e308}])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliptrap import cli, species
@@ -280,6 +280,48 @@ def test_key_scan_exits_cleanly():
                     failures.append(what)
     assert runs == 336
     assert failures == []
+
+
+# One or two float keys of cli.KEYS, each log-uniform from 1e-300 to 1e300
+EXTREME_SETTING = st.dictionaries(
+    st.sampled_from(FLOAT_KEYS),
+    st.floats(-300, 300).map(lambda e: repr(10.0 ** e)),
+    min_size=1, max_size=2)
+PAIR = {"beta_dd_cm3_per_s": "1e300", "v_mt_cm3": "1e-300"}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(setting=EXTREME_SETTING)
+@example(setting=PAIR)
+@example(setting={**PAIR, "synth_kind": "decay_curve"})
+@example(setting={**PAIR, "synth_kind": "loading_curve"})
+@example(setting={"v_mt_cm3": "1e300", "t_end_s": "1e150"})
+@example(setting={"gamma_d_per_s": "1e200", "t_end_s": "1e150"})
+@example(setting={"eta": "1e-300", "n_mot": "1e-150"})
+@example(setting={"v_mt_cm3": "1e300", "n_mot": "1e150"})
+@example(setting={"v_mt_cm3": "1e300", "n_mot": "1e-150"})
+@example(setting={"eta": "1e-300", "n_mot": "1e150"})
+@example(setting={"v_mt_cm3": "5e-3", "b_prime_g_per_cm": "1e300"})
+@example(setting={"v_mt_cm3": "1e300", "n_mot": "1e-12"})
+@example(setting={"v_mt_cm3": "1e-300", "eta": "1e-12"})
+def test_extreme_keys_exit_cleanly(setting):
+    # exit 0 with finite numbers, or exit 2 naming a key that was set; a
+    # failed sweep point's NaN cells are allowed, and eta = 0 and
+    # mot_saturation = 0, whose tau_eff is inf, are never drawn.  An
+    # example may add synth_kind
+    sets = [arg for key, value in setting.items()
+            for arg in ("--set", f"{key}={value}")]
+    for command in ("predict", "simulate", "sweep", "synth"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(command, "--paper-defaults", *sets)
+        what = f"{command} {setting}: exit {code} {err.strip()}"
+        assert not caught, f"{what}; warned {caught[0].message}"
+        assert code in (0, 2), what
+        if code == 2:
+            assert any(re.search(rf"\b{key}\b", err) for key in setting), what
+        else:
+            assert non_finite_cells(command, stdout) == [], what
 
 
 def steady_state_bracket(scen):
