@@ -94,7 +94,10 @@ _INPUT_KEYS = {"eta": "eta", "beta_ed": "beta_ed_cm3_per_s",
                "n_mot": "n_mot", "total_saturation": "mot_saturation",
                "detuning": "mot_detuning_gamma", "mt_temperature": "t_mt_uk",
                "v_mt": "v_mt_cm3", "species": "species",
-               "noise": "synth_noise"}
+               "noise": "synth_noise", "temperature": "t_mot_uk",
+               "sigma_radial": "sigma_mot_radial_mm",
+               "sigma_axial": "sigma_mot_axial_mm", "t_end": "t_end_s",
+               "n0": "n0_atoms"}
 # Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
 _COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
 # Keys with a lower bound: (comparison, bound).  The dataclasses and functions

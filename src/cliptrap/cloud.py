@@ -6,14 +6,19 @@ tilted by gravity along -y (scale xi2) and Gaussian along the axis
 
     n(x, y, z) = n0 exp(-sqrt(x^2+y^2)/xi1 - y/xi2 - z^2/(2 sigma_z^2))
 
-The normalization and the occupied volume are closed forms: integrating
-the radial plane over angle first gives 2 pi I0(b rho), whose Laplace
-transform yields
+The peak density and the occupied volume are closed forms in one tilt
+factor (1 - r^2)^(3/2), r = xi1/xi2 = m g/(mu B') (1 with gravity off):
+
+    n0   = N (1 - r^2)^(3/2) / ((2 pi)^(3/2) xi1^2 sigma_z)
+    V_MT = 16 pi^(3/2) xi1^2 sigma_z / (1 - r^2)^(3/2)
+
+They hold because integrating the radial plane over angle first gives
+2 pi I0(b rho), whose Laplace transform yields
 
     integral exp(-a rho - b y) dA = 2 pi a / (a^2 - b^2)^(3/2)
 
 (Gradshteyn & Ryzhik 6.623), and the axial Gaussian factor integrates
-analytically.  trap_volume, the one V_MT path, uses both without building
+analytically.  trap_volume, the one V_MT path, uses them without building
 a cloud.  Only the MOT overlap integral of effective_volume is still done
 by 2D adaptive quadrature; scipy is imported there, on first use.
 """
@@ -120,7 +125,7 @@ class GaussianCloud:
                 raise ValueError(f"{name} must be positive")
 
 
-# --- scale lengths and the in-plane integral --------------------------------
+# --- scale lengths, peak density and V_MT ---------------------------------
 
 def scale_lengths(species: Species, cfg: IpTrapConfig, t: float,
                   include_gravity: bool = True) -> tuple[float, float, float]:
@@ -137,45 +142,37 @@ def scale_lengths(species: Species, cfg: IpTrapConfig, t: float,
     return xi1, xi2, sigma_z
 
 
-def _planar_integral(xi1: float, xi2: float, power: float) -> float:
-    """Integral of exp(-power*(rho/xi1 + y/xi2)) over the radial plane.
-
-    Closed form 2 pi a / (a^2 - b^2)^(3/2) with a = power/xi1 and
-    b = power/xi2 (b = 0 with gravity off).
-    """
-    a = power / xi1  # xi1 = 0, a kT that underflowed, divides by zero here
-    if not math.isinf(xi2) and xi2 <= xi1:  # only a cloud built by hand
+def _tilt(xi1: float, xi2: float) -> float:
+    """(1 - r^2)^(3/2), r = xi1/xi2 = m g/(mu B'); 1 with gravity off."""
+    r = xi1 / xi2 if xi2 < math.inf else 0.0  # kT = 0 divides by zero here
+    if not r < 1:  # only a cloud built by hand
         raise UntrappedCloudError
-    b = 0.0 if math.isinf(xi2) else power / xi2
-    return 2 * math.pi * a / (a * a - b * b) ** 1.5
+    return (1 - r * r) ** 1.5
 
 
-def _square_integral(n0, xi1, xi2, sigma_z) -> float:
-    """Integral of n^2 over space for peak density n0, in closed form."""
-    try:  # a power may overflow, and a divisor underflow to 0
-        out = (n0 ** 2 * _planar_integral(xi1, xi2, 2.0) * math.sqrt(math.pi)
-               * sigma_z)
-    except (OverflowError, ZeroDivisionError):
-        out = math.nan
-    if not 0 < out < math.inf:
+def _volume(xi1: float, xi2: float, sigma_z: float) -> float:
+    """V_MT = 16 pi^(3/2) xi1^2 sigma_z / (1 - r^2)^(3/2), formed without an
+    intermediate that leaves float range where V_MT does not."""
+    v = 16 * math.pi ** 1.5 * xi1 * sigma_z * xi1 / _tilt(xi1, xi2)
+    if not 0 < v < math.inf:
         raise CloudRangeError
-    return out
+    return v
 
 
 def _shape(species, cfg, n, t, include_gravity):
     """(xi1, xi2, sigma_z, peak density) of make_thermal_cloud's cloud."""
     if not (n > 0 and t > 0):
         raise ValueError("atom number and temperature must be positive")
-    try:  # a power may overflow, and a divisor underflow to 0
+    try:  # a divisor may underflow to 0
         xi1, xi2, sigma_z = scale_lengths(species, cfg, t, include_gravity)
         # mu B' > m g is xi2 > xi1 without T; after the scale lengths, a
         # mu B' that underflows to 0 is out of range, not untrapped
         force = species.magnetic_moment * cfg.radial_gradient
         if include_gravity and not force > species.mass * GRAVITY:
             raise UntrappedCloudError
-        n0 = n / (_planar_integral(xi1, xi2, 1.0) * math.sqrt(2 * math.pi)
-                  * sigma_z)
-    except (OverflowError, ZeroDivisionError):
+        n0 = n * _tilt(xi1, xi2) / ((2 * math.pi) ** 1.5 * xi1 * sigma_z
+                                    * xi1)
+    except ZeroDivisionError:
         n0 = math.nan
     if not 0 < n0 < math.inf:  # a scale length under- or overflowed
         raise CloudRangeError
@@ -196,8 +193,8 @@ def make_thermal_cloud(species: Species, cfg: IpTrapConfig,
 def trap_volume(species: Species, cfg: IpTrapConfig, t: float,
                 include_gravity: bool = True) -> float:
     """V_MT: occupied_volume of make_thermal_cloud(n=1.0), same bits and errors."""
-    xi1, xi2, sigma_z, n0 = _shape(species, cfg, 1.0, t, include_gravity)
-    return 1.0 / _square_integral(n0, xi1, xi2, sigma_z)
+    xi1, xi2, sigma_z, _ = _shape(species, cfg, 1.0, t, include_gravity)
+    return _volume(xi1, xi2, sigma_z)
 
 
 def mt_density(cloud: ThermalCloud, x, y, z):
@@ -242,12 +239,9 @@ def column_density(cloud: ThermalCloud, y, z):
 
 
 def occupied_volume(cloud: ThermalCloud) -> float:
-    """Density-weighted volume N^2 / integral(n^2), in closed form.
-
-    With gravity off this reduces to 16 pi^(3/2) xi1^2 sigma_z.
-    """
-    return cloud.atom_number ** 2 / _square_integral(
-        cloud.peak_density, cloud.xi1, cloud.xi2, cloud.sigma_z)
+    """Density-weighted volume N^2 / integral(n^2), in closed form: V_MT of
+    the cloud's shape, whose peak density normalizes it to N."""
+    return _volume(cloud.xi1, cloud.xi2, cloud.sigma_z)
 
 
 def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
@@ -282,7 +276,8 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
 
 
 def tof_radius(sigma0: float, t_temp: float, species: Species, t):
-    """Ballistic-expansion 1/sqrt(e) radius sqrt(sigma0^2 + (kT/m) t^2).
+    """Ballistic-expansion 1/sqrt(e) radius sqrt(sigma0^2 + (kT/m) t^2),
+    formed as hypot(sigma0, sqrt(kT/m) t), which squares neither term.
 
     Vectorized over t: an array of times gives an array of radii, a scalar
     a float.
@@ -294,5 +289,5 @@ def tof_radius(sigma0: float, t_temp: float, species: Species, t):
     t = np.asarray(t, float)
     if not (t >= 0).all():
         raise ValueError("expansion time must be >= 0")
-    r = np.sqrt(sigma0 ** 2 + BOLTZMANN * t_temp / species.mass * t * t)
+    r = np.hypot(sigma0, math.sqrt(BOLTZMANN * t_temp / species.mass) * t)
     return float(r) if r.ndim == 0 else r

@@ -19,6 +19,7 @@ decay() share one closed form, so all of them agree to rounding error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ LOADING_RATE_INPUTS = ("eta", "n_mot", "total_saturation", "detuning",
 
 
 class ModelInputError(ValueError):
-    """No loss channel where one is needed, an untrapped cloud or a value
-    out of float range; inputs names the model inputs that set it."""
+    """No loss channel where one is needed, an untrapped cloud, a model
+    field out of its bound or a value out of float range; inputs names the
+    model inputs that set it."""
 
     def __init__(self, message: str, *inputs: str) -> None:
         super().__init__(message)
@@ -58,7 +60,7 @@ class RateCoefficients:
     def __post_init__(self) -> None:
         # eta = 0 is allowed so switched-off loading is representable
         if not 0 <= self.eta <= 1:
-            raise ValueError("eta must be in [0, 1]")
+            raise ModelInputError("eta must be in [0, 1]", "eta")
         if not (self.beta_ed >= 0 and self.beta_dd >= 0 and self.gamma_d >= 0):
             raise ValueError("loss coefficients must be >= 0")
 
@@ -71,8 +73,8 @@ class LoadingScenario:
     v_mt and v_eff may come from cloud-module geometry or be supplied
     directly (e.g. measured values).  R (loading_rate), gamma_ed and gamma
     come from one N*_MOT when the scenario is built, as attributes, not
-    fields; N_inf (n_mt_steady) when first read.  R and the abscissa need
-    no loss channel, and R, N_inf and tau_eff no n_mot > 0.
+    fields; N_inf (n_mt_steady) and tau_eff when first read.  R and the
+    abscissa need no loss channel, and R, N_inf and tau_eff no n_mot > 0.
     """
 
     species: Species
@@ -82,7 +84,7 @@ class LoadingScenario:
     mt_temperature: float  # K
     v_mt: float            # m^3
     v_eff: float           # m^3
-    _n_inf = None          # N_inf once formed; not a field
+    _root = None           # (N_inf, tau_eff) once formed; not a field
 
     def __post_init__(self) -> None:
         if not (self.v_mt > 0 and self.v_eff > 0):
@@ -107,21 +109,18 @@ class LoadingScenario:
     @property
     def n_mt_steady(self) -> float:
         """N_inf: see steady_state."""
-        if self._n_inf is None:
-            object.__setattr__(self, "_n_inf", _steady_state_raw(
-                self.loading_rate, self.gamma, self.coefficients.beta_dd,
-                self.v_mt))
-        return self._n_inf
+        return self._steady_state()[0]
 
     @property
     def tau_eff(self) -> float:
-        """N_inf / R, s: inf only where eta, n_mot or the saturation is 0,
-        and a range error where R underflows to 0 without one."""
+        """N_inf / R, s, from the same root: inf only where eta, n_mot or
+        the saturation is 0, and a range error where R underflows to 0
+        without one."""
         if self.loading_rate == 0 < min(self.coefficients.eta, self.mot.n_mot,
                                         self.mot.total_saturation):
             raise ModelInputError("loading rate underflows to 0",
                                   *LOADING_RATE_INPUTS)
-        return effective_loading_time(self.n_mt_steady, self.loading_rate)
+        return self._steady_state()[1]
 
     @property
     def kappa(self) -> float:
@@ -148,6 +147,13 @@ class LoadingScenario:
                                       *LOADING_RATE_INPUTS, "v_mt")
         return x
 
+    def _steady_state(self) -> tuple[float, float]:
+        if self._root is None:
+            object.__setattr__(self, "_root", _steady_state_raw(
+                self.loading_rate, self.gamma, self.coefficients.beta_dd,
+                self.v_mt))
+        return self._root
+
     def _n_mot(self) -> float:
         n_mot = self.mot.n_mot
         if not n_mot > 0:
@@ -168,24 +174,40 @@ def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
 
 
 def steady_state(scenario: LoadingScenario) -> float:
-    """Closed-form stationary atom number of the rate equation.
-
-    N_inf = 2 R / (gamma + D), D = hypot(gamma, sqrt(8 beta) sqrt(R)/sqrt(V))
-    = sqrt(gamma^2 + 8 beta R / V) with no rate squared, is the stable root N+
-    of evolve() without its cancellation; it is R / gamma exactly at beta = 0.
-    """
+    """Closed-form stationary atom number of the rate equation: the stable
+    root N+ of evolve(), without its cancellation (see _steady_state_raw)."""
     return scenario.n_mt_steady
 
 
-def _steady_state_raw(r: float, gamma: float, beta: float, v: float) -> float:
+def _steady_state_raw(r: float, gamma: float, beta: float,
+                      v: float) -> tuple[float, float]:
+    """(N_inf, tau_eff) of R = gamma N + (2 beta / V) N^2; (0, inf) at R = 0.
+
+    Divided through by R N^2, the root is N_inf = 2 / (u + hypot(u, w)),
+    u = gamma / R and w = sqrt(8 beta / (R V)), which squares no rate and
+    is R / gamma to rounding at beta = 0.  u <= 1 / N_inf and
+    w <= 2 / N_inf, so no term leaves float range where N_inf does not.
+    tau_eff is N_inf / R where N_inf is a normal float, and elsewhere the
+    root of the same equation in tau = N / R, 1 = gamma tau + (w R tau)^2 / 4:
+    2 / (gamma + hypot(gamma, w R)), whose terms are at most 2 / tau_eff.
+    """
     if r == 0:
-        return 0.0
+        return 0.0, math.inf
     if beta == 0 and gamma == 0:
         raise ModelInputError(
             "no steady state: loading without any loss channel",
             "gamma_d", "beta_ed", "beta_dd")
-    return 2 * r / (gamma + math.hypot(
-        gamma, math.sqrt(8 * beta) * math.sqrt(r) / math.sqrt(v)))
+    root_8b, root_r, root_v = math.sqrt(8 * beta), math.sqrt(r), math.sqrt(v)
+    n = _two_over(gamma / r, root_8b / (root_r * root_v))
+    if sys.float_info.min <= n < math.inf:
+        return n, n / r
+    return n, _two_over(gamma, root_8b * root_r / root_v)
+
+
+def _two_over(a: float, b: float) -> float:
+    """2 / (a + hypot(a, b)), inf where a and b both underflow to 0."""
+    den = a + math.hypot(a, b)
+    return 2 / den if den else math.inf
 
 
 def _two_body_rate(beta: float, v: float) -> float:
@@ -233,9 +255,10 @@ def evolve(scenario: LoadingScenario, n0: float, t_end: float,
     Without a loss channel (gamma = beta = 0) there is no N+, and N = n0 + R t.
     """
     if not n0 >= 0:
-        raise ValueError("n0 must be >= 0")
+        raise ModelInputError("n0 must be >= 0", "n0")
     if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite: {t_end!r}")
+        raise ModelInputError(f"t_end must be positive and finite: {t_end!r}",
+                              "t_end")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     r, gamma = scenario.loading_rate, scenario.gamma

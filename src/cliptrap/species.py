@@ -109,13 +109,20 @@ class MotBeamParams:
 
     def __post_init__(self) -> None:
         if not self.total_saturation >= 0:
-            raise ValueError("total_saturation must be >= 0")
+            raise _field_error("total_saturation", ">= 0")
         if not (math.isfinite(self.detuning) and 0 <= self.n_mot < math.inf):
             raise ValueError("detuning must be finite and n_mot in [0, inf)")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
-        if not (self.sigma_radial > 0 and self.sigma_axial > 0):
-            raise ValueError("cloud sizes must be positive")
+        for name in ("temperature", "sigma_radial", "sigma_axial"):
+            if not getattr(self, name) > 0:
+                raise _field_error(name, "positive")
+
+
+def _field_error(name: str, bound: str) -> ValueError:
+    """dynamics.ModelInputError for a dataclass field out of its bound,
+    which cli.main names by its config key.  The class is imported here,
+    when needed, because dynamics imports this module and trap."""
+    from .dynamics import ModelInputError
+    return ModelInputError(f"{name} must be {bound}", name)
 
 
 def excited_fraction(beams: MotBeamParams, species: Species) -> float:

@@ -148,6 +148,10 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         t_end = 10 * scenario.tau_eff
         if not scenario.loading_rate > 0:
             raise ValueError("a loading curve needs a loading rate > 0")
+        if not 0 < t_end < math.inf:  # not evolve's error: it names t_end_s
+            raise dynamics.ModelInputError(
+                "a loading curve's span 10 tau_eff under- or overflows a "
+                "float", "gamma_d", "beta_ed", "beta_dd", "v_mt")
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
         x, y = t, n
         labels = ("t_s", "n_atoms")
@@ -162,8 +166,10 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     elif kind == "tof_series":
         t = np.linspace(1e-3, 8e-3, points)
         kt = scenario.mt_temperature
-        # the trap cloud's xi1 is the pre-expansion size
-        sigma0 = cloud.scale_lengths(scenario.species, scenario.trap, kt)[0]
+        # the trap cloud's xi1 is the pre-expansion size; the cloud's own
+        # checks hold where v_mt is given and no V_MT was formed
+        sigma0 = cloud.make_thermal_cloud(scenario.species, scenario.trap,
+                                          1.0, kt).xi1
         y = cloud.tof_radius(sigma0, kt, scenario.species, t)
         x = t
         labels = ("t_s", "sigma_m")

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .species import _field_error
+
 # Offset below which Majorana spin flips are not suppressed (40 mG; at the
 # radial parameters considered here this keeps the flip rate under 0.1/s).
 MAJORANA_MIN_OFFSET = 4e-6  # T
@@ -33,9 +35,9 @@ class IpTrapConfig:
 
     def __post_init__(self) -> None:
         if not self.radial_gradient > 0:
-            raise ValueError("radial_gradient must be positive")
+            raise _field_error("radial_gradient", "positive")
         if not self.axial_curvature > 0:
-            raise ValueError("axial_curvature must be positive")
+            raise _field_error("axial_curvature", "positive")
         if not math.isfinite(self.offset_field):
             raise ValueError("offset_field must be finite")
 

@@ -6,6 +6,7 @@ import pytest
 
 from cliptrap import cli, sweeps
 from cliptrap.cli import main
+from cliptrap.cloud import trap_volume
 from cliptrap.estimation import DataSet
 from conftest import make_scenario
 
@@ -108,7 +109,6 @@ class TestPredict:
         (["b_prime_g_per_cm=1e305"], "t_mt_uk"),
         (["b_prime_g_per_cm=1e305", "t_mt_uk=0"], "t_mot_uk"),
         (["b_prime_g_per_cm=1e-300"], "t_mt_uk"),
-        (["b_dprime_g_per_cm2=1e300"], "t_mt_uk"),
         (["b_dprime_g_per_cm2=1e-310"], "t_mt_uk"),
         (["t_mt_uk=1e300"], "t_mt_uk"),
         (["t_mt_uk=1e-300"], "t_mt_uk")])
@@ -122,6 +122,33 @@ class TestPredict:
             assert capsys.readouterr().err == (
                 "error: trap cloud size under- or overflows a float; it is "
                 f"set by b_prime_g_per_cm, b_dprime_g_per_cm2 and {t_key}\n")
+
+    @pytest.mark.parametrize("setting", [
+        "b_prime_g_per_cm=1e74", "b_prime_g_per_cm=1e100",
+        "b_prime_g_per_cm=1e102", "b_dprime_g_per_cm2=1e300"])
+    def test_huge_trap_fields_give_the_closed_form(self, setting, capsys):
+        # V_MT is a normal float here, but it was built from n0^2 times the
+        # planar integral at twice the decay rate, one of which left float
+        # range, so each exited 2 with a cloud range error
+        assert run("predict", "--paper-defaults", "--set", setting) == 0
+        report = dict(line.split(" = ") for line in
+                      capsys.readouterr().out.splitlines())
+        assert all(math.isfinite(float(value)) for key, value in
+                   report.items() if key != "majorana_safe")
+        scen = cli.scenario_from_config(dict(cli.PAPER_DEFAULTS, **dict(
+            [setting.split("=")])))
+        kt = 1.380649e-23 * scen.mt_temperature
+        mu_b1 = scen.species.magnetic_moment * scen.trap.radial_gradient
+        xi1 = kt / mu_b1
+        sigma_z = math.sqrt(kt / (scen.species.magnetic_moment
+                                  * scen.trap.axial_curvature))
+        r = scen.species.mass * 9.80665 / mu_b1
+        no_gravity = 16 * math.pi ** 1.5 * xi1 ** 2 * sigma_z
+        assert scen.v_mt == pytest.approx(no_gravity / (1 - r * r) ** 1.5,
+                                          rel=1e-14, abs=0)
+        assert trap_volume(scen.species, scen.trap, scen.mt_temperature,
+                           False) == pytest.approx(no_gravity, rel=1e-14,
+                                                   abs=0)
 
 
 class TestSimulate:
@@ -822,15 +849,58 @@ def test_no_loss_channel_names_its_keys(argv, message, capsys):
                    ("eta=1e-12", "v_mt_cm3=1e-300"))),
     (["predict", "--set", "v_mt_cm3=5e-3", "--set", "b_prime_g_per_cm=1e300"],
      "trap cloud size under- or overflows a float; it is set by "
-     "b_prime_g_per_cm, b_dprime_g_per_cm2 and t_mt_uk")],
+     "b_prime_g_per_cm, b_dprime_g_per_cm2 and t_mt_uk"),
+    *((["synth", "--set", "synth_kind=tof_series", "--set", "v_mt_cm3=1e-300",
+        "--set", setting],
+       "trap cloud size under- or overflows a float; it is set by "
+       "b_prime_g_per_cm, b_dprime_g_per_cm2 and t_mt_uk")
+      for setting in ("b_prime_g_per_cm=1e-300", "t_mt_uk=1e300")),
+    (["synth", "--set", "synth_kind=loading_curve", "--set", "eta=1e-16",
+      "--set", "v_mt_cm3=1e308", "--set", "beta_dd_cm3_per_s=1e-300"],
+     "a loading curve's span 10 tau_eff under- or overflows a float; it is "
+     "set by gamma_d_per_s, beta_ed_cm3_per_s, beta_dd_cm3_per_s and "
+     "v_mt_cm3")],
     ids=["rates", "n_mot_big", "n_mot_small", "noise", "untrapped",
          "k_simulate", "k_decay_curve", "k_loading_curve", "r_underflow",
          "abscissa_over", "abscissa_under", "kappa_grid_over",
-         "kappa_grid_under", "no_gravity_volume"])
+         "kappa_grid_under", "no_gravity_volume", "tof_mu_b_underflow",
+         "tof_kt_overflow", "loading_span"])
 def test_out_of_range_names_its_keys(argv, message, capsys):
     # each exited 0 with an inf or a NaN, exited 3, or named no key
     assert run(*argv, "--paper-defaults") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,setting,message", [
+    ("predict", "b_prime_g_per_cm=-1", "radial_gradient must be positive"),
+    ("predict", "b_dprime_g_per_cm2=0", "axial_curvature must be positive"),
+    ("predict", "eta=2", "eta must be in [0, 1]"),
+    ("predict", "t_mot_uk=-5", "temperature must be positive"),
+    ("predict", "mot_saturation=-1", "total_saturation must be >= 0"),
+    ("predict", "sigma_mot_radial_mm=0", "sigma_radial must be positive"),
+    ("predict", "sigma_mot_axial_mm=-1", "sigma_axial must be positive"),
+    ("simulate", "t_end_s=0", "t_end must be positive and finite: 0.0"),
+    ("simulate", "n0_atoms=-1", "n0 must be >= 0")],
+    ids=["b_prime", "b_dprime", "eta", "t_mot", "mot_saturation",
+         "sigma_radial", "sigma_axial", "t_end", "n0"])
+def test_field_range_error_names_its_key(command, setting, message, capsys):
+    # each gave the model field's message and named no config key
+    assert run(command, "--paper-defaults", "--set", setting) == 2
+    key = setting.split("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: {message}; it is set by {key}\n")
+
+
+def test_tau_eff_where_n_inf_underflows(capsys):
+    # N_inf = R tau_eff is about 4e-366, under float range, and tau_eff,
+    # formed as N_inf / R, printed 0
+    assert run("predict", "--paper-defaults", "--set",
+               "b_dprime_g_per_cm2=1e150", "--set", "eta=1e-300") == 0
+    report = dict(line.split(" = ") for line in
+                  capsys.readouterr().out.splitlines())
+    assert float(report["n_steady_atoms"]) == 0
+    assert float(report["tau_eff_s"]) == pytest.approx(1.19213e-74,
+                                                       rel=1e-5, abs=0)
 
 
 @pytest.mark.parametrize("stop", ["8", "8.000000000000002"])
@@ -848,7 +918,8 @@ def test_sweep_endpoints_too_close_named(stop, capsys):
 
 def test_huge_values_within_float_range(tmp_path):
     # R V_MT overflowed in the abscissa, which synth then failed to grid,
-    # and u0 t in simulate's n0 base, which printed inf
+    # u0 t in simulate's n0 base, which printed inf, and sigma0^2 in the
+    # tof_series synth, which exited 3
     csv = tmp_path / "kappa.csv"
     assert run("synth", "--paper-defaults", "--set", "v_mt_cm3=1e300",
                "--set", "n_mot=1e150", "--out", str(csv)) == 0
@@ -863,6 +934,12 @@ def test_huge_values_within_float_range(tmp_path):
     assert np.isfinite(n).all()
     # N(1e150 s) of the fifty-digit solution, test_dynamics.riccati_oracle
     assert n[-1] == pytest.approx(9.45472470067685e157, rel=1e-11)
+    # sigma0^2 overflows, though sigma0 = xi1 and the cloud are in range
+    assert run("synth", "--paper-defaults", "--set", "synth_kind=tof_series",
+               "--set", "v_mt_cm3=1e-300", "--set", "t_mt_uk=1e170",
+               "--set", "b_dprime_g_per_cm2=1e300", "--out", str(csv)) == 0
+    table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
+    assert np.isfinite(table).all()
 
 
 def test_kappa_at_huge_beta_ed(tmp_path):

@@ -383,6 +383,24 @@ class TestSteadyState:
             beta_dd=beta_switch * f)) for f in (1 - side, 1 + side))
         assert hi == pytest.approx(lo, rel=1e-14)
 
+    @settings(max_examples=500, deadline=None)
+    @given(r=log_uniform(-300, 300), gamma=log_uniform(-300, 300),
+           beta=log_uniform(-300, 300), v=log_uniform(-300, 300))
+    @example(r=1e300, gamma=1.0, beta=1e300, v=1e-300)  # s overflows
+    @example(r=1e-300, gamma=1e300, beta=1e-300, v=1e300)  # N underflows
+    def test_within_bracket_over_float_range(self, r, gamma, beta, v):
+        # N_inf lies in [m / 2, m], m = min(R / gamma, sqrt(R V / (2 beta))),
+        # and tau_eff in the same bracket divided by R, wherever the bracket
+        # is a normal float.  2 R / (gamma + D) fell out of it in 2 % of
+        # such draws, where sqrt(8 beta R / V) or gamma + D overflowed
+        n, tau = dynamics._steady_state_raw(r, gamma, beta, v)
+        log_r, log_g = math.log(r), math.log(gamma)
+        log_b = 0.5 * (math.log(r) + math.log(v) - math.log(2 * beta))
+        for value, m in ((n, root_bracket([log_r - log_g, log_b])),
+                         (tau, root_bracket([-log_g, log_b - log_r]))):
+            if m is not None:
+                assert 0.5 * m <= value <= m * (1 + 1e-12)
+
     def test_monotone_in_inputs(self):
         base = steady_state(make_scenario(gamma_d=0.02))
         assert steady_state(make_scenario(gamma_d=0.02, n_mot=6e6)) > base
