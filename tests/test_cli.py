@@ -114,8 +114,8 @@ class TestPredict:
         (["t_mt_uk=1e-300"], "t_mt_uk")])
     def test_cloud_out_of_range_names_its_keys(self, extra, t_key, capsys):
         # the trap temperature's key is t_mot_uk when t_mt_uk = 0 asks for
-        # the virial prediction; a scale length, the normalization or the
-        # square integral under- or overflows, whichever comes first
+        # the virial prediction; a scale length, n0 or V_MT under- or
+        # overflows, whichever comes first
         for command in ("predict", "simulate", "synth"):
             assert run(command, "--paper-defaults",
                        *(a for kv in extra for a in ("--set", kv))) == 2
@@ -127,16 +127,15 @@ class TestPredict:
         "b_prime_g_per_cm=1e74", "b_prime_g_per_cm=1e100",
         "b_prime_g_per_cm=1e102", "b_dprime_g_per_cm2=1e300"])
     def test_huge_trap_fields_give_the_closed_form(self, setting, capsys):
-        # V_MT is a normal float here, but it was built from n0^2 times the
-        # planar integral at twice the decay rate, one of which left float
-        # range, so each exited 2 with a cloud range error
+        # V_MT is a normal float here; formed through n0^2, it exited 2
+        # with a cloud range error
         assert run("predict", "--paper-defaults", "--set", setting) == 0
         report = dict(line.split(" = ") for line in
                       capsys.readouterr().out.splitlines())
         assert all(math.isfinite(float(value)) for key, value in
                    report.items() if key != "majorana_safe")
-        scen = cli.scenario_from_config(dict(cli.PAPER_DEFAULTS, **dict(
-            [setting.split("=")])))
+        key, value = setting.split("=")
+        scen = cli.scenario_from_config({**cli.PAPER_DEFAULTS, key: value})
         kt = 1.380649e-23 * scen.mt_temperature
         mu_b1 = scen.species.magnetic_moment * scen.trap.radial_gradient
         xi1 = kt / mu_b1
