@@ -109,13 +109,15 @@ class TestPredict:
         (["b_prime_g_per_cm=1e305"], "t_mt_uk"),
         (["b_prime_g_per_cm=1e305", "t_mt_uk=0"], "t_mot_uk"),
         (["b_prime_g_per_cm=1e-300"], "t_mt_uk"),
+        (["b_prime_g_per_cm=1e100", "b_dprime_g_per_cm2=1e300"], "t_mt_uk"),
         (["b_dprime_g_per_cm2=1e-310"], "t_mt_uk"),
         (["t_mt_uk=1e300"], "t_mt_uk"),
         (["t_mt_uk=1e-300"], "t_mt_uk")])
     def test_cloud_out_of_range_names_its_keys(self, extra, t_key, capsys):
         # the trap temperature's key is t_mot_uk when t_mt_uk = 0 asks for
         # the virial prediction; a scale length, n0 or V_MT under- or
-        # overflows, whichever comes first
+        # overflows, whichever comes first. B' = 1e100 and B'' = 1e300
+        # each give a normal V_MT alone but underflow it together
         for command in ("predict", "simulate", "synth"):
             assert run(command, "--paper-defaults",
                        *(a for kv in extra for a in ("--set", kv))) == 2
