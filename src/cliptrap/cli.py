@@ -2,15 +2,17 @@
 
 Configuration is a flat key = value text file ('#' comments allowed);
 --set KEY=VALUE flags override file keys, and --paper-defaults loads the
-built-in optimum operating point.  KEYS gives each key's type, default
-and scale from its lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK) to SI;
-it is the one place where config lab units are converted, and every
-layer below works in SI.  COMMANDS and FITS name the subcommands and fit
-kinds.  Exit codes: 0 success, 2 configuration or input error (among them
-an unknown key, NaN, inf, a fractional count, a volume <= 0, a trap
-temperature < 0, a negative loss coefficient, an n_mot <= 0, a value that
-takes a rate, the cloud or the data out of float range, and a file that
-cannot be read or written), 3 numerical failure.
+built-in optimum operating point.  KEYS holds one row per key: its type,
+default, scale from its lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK) to
+SI, paper value, the model input it feeds, its lower bound, whether it is
+computed and its unit in a sweep's CSV.  It is the one place where config
+lab units are converted, every layer below works in SI, and the map from
+model inputs to keys is read off it.  COMMANDS and FITS name the
+subcommands and fit kinds.  Exit codes: 0 success, 2 configuration or
+input error (among them an unknown key, NaN, inf, a fractional count, a
+volume <= 0, a trap temperature < 0, a negative loss coefficient, an
+n_mot <= 0, a value that takes a rate, the cloud or the data out of float
+range, and a file that cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,77 +38,76 @@ from .trap import IpTrapConfig, majorana_safe
 
 
 class Key(NamedTuple):
-    """Type, default (None: required; "": unset), SI scale, paper value."""
+    """One config key.  kind, default (None: required; "": unset; "inf":
+    inf is accepted), SI scale and paper value; feeds: the model input it
+    sets, by the field or parameter name a ModelInputError carries; bound:
+    the lower bound its value must meet, which the model checks too but
+    cannot name the key by; computed: unset, or at its default, means
+    computed, and a value given must be > 0; unit: its unit in the header
+    of a sweep over the input it feeds."""
 
     kind: type
     default: str | None
     scale: float = 1.0
     paper: str | None = None
+    feeds: str | None = None
+    bound: str = ""
+    computed: bool = False
+    unit: str = ""
 
 
 # The paper's optimum operating point: B' = 12.5 G/cm, B'' = 10.5 G/cm^2,
 # offset ~ 0, 5e6 MOT atoms at 140 uK, trap cloud at 100 uK, fitted loss
-# coefficients; keys without a paper value keep their default there.
+# coefficients; keys without a paper value keep their default there.  eta
+# = 0, not n_mot = 0, switches loading off; a data set or a curve needs
+# two points, a sweep one.
 KEYS: dict[str, Key] = {
-    "species": Key(str, "cr52"),  # built-in name or species file path
-    "b_prime_g_per_cm": Key(float, None, 1e-2, "12.5"),
-    "b_dprime_g_per_cm2": Key(float, None, 1.0, "10.5"),
-    "b0_mg": Key(float, "0.0", 1e-7),
-    "gamma_d_per_s": Key(float, "0.0"),
-    "eta": Key(float, str(dynamics.DEFAULT_ETA)),
-    "beta_ed_cm3_per_s": Key(float, "0.0", 1e-6, "6e-10"),
-    "beta_dd_cm3_per_s": Key(float, "0.0", 1e-6, "1.3e-11"),
-    "n_mot": Key(float, None, 1.0, "5e6"),
-    "mot_saturation": Key(float, "inf"),
-    "mot_detuning_gamma": Key(float, "-2.0"),  # times the species linewidth
-    "t_mot_uk": Key(float, None, 1e-6, "140.0"),
-    "t_mt_uk": Key(float, "0.0", 1e-6, "100.0"),  # 0: virial prediction
-    "sigma_mot_radial_mm": Key(float, "0.1", 1e-3),
-    "sigma_mot_axial_mm": Key(float, "0.1", 1e-3),
-    "v_mt_cm3": Key(float, "", 1e-6),  # unset: from the cloud geometry
-    "v_eff_cm3": Key(float, "", 1e-6),  # unset: v_mt
-    "t_end_s": Key(float, "10.0"),
-    "samples": Key(int, "200"),
-    "n0_atoms": Key(float, "0.0"),
+    "species": Key(str, "cr52", feeds="species"),  # built-in name or path
+    "b_prime_g_per_cm": Key(float, None, 1e-2, "12.5", "radial_gradient",
+                            unit="g_per_cm"),
+    "b_dprime_g_per_cm2": Key(float, None, 1.0, "10.5", "axial_curvature",
+                              unit="g_per_cm2"),
+    "b0_mg": Key(float, "0.0", 1e-7, feeds="offset_field", unit="mg"),
+    "gamma_d_per_s": Key(float, "0.0", feeds="gamma_d", bound=">= 0"),
+    "eta": Key(float, str(dynamics.DEFAULT_ETA), feeds="eta"),
+    "beta_ed_cm3_per_s": Key(float, "0.0", 1e-6, "6e-10", "beta_ed",
+                             bound=">= 0"),
+    "beta_dd_cm3_per_s": Key(float, "0.0", 1e-6, "1.3e-11", "beta_dd",
+                             bound=">= 0"),
+    "n_mot": Key(float, None, 1.0, "5e6", "n_mot", bound="> 0"),
+    "mot_saturation": Key(float, "inf", feeds="total_saturation"),
+    # times the species linewidth
+    "mot_detuning_gamma": Key(float, "-2.0", feeds="detuning"),
+    "t_mot_uk": Key(float, None, 1e-6, "140.0", "temperature"),
+    # computed: the virial prediction from t_mot_uk
+    "t_mt_uk": Key(float, "0.0", 1e-6, "100.0", "mt_temperature",
+                   computed=True),
+    "sigma_mot_radial_mm": Key(float, "0.1", 1e-3, feeds="sigma_radial"),
+    "sigma_mot_axial_mm": Key(float, "0.1", 1e-3, feeds="sigma_axial"),
+    # computed: from the cloud geometry, and v_eff_cm3 as v_mt
+    "v_mt_cm3": Key(float, "", 1e-6, feeds="v_mt", computed=True),
+    "v_eff_cm3": Key(float, "", 1e-6, feeds="v_eff", computed=True),
+    "t_end_s": Key(float, "10.0", feeds="t_end"),
+    "samples": Key(int, "200", bound=">= 2"),
+    "n0_atoms": Key(float, "0.0", feeds="n0"),
     "sweep_parameter": Key(str, "radial_gradient"),
     "sweep_start": Key(float, None, 1.0, "8.0"),  # in the swept key's unit
     "sweep_stop": Key(float, None, 1.0, "20.0"),
-    "sweep_points": Key(int, "10"),
+    "sweep_points": Key(int, "10", bound=">= 1"),
     "sweep_values": Key(str, ""),
     "sweep_nmot_csv": Key(str, ""),
     "sweep_outputs": Key(str, ",".join(sweeps.DEFAULT_OUTPUTS)),
     "synth_kind": Key(str, "kappa_points"),
-    "synth_noise": Key(float, "0.0", 1.0, "0.1"),
-    "synth_points": Key(int, "30"),
+    "synth_noise": Key(float, "0.0", 1.0, "0.1", "noise"),
+    "synth_points": Key(int, "30", bound=">= 2"),
     "seed": Key(int, "20021114"),
 }
 PAPER_DEFAULTS: dict[str, str] = {
     name: key.paper or key.default for name, key in KEYS.items()
     if key.paper or key.default}
-
-
-# The config key of each model input a dynamics.ModelInputError names;
-# main() reads mt_temperature as t_mot_uk when t_mt_uk is computed.
-_INPUT_KEYS = {"eta": "eta", "beta_ed": "beta_ed_cm3_per_s",
-               "beta_dd": "beta_dd_cm3_per_s", "gamma_d": "gamma_d_per_s",
-               "radial_gradient": "b_prime_g_per_cm",
-               "axial_curvature": "b_dprime_g_per_cm2",
-               "n_mot": "n_mot", "total_saturation": "mot_saturation",
-               "detuning": "mot_detuning_gamma", "mt_temperature": "t_mt_uk",
-               "v_mt": "v_mt_cm3", "species": "species",
-               "noise": "synth_noise", "temperature": "t_mot_uk",
-               "sigma_radial": "sigma_mot_radial_mm",
-               "sigma_axial": "sigma_mot_axial_mm", "t_end": "t_end_s",
-               "n0": "n0_atoms"}
-# Keys computed when unset (t_mt_uk also when 0); a value given must be > 0.
-_COMPUTED = ("t_mt_uk", "v_mt_cm3", "v_eff_cm3")
-# Keys with a lower bound: (comparison, bound).  The dataclasses and functions
-# they feed check it too, but cannot name the key.  eta = 0, not n_mot = 0,
-# switches loading off; a data set or a curve needs two points, a sweep one.
-_LOWER_BOUND = {"gamma_d_per_s": (">=", 0), "beta_ed_cm3_per_s": (">=", 0),
-                "beta_dd_cm3_per_s": (">=", 0), "n_mot": (">", 0),
-                "synth_points": (">=", 2), "samples": (">=", 2),
-                "sweep_points": (">=", 1)}
+# The config key of each model input; see Key.feeds.
+_KEY_OF: dict[str, str] = {key.feeds: name for name, key in KEYS.items()
+                           if key.feeds}
 
 
 class ConfigError(Exception):
@@ -116,29 +117,31 @@ class ConfigError(Exception):
 def _get(cfg: dict[str, str], name: str):
     """A config key's value in SI units, or None if unset.
 
-    NaN is rejected, and so is inf except for mot_saturation, where it
-    selects the fully saturated MOT.
+    NaN is rejected, inf too unless the key's default is inf (that of
+    mot_saturation selects the fully saturated MOT), and so is a value
+    under the key's bound.
     """
-    kind, default, scale, _ = KEYS[name]
-    raw = cfg.get(name) or default
+    key = KEYS[name]
+    raw = cfg.get(name) or key.default
     if raw is None:
         raise ConfigError(f"missing required config key: {name}")
-    if kind is str or not raw:
+    if key.kind is str or not raw:
         return raw or None
-    value = number(raw, f"config key {name}", integer=kind is int,
-                   allow_inf=name == "mot_saturation")
-    if name in _LOWER_BOUND:
-        op, low = _LOWER_BOUND[name]
-        if not (value > low or value == low and op == ">="):
-            raise ConfigError(f"config key {name} must be {op} {low}: "
+    value = number(raw, f"config key {name}", integer=key.kind is int,
+                   allow_inf=key.default == "inf")
+    if key.bound:
+        op, low = key.bound.split()
+        if not (value > float(low) or value == float(low) and op == ">="):
+            raise ConfigError(f"config key {name} must be {key.bound}: "
                               f"{raw!r}")
-    return value * scale if kind is float else value
+    return value * key.scale if key.kind is float else value
 
 
 def _given(cfg: dict[str, str], name: str) -> float | None:
-    """A _COMPUTED key's value in SI units, or None if it is unset."""
+    """A computed key's value in SI units, or None if it is unset or at
+    its default."""
     value = _get(cfg, name)
-    if value is None or (value == 0 and name == "t_mt_uk"):
+    if value is None or value == _get({}, name):
         return None
     if not value > 0:
         raise ConfigError(f"config key {name} must be positive, or blank "
@@ -156,7 +159,7 @@ def build_config(args) -> dict[str, str]:
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     for name in cfg:  # whether or not this command reads the key
-        (_given if name in _COMPUTED else _get)(cfg, name)
+        (_given if KEYS[name].computed else _get)(cfg, name)
     return cfg
 
 
@@ -167,30 +170,27 @@ def _species(cfg: dict[str, str]):
     return load_species(name)
 
 
+def _model(cls, cfg: dict[str, str], **values):
+    """cls from the keys that feed its fields, but for the values given."""
+    return cls(**values, **{f.name: _get(cfg, _KEY_OF[f.name])
+                            for f in fields(cls) if f.name not in values})
+
+
 def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
     species = _species(cfg)
-    trap_cfg = IpTrapConfig(_get(cfg, "b_prime_g_per_cm"),
-                            _get(cfg, "b_dprime_g_per_cm2"),
-                            _get(cfg, "b0_mg"))
-    coeff = RateCoefficients(**{f.name: _get(cfg, _INPUT_KEYS[f.name])
-                                for f in fields(RateCoefficients)})
-    t_mot = _get(cfg, "t_mot_uk")
-    mot = MotBeamParams(
-        total_saturation=_get(cfg, "mot_saturation"),
-        detuning=_get(cfg, "mot_detuning_gamma") * species.gamma_eg,
-        n_mot=_get(cfg, "n_mot"),
-        temperature=t_mot,
-        sigma_radial=_get(cfg, "sigma_mot_radial_mm"),
-        sigma_axial=_get(cfg, "sigma_mot_axial_mm"),
-    )
-    t_mt = _given(cfg, "t_mt_uk")
+    trap_cfg = _model(IpTrapConfig, cfg)
+    coeff = _model(RateCoefficients, cfg)
+    t_mot = _get(cfg, _KEY_OF["temperature"])
+    detuning = _get(cfg, _KEY_OF["detuning"]) * species.gamma_eg
+    mot = _model(MotBeamParams, cfg, temperature=t_mot, detuning=detuning)
+    t_mt = _given(cfg, _KEY_OF["mt_temperature"])
     if t_mt is None:
         t_mt = dynamics.mt_temperature_prediction(t_mot)
 
-    v_mt = _given(cfg, "v_mt_cm3")
+    v_mt = _given(cfg, _KEY_OF["v_mt"])
     if v_mt is None:
         v_mt = trap_volume(species, trap_cfg, t_mt)
-    v_eff = _given(cfg, "v_eff_cm3")
+    v_eff = _given(cfg, _KEY_OF["v_eff"])
     if v_eff is None:
         v_eff = v_mt
 
@@ -275,14 +275,6 @@ def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
     return _csv([[ti, ni] for ti, ni in zip(t, n)], ["t_s", "n_atoms"])
 
 
-# Each of sweeps.SWEEPABLE -> (the key that gives its SI scale, CSV unit).
-_SWEPT_UNIT = {
-    "radial_gradient": ("b_prime_g_per_cm", "g_per_cm"),
-    "axial_curvature": ("b_dprime_g_per_cm2", "g_per_cm2"),
-    "offset_field": ("b0_mg", "mg"),
-}
-
-
 def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     for name in ("v_mt_cm3", "v_eff_cm3"):
         if _get(cfg, name) is not None:
@@ -290,10 +282,9 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
                               "which computes it at every point")
     scen = scenario_from_config(cfg)
     parameter = _get(cfg, "sweep_parameter")
-    # SweepSpec rejects a name outside sweeps.SWEEPABLE; until then, such a
-    # name has no unit and its values are taken as they are
-    key, unit_name = _SWEPT_UNIT.get(parameter, (None, ""))
-    scale = KEYS[key].scale if key else 1.0
+    # the key that feeds it gives the unit; SweepSpec rejects a name
+    # outside sweeps.SWEEPABLE, the inputs that the keys with a unit feed
+    key = KEYS.get(_KEY_OF.get(parameter), Key(float, ""))
     if listed := _get(cfg, "sweep_values"):
         values_b = [number(v, "config key sweep_values")
                     for v in listed.split(",")]
@@ -315,12 +306,12 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
         except KeyError as exc:
             raise ConfigError(f"sweep_nmot_csv has no row for value {exc}")
     rows = sweeps.run_sweep(sweeps.SweepSpec(
-        swept_parameter=parameter, values=[v * scale for v in values_b],
+        swept_parameter=parameter, values=[v * key.scale for v in values_b],
         base_scenario=scen, outputs=outputs, n_mot_per_point=n_mot_pp))
     return _csv([[vb]
                  + [row[n] * 1e6 if n == "v_mt" else row[n] for n in outputs]
                  + [row["error"]] for vb, row in zip(values_b, rows)],
-                [f"{parameter}_{unit_name}", *outputs, "error"])
+                [f"{parameter}_{key.unit}", *outputs, "error"])
 
 
 def cmd_synth(cfg: dict[str, str], args: argparse.Namespace) -> str:
@@ -479,9 +470,9 @@ def main(argv: list[str] | None = None) -> int:
         _write_atomic(args.out, COMMANDS[args.command](cfg, args))
     except (ConfigError, ValueError, OSError) as exc:
         if isinstance(exc, dynamics.ModelInputError):
-            key = dict(_INPUT_KEYS)
-            if _given(cfg, "t_mt_uk") is None:  # the virial prediction's
-                key["mt_temperature"] = "t_mot_uk"
+            key = dict(_KEY_OF)
+            if _given(cfg, key["mt_temperature"]) is None:  # the virial
+                key["mt_temperature"] = key["temperature"]  # prediction's
             *keys, last = (key[name] for name in exc.inputs)
             keys = f"{', '.join(keys)} and {last}" if keys else last
             exc = f"{exc}; it is set by {keys}"

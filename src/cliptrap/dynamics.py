@@ -115,12 +115,16 @@ class LoadingScenario:
     def tau_eff(self) -> float:
         """N_inf / R, s, from the same root: inf only where eta, n_mot or
         the saturation is 0, and a range error where R underflows to 0
-        without one."""
+        without one or where tau_eff overflows at R > 0."""
         if self.loading_rate == 0 < min(self.coefficients.eta, self.mot.n_mot,
                                         self.mot.total_saturation):
             raise ModelInputError("loading rate underflows to 0",
                                   *LOADING_RATE_INPUTS)
-        return self._steady_state()[1]
+        tau = self._steady_state()[1]
+        if tau == math.inf and self.loading_rate > 0:
+            raise ModelInputError("tau_eff = N_inf / R overflows a float",
+                                  "gamma_d", "beta_ed", "beta_dd", "v_mt")
+        return tau
 
     @property
     def kappa(self) -> float:

@@ -40,8 +40,8 @@ def test_criterion_04_volume_consistency():
                                   include_gravity=False)
     closed = 16 * math.pi ** 1.5 * cl.xi1 ** 2 * cl.sigma_z
     v = cloud.occupied_volume(cl)
-    assert v == pytest.approx(closed, rel=1e-6)
-    assert v == pytest.approx(5.4e-9, rel=0.02)
+    assert v == pytest.approx(closed, rel=1e-6, abs=0)
+    assert v == pytest.approx(5.4e-9, rel=0.02, abs=0)
     assert 3.9e-9 <= v <= 14e-9
 
 
@@ -70,7 +70,7 @@ def test_criterion_06_closed_form_vs_ode():
         r = dynamics.loading_rate(scen)
         tau = dynamics.effective_loading_time(n_inf, r)
         t, n = dynamics.evolve(scen, 0.0, 10 * tau, samples=20)
-        assert n[-1] == pytest.approx(n_inf, rel=1e-3)
+        assert n[-1] == pytest.approx(n_inf, rel=1e-3, abs=0)
 
         # loading curve against an independent tight ODE integration
         gamma = gamma_d + dynamics.gamma_ed_loss(scen.n_mot_excited,
@@ -103,7 +103,7 @@ def test_criterion_07_projection_oracle():
         oracle, _ = quad(lambda x: cloud.mt_density(cl, x, y, z), -lim, lim,
                          epsabs=0.0, epsrel=1e-10, limit=200)
         assert cloud.column_density(cl, y, z) == pytest.approx(oracle,
-                                                               rel=1e-6)
+                                                               rel=1e-6, abs=0)
 
 
 def test_criterion_08_special_function():
@@ -112,7 +112,7 @@ def test_criterion_08_special_function():
         tmax = math.acosh(745.0 / x) + 1.0
         oracle, _ = quad(lambda t: math.exp(-x * math.cosh(t)) * math.cosh(t),
                          0.0, tmax, epsabs=0.0, epsrel=1e-13, limit=300)
-        assert bessel_k1(float(x)) == pytest.approx(oracle, rel=1e-10)
+        assert bessel_k1(float(x)) == pytest.approx(oracle, rel=1e-10, abs=0)
 
 
 def test_criterion_09_fit_recovery_ensemble():
@@ -156,7 +156,7 @@ def test_criterion_11_efficiency_identity():
             v_mt=10 ** rng.uniform(-9, -8))
         kappa = dynamics.accumulation_efficiency(scen)
         assert kappa * scen.mot.n_mot == pytest.approx(
-            dynamics.steady_state(scen), rel=1e-10)
+            dynamics.steady_state(scen), rel=1e-10, abs=0)
 
     # series branch continuity across the switch window, via the
     # cancellation-free rewrite sqrt(a^2+b) - a = b / (sqrt(a^2+b) + a)
@@ -167,7 +167,7 @@ def test_criterion_11_efficiency_identity():
         b = 32 * beta_dd * x
         full = b / (math.sqrt(beta_ed ** 2 + b) + beta_ed) / (8 * beta_dd)
         series = 2 * x / beta_ed - 16 * beta_dd * x * x / beta_ed ** 3
-        assert series == pytest.approx(full, rel=1e-6)
+        assert series == pytest.approx(full, rel=1e-6, abs=0)
 
 
 def test_criterion_12_cli_determinism(tmp_path):
@@ -192,5 +192,6 @@ def test_criterion_12_cli_determinism(tmp_path):
     assert 2e8 / 3 <= n_inf <= 2e8 * 3                        # criterion 2
     assert 1.0 <= float(rep["tau_eff_s"]) <= 3.0              # criterion 3
     v_off = float(rep["v_mt_cm3_no_gravity"])
-    assert v_off == pytest.approx(5.4e-3, rel=0.02)           # criterion 4
+    assert v_off == pytest.approx(5.4e-3,
+                                  rel=0.02, abs=0)           # criterion 4
     assert 3.9e-3 <= v_off <= 14e-3

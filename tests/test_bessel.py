@@ -33,7 +33,7 @@ def test_k1_of_one_ten_digits():
 
 def test_small_argument_limit():
     for x in (1e-6, 1e-4, 1e-3):
-        assert x * bessel_k1(x) == pytest.approx(1.0, rel=1e-5)
+        assert x * bessel_k1(x) == pytest.approx(1.0, rel=1e-5, abs=0)
 
 
 def test_k1_of_ten_vs_asymptotic_oracle():
@@ -41,22 +41,22 @@ def test_k1_of_ten_vs_asymptotic_oracle():
     x = 10.0
     series = 1 + 3 / (8 * x) - 15 / (128 * x * x) + 105 / (1024 * x ** 3)
     oracle = math.sqrt(math.pi / (2 * x)) * math.exp(-x) * series
-    assert bessel_k1(x) == pytest.approx(1.8648e-5, rel=1e-4)
+    assert bessel_k1(x) == pytest.approx(1.8648e-5, rel=1e-4, abs=0)
     # truncation error of the 4-term series at x = 10 is about 1e-5
-    assert bessel_k1(x) == pytest.approx(oracle, rel=5e-5)
+    assert bessel_k1(x) == pytest.approx(oracle, rel=5e-5, abs=0)
 
 
 def test_against_integral_representation_on_log_grid():
     for x in np.geomspace(0.01, 30, 60):
         assert bessel_k1(float(x)) == pytest.approx(
-            k1_integral_oracle(float(x)), rel=1e-9)
+            k1_integral_oracle(float(x)), rel=1e-9, abs=0)
 
 
 def test_branch_crossover_continuity():
     # both branches stay accurate around the x = 2 switch
     for x in np.linspace(1.9, 2.1, 21):
         assert bessel_k1(float(x)) == pytest.approx(
-            k1_integral_oracle(float(x)), rel=1e-12)
+            k1_integral_oracle(float(x)), rel=1e-12, abs=0)
 
 
 def test_monotone_decreasing():
@@ -79,8 +79,9 @@ def test_graceful_underflow():
 
 def test_scaled_x_k1_limit_and_value():
     assert scaled_x_k1(0.0) == 1.0
-    assert scaled_x_k1(1e-8) == pytest.approx(1.0, rel=1e-6)
-    assert scaled_x_k1(2.0) == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-15)
+    assert scaled_x_k1(1e-8) == pytest.approx(1.0, rel=1e-6, abs=0)
+    assert scaled_x_k1(2.0) == pytest.approx(2.0 * bessel_k1(2.0),
+                                             rel=1e-15, abs=0)
 
 
 # --- array evaluation ------------------------------------------------------
@@ -216,8 +217,8 @@ def test_array_underflow_and_zero_limit():
     assert np.all(k[1:] == 0.0)
     u = scaled_x_k1(np.array([0.0, 1e-8, 2.0, 800.0]))
     assert u[0] == 1.0
-    assert u[1] == pytest.approx(1.0, rel=1e-6)
-    assert u[2] == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-15)
+    assert u[1] == pytest.approx(1.0, rel=1e-6, abs=0)
+    assert u[2] == pytest.approx(2.0 * bessel_k1(2.0), rel=1e-15, abs=0)
     assert u[3] == 0.0
 
 

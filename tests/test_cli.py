@@ -34,7 +34,8 @@ class TestPredict:
         assert 1.0 <= float(rep["tau_eff_s"]) <= 3.0
         assert 1e8 <= float(rep["n_steady_atoms"]) <= 6e8
         assert rep["majorana_safe"] == "False"
-        assert float(rep["t_mt_virial_prediction_uk"]) == pytest.approx(52.5)
+        assert float(rep["t_mt_virial_prediction_uk"]) == pytest.approx(
+            52.5, rel=1e-6, abs=0)
 
     def test_paper_defaults_report_is_pinned(self, capsys):
         # every line's key, unit and digits, byte for byte
@@ -77,7 +78,7 @@ class TestPredict:
                    "--out", str(out)) == 0
         rep = read_report(out)
         assert float(rep["kappa"]) * 5e6 == pytest.approx(
-            float(rep["n_steady_atoms"]), rel=1e-5)
+            float(rep["n_steady_atoms"]), rel=1e-5, abs=0)
 
     def test_config_file_with_overrides(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -162,7 +163,7 @@ class TestSimulate:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t_s,n_atoms"
         table = np.loadtxt(lines[1:], delimiter=",")
-        assert table[-1, 1] == pytest.approx(n_inf, rel=1e-3)
+        assert table[-1, 1] == pytest.approx(n_inf, rel=1e-3, abs=0)
 
     def test_fixed_point_start_is_flat(self, tmp_path):
         rep = tmp_path / "report.txt"
@@ -192,7 +193,7 @@ class TestSimulate:
         assert run("simulate", "--paper-defaults", "--set", "n_mot=1e300",
                    "--out", str(csv)) == 0
         table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
-        assert table[-1, 1] == pytest.approx(3.48123e8, rel=1e-6)
+        assert table[-1, 1] == pytest.approx(3.48123e8, rel=1e-6, abs=0)
 
     def test_two_samples(self, tmp_path):
         csv = tmp_path / "sim.csv"
@@ -219,7 +220,8 @@ class TestSweep:
         assert run("sweep", "--paper-defaults", "--out", str(csv)) == 0
         table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",",
                            usecols=range(7))
-        assert table[:, 0] == pytest.approx(np.linspace(8.0, 20.0, 10))
+        assert table[:, 0] == pytest.approx(np.linspace(8.0, 20.0, 10),
+                                            rel=1e-6, abs=0)
 
     def test_explicit_values_and_nmot_csv(self, tmp_path):
         nmot = tmp_path / "nmot.csv"
@@ -361,7 +363,10 @@ class TestSweep:
             assert capsys.readouterr().err == f"error: {spec_error.value}\n"
 
     def test_unit_table_covers_the_sweepable_parameters(self):
-        assert set(cli._SWEPT_UNIT) == set(sweeps.SWEEPABLE)
+        # the keys with a unit, which name a sweep's first column, feed
+        # exactly the parameters a sweep can take
+        fed = [key.feeds for key in cli.KEYS.values() if key.unit]
+        assert sorted(fed) == sorted(sweeps.SWEEPABLE)
 
     def test_default_outputs_have_one_home(self):
         spec = sweeps.SweepSpec("radial_gradient", [0.1], make_scenario())
@@ -381,10 +386,10 @@ class TestSweep:
         assert run("fit", "kappa", "--paper-defaults",
                    "--data", str(sweep_csv), "--out", str(fit_out)) == 0
         rep = read_report(fit_out)
-        assert float(rep["beta_dd_cm3_per_s"]) == pytest.approx(1.3e-11,
-                                                                rel=1e-3)
-        assert float(rep["beta_ed_cm3_per_s"]) == pytest.approx(6e-10,
-                                                                rel=1e-3)
+        assert float(rep["beta_dd_cm3_per_s"]) == pytest.approx(
+            1.3e-11, rel=1e-3, abs=0)
+        assert float(rep["beta_ed_cm3_per_s"]) == pytest.approx(
+            6e-10, rel=1e-3, abs=0)
 
     @pytest.mark.parametrize("key", ["v_mt_cm3", "v_eff_cm3"])
     def test_given_volume_rejected(self, key, tmp_path, capsys):
@@ -410,8 +415,8 @@ class TestSweep:
         assert run("fit", "kappa", "--paper-defaults",
                    "--data", str(sweep_csv), "--out", str(fit_out)) == 0
         rep = read_report(fit_out)
-        assert float(rep["beta_dd_cm3_per_s"]) == pytest.approx(1.3e-11,
-                                                                rel=1e-3)
+        assert float(rep["beta_dd_cm3_per_s"]) == pytest.approx(
+            1.3e-11, rel=1e-3, abs=0)
 
     def test_bad_cell_in_good_point_rejected(self, tmp_path, capsys):
         sweep_csv = tmp_path / "sweep.csv"
@@ -497,7 +502,8 @@ class TestSynthAndFit:
         assert run("fit", "tof", "--paper-defaults", "--data", str(csv),
                    "--out", str(fit_out)) == 0
         rep = read_report(fit_out)
-        assert float(rep["temperature_uk"]) == pytest.approx(100.0, rel=0.15)
+        assert float(rep["temperature_uk"]) == pytest.approx(100.0,
+                                                             rel=0.15, abs=0)
 
     def test_fit_loading_rate(self, tmp_path):
         csv = tmp_path / "load.csv"
@@ -509,7 +515,7 @@ class TestSynthAndFit:
         assert run("fit", "loading-rate", "--paper-defaults",
                    "--data", str(csv), "--out", str(fit_out)) == 0
         rate = float(read_report(fit_out)["loading_rate_atoms_per_s"])
-        assert rate == pytest.approx(9.46e7, rel=0.10)
+        assert rate == pytest.approx(9.46e7, rel=0.10, abs=0)
 
     def test_fit_empty_csv(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"
@@ -546,7 +552,8 @@ class TestSynthAndFit:
         assert run("fit", "profile", "--paper-defaults", "--data", str(csv),
                    "--out", str(fit_out)) == 0
         rep = read_report(fit_out)
-        assert float(rep["temperature_uk"]) == pytest.approx(100.0, rel=1e-3)
+        assert float(rep["temperature_uk"]) == pytest.approx(100.0,
+                                                             rel=1e-3, abs=0)
 
 
 NON_FINITE_FILES = {  # fit kind: CSV text with {bad} on line 4
@@ -618,7 +625,8 @@ def test_fit_profile_with_non_positive_pixels(tmp_path):
     assert run("fit", "profile", "--paper-defaults", "--data", str(csv),
                "--out", str(fit_out)) == 0
     rep = read_report(fit_out)
-    assert float(rep["temperature_uk"]) == pytest.approx(100.0, rel=0.02)
+    assert float(rep["temperature_uk"]) == pytest.approx(100.0,
+                                                         rel=0.02, abs=0)
 
 
 def test_fit_tof_sigma_from_the_normal_equations(tmp_path, capsys):
@@ -689,7 +697,7 @@ def test_row_width_checked_against_the_header(tmp_path, capsys):
     assert run("fit", "kappa", "--paper-defaults", "--data", str(sweep),
                "--out", str(fit_out)) == 0
     assert float(read_report(fit_out)["beta_dd_cm3_per_s"]) == (
-        pytest.approx(1.3e-11, rel=1e-3))
+        pytest.approx(1.3e-11, rel=1e-3, abs=0))
 
 
 def test_fit_tof_degenerate_note_line(tmp_path, capsys):
@@ -860,12 +868,16 @@ def test_no_loss_channel_names_its_keys(argv, message, capsys):
       "--set", "v_mt_cm3=1e308", "--set", "beta_dd_cm3_per_s=1e-300"],
      "a loading curve's span 10 tau_eff under- or overflows a float; it is "
      "set by gamma_d_per_s, beta_ed_cm3_per_s, beta_dd_cm3_per_s and "
-     "v_mt_cm3")],
+     "v_mt_cm3"),
+    (["predict", "--set", "v_mt_cm3=1e308", "--set",
+      "beta_dd_cm3_per_s=1e-300", "--set", "eta=1e-18"],
+     "tau_eff = N_inf / R overflows a float; it is set by gamma_d_per_s, "
+     "beta_ed_cm3_per_s, beta_dd_cm3_per_s and v_mt_cm3")],
     ids=["rates", "n_mot_big", "n_mot_small", "noise", "untrapped",
          "k_simulate", "k_decay_curve", "k_loading_curve", "r_underflow",
          "abscissa_over", "abscissa_under", "kappa_grid_over",
          "kappa_grid_under", "no_gravity_volume", "tof_mu_b_underflow",
-         "tof_kt_overflow", "loading_span"])
+         "tof_kt_overflow", "loading_span", "tau_overflow"])
 def test_out_of_range_names_its_keys(argv, message, capsys):
     # each exited 0 with an inf or a NaN, exited 3, or named no key
     assert run(*argv, "--paper-defaults") == 2
@@ -928,13 +940,13 @@ def test_huge_values_within_float_range(tmp_path):
     # the grid starts at x / 10, x = eta N_MOT / 2 Gamma_ed V_MT / N_MOT^2
     gamma_ed = 2 * math.pi * 5.02e6 / 2.5e5
     assert x[0] == pytest.approx(0.1 * 0.3 / 2 * gamma_ed * 1e294 / 1e150,
-                                 rel=1e-11)
+                                 rel=1e-11, abs=0)
     assert run("simulate", "--paper-defaults", "--set", "v_mt_cm3=1e300",
                "--set", "t_end_s=1e150", "--out", str(csv)) == 0
     n = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")[:, 1]
     assert np.isfinite(n).all()
     # N(1e150 s) of the fifty-digit solution, test_dynamics.riccati_oracle
-    assert n[-1] == pytest.approx(9.45472470067685e157, rel=1e-11)
+    assert n[-1] == pytest.approx(9.45472470067685e157, rel=1e-11, abs=0)
     # sigma0^2 overflows, though sigma0 = xi1 and the cloud are in range
     assert run("synth", "--paper-defaults", "--set", "synth_kind=tof_series",
                "--set", "v_mt_cm3=1e-300", "--set", "t_mt_uk=1e170",
@@ -951,13 +963,14 @@ def test_kappa_at_huge_beta_ed(tmp_path):
     beta_ed = 1e200 * cli.KEYS["beta_ed_cm3_per_s"].scale
     data = sweeps.synthesize_measurements(cli.scenario_from_config(cfg),
                                           "kappa_points")
-    assert data.y == pytest.approx(2 * data.x / beta_ed, rel=1e-12)
+    assert data.y == pytest.approx(2 * data.x / beta_ed, rel=1e-12, abs=0)
     csv = tmp_path / "kappa.csv"
     assert run("synth", "--paper-defaults", "--set", "beta_ed_cm3_per_s=1e200",
                "--set", "synth_noise=0", "--out", str(csv)) == 0
     table = np.loadtxt(csv.read_text().splitlines()[1:], delimiter=",")
     # the CSV holds 12 significant digits
-    assert table[:, 1] == pytest.approx(2 * table[:, 0] / beta_ed, rel=1e-11)
+    assert table[:, 1] == pytest.approx(2 * table[:, 0] / beta_ed,
+                                        rel=1e-11, abs=0)
 
 
 def test_every_key_is_read(fit_data, monkeypatch):

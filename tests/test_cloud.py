@@ -62,15 +62,15 @@ def cloud100_nog():
 
 class TestScaleLengths:
     def test_values_at_optimum(self, cloud100):
-        assert cloud100.xi1 == pytest.approx(1.99e-4, rel=0.01)
-        assert cloud100.xi2 == pytest.approx(1.63e-3, rel=0.01)
-        assert cloud100.sigma_z == pytest.approx(1.54e-3, rel=0.01)
+        assert cloud100.xi1 == pytest.approx(1.99e-4, rel=0.01, abs=0)
+        assert cloud100.xi2 == pytest.approx(1.63e-3, rel=0.01, abs=0)
+        assert cloud100.sigma_z == pytest.approx(1.54e-3, rel=0.01, abs=0)
 
     def test_scaling_with_temperature(self, cloud100):
         hot = make_thermal_cloud(CR, CFG, n=1e8, t=200e-6)
-        assert hot.xi1 == pytest.approx(2 * cloud100.xi1, rel=1e-14)
+        assert hot.xi1 == pytest.approx(2 * cloud100.xi1, rel=1e-14, abs=0)
         assert hot.sigma_z == pytest.approx(math.sqrt(2) * cloud100.sigma_z,
-                                            rel=1e-14)
+                                            rel=1e-14, abs=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -131,12 +131,13 @@ class TestNormalization:
         norm = (planar_oracle(cloud100.xi1, cloud100.xi2, 1.0)
                 * math.sqrt(2 * math.pi) * cloud100.sigma_z)
         assert cloud100.peak_density == pytest.approx(
-            cloud100.atom_number / norm, rel=1e-6)
+            cloud100.atom_number / norm, rel=1e-6, abs=0)
 
     def test_gravity_off_closed_form(self, cloud100_nog):
         c = cloud100_nog
         norm = 2 * math.pi * c.xi1 ** 2 * math.sqrt(2 * math.pi) * c.sigma_z
-        assert c.peak_density == pytest.approx(c.atom_number / norm, rel=1e-6)
+        assert c.peak_density == pytest.approx(c.atom_number / norm,
+                                               rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("gravity", [True, False])
     def test_peak_density_against_2d_quadrature(self, gravity):
@@ -145,7 +146,7 @@ class TestNormalization:
         norm = (planar_quadrature(c, 1.0)
                 * math.sqrt(2 * math.pi) * c.sigma_z)
         assert c.peak_density == pytest.approx(c.atom_number / norm,
-                                               rel=1e-9)
+                                               rel=1e-9, abs=0)
 
 
 class TestMtDensity:
@@ -154,14 +155,14 @@ class TestMtDensity:
 
     def test_radial_scale_length(self, cloud100):
         assert mt_density(cloud100, cloud100.xi1, 0, 0) == pytest.approx(
-            cloud100.peak_density / math.e, rel=1e-12)
+            cloud100.peak_density / math.e, rel=1e-12, abs=0)
 
     def test_gravity_asymmetry(self, cloud100):
         up = mt_density(cloud100, 0, cloud100.xi1, 0)
         down = mt_density(cloud100, 0, -cloud100.xi1, 0)
         expected = math.exp(-2 * cloud100.xi1 / cloud100.xi2)
-        assert up / down == pytest.approx(expected, rel=1e-12)
-        assert up / down == pytest.approx(0.783, rel=0.01)
+        assert up / down == pytest.approx(expected, rel=1e-12, abs=0)
+        assert up / down == pytest.approx(0.783, rel=0.01, abs=0)
 
     def test_array_broadcast(self, cloud100):
         x = np.array([0.0, cloud100.xi1])
@@ -174,12 +175,12 @@ class TestColumnDensity:
     def test_center_limit_gravity_off(self, cloud100_nog):
         c = cloud100_nog
         assert column_density(c, 0.0, 0.0) == pytest.approx(
-            2 * c.peak_density * c.xi1, rel=1e-12)
+            2 * c.peak_density * c.xi1, rel=1e-12, abs=0)
 
     def test_axial_gaussian_factor(self, cloud100):
         c = cloud100
         ratio = column_density(c, c.xi1, c.sigma_z) / column_density(c, c.xi1, 0.0)
-        assert ratio == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert ratio == pytest.approx(math.exp(-0.5), rel=1e-12, abs=0)
 
     def test_matches_quadrature_of_density(self, cloud100):
         c = cloud100
@@ -190,7 +191,8 @@ class TestColumnDensity:
             lim = abs(y) + 40 * c.xi1
             oracle, _ = quad(lambda x: mt_density(c, x, y, z), -lim, lim,
                              epsabs=0.0, epsrel=1e-10, limit=200)
-            assert column_density(c, y, z) == pytest.approx(oracle, rel=1e-6)
+            assert column_density(c, y, z) == pytest.approx(oracle,
+                                                            rel=1e-6, abs=0)
 
     def test_broadcast_grid_matches_pointwise(self, cloud100):
         c = cloud100
@@ -214,14 +216,14 @@ class TestOccupiedVolume:
     def test_gravity_off_closed_form(self, cloud100_nog):
         c = cloud100_nog
         closed = 16 * math.pi ** 1.5 * c.xi1 ** 2 * c.sigma_z
-        assert occupied_volume(c) == pytest.approx(closed, rel=1e-6)
-        assert closed == pytest.approx(5.4e-9, rel=0.01)
+        assert occupied_volume(c) == pytest.approx(closed, rel=1e-6, abs=0)
+        assert closed == pytest.approx(5.4e-9, rel=0.01, abs=0)
 
     def test_gravity_on_analytic_oracle(self, cloud100):
         c = cloud100
         shape = (1 - (c.xi1 / c.xi2) ** 2) ** 1.5
         expected = 16 * math.pi ** 1.5 * c.xi1 ** 2 * c.sigma_z / shape
-        assert occupied_volume(c) == pytest.approx(expected, rel=1e-6)
+        assert occupied_volume(c) == pytest.approx(expected, rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("gravity", [True, False])
     def test_against_2d_quadrature(self, gravity):
@@ -230,7 +232,7 @@ class TestOccupiedVolume:
         i2 = (c.peak_density ** 2 * planar_quadrature(c, 2.0)
               * math.sqrt(math.pi) * c.sigma_z)
         assert occupied_volume(c) == pytest.approx(c.atom_number ** 2 / i2,
-                                                   rel=1e-9)
+                                                   rel=1e-9, abs=0)
 
     def test_inside_measured_range(self, cloud100_nog):
         assert 3.9e-9 <= occupied_volume(cloud100_nog) <= 14e-9
@@ -238,7 +240,7 @@ class TestOccupiedVolume:
     def test_independent_of_atom_number(self, cloud100):
         other = make_thermal_cloud(CR, CFG, n=3.7e5, t=100e-6)
         assert occupied_volume(other) == pytest.approx(
-            occupied_volume(cloud100), rel=1e-9)
+            occupied_volume(cloud100), rel=1e-9, abs=0)
 
     def test_continuous_weak_gravity_limit(self, cloud100_nog):
         # same geometry but a nearly flat gravity tilt
@@ -248,7 +250,7 @@ class TestOccupiedVolume:
                               xi2=1e4 * c.xi1, sigma_z=c.sigma_z,
                               peak_density=c.peak_density)
         assert occupied_volume(tilted) == pytest.approx(
-            occupied_volume(c), rel=1e-6)
+            occupied_volume(c), rel=1e-6, abs=0)
 
 
 def outcome(f, *args, **kwargs):
@@ -313,7 +315,7 @@ class TestEffectiveVolume:
                              sigma_radial=1e-8, sigma_axial=1e-8)
         v = effective_volume(tiny, cloud100)
         assert v == pytest.approx(
-            cloud100.atom_number / cloud100.peak_density, rel=1e-3)
+            cloud100.atom_number / cloud100.peak_density, rel=1e-3, abs=0)
 
     def test_point_mot_with_offset(self, cloud100):
         tiny = GaussianCloud(atom_number=5e6, temperature=140e-6,
@@ -321,7 +323,7 @@ class TestEffectiveVolume:
         y0 = cloud100.xi1
         v = effective_volume(tiny, cloud100, offset=(0.0, y0, 0.0))
         expected = cloud100.atom_number / mt_density(cloud100, 0.0, y0, 0.0)
-        assert v == pytest.approx(expected, rel=1e-3)
+        assert v == pytest.approx(expected, rel=1e-3, abs=0)
 
     def test_against_grid_oracle(self, cloud100):
         # independent fixed-grid Simpson evaluation of the overlap integral
@@ -343,7 +345,8 @@ class TestEffectiveVolume:
         overlap = simpson(simpson(plane, x=xs, axis=1), x=xs) \
             * simpson(axial, x=zs)
         oracle = self.MOT.atom_number * c.atom_number / overlap
-        assert effective_volume(self.MOT, c) == pytest.approx(oracle, rel=1e-5)
+        assert effective_volume(self.MOT, c) == pytest.approx(oracle,
+                                                              rel=1e-5, abs=0)
 
     def test_approximation_mode_is_trap_volume(self, cloud100):
         # the CLI and the sweeps take V_eff = V_MT, the trap cloud's
@@ -354,7 +357,7 @@ class TestEffectiveVolume:
         for s in (scen, point):
             assert s.v_eff == s.v_mt
             assert s.v_mt == pytest.approx(occupied_volume(cloud100),
-                                           rel=1e-12)
+                                           rel=1e-12, abs=0)
 
     def test_approximation_order_of_magnitude(self, cloud100):
         # small MOT inside the trap: the overlap volume is below the trap
@@ -371,11 +374,12 @@ class TestTofRadius:
     def test_pure_thermal(self):
         t = 5e-3
         v = math.sqrt(1.380649e-23 * 100e-6 / CR.mass)
-        assert tof_radius(0.0, 100e-6, CR, t) == pytest.approx(v * t, rel=1e-12)
+        assert tof_radius(0.0, 100e-6, CR, t) == pytest.approx(
+            v * t, rel=1e-12, abs=0)
 
     def test_hand_evaluation(self):
-        assert tof_radius(2e-4, 100e-6, CR, 5e-3) == pytest.approx(6.63e-4,
-                                                                   rel=1e-3)
+        assert tof_radius(2e-4, 100e-6, CR, 5e-3) == pytest.approx(
+            6.63e-4, rel=1e-3, abs=0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -96,7 +96,7 @@ class TestLoadingRate:
     def test_paper_anchor(self):
         # eta 0.3, saturated 5e6-atom source, leak rate 126.17 1/s
         r = loading_rate(make_scenario())
-        assert r == pytest.approx(0.3 * 2.5e6 * 126.17, rel=1e-3)
+        assert r == pytest.approx(0.3 * 2.5e6 * 126.17, rel=1e-3, abs=0)
         assert abs(r - 9.5e7) / 9.5e7 < 0.15
 
     def test_no_transfer(self):
@@ -104,19 +104,20 @@ class TestLoadingRate:
 
     def test_linear_in_mot_number(self):
         assert loading_rate(make_scenario(n_mot=1e7)) == pytest.approx(
-            2 * loading_rate(make_scenario(n_mot=5e6)), rel=1e-14)
+            2 * loading_rate(make_scenario(n_mot=5e6)), rel=1e-14, abs=0)
 
 
 class TestGammaEd:
     def test_hand_value(self):
-        assert gamma_ed_loss(2.5e6, 6e-16, 1e-8) == pytest.approx(0.15)
+        assert gamma_ed_loss(2.5e6, 6e-16, 1e-8) == pytest.approx(
+            0.15, rel=1e-6, abs=0)
 
     def test_zero_coefficient(self):
         assert gamma_ed_loss(2.5e6, 0.0, 1e-8) == 0.0
 
     def test_inverse_in_volume(self):
         assert gamma_ed_loss(2.5e6, 6e-16, 5e-9) == pytest.approx(
-            2 * gamma_ed_loss(2.5e6, 6e-16, 1e-8))
+            2 * gamma_ed_loss(2.5e6, 6e-16, 1e-8), rel=1e-6, abs=0)
 
     def test_invalid_volume(self):
         with pytest.raises(ValueError):
@@ -133,14 +134,14 @@ class TestEvolve:
         scen = make_scenario()
         t, n = evolve(scen, 0.0, 0.01, samples=400)
         slope = (n[1] - n[0]) / (t[1] - t[0])
-        assert slope == pytest.approx(loading_rate(scen), rel=1e-3)
+        assert slope == pytest.approx(loading_rate(scen), rel=1e-3, abs=0)
 
     def test_approaches_steady_state(self):
         scen = make_scenario()
         n_inf = steady_state(scen)
         tau = effective_loading_time(n_inf, loading_rate(scen))
         _, n = evolve(scen, 0.0, 10 * tau, samples=100)
-        assert n[-1] == pytest.approx(n_inf, rel=1e-3)
+        assert n[-1] == pytest.approx(n_inf, rel=1e-3, abs=0)
 
     def test_monotone_and_bounded_from_empty(self):
         scen = make_scenario()
@@ -324,13 +325,13 @@ class TestSteadyState:
         scen = make_scenario(beta_ed=0.0, gamma_d=0.0)
         r = loading_rate(scen)
         expected = math.sqrt(r * scen.v_mt / (2 * scen.coefficients.beta_dd))
-        assert steady_state(scen) == pytest.approx(expected, rel=1e-12)
+        assert steady_state(scen) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_one_body_only_limit(self):
         scen = make_scenario(beta_dd=0.0, gamma_d=0.0)
         r = loading_rate(scen)
         gamma = gamma_ed_loss(scen.n_mot_excited, 6e-16, scen.v_eff)
-        assert steady_state(scen) == pytest.approx(r / gamma, rel=1e-12)
+        assert steady_state(scen) == pytest.approx(r / gamma, rel=1e-12, abs=0)
 
     def test_no_loading(self):
         assert steady_state(make_scenario(eta=0.0)) == 0.0
@@ -361,7 +362,7 @@ class TestSteadyState:
             b = 8 * beta * r * v
             full = b / (math.sqrt(gv * gv + b) + gv) / (4 * beta)
             series = r / gamma - 2 * beta * r * r / (v * gamma ** 3)
-            assert series == pytest.approx(full, rel=1e-6)
+            assert series == pytest.approx(full, rel=1e-6, abs=0)
 
     @settings(max_examples=200, deadline=None)
     @given(n_mot=log_uniform(5, 8), gamma_d=maybe_zero(-3, 1),
@@ -381,7 +382,7 @@ class TestSteadyState:
         lo, hi = (steady_state(make_scenario(
             gamma_d=gamma_d, beta_ed=beta_ed, n_mot=n_mot, v_mt=v,
             beta_dd=beta_switch * f)) for f in (1 - side, 1 + side))
-        assert hi == pytest.approx(lo, rel=1e-14)
+        assert hi == pytest.approx(lo, rel=1e-14, abs=0)
 
     @settings(max_examples=500, deadline=None)
     @given(r=log_uniform(-300, 300), gamma=log_uniform(-300, 300),
@@ -415,7 +416,7 @@ class TestAccumulationEfficiency:
         scen = make_scenario()
         kappa = accumulation_efficiency(scen)
         assert kappa * scen.mot.n_mot == pytest.approx(steady_state(scen),
-                                                       rel=1e-10)
+                                                       rel=1e-10, abs=0)
 
     def test_beta_ed_zero_limit(self):
         scen = make_scenario(beta_ed=0.0)
@@ -423,12 +424,12 @@ class TestAccumulationEfficiency:
         expected = math.sqrt(r * scen.v_mt
                              / (2 * scen.coefficients.beta_dd)) / scen.mot.n_mot
         assert accumulation_efficiency(scen) == pytest.approx(expected,
-                                                              rel=1e-12)
+                                                              rel=1e-12, abs=0)
 
     def test_beta_dd_zero_series(self):
         x = 1e-14
         assert kappa_of_abscissa(x, 0.0, 6e-16) == pytest.approx(
-            2 * x / 6e-16, rel=1e-12)
+            2 * x / 6e-16, rel=1e-12, abs=0)
 
     def test_vectorized(self):
         x = np.geomspace(1e-15, 1e-13, 5)
@@ -476,7 +477,7 @@ class TestAccumulationEfficiency:
         beta_switch = 1e-8 * beta_ed ** 2 / (32 * x)
         lo, hi = (kappa_of_abscissa(x, beta_switch * f, beta_ed)
                   for f in (1 - side, 1 + side))
-        assert hi == pytest.approx(lo, rel=1e-14)
+        assert hi == pytest.approx(lo, rel=1e-14, abs=0)
 
 
 class TestScenarioRates:
@@ -521,7 +522,7 @@ class TestScenarioRates:
         assert scen.kappa_abscissa == r / 1e300 * 1e294
         assert scen.kappa_abscissa == pytest.approx(
             math.exp(math.log(r) + math.log(1e294) - math.log(1e300)),
-            rel=1e-13)
+            rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("overrides", [
         {"v_mt": 1e294, "n_mot": 1e-150}, {"eta": 1e-300, "n_mot": 1e150}],
@@ -582,9 +583,11 @@ class TestScenarioRates:
 
 
 def assert_matches_differences(analytic: float, diff, steps) -> None:
-    """analytic agrees with the central difference diff(h) at every step."""
+    """analytic agrees with the central difference diff(h) at every step.
+    Where analytic is 0, at t = 0, no parameter moves N and the difference
+    is 0 too, so the absolute scale is 0."""
     for h in steps:
-        assert diff(h) == pytest.approx(analytic, rel=1e-5)
+        assert diff(h) == pytest.approx(analytic, rel=1e-5, abs=0)
 
 
 class TestKappaJacobian:
@@ -628,11 +631,12 @@ class TestKappaJacobian:
         x, beta_dd, beta_ed = 1e-14, 1.3e-17, 6e-16
         # beta_dd = 0: d kappa / d beta_dd = -16 x^2 / beta_ed^3
         j_dd, j_ed = kappa_jacobian(x, 0.0, beta_ed)
-        assert j_dd == pytest.approx(-16 * x * x / beta_ed ** 3, rel=1e-14)
-        assert j_ed == pytest.approx(-2 * x / beta_ed ** 2, rel=1e-14)
+        assert j_dd == pytest.approx(-16 * x * x / beta_ed ** 3,
+                                     rel=1e-14, abs=0)
+        assert j_ed == pytest.approx(-2 * x / beta_ed ** 2, rel=1e-14, abs=0)
         # beta_ed = 0: d kappa / d beta_ed = -1 / (8 beta_dd)
         j_dd, j_ed = kappa_jacobian(x, beta_dd, 0.0)
-        assert j_ed == pytest.approx(-1 / (8 * beta_dd), rel=1e-14)
+        assert j_ed == pytest.approx(-1 / (8 * beta_dd), rel=1e-14, abs=0)
         step = 1e-3 * math.sqrt(32 * beta_dd * x)
         assert_matches_differences(
             j_ed, lambda h: central(
@@ -674,8 +678,8 @@ class TestDecay:
     def test_two_body_half_life(self):
         n0, beta, v = 2e8, 3.8e-17, 1e-8
         t_half = v / (2 * beta * n0)
-        assert decay(n0, 0.0, beta, v, t_half) == pytest.approx(n0 / 2,
-                                                                rel=1e-12)
+        assert decay(n0, 0.0, beta, v, t_half) == pytest.approx(
+            n0 / 2, rel=1e-12, abs=0)
 
     def test_matches_ode_integration(self):
         n0, gamma, beta, v = 2e8, 0.02, 3.8e-17, 1e-8
@@ -710,7 +714,7 @@ class TestDecay:
         n_zero = decay(n0, 0.0, beta, v, t)
         d_gamma = decay_jacobian(n0, 0.0, beta, v, t)[0]
         assert decay(n0, gamma, beta, v, t) == pytest.approx(
-            n_zero + gamma * d_gamma, rel=1e-14 + (gamma * t) ** 2)
+            n_zero + gamma * d_gamma, rel=1e-14 + (gamma * t) ** 2, abs=0)
 
     def test_two_body_limit_only_at_gamma_t_zero(self):
         n0, beta, v = 2e8, 3.8e-17, 1e-8
@@ -772,10 +776,11 @@ class TestDecayJacobian:
         bt = 2 * beta * n0 / v * t
         jac = decay_jacobian(n0, 0.0, beta, v, t)
         assert jac.shape == (3, 2)
+        # the t = 0 row is exactly 0: no parameter moves N(0) = n0
         assert jac[:, 0] == pytest.approx(
-            -n0 * t * (1 + bt / 2) / (1 + bt) ** 2, rel=1e-14)
+            -n0 * t * (1 + bt / 2) / (1 + bt) ** 2, rel=1e-14, abs=0)
         assert jac[:, 1] == pytest.approx(
-            -n0 * t * (2 * n0 / v) / (1 + bt) ** 2, rel=1e-14)
+            -n0 * t * (2 * n0 / v) / (1 + bt) ** 2, rel=1e-14, abs=0)
 
     def test_validates_like_decay(self):
         with pytest.raises(ValueError):
@@ -814,7 +819,7 @@ class TestTemperaturePrediction:
     def test_per_axis(self):
         axial, radial = mt_temperature_prediction(140e-6, thermalized=False)
         assert axial == 70e-6
-        assert radial == pytest.approx(140e-6 / 3, rel=1e-15)
+        assert radial == pytest.approx(140e-6 / 3, rel=1e-15, abs=0)
 
     def test_ordering(self):
         assert 1 / 3 < 0.375 < 1 / 2

@@ -167,9 +167,9 @@ class TestLeastSquares:
         res = least_squares(LINE, d, p_star)
         assert res.converged
         assert res.iterations <= 2
-        assert res.values == pytest.approx(p_star, rel=1e-9)
+        assert res.values == pytest.approx(p_star, rel=1e-9, abs=0)
         assert res.covariance == pytest.approx(
-            np.linalg.inv(design.T @ design), rel=1e-8)
+            np.linalg.inv(design.T @ design), rel=1e-8, abs=0)
 
     def test_analytic_jacobian_matches_numeric(self):
         x = np.linspace(0, 4, 20)
@@ -184,9 +184,10 @@ class TestLeastSquares:
         differences = least_squares(numeric(f), d, [1.0, 1.0])
         analytic = least_squares(model, d, [1.0, 1.0])
         assert analytic.converged and differences.converged
-        assert analytic.values == pytest.approx(differences.values, rel=1e-8)
+        assert analytic.values == pytest.approx(differences.values,
+                                                rel=1e-8, abs=0)
         assert analytic.covariance == pytest.approx(differences.covariance,
-                                                    rel=1e-6)
+                                                    rel=1e-6, abs=0)
 
     def test_log_parameters_match_explicit_reparametrisation(self):
         # the log option fits log p and maps values and covariance back
@@ -206,9 +207,9 @@ class TestLeastSquares:
         assert res.converged and by_hand.converged
         assert res.values == pytest.approx(
             [math.exp(by_hand.values[0]), math.exp(by_hand.values[1]),
-             by_hand.values[2]], rel=1e-9)
+             by_hand.values[2]], rel=1e-9, abs=0)
         assert res.covariance == pytest.approx(
-            by_hand.covariance * np.outer(scale, scale), rel=1e-6)
+            by_hand.covariance * np.outer(scale, scale), rel=1e-6, abs=0)
         assert res.correlation == pytest.approx(by_hand.correlation,
                                                 abs=1e-9)
 
@@ -272,7 +273,8 @@ class TestLeastSquares:
         assert res.converged
         assert res.iterations <= 10
         assert res.values[0] == 0.0
-        assert res.values[1] == pytest.approx((x @ y) / (x @ x), rel=1e-9)
+        assert res.values[1] == pytest.approx((x @ y) / (x @ x),
+                                              rel=1e-9, abs=0)
 
     def test_initial_outside_bounds(self):
         d = dataset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -288,8 +290,9 @@ class TestLeastSquares:
         d3 = DataSet(x, y, np.full(x.size, 0.3))
         r1 = least_squares(LINE, d1, [0.0, 0.0])
         r3 = least_squares(LINE, d3, [0.0, 0.0])
-        assert r3.values == pytest.approx(r1.values, rel=1e-8)
-        assert r3.covariance == pytest.approx(9 * r1.covariance, rel=1e-6)
+        assert r3.values == pytest.approx(r1.values, rel=1e-8, abs=0)
+        assert r3.covariance == pytest.approx(9 * r1.covariance,
+                                              rel=1e-6, abs=0)
 
     def test_nonconvergence_reports_best_so_far(self):
         # wildly wrong scale with a pathological model surface
@@ -349,8 +352,9 @@ class TestLeastSquares:
         # one per step, then one per column of the covariance
         assert len(declined) == got.iterations + 2
         assert got.converged and want.converged
-        assert got.values == pytest.approx(want.values, rel=1e-9)
-        assert got.covariance == pytest.approx(want.covariance, rel=1e-9)
+        assert got.values == pytest.approx(want.values, rel=1e-9, abs=0)
+        assert got.covariance == pytest.approx(want.covariance,
+                                               rel=1e-9, abs=0)
         assert got.correlation == pytest.approx(want.correlation, abs=1e-12)
 
     def test_residual_norm_is_norm_of_final_residual(self):
@@ -361,7 +365,7 @@ class TestLeastSquares:
         res = least_squares(numeric(model), d, [1.0, 1.0])
         r = (d.y - model(d.x, res.values.tolist())) * (1.0 / d.sigma_y)
         assert res.residual_norm == pytest.approx(np.linalg.norm(r),
-                                                  rel=1e-15)
+                                                  rel=1e-15, abs=0)
 
 
 def fit_batch_scenario():
@@ -426,9 +430,9 @@ class TestSegmentIntegrals:
             -gamma * t))
         e1, e2 = np.exp(-gamma * t), np.exp(-2 * gamma * t)
         assert int_n == pytest.approx(n0 / gamma * (e1[:-1] - e1[1:]),
-                                      rel=1e-12)
+                                      rel=1e-12, abs=0)
         assert int_n2 == pytest.approx(
-            n0 * n0 / (2 * gamma) * (e2[:-1] - e2[1:]), rel=1e-12)
+            n0 * n0 / (2 * gamma) * (e2[:-1] - e2[1:]), rel=1e-12, abs=0)
 
     def test_trapezoid_where_a_sample_is_not_positive_or_flat(self):
         t = np.array([0.0, 1.0, 3.0, 4.0, 6.0, 7.0])
@@ -441,8 +445,9 @@ class TestSegmentIntegrals:
         # is exponential
         assert int_n[:4].tolist() == trapezoid[0][:4].tolist()
         assert int_n2[:4].tolist() == trapezoid[1][:4].tolist()
-        assert int_n[4] == pytest.approx(2.0 / math.log(3.0), rel=1e-15)
-        assert int_n2[4] == pytest.approx(4.0 / math.log(3.0), rel=1e-15)
+        assert int_n[4] == pytest.approx(2.0 / math.log(3.0), rel=1e-15, abs=0)
+        assert int_n2[4] == pytest.approx(4.0 / math.log(3.0),
+                                          rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("ratio", [1 + 1e-15, 1 + 1e-9, 1 - 1e-6, 1.01])
     def test_continuous_as_the_samples_meet(self, ratio):
@@ -452,22 +457,23 @@ class TestSegmentIntegrals:
                                                       np.array([a, b]))
         x = math.log(ratio)
         mean = (a + b) / 2 * (1 - x * x / 12)  # log mean, to order x^2
-        assert int_n[0] == pytest.approx(2 * mean, rel=1e-14 + x ** 4)
+        assert int_n[0] == pytest.approx(2 * mean, rel=1e-14 + x ** 4, abs=0)
         assert int_n2[0] == pytest.approx(2 * mean * (a + b) / 2,
-                                          rel=1e-14 + x ** 4)
+                                          rel=1e-14 + x ** 4, abs=0)
 
 
 class TestFitLoadingRate:
     def test_exact_line(self):
         t = np.linspace(0, 0.2, 10)
         assert fit_loading_rate(dataset(t, 1e8 * t)) == pytest.approx(
-            1e8, rel=1e-12)
+            1e8, rel=1e-12, abs=0)
 
     def test_recovers_rate_from_loading_curve(self):
         scen = make_scenario()
         t, n = dynamics.evolve(scen, 0.0, 0.25, samples=26)
         r_fit = fit_loading_rate(DataSet(t, n, np.full(t.size, 1.0)))
-        assert r_fit == pytest.approx(dynamics.loading_rate(scen), rel=0.05)
+        assert r_fit == pytest.approx(dynamics.loading_rate(scen),
+                                      rel=0.05, abs=0)
 
     def test_full_curve_recovers_rate(self):
         # the whole curve, out to 8 tau_eff, where a straight line over it
@@ -476,7 +482,8 @@ class TestFitLoadingRate:
         scen = make_scenario(gamma_d=0.02)
         t, n = dynamics.evolve(scen, 0.0, 10.0, samples=100)
         r_fit = fit_loading_rate(DataSet(t, n, np.full(t.size, 1.0)))
-        assert r_fit == pytest.approx(dynamics.loading_rate(scen), rel=2e-3)
+        assert r_fit == pytest.approx(dynamics.loading_rate(scen),
+                                      rel=2e-3, abs=0)
 
     def test_too_few_points(self):
         t = np.array([0.0, 1.0, 2.0])
@@ -504,7 +511,7 @@ class TestFitLoadingRate:
                                    rcond=None)[0][0] / norm[0]
             order = rng.permutation(t.size)
             got = fit_loading_rate(DataSet(t[order], n[order], sigma[order]))
-            assert got == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
             sigma[0] = 1.0
             assert fit_loading_rate(DataSet(t, n, sigma)) == got
 
@@ -547,8 +554,8 @@ class TestFitKappa:
     def test_noiseless_exact_recovery(self):
         res = fit_kappa(self.synthetic())
         assert res.converged
-        assert res["beta_dd"] == pytest.approx(self.BETA_DD, rel=1e-6)
-        assert res["beta_ed"] == pytest.approx(self.BETA_ED, rel=1e-6)
+        assert res["beta_dd"] == pytest.approx(self.BETA_DD, rel=1e-6, abs=0)
+        assert res["beta_ed"] == pytest.approx(self.BETA_ED, rel=1e-6, abs=0)
 
     def test_noisy_recovery_and_correlation(self):
         res = fit_kappa(self.synthetic(noise=0.1, seed=12))
@@ -566,7 +573,7 @@ class TestFitKappa:
         y = dynamics.kappa_of_abscissa(x, self.BETA_DD, 0.0)
         res = fit_kappa(DataSet(x, y, np.abs(y) * 1e-3))
         assert res["beta_ed"] < 2 * res.sigma("beta_ed") + 1e-18
-        assert res["beta_dd"] == pytest.approx(self.BETA_DD, rel=1e-3)
+        assert res["beta_dd"] == pytest.approx(self.BETA_DD, rel=1e-3, abs=0)
 
     def test_jacobian_step_independence(self):
         # central differences at two very different steps agree on the
@@ -582,11 +589,12 @@ class TestFitKappa:
             f_bd = lambda b: dynamics.kappa_of_abscissa(x, b, be)
             d1 = deriv(f_bd, bd, 1e-6 * bd)
             d2 = deriv(f_bd, bd, 1e-7 * bd)
-            assert d1 == pytest.approx(d2, rel=1e-4)
+            assert d1 == pytest.approx(d2, rel=1e-4, abs=0)
 
     def test_linear_start_exact_on_noiseless_data(self, monkeypatch):
         start, res = start_of(monkeypatch, fit_kappa, self.synthetic())
-        assert start == pytest.approx([self.BETA_DD, self.BETA_ED], rel=1e-10)
+        assert start == pytest.approx([self.BETA_DD, self.BETA_ED],
+                                      rel=1e-10, abs=0)
         assert res.converged
         assert res.iterations <= 2
 
@@ -614,7 +622,7 @@ class TestFitDecay:
         t = np.linspace(0, 100, 30)
         n = 2e8 * np.exp(-0.05 * t)
         res = fit_decay(DataSet(t, n, np.abs(n) * 1e-3), v=1e-8)
-        assert res["gamma"] == pytest.approx(0.05, rel=1e-4)
+        assert res["gamma"] == pytest.approx(0.05, rel=1e-4, abs=0)
         # two-body channel consistent with zero
         assert res["beta_dd"] * 2e8 / 1e-8 < 1e-3 * res["gamma"]
 
@@ -637,7 +645,8 @@ class TestFitDecay:
         for v in (1e-8, 2e-8):
             y = dynamics.decay(n0, gamma, beta, v, t)
             fits.append(fit_decay(DataSet(t, y, np.abs(y) * 1e-3), v=v))
-        assert fits[0]["gamma"] == pytest.approx(fits[1]["gamma"], rel=1e-3)
+        assert fits[0]["gamma"] == pytest.approx(fits[1]["gamma"],
+                                                 rel=1e-3, abs=0)
 
     def test_linear_start_near_truth_on_noiseless_data(self, monkeypatch):
         # on the default 30-sample grid, trapezoid integrals over the widest
@@ -646,9 +655,9 @@ class TestFitDecay:
         scen = make_scenario(gamma_d=0.02)
         data = sweeps.synthesize_measurements(scen, "decay_curve")
         start, res = start_of(monkeypatch, fit_decay, data, scen.v_mt)
-        assert start == pytest.approx([0.02, 1.3e-17], rel=0.015)
+        assert start == pytest.approx([0.02, 1.3e-17], rel=0.015, abs=0)
         assert res.converged
-        assert res.values == pytest.approx([0.02, 1.3e-17], rel=1e-6)
+        assert res.values == pytest.approx([0.02, 1.3e-17], rel=1e-6, abs=0)
 
     def test_start_falls_back_when_two_body_not_positive(self, monkeypatch):
         # no two-body loss in the data: beta_dd starts where it would
@@ -657,9 +666,10 @@ class TestFitDecay:
         n = 2e8 * np.exp(-0.05 * t)
         start, res = start_of(monkeypatch, fit_decay,
                               DataSet(t, n, n * 1e-3), v=1e-8)
-        assert start[0] == pytest.approx(0.05, rel=0.01)
-        assert start[1] == pytest.approx(1e-6 / 100 * 1e-8 / (2 * 2e8))
-        assert res["gamma"] == pytest.approx(0.05, rel=1e-4)
+        assert start[0] == pytest.approx(0.05, rel=0.01, abs=0)
+        assert start[1] == pytest.approx(1e-6 / 100 * 1e-8 / (2 * 2e8),
+                                         rel=1e-6, abs=0)
+        assert res["gamma"] == pytest.approx(0.05, rel=1e-4, abs=0)
 
     @pytest.mark.parametrize("noise", [0.03, 0.1])
     def test_linear_start_iterations(self, noise):
@@ -723,8 +733,8 @@ class TestFitDecay:
         y = dynamics.decay(n0, gamma, beta, v, t)
         res = fit_decay(DataSet(t, y, y * 1e-3), v=v)
         assert res.converged
-        assert res["gamma"] == pytest.approx(gamma, rel=1e-6)
-        assert res["beta_dd"] == pytest.approx(beta, rel=1e-6)
+        assert res["gamma"] == pytest.approx(gamma, rel=1e-6, abs=0)
+        assert res["beta_dd"] == pytest.approx(beta, rel=1e-6, abs=0)
 
     def test_sorted_input_is_fitted_as_given(self, monkeypatch):
         scen = make_scenario(gamma_d=0.02)
@@ -823,15 +833,15 @@ class TestFitTof:
         t = np.linspace(1e-3, 8e-3, 8)
         sigma = np.array([cloud.tof_radius(2e-4, 100e-6, CR, ti) for ti in t])
         res = fit_tof(DataSet(t, sigma, np.full(t.size, 1e-7)), CR)
-        assert res["sigma0"] == pytest.approx(2e-4, rel=1e-9)
-        assert res["temperature"] == pytest.approx(100e-6, rel=1e-9)
+        assert res["sigma0"] == pytest.approx(2e-4, rel=1e-9, abs=0)
+        assert res["temperature"] == pytest.approx(100e-6, rel=1e-9, abs=0)
         assert res.message == ""
 
     def test_two_point_interpolation(self):
         t = np.array([1e-3, 8e-3])
         sigma = np.array([cloud.tof_radius(2e-4, 100e-6, CR, ti) for ti in t])
         res = fit_tof(DataSet(t, sigma, np.full(2, 1e-7)), CR)
-        assert res["temperature"] == pytest.approx(100e-6, rel=1e-9)
+        assert res["temperature"] == pytest.approx(100e-6, rel=1e-9, abs=0)
 
     def test_noisy_temperature_within_ten_percent(self):
         t = np.linspace(1e-3, 8e-3, 8)
@@ -839,7 +849,7 @@ class TestFitTof:
         rng = np.random.default_rng(21)
         noisy = sigma * (1 + 0.03 * rng.standard_normal(sigma.shape))
         res = fit_tof(DataSet(t, noisy, sigma * 0.03), CR)
-        assert res["temperature"] == pytest.approx(140e-6, rel=0.10)
+        assert res["temperature"] == pytest.approx(140e-6, rel=0.10, abs=0)
 
     def test_degenerate_flagged(self):
         # shrinking "expansion" forces a negative intercept
@@ -887,7 +897,7 @@ class TestFitColumnProfile:
         image = image * (1 + 0.015 * rng.standard_normal(image.shape))
         model, res = profile_model(monkeypatch, y, z, image)
         assert res.converged
-        assert res["temperature"] == pytest.approx(120e-6, rel=0.03)
+        assert res["temperature"] == pytest.approx(120e-6, rel=0.03, abs=0)
         for draw in range(40):
             t_k = 120e-6 * rng.uniform(0.5, 2.0)
             xi1, _, sigma_z = cloud.scale_lengths(CR, CFG, t_k)
@@ -915,20 +925,20 @@ class TestFitColumnProfile:
         y, z, image, cl = self.forward(temperature=140e-6)
         res = fit_column_profile(y, z, image, CR, CFG)
         assert res.converged
-        assert res["temperature"] == pytest.approx(140e-6, rel=1e-4)
-        assert res["n0"] == pytest.approx(cl.peak_density, rel=1e-3)
+        assert res["temperature"] == pytest.approx(140e-6, rel=1e-4, abs=0)
+        assert res["n0"] == pytest.approx(cl.peak_density, rel=1e-3, abs=0)
 
     def test_homogeneity_in_amplitude(self):
         y, z, image, cl = self.forward(scale=3.0)
         res = fit_column_profile(y, z, image, CR, CFG)
-        assert res["n0"] == pytest.approx(3 * cl.peak_density, rel=1e-3)
-        assert res["temperature"] == pytest.approx(100e-6, rel=1e-3)
+        assert res["n0"] == pytest.approx(3 * cl.peak_density, rel=1e-3, abs=0)
+        assert res["temperature"] == pytest.approx(100e-6, rel=1e-3, abs=0)
 
     def test_center_shift(self):
         y, z, image, _ = self.forward(y_shift=0.3e-3)
         res = fit_column_profile(y, z, image, CR, CFG)
-        assert res["center_y"] == pytest.approx(0.3e-3, rel=1e-3)
-        assert res["temperature"] == pytest.approx(100e-6, rel=1e-3)
+        assert res["center_y"] == pytest.approx(0.3e-3, rel=1e-3, abs=0)
+        assert res["temperature"] == pytest.approx(100e-6, rel=1e-3, abs=0)
 
     def test_shape_validation(self):
         y, z, image, _ = self.forward()

@@ -17,14 +17,16 @@ def beams(s, detuning=0.0):
 
 class TestChromium:
     def test_magnetic_moment_is_six_bohr_magnetons(self):
-        assert chromium_52().magnetic_moment / BOHR_MAGNETON == pytest.approx(6.0)
+        assert chromium_52().magnetic_moment / BOHR_MAGNETON == pytest.approx(
+            6.0, rel=1e-6, abs=0)
 
     def test_mass(self):
-        assert chromium_52().mass == pytest.approx(52 * ATOMIC_MASS)
+        assert chromium_52().mass == pytest.approx(52 * ATOMIC_MASS,
+                                                   rel=1e-6, abs=0)
 
     def test_leak_rate(self):
         # 2 pi 5.02e6 / 2.5e5, hand evaluation
-        assert chromium_52().gamma_ed == pytest.approx(126.17, rel=1e-4)
+        assert chromium_52().gamma_ed == pytest.approx(126.17, rel=1e-4, abs=0)
 
     def test_rate_self_consistency(self):
         cr = chromium_52()
@@ -54,7 +56,8 @@ class TestChromium:
 class TestExcitedFraction:
     def test_saturated(self):
         cr = chromium_52()
-        assert excited_fraction(beams(1e6), cr) == pytest.approx(0.4999995)
+        assert excited_fraction(beams(1e6), cr) == pytest.approx(
+            0.4999995, rel=1e-6, abs=0)
         assert excited_fraction(beams(math.inf), cr) == 0.5
 
     def test_no_light(self):
@@ -63,7 +66,7 @@ class TestExcitedFraction:
     def test_two_level_point(self):
         cr = chromium_52()
         f = excited_fraction(beams(1.0, detuning=-2 * cr.gamma_eg), cr)
-        assert f == pytest.approx(1 / 36)
+        assert f == pytest.approx(1 / 36, rel=1e-6, abs=0)
 
     def test_monotone_in_saturation_and_bounded(self):
         cr = chromium_52()
@@ -88,9 +91,9 @@ branching_eg_ed = 2.5e5
         path.write_text(self.CONTENT)
         sp = load_species(path)
         cr = chromium_52()
-        assert sp.mass == pytest.approx(cr.mass)
-        assert sp.gamma_eg == pytest.approx(cr.gamma_eg)
-        assert sp.gamma_ed == pytest.approx(cr.gamma_ed)
+        assert sp.mass == pytest.approx(cr.mass, rel=1e-6, abs=0)
+        assert sp.gamma_eg == pytest.approx(cr.gamma_eg, rel=1e-6, abs=0)
+        assert sp.gamma_ed == pytest.approx(cr.gamma_ed, rel=1e-6, abs=0)
         assert sp.gamma_ed == sp.gamma_eg / sp.branching_ratio_eg_ed
 
     def test_missing_key(self, tmp_path):

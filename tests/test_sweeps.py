@@ -344,7 +344,7 @@ class TestSynthesize:
         data = synthesize_measurements(scen, "decay_curve", noise=0.0)
         assert data.x[0] == 0.0
         assert data.y[0] == pytest.approx(dynamics.steady_state(scen),
-                                          rel=1e-12)
+                                          rel=1e-12, abs=0)
         assert np.all(np.diff(data.y) < 0)
 
     def test_log_grid_is_geomspace_bit_for_bit(self):
@@ -394,8 +394,8 @@ class TestSynthesize:
         data = synthesize_measurements(make_scenario(), "kappa_points",
                                        noise=0.0)
         res = fit_kappa(data)
-        assert res["beta_dd"] == pytest.approx(1.3e-17, rel=1e-6)
-        assert res["beta_ed"] == pytest.approx(6e-16, rel=1e-6)
+        assert res["beta_dd"] == pytest.approx(1.3e-17, rel=1e-6, abs=0)
+        assert res["beta_ed"] == pytest.approx(6e-16, rel=1e-6, abs=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
