@@ -20,7 +20,9 @@ They hold because integrating the radial plane over angle first gives
 (Gradshteyn & Ryzhik 6.623), and the axial Gaussian factor integrates
 analytically.  trap_volume, the one V_MT path, uses them without building
 a cloud.  Only the MOT overlap integral of effective_volume is still done
-by 2D adaptive quadrature; scipy is imported there, on first use.
+by 2D adaptive quadrature, in polar coordinates centred on the trap, where
+the area element cancels the density's cusp at the centre; scipy is
+imported there, on first use.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ def _dblquad_checked(f, box_x, box_y) -> float:
     """Two-pass adaptive double integral with a self-consistency check.
 
     The rough first pass anchors an absolute tolerance for the accurate
-    second pass (QUADPACK's own error estimate is unusable for these
-    sharply peaked integrands); agreement between the passes is the
-    convergence criterion.
+    second pass, so that inner integrals near the edge of the box, up to
+    e^-50 below the peak's, are not resolved to relative accuracy.
+    Agreement between the passes is the convergence criterion: dblquad's
+    error estimate is the outer pass's, which takes each inner integral
+    as exact.
     """
     import warnings
 
@@ -121,8 +125,8 @@ class GaussianCloud:
 
     def __post_init__(self) -> None:
         for name in ("atom_number", "temperature", "sigma_radial", "sigma_axial"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # --- scale lengths, peak density and V_MT ---------------------------------
@@ -252,9 +256,20 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     relative to the trap center.  Where the MOT is much smaller than the
     magnetic trap, V_eff is often approximated by the trap volume,
     occupied_volume(mt).
+
+    The radial plane is integrated in polar coordinates (rho, phi) about
+    the trap center, phi measured from the direction of the MOT center at
+    distance r0, over the annulus |rho - r0| <= 10 sigma; where r0 > 10
+    sigma, only its sector |phi| <= asin(10 sigma / r0), which holds the
+    MOT's 10 sigma disc.  The area element rho cancels the cusp of
+    exp(-rho/xi1) at the trap center, and the MOT peak sits at phi = 0,
+    the midpoint of the angular range.
     """
+    if not all(map(math.isfinite, offset)):
+        raise ValueError(f"offset {offset!r} must be finite")
     x0, y0, z0 = offset
     sr, sa = mot.sigma_radial, mot.sigma_axial
+    inv1 = 1.0 / mt.xi1
     inv2 = 0.0 if math.isinf(mt.xi2) else 1.0 / mt.xi2
 
     # Axial factor: product of two Gaussians, analytic.
@@ -262,13 +277,20 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     axial = math.sqrt(2 * math.pi * sa * sa * mt.sigma_z ** 2 / s2) \
         * math.exp(-z0 * z0 / (2 * s2))
 
-    def f(y, x):
-        g = math.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * sr * sr))
-        return g * math.exp(-math.hypot(x, y) / mt.xi1 - y * inv2)
+    r0 = math.hypot(x0, y0)
+    alpha = math.atan2(y0, x0)
+    k = 1 / (2 * sr * sr)
+
+    def f(rho, phi):
+        # |r - r0|^2 = (rho - r0)^2 + 4 rho r0 sin^2(phi/2), no cancellation
+        h = math.sin(0.5 * phi)
+        return rho * math.exp(-((rho - r0) ** 2 + 4 * rho * r0 * h * h) * k
+                              - rho * (inv1 + math.sin(phi + alpha) * inv2))
 
     # Product is localized by the MOT Gaussian around its center.
     box = 10 * sr
-    val = _dblquad_checked(f, (x0 - box, x0 + box), (y0 - box, y0 + box))
+    top = math.asin(box / r0) if r0 > box else math.pi
+    val = _dblquad_checked(f, (-top, top), (max(0.0, r0 - box), r0 + box))
 
     mot_peak = mot.atom_number / ((2 * math.pi) ** 1.5 * sr * sr * sa)
     overlap = mot_peak * mt.peak_density * val * axial

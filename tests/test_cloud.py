@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import i0e
 
 from cliptrap import cli, sweeps
-from cliptrap.cloud import (CloudRangeError, GaussianCloud, ThermalCloud,
-                            UntrappedCloudError, column_density,
+from cliptrap.cloud import (CloudRangeError, GaussianCloud, QuadratureError,
+                            ThermalCloud, UntrappedCloudError, column_density,
                             effective_volume, make_thermal_cloud, mt_density,
                             occupied_volume, scale_lengths, tof_radius,
                             trap_volume)
@@ -48,6 +49,48 @@ def planar_quadrature(c: ThermalCloud, power: float) -> float:
     val, _ = dblquad(f, 0.0, 2 * math.pi, 0.0, rho_max,
                      epsabs=0.0, epsrel=1e-11)
     return val
+
+
+def overlap_oracle(mot: GaussianCloud, mt: ThermalCloud,
+                   offset: tuple[float, float, float]) -> float:
+    """N_MOT N_MT / integral(n_MOT n_MT) by two 1-D quadratures.
+
+    Independent route: in polar coordinates (rho, t) about the trap
+    centre, the in-plane exponent is linear in (cos t, sin t), so the
+    angular integral is 2 pi I0(c rho) with c = rho_c / s^2 and
+    rho_c = |(x0, y0 - s^2/xi2)|.  Completing the square, the in-plane
+    integral is 2 pi exp(s^2/(2 xi2^2) - y0/xi2) times
+
+        int rho i0e(c rho) exp(-rho/xi1 - (rho - rho_c)^2 / (2 s^2)) drho,
+
+    with no exponent that cancels.  The axial integral is done by quad too.
+    """
+    x0, y0, z0 = offset
+    s, sa, sz = mot.sigma_radial, mot.sigma_axial, mt.sigma_z
+    inv2 = 0.0 if math.isinf(mt.xi2) else 1.0 / mt.xi2
+    rho_c = math.hypot(x0, y0 - s * s * inv2)
+    c = rho_c / (s * s)
+
+    def radial(rho):
+        return rho * i0e(c * rho) * math.exp(
+            -rho / mt.xi1 - (rho - rho_c) ** 2 / (2 * s * s))
+
+    lo, hi = max(0.0, rho_c - 40 * s), rho_c + 40 * s
+    plane, _ = quad(radial, lo, hi, points=[max(lo, rho_c - s * s / mt.xi1)],
+                    epsabs=0.0, epsrel=1e-12, limit=200)
+    plane *= 2 * math.pi * math.exp(s * s * inv2 * inv2 / 2 - y0 * inv2)
+
+    # product of the two axial Gaussians, centred at z_c with width w
+    w = sa * sz / math.hypot(sa, sz)
+    z_c = z0 * (sz / math.hypot(sa, sz)) ** 2
+    axial, _ = quad(lambda z: math.exp(-(z - z0) ** 2 / (2 * sa * sa)
+                                       - z * z / (2 * sz * sz)),
+                    z_c - 40 * w, z_c + 40 * w, points=[z_c],
+                    epsabs=0.0, epsrel=1e-12, limit=200)
+
+    mot_peak = mot.atom_number / ((2 * math.pi) ** 1.5 * s * s * sa)
+    return (mot.atom_number * mt.atom_number
+            / (mot_peak * mt.peak_density * plane * axial))
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +390,57 @@ class TestEffectiveVolume:
         oracle = self.MOT.atom_number * c.atom_number / overlap
         assert effective_volume(self.MOT, c) == pytest.approx(oracle,
                                                               rel=1e-5, abs=0)
+
+    @pytest.mark.parametrize("gravity, sigma, offset", [
+        (True, 1e-4, (0.0, 0.0, 0.0)),
+        (True, 1e-4, (1.2e-4, -1.6e-4, 0.7e-4)),     # r0 = 2 sigma
+        (True, 1e-4, (-1.8e-4, -2.4e-4, -1.3e-4)),   # r0 = 3 sigma
+        (False, 1e-4, (0.0, 0.0, 0.0)),
+        (False, 1e-4, (2.4e-4, -1.8e-4, 0.5e-4)),    # r0 = 3 sigma
+        (True, 1e-6, (6e-5, -8e-5, 3e-6)),           # r0 = 100 sigma
+        (True, 1e-6, (-6e-4, -8e-4, -2e-6)),         # r0 = 1000 sigma
+        (False, 1e-6, (8e-4, -6e-4, 1e-6)),          # r0 = 1000 sigma
+    ], ids=["centre", "2sigma", "3sigma", "nog-centre", "nog-3sigma",
+            "small-100sigma", "small-1000sigma", "nog-small-1000sigma"])
+    def test_against_angular_oracle(self, cloud100, cloud100_nog, gravity,
+                                    sigma, offset):
+        mot = GaussianCloud(atom_number=5e6, temperature=140e-6,
+                            sigma_radial=sigma, sigma_axial=sigma)
+        mt = cloud100 if gravity else cloud100_nog
+        # the requested accuracy of the quadrature, _QUAD_RTOL
+        assert effective_volume(mot, mt, offset) == pytest.approx(
+            overlap_oracle(mot, mt, offset), rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("mot_field, offset, message", [
+        (("atom_number", math.inf), (0.0, 0.0, 0.0), "atom_number"),
+        (("temperature", math.inf), (0.0, 0.0, 0.0), "temperature"),
+        (("sigma_radial", math.inf), (0.0, 0.0, 0.0), "sigma_radial"),
+        (("sigma_axial", math.inf), (0.0, 0.0, 0.0), "sigma_axial"),
+        (("sigma_radial", math.nan), (0.0, 0.0, 0.0), "sigma_radial"),
+        (None, (0.0, 0.0, math.nan), r"offset \(0.0, 0.0, nan\)"),
+        (None, (0.0, 0.0, math.inf), r"offset \(0.0, 0.0, inf\)"),
+        (None, (-math.inf, 0.0, 0.0), r"offset \(-inf, 0.0, 0.0\)"),
+        (None, (0.0, math.nan, 0.0), r"offset \(0.0, nan, 0.0\)"),
+    ], ids=["atom_number-inf", "temperature-inf", "sigma_radial-inf",
+            "sigma_axial-inf", "sigma_radial-nan", "z0-nan", "z0-inf",
+            "x0-minus-inf", "y0-nan"])
+    def test_non_finite_input_rejected(self, cloud100, mot_field, offset,
+                                       message):
+        kw = dict(atom_number=5e6, temperature=140e-6, sigma_radial=1e-4,
+                  sigma_axial=1e-4)
+        kw.update([mot_field] if mot_field else [])
+        with pytest.raises(ValueError, match=message):
+            effective_volume(GaussianCloud(**kw), cloud100, offset)
+
+    def test_disagreeing_passes_raise(self, monkeypatch, cloud100):
+        # the two-pass check stays: passes that disagree by more than 1e-3
+        # are a QuadratureError, not a value
+        from scipy import integrate
+        passes = iter([(1.0, 0.0), (1.01, 0.0)])
+        monkeypatch.setattr(integrate, "dblquad",
+                            lambda *args, **kwargs: next(passes))
+        with pytest.raises(QuadratureError, match="passes disagree"):
+            effective_volume(self.MOT, cloud100)
 
     def test_approximation_mode_is_trap_volume(self, cloud100):
         # the CLI and the sweeps take V_eff = V_MT, the trap cloud's
