@@ -327,9 +327,9 @@ def _read_kappa_csv(path: str) -> DataSet:
     """Kappa data with columns located by header name.
 
     Accepts synth output (abscissa, kappa, sigma_kappa), plain 3-column
-    CSV, and sweep output, whose extra columns and error field would break
-    positional parsing.  Each cell read must be a finite number; only a
-    row with a filled error cell, a failed sweep point, is skipped.
+    CSV, and sweep output, whose extra columns would break positional
+    parsing.  flatfile.read_csv checks every cell and skips a failed sweep
+    point; this picks the columns.
     """
     header, rows = read_csv(path)
     if "kappa" not in header:
@@ -339,42 +339,30 @@ def _read_kappa_csv(path: str) -> DataSet:
               None)
     if ix is None:
         raise ConfigError(f"{path}: no abscissa column for the kappa fit")
-    cols = [ix, header.index("kappa")] + (
-        [header.index("sigma_kappa")] if "sigma_kappa" in header else [])
-    err = header.index("error") if "error" in header else None
-    points = []
-    for where, cells in rows:
-        if err is not None and "".join(cells[err:]):
-            continue  # a failed sweep point; its message may hold commas
-        points.append([number(cells[i], where) for i in cols])
-    pts = np.array(points).reshape(-1, len(cols))
-    if len(pts) < 3:
-        raise ConfigError(f"{path}: fewer than 3 usable data rows")
-    sigma = pts[:, 2] if len(cols) == 3 else np.abs(pts[:, 1]) * 1e-3
-    return DataSet(pts[:, 0], pts[:, 1], np.maximum(sigma, 1e-300),
+    data = np.asarray(rows)
+    kappa = data[:, header.index("kappa")]
+    sigma = (data[:, header.index("sigma_kappa")] if "sigma_kappa" in header
+             else np.abs(kappa) * 1e-3)
+    return DataSet(data[:, ix], kappa, np.maximum(sigma, 1e-300),
                    x_label=header[ix], y_label="kappa")
 
 
 def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Long-format profile table: y_mm, z_mm, column_density columns."""
+    """Long-format profile table: y_mm, z_mm, column_density columns, one
+    row for each point of a complete y/z grid."""
     header, rows = read_csv(path)
-    if not rows:
-        raise ConfigError(f"no data rows in {path}")
     if len(header) != 3:
         raise ConfigError(f"{path}: expected 3 columns (y_mm, z_mm, "
                           f"column_density), got {len(header)}")
-    arr = np.asarray([[number(c, where) for c in cells]
-                      for where, cells in rows], float)
-    y = np.unique(arr[:, 0]) * 1e-3
-    z = np.unique(arr[:, 1]) * 1e-3
-    if y.size * z.size != arr.shape[0]:
-        raise ConfigError(
-            f"{path}: profile table is not a complete y/z grid")
+    data = np.asarray(rows)
+    y, yi = np.unique(data[:, 0], return_inverse=True)
+    z, zi = np.unique(data[:, 1], return_inverse=True)
     image = np.full((y.size, z.size), np.nan)
-    yi = np.searchsorted(y, arr[:, 0] * 1e-3)
-    zi = np.searchsorted(z, arr[:, 1] * 1e-3)
-    image[yi, zi] = arr[:, 2]
-    return y, z, image
+    image[yi, zi] = data[:, 2]
+    # a duplicate row leaves a hole in the grid, or is one row too many
+    if len(data) != image.size or np.isnan(image).any():
+        raise ConfigError(f"{path}: profile table is not a complete y/z grid")
+    return y * 1e-3, z * 1e-3, image
 
 
 # --- fit kinds: read the data file, fit, return the report rows -------------

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import scaled_x_k0_k1
-from .dynamics import ModelInputError
-from .species import BOLTZMANN, GRAVITY, Species
+from .species import BOLTZMANN, GRAVITY, ModelInputError, Species
 from .trap import IpTrapConfig
 
 _QUAD_RTOL = 1e-8
@@ -69,7 +68,8 @@ def _dblquad_checked(f, box_x, box_y) -> float:
     e^-50 below the peak's, are not resolved to relative accuracy.
     Agreement between the passes is the convergence criterion: dblquad's
     error estimate is the outer pass's, which takes each inner integral
-    as exact.
+    as exact.  A rough pass of 0 is returned as 0: the integrand, which
+    is not negative, underflows wherever it was sampled.
     """
     import warnings
 
@@ -79,8 +79,10 @@ def _dblquad_checked(f, box_x, box_y) -> float:
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         rough, _ = integrate.dblquad(f, *box_x, *box_y,
                                      epsabs=0.0, epsrel=1e-4)
-        if not math.isfinite(rough) or rough == 0.0:
+        if not math.isfinite(rough):
             raise QuadratureError("rough quadrature pass returned %r" % rough)
+        if rough == 0.0:
+            return 0.0
         val, _ = integrate.dblquad(f, *box_x, *box_y,
                                    epsabs=1e-2 * _QUAD_RTOL * abs(rough),
                                    epsrel=1e-2 * _QUAD_RTOL)
@@ -263,7 +265,8 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     sigma, only its sector |phi| <= asin(10 sigma / r0), which holds the
     MOT's 10 sigma disc.  The area element rho cancels the cusp of
     exp(-rho/xi1) at the trap center, and the MOT peak sits at phi = 0,
-    the midpoint of the angular range.
+    the midpoint of the angular range.  Where the MOT lies so far from
+    the trap cloud that the overlap underflows a float, raises ValueError.
     """
     if not all(map(math.isfinite, offset)):
         raise ValueError(f"offset {offset!r} must be finite")
@@ -290,11 +293,15 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     # Product is localized by the MOT Gaussian around its center.
     box = 10 * sr
     top = math.asin(box / r0) if r0 > box else math.pi
-    val = _dblquad_checked(f, (-top, top), (max(0.0, r0 - box), r0 + box))
+    val = (_dblquad_checked(f, (-top, top), (max(0.0, r0 - box), r0 + box))
+           if axial > 0 else 0.0)
 
     mot_peak = mot.atom_number / ((2 * math.pi) ** 1.5 * sr * sr * sa)
     overlap = mot_peak * mt.peak_density * val * axial
-    return mot.atom_number * mt.atom_number / overlap
+    v = mot.atom_number * mt.atom_number / overlap if overlap > 0 else math.inf
+    if v == math.inf:
+        raise ValueError("MOT and trap cloud overlap underflows a float")
+    return v
 
 
 def tof_radius(sigma0: float, t_temp: float, species: Species, t):

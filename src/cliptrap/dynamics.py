@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .species import MotBeamParams, Species, excited_fraction
+from .species import (ModelInputError, MotBeamParams, Species,
+                      excited_fraction)
 from .trap import IpTrapConfig
 
 # chi(u) = (u - 1 + e^{-u}) / u^2 is summed as its Taylor series
@@ -36,16 +37,6 @@ DEFAULT_ETA = 0.3  # theoretical optical-pumping transfer efficiency
 # The inputs R = eta N_MOT f Gamma_ed is formed from, f the excited fraction
 LOADING_RATE_INPUTS = ("eta", "n_mot", "total_saturation", "detuning",
                        "species")
-
-
-class ModelInputError(ValueError):
-    """No loss channel where one is needed, an untrapped cloud, a model
-    field out of its bound or a value out of float range; inputs names the
-    model inputs that set it."""
-
-    def __init__(self, message: str, *inputs: str) -> None:
-        super().__init__(message)
-        self.inputs = inputs
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cloud import ThermalCloud, column_density_terms, scale_lengths
 from .dynamics import decay_fit_model, kappa_jacobian, kappa_of_abscissa
-from .flatfile import number, read_csv
+from .flatfile import read_csv
 from .species import BOLTZMANN, Species
 from .trap import IpTrapConfig
 
@@ -64,17 +64,15 @@ class DataSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DataSet":
-        """Rows of x, y, sigma_y and an optional mask; errors name path."""
+        """The x, y and sigma_y columns of flatfile.read_csv's rows, but
+        for rows whose optional fourth column `mask` is 0; errors name
+        path."""
         header, rows = read_csv(path)
-        if not rows:
-            raise ValueError(f"no data rows in {path}")
-        data = np.asarray([[number(c, where) for c in cells]
-                           for where, cells in rows], float)
+        data = np.asarray(rows)
         if data.shape[1] < 3:
             raise ValueError(f"{path}: expected at least 3 columns "
                              "(x, y, sigma_y)")
-        # Optional 4th column: mask, nonzero keeps the row.
-        if len(header) >= 4 and header[3] == "mask":
+        if header[3:4] == ["mask"]:
             data = data[data[:, 3] != 0]
             if data.shape[0] == 0:
                 raise ValueError(f"{path}: mask column excluded every row")
@@ -357,13 +355,17 @@ def _segment_integrals(t: np.ndarray, y: np.ndarray):
     return n1 * dt, n2 * dt
 
 
-def _integrated_rows(series: DataSet):
+def _integrated_rows(series: DataSet, minimum: int):
     """Sorted series, t - t0, and 1 / sigma, int N dt and int N^2 dt from
-    t0 for the rows after the earliest sample, the rate equation's anchor."""
+    t0 for the rows after the earliest sample, the rate equation's anchor.
+    Raises ValueError unless the samples hold at least `minimum` distinct
+    times."""
     if not (series.x[1:] >= series.x[:-1]).all():
         order = np.argsort(series.x)
         series = DataSet(series.x[order], series.y[order],
                          series.sigma_y[order])
+    if np.count_nonzero(series.x[1:] != series.x[:-1]) + 1 < minimum:
+        raise ValueError(f"need at least {minimum} samples at distinct times")
     t = series.x - series.x[0]
     int_n, int_n2 = map(np.cumsum, _segment_integrals(t, series.y))
     return series, t, 1.0 / series.sigma_y[1:], int_n, int_n2
@@ -374,9 +376,7 @@ def fit_loading_rate(series: DataSet) -> float:
     y_i - n0 = R (t_i - t0) - gamma int N dt - k int N^2 dt
     (_integrated_rows) is linear in (R, gamma, k); R is its weighted
     least-squares solution."""
-    if len(series) < 4:
-        raise ValueError("need at least 4 samples")
-    series, t, w, int_n, int_n2 = _integrated_rows(series)
+    series, t, w, int_n, int_n2 = _integrated_rows(series, 4)
     return _linear_solve(np.column_stack([t[1:], -int_n, -int_n2])
                          * w[:, None], (series.y[1:] - series.y[0]) * w)[0]
 
@@ -394,6 +394,8 @@ def fit_kappa(data: DataSet) -> FitResult:
     """
     if not (data.x > 0).all():
         raise ValueError("abscissa values must be positive")
+    if len(set(data.x.tolist())) < 3:
+        raise ValueError("need at least 3 distinct abscissae")
     k, w = data.y, 1.0 / data.sigma_y
     kw = k * w
     betas = _linear_solve(np.column_stack([4 * k * kw, kw]), 2 * data.x * w)
@@ -425,7 +427,7 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
     """
     if not v > 0:
         raise ValueError("v must be positive")
-    series, t, w, int_n, int_n2 = _integrated_rows(series)
+    series, t, w, int_n, int_n2 = _integrated_rows(series, 3)
     y = series.y
     n0 = float(y[0])
     if not n0 > 0:
@@ -456,9 +458,9 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     Exact weighted linear solve in t^2, no iteration.  A negative fitted
     sigma0^2 is flagged as degenerate; the temperature is still returned.
     """
-    if len(series) < 2:
-        raise ValueError("need at least 2 expansion times")
     u = series.x ** 2
+    if len(set(u.tolist())) < 2:
+        raise ValueError("need at least 2 distinct expansion times")
     v = series.y ** 2
     # var(sigma^2) = (2 sigma sigma_err)^2
     w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y, 1e-300)

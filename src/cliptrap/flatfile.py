@@ -1,7 +1,8 @@
 """The one line reader behind every config, species and CSV file.
 
 '#' starts a comment and blank lines are skipped.  Values are strict: an
-unknown key, NaN, inf or a fractional count raises ValueError.
+unknown key, NaN, inf or a fractional count raises ValueError.  read_csv
+is the one place a data file becomes numbers; its callers pick columns.
 """
 
 from __future__ import annotations
@@ -44,28 +45,33 @@ def key_values(items, known) -> dict[str, str]:
     return pairs
 
 
-def read_csv(path: str | Path
-             ) -> tuple[list[str], list[tuple[str, list[str]]]]:
-    """Header cells, and ('path:lineno', cells) of each data row, stripped.
+def read_csv(path: str | Path) -> tuple[list[str], list[list[float]]]:
+    """Header cells, and each data row's cells as finite floats.
 
-    A row with fewer cells than the header is padded with empty cells, so
-    a missing cell is read, and rejected with its line, like a blank one.
-    A row with more cells raises ValueError naming its line, unless the
-    header's last column is `error`, whose message (a failed sweep point's)
-    may hold commas.
+    Every cell goes through number(cell, 'path:lineno').  A row with fewer
+    cells than the header is padded with empty cells, so a missing cell is
+    rejected with its line like a blank one; a row with more cells raises
+    ValueError naming its line.  A trailing `error` column (a sweep's) is
+    neither read nor returned in the header: its message may hold commas,
+    and a row whose error cell is filled, a failed sweep point, is
+    skipped.  Raises ValueError if no data row is left.
     """
-    rows = [(where, [c.strip(_BLANK) for c in line.split(",")])
-            for where, line in read_lines(path)]
-    if not rows:
-        return [], []
-    header = rows[0][1]
-    width = len(header)
-    for where, cells in rows[1:]:
-        if len(cells) > width and header[-1] != "error":
+    lines = [(where, [c.strip(_BLANK) for c in line.split(",")])
+             for where, line in read_lines(path)]
+    header = lines[0][1] if lines else []
+    errors = header[-1:] == ["error"]
+    width = len(header) - errors
+    rows = []
+    for where, cells in lines[1:]:
+        if len(cells) > width and not errors:
             raise ValueError(f"{where}: {len(cells)} cells, but the header "
                              f"has {width}")
-    return header, [(where, cells + [""] * (width - len(cells)))
-                    for where, cells in rows[1:]]
+        if "".join(cells[width:]):
+            continue  # a failed sweep point
+        rows.append([number(c, where) for c in (cells + [""] * width)[:width]])
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    return header[:width], rows
 
 
 def number(text: str, where: str, integer: bool = False,

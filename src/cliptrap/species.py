@@ -4,7 +4,9 @@ Species and MOT parameters are held in SI units.  The config's lab units
 (G/cm, G/cm^2, mG, cm^3, uK) are converted in one place, the CLI's key
 table; load_species converts only its own file's units (amu, Bohr
 magnetons, Hz).  Keep this module free of heavy imports so
-every other layer can use it.
+every other layer can use it; that is also why ModelInputError, the model
+layers' error for an input that cli.main names by its config keys, is
+defined here.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ BOLTZMANN = 1.380649e-23          # J/K (exact since 2019 SI)
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
 GRAVITY = 9.80665                 # m/s^2, standard acceleration
 ATOMIC_MASS = 1.66053906660e-27   # kg
+
+
+class ModelInputError(ValueError):
+    """No loss channel where one is needed, an untrapped cloud, a model
+    field out of its bound or a value out of float range; inputs names the
+    model inputs that set it."""
+
+    def __init__(self, message: str, *inputs: str) -> None:
+        super().__init__(message)
+        self.inputs = inputs
 
 
 # --- species ----------------------------------------------------------------
@@ -117,11 +129,9 @@ class MotBeamParams:
                 raise _field_error(name, "positive")
 
 
-def _field_error(name: str, bound: str) -> ValueError:
-    """dynamics.ModelInputError for a dataclass field out of its bound,
-    which cli.main names by its config key.  The class is imported here,
-    when needed, because dynamics imports this module and trap."""
-    from .dynamics import ModelInputError
+def _field_error(name: str, bound: str) -> ModelInputError:
+    """ModelInputError for a dataclass field out of its bound, which
+    cli.main names by its config key."""
     return ModelInputError(f"{name} must be {bound}", name)
 
 

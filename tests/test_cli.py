@@ -700,6 +700,75 @@ def test_row_width_checked_against_the_header(tmp_path, capsys):
         pytest.approx(1.3e-11, rel=1e-3, abs=0))
 
 
+TOO_FEW_DISTINCT = {  # fit kind: a file of one sample time too few, and
+    # the error; each of these used to print a value and exit 0
+    "loading-rate": ("t_s,n_atoms,sigma_n_atoms\n0,0,1\n0.1,5e6,1\n"
+                     "0.2,9e6,1\n0.2,9.1e6,1\n0.2,8.9e6,1\n",
+                     "need at least 4 samples at distinct times"),
+    "decay": ("t_s,n_atoms,sigma_n_atoms\n1,2e8,2e6\n1,1.5e8,1.5e6\n"
+              "1,1e8,1e6\n1,8e7,8e5\n1,5e7,5e5\n",
+              "need at least 3 samples at distinct times"),
+    "kappa": ("x,y,sigma_y\n1e-14,3,0.03\n1e-14,4,0.04\n1e-14,5,0.05\n"
+              "1e-14,7,0.07\n", "need at least 3 distinct abscissae"),
+    "tof": ("t_s,sigma_m,sigma_sigma_m\n0.004,2e-4,2e-6\n0.004,3e-4,3e-6\n"
+            "0.004,4e-4,4e-6\n", "need at least 2 distinct expansion times"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOO_FEW_DISTINCT))
+def test_fit_needs_distinct_sample_times(tmp_path, capsys, kind):
+    # a fit's minimum number of samples counts distinct abscissae: equal
+    # times divided by zero in the decay fit's start value and reported
+    # beta_dd at its bound as converged, and the other fits printed values
+    text, message = TOO_FEW_DISTINCT[kind]
+    csv = tmp_path / "data.csv"
+    csv.write_text(text)
+    out = tmp_path / "fit.txt"
+    assert run("fit", kind, "--paper-defaults", "--data", str(csv),
+               "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_profile_table_with_a_duplicated_point(tmp_path, capsys):
+    # four rows on a 2 x 2 grid with (0, 0) twice and (0, 1) missing: the
+    # row count matched the grid, and the hole reached the fit as NaN
+    csv = tmp_path / "profile.csv"
+    csv.write_text("y_mm,z_mm,column_density\n0,0,1\n0,0,2\n1,0,3\n1,1,4\n")
+    assert run("fit", "profile", "--paper-defaults", "--data", str(csv)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}: profile table is not a complete y/z grid\n")
+
+
+def test_fit_decay_skips_failed_sweep_rows(tmp_path, capsys):
+    # a trailing error column is not read, and a row whose error cell is
+    # filled is skipped, in every fit's data file alike
+    rows = ["t_s,n_atoms,sigma_n_atoms", "0,2e8,2e6", "1,1.5e8,1.5e6",
+            "2,1.2e8,1.2e6", "5,8e7,8e5", "10,5e7,5e5"]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    assert run("fit", "decay", "--paper-defaults", "--data", str(plain)) == 0
+    want = capsys.readouterr().out
+    with_errors = tmp_path / "errors.csv"
+    with_errors.write_text("\n".join(
+        [rows[0] + ",error", *(r + "," for r in rows[1:3]),
+         "3,nan,nan,untrapped cloud: gravity scale xi2 must exceed xi1",
+         "4,x,,a message, with commas", *(r + "," for r in rows[3:])])
+        + "\n")
+    assert run("fit", "decay", "--paper-defaults",
+               "--data", str(with_errors)) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_nmot_csv_bad_cell_names_line(tmp_path, capsys):
+    nmot = tmp_path / "nmot.csv"
+    nmot.write_text("b_prime_g_per_cm,n_mot,sigma\n8,4e6,1\n20,6e6x,1\n")
+    assert run("sweep", "--paper-defaults", "--set", "sweep_values=8,20",
+               "--set", f"sweep_nmot_csv={nmot}") == 2
+    assert capsys.readouterr() == (
+        "", f"error: {nmot}:3: not a finite number: '6e6x'\n")
+
+
 def test_fit_tof_degenerate_note_line(tmp_path, capsys):
     # sigma^2 = (kT/m) t^2 - 1e-9 m^2 fits a negative sigma0^2: the report
     # gives sigma0 = 0 and ends with a note line

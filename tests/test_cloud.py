@@ -432,6 +432,16 @@ class TestEffectiveVolume:
         with pytest.raises(ValueError, match=message):
             effective_volume(GaussianCloud(**kw), cloud100, offset)
 
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.1), (0.3, 0.0, 0.0)],
+                             ids=["axial", "radial"])
+    def test_overlap_out_of_float_range(self, cloud100, offset):
+        # the axial factor underflowing to 0 raised ZeroDivisionError, and
+        # a radial integrand that underflows everywhere raised
+        # QuadratureError, although the quadrature did not fail
+        with pytest.raises(ValueError, match="^MOT and trap cloud overlap "
+                                             "underflows a float$"):
+            effective_volume(self.MOT, cloud100, offset)
+
     def test_disagreeing_passes_raise(self, monkeypatch, cloud100):
         # the two-pass check stays: passes that disagree by more than 1e-3
         # are a QuadratureError, not a value

@@ -1,0 +1,77 @@
+"""Only flatfile.read_lines reads a file.
+
+Every config, species and data file reaches the package through
+flatfile.read_lines, so one place strips comments and blanks and names a
+file that cannot be decoded, and flatfile.read_csv, built on it, is the
+one place a data file becomes numbers.  A module that read a file itself
+would bypass both.  The guard looks for open( for reading (no mode, or a
+mode without w, a or x), read_text, read_bytes and numpy's loadtxt and
+genfromtxt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cliptrap"
+READERS = {"read_text", "read_bytes", "loadtxt", "genfromtxt"}
+OPENERS = {"open", "fdopen"}
+
+
+def reads_a_file(call: ast.Call) -> bool:
+    """Whether call reads a file; an opener reads unless one of its string
+    arguments, its mode, holds w, a or x."""
+    callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if callee in READERS:
+        return True
+    if callee not in OPENERS:
+        return False
+    args = [*call.args, *(kw.value for kw in call.keywords)]
+    return not any(isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                   and set(arg.value) & set("wax") for arg in args)
+
+
+def read_sites(path: Path) -> list[str]:
+    """module.function of each call in path that reads a file; a call
+    outside any function is module.<module>."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and reads_a_file(node):
+            sites.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_only_read_lines_reads_a_file():
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in read_sites(path)]
+    assert sites == ["flatfile.read_lines"]
+
+
+def test_guard_sees_each_kind_of_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "import numpy as np\n"
+        "from pathlib import Path\n"
+        "TEXT = Path('a').read_text()\n"
+        "def reads(p, fd):\n"
+        "    open(p)\n"
+        "    open(p, 'rb')\n"
+        "    Path(p).open(mode='r')\n"
+        "    Path(p).read_bytes()\n"
+        "    np.loadtxt(p)\n"
+        "    np.genfromtxt(p)\n"
+        "    os.fdopen(fd)\n"
+        "def writes(p, fd):\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='ab')\n"
+        "    Path(p).open('x')\n"
+        "    os.fdopen(fd, 'w')\n"
+        "    Path(p).write_text('')\n")
+    assert read_sites(probe) == ["probe.<module>"] + ["probe.reads"] * 7
