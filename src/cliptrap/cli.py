@@ -108,6 +108,10 @@ PAPER_DEFAULTS: dict[str, str] = {
 # The config key of each model input; see Key.feeds.
 _KEY_OF: dict[str, str] = {key.feeds: name for name, key in KEYS.items()
                            if key.feeds}
+# A sweep table's first column, for each input a key with a unit feeds:
+# the swept input, named with that unit.
+_SWEEP_COLUMN: dict[str, str] = {key.feeds: f"{key.feeds}_{key.unit}"
+                                 for key in KEYS.values() if key.unit}
 
 
 class ConfigError(Exception):
@@ -282,7 +286,7 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
                               "which computes it at every point")
     scen = scenario_from_config(cfg)
     parameter = _get(cfg, "sweep_parameter")
-    # the key that feeds it gives the unit; SweepSpec rejects a name
+    # the key that feeds it gives the scale; SweepSpec rejects a name
     # outside sweeps.SWEEPABLE, the inputs that the keys with a unit feed
     key = KEYS.get(_KEY_OF.get(parameter), Key(float, ""))
     if listed := _get(cfg, "sweep_values"):
@@ -311,7 +315,7 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     return _csv([[vb]
                  + [row[n] * 1e6 if n == "v_mt" else row[n] for n in outputs]
                  + [row["error"]] for vb, row in zip(values_b, rows)],
-                [f"{parameter}_{key.unit}", *outputs, "error"])
+                [_SWEEP_COLUMN[parameter], *outputs, "error"])
 
 
 def cmd_synth(cfg: dict[str, str], args: argparse.Namespace) -> str:
@@ -347,6 +351,17 @@ def _read_kappa_csv(path: str) -> DataSet:
                    x_label=header[ix], y_label="kappa")
 
 
+def _read_series_csv(path: str) -> DataSet:
+    """A time series for the decay, tof and loading-rate fits: DataSet's
+    positional columns, but not a sweep table, whose first column is the
+    swept trap parameter."""
+    data = DataSet.from_csv(path)
+    if data.x_label in _SWEEP_COLUMN.values():
+        raise ConfigError(f"{path}: a sweep table (first column "
+                          f"{data.x_label}), not a time series")
+    return data
+
+
 def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Long-format profile table: y_mm, z_mm, column_density columns, one
     row for each point of a complete y/z grid."""
@@ -370,7 +385,7 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # module-global name, so a wrapper installed on this module sees them.
 
 def _fit_loading_rate(cfg: dict[str, str], path: str) -> list[tuple]:
-    rate = fit_loading_rate(DataSet.from_csv(path))
+    rate = fit_loading_rate(_read_series_csv(path))
     return [("loading_rate_atoms_per_s", rate)]
 
 
@@ -385,7 +400,7 @@ def _fit_kappa(cfg: dict[str, str], path: str) -> list[tuple]:
 
 
 def _fit_decay(cfg: dict[str, str], path: str) -> list[tuple]:
-    res = fit_decay(DataSet.from_csv(path), scenario_from_config(cfg).v_mt)
+    res = fit_decay(_read_series_csv(path), scenario_from_config(cfg).v_mt)
     return [("gamma_per_s", res["gamma"]),
             ("gamma_sigma_per_s", res.sigma("gamma")),
             ("beta_dd_cm3_per_s", res["beta_dd"] * 1e6),
@@ -394,7 +409,7 @@ def _fit_decay(cfg: dict[str, str], path: str) -> list[tuple]:
 
 
 def _fit_tof(cfg: dict[str, str], path: str) -> list[tuple]:
-    res = fit_tof(DataSet.from_csv(path), _species(cfg))
+    res = fit_tof(_read_series_csv(path), _species(cfg))
     return [("temperature_uk", res["temperature"] * 1e6),
             ("temperature_sigma_uk", res.sigma("temperature") * 1e6),
             ("sigma0_mm", res["sigma0"] * 1e3),

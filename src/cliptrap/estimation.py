@@ -209,11 +209,13 @@ def least_squares(model, data: DataSet, initial, bounds=None,
 
     bounds, if given, is a (lower, upper) pair of arrays; a parameter on a
     bound that the descent direction would cross is held for that step, and
-    candidate steps are projected onto the box.  Stops on an accepted step
-    with relative parameter change below 1e-9 or relative residual change
-    below 1e-12, or on a rejected step smaller than 1e-9 relative (a
-    floating-point minimum); after 200 iterations the best-so-far
-    parameters are returned with converged = False.
+    candidate steps are projected onto the box.  A candidate whose cost is
+    not finite, or whose log parameter is past exp's float range, costs inf
+    and is rejected.  Stops on an accepted step with relative parameter
+    change below 1e-9 or relative residual change below 1e-12, or on a
+    rejected step smaller than 1e-9 relative (a floating-point minimum);
+    after 200 iterations the best-so-far parameters are returned with
+    converged = False.
 
     numpy does the work on arrays of the data's length: the residual, the
     cost, J^T J, J^T r and the Jacobian's scaling.  The n-parameter
@@ -251,10 +253,9 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     w = 1.0 / data.sigma_y
     minus_w = -w[:, None]
 
-    def evaluate(q):
-        p = natural(q)
+    def evaluate(p):
         f, jac_of = model(data.x, p)
-        return p, jac_of, (data.y - np.asarray(f, float)) * w
+        return jac_of, (data.y - np.asarray(f, float)) * w
 
     def residual_jacobian(p, jac_of):
         jac = np.asarray(jac_of(), float)
@@ -262,7 +263,8 @@ def least_squares(model, data: DataSet, initial, bounds=None,
             jac = jac * dp_dq(p)
         return jac * minus_w
 
-    p, jac_of, r = evaluate(q)
+    p = natural(q)
+    jac_of, r = evaluate(p)
     if not np.isfinite(r).all():
         raise ValueError("model not evaluable at the initial parameters")
     cost = float(r @ r)
@@ -294,10 +296,17 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         if bounds is not None:
             candidate = [min(max(c, l), h)
                          for c, (l, h) in zip(candidate, lo_hi)]
-        pc, jac_of_c, rc = evaluate(candidate)
-        cost_c = float(rc @ rc)
-        if not math.isfinite(cost_c):
+        try:
+            pc = natural(candidate)
+        except OverflowError:
+            # a log parameter past exp's range (about 709) has no float
+            # value: a step of infinite cost, rejected as a non-finite one
             cost_c = math.inf
+        else:
+            jac_of_c, rc = evaluate(pc)
+            cost_c = float(rc @ rc)
+            if not math.isfinite(cost_c):
+                cost_c = math.inf
         dp = max([abs(c - v) / max(abs(v), _STEP_ABS)
                   for c, v in zip(candidate, q)])
         if cost_c <= cost:

@@ -760,6 +760,43 @@ def test_fit_decay_skips_failed_sweep_rows(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("kind, parameter", zip(
+    ("decay", "tof", "loading-rate"), sweeps.SWEEPABLE))
+def test_time_series_fits_reject_a_sweep_table(tmp_path, capsys, kind,
+                                               parameter):
+    # a sweep table's first column is the swept trap parameter, not a time:
+    # these fits read it positionally and exited 0, fit decay with beta_dd
+    # at its bound and fit tof with a negative temperature
+    table = tmp_path / "sweep.csv"
+    assert run("sweep", "--paper-defaults",
+               "--set", f"sweep_parameter={parameter}",
+               "--set", "sweep_values=8,10,12,14",
+               "--set", "sweep_outputs=kappa_abscissa,kappa",
+               "--out", str(table)) == 0
+    column = table.read_text().split(",", 1)[0]
+    assert column.startswith(parameter)
+    assert run("fit", kind, "--paper-defaults", "--data", str(table)) == 2
+    assert capsys.readouterr() == ("", f"error: {table}: a sweep table "
+                                   f"(first column {column}), not a time "
+                                   "series\n")
+
+
+def test_fit_kappa_step_past_exp_range(tmp_path, capsys):
+    # a decay curve with every other row masked, fitted as kappa data: a
+    # step took log beta past exp's range (about 709), and the run ended
+    # with exit 3 and `numerical failure: math range error`
+    data = tmp_path / "decay.csv"
+    assert run("synth", "--paper-defaults", "--set", "synth_kind=decay_curve",
+               "--set", "synth_points=30", "--set", "synth_noise=0.02",
+               "--out", str(data)) == 0
+    header, *rows = data.read_text().splitlines()
+    masked = tmp_path / "masked.csv"
+    masked.write_text("\n".join([f"{header},mask", *(
+        f"{row},{i % 2}" for i, row in enumerate(rows))]) + "\n")
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(masked)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_nmot_csv_bad_cell_names_line(tmp_path, capsys):
     nmot = tmp_path / "nmot.csv"
     nmot.write_text("b_prime_g_per_cm,n_mot,sigma\n8,4e6,1\n20,6e6x,1\n")

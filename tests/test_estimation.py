@@ -240,6 +240,25 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             least_squares(PROPORTIONAL, d, [1.0], log=(True, True))
 
+    def test_log_parameter_past_float_range_is_rejected(self):
+        # f = (ln p)^2 x from p = e: the first steps take ln p to about
+        # 1000, past exp's range, and cost inf without a model call; the
+        # fit then reaches ln p = sqrt(2000)
+        x = np.linspace(1, 4, 8)
+        seen = []
+
+        def model(xx, p):
+            seen.append(p[0])
+            q = math.log(p[0])
+            return q * q * xx, lambda: (2 * q / p[0] * xx)[:, None]
+        res = least_squares(model, dataset(x, 2000 * x), [math.e],
+                            log=(True,))
+        assert res.converged
+        assert math.log(res["p0"]) == pytest.approx(math.sqrt(2000),
+                                                    rel=1e-12, abs=0)
+        assert len(seen) < res.iterations + 1
+        assert all(map(math.isfinite, seen))
+
     def test_exact_parabola(self):
         x = np.array([-1.0, 0.0, 2.0, 3.0])
         y = 0.5 * x ** 2 - x + 3

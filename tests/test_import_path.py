@@ -4,7 +4,8 @@ scipy is needed only by effective_volume's 2D overlap quadrature and by
 the test oracles, and mpmath only by the test oracles.  A fresh
 interpreter imports cliptrap, then runs each subcommand, synth kind and
 fit kind in turn, and reports the scipy and mpmath modules loaded after
-each step.
+each step.  The package itself imports none of its modules, so the
+first step also reports any cliptrap submodule it loaded.
 """
 
 import json
@@ -25,7 +26,8 @@ def oracle_modules():
                   if m.split(".")[0] in ("scipy", "mpmath"))
 
 import cliptrap
-report = {"import cliptrap": [0, oracle_modules()]}
+report = {"import cliptrap": [0, oracle_modules() + sorted(
+    m for m in sys.modules if m.startswith("cliptrap."))]}
 
 from cliptrap import cli
 from cliptrap.cloud import column_density, make_thermal_cloud
