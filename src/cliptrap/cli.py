@@ -276,7 +276,8 @@ def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
     scen = scenario_from_config(cfg)
     t, n = dynamics.evolve(scen, _get(cfg, "n0_atoms"), _get(cfg, "t_end_s"),
                            _get(cfg, "samples"))
-    return _csv([[ti, ni] for ti, ni in zip(t, n)], ["t_s", "n_atoms"])
+    return _csv([[ti, ni] for ti, ni in zip(t, n)],
+                [sweeps.TIME_COLUMN, "n_atoms"])
 
 
 def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
@@ -333,13 +334,17 @@ def _read_kappa_csv(path: str) -> DataSet:
     Accepts synth output (abscissa, kappa, sigma_kappa), plain 3-column
     CSV, and sweep output, whose extra columns would break positional
     parsing.  flatfile.read_csv checks every cell and skips a failed sweep
-    point; this picks the columns.
+    point; this picks the columns.  A time series, whose first column is
+    the time, is refused.
     """
     header, rows = read_csv(path)
+    if header[0] == sweeps.TIME_COLUMN:
+        raise ConfigError(f"{path}: a time series (first column "
+                          f"{header[0]}), not kappa points")
     if "kappa" not in header:
         return DataSet.from_csv(path)
     ix = next((header.index(n) for n in
-               ("rv_over_nmot2_m3_per_s", "kappa_abscissa") if n in header),
+               (sweeps.ABSCISSA_COLUMN, "kappa_abscissa") if n in header),
               None)
     if ix is None:
         raise ConfigError(f"{path}: no abscissa column for the kappa fit")
@@ -353,11 +358,15 @@ def _read_kappa_csv(path: str) -> DataSet:
 
 def _read_series_csv(path: str) -> DataSet:
     """A time series for the decay, tof and loading-rate fits: DataSet's
-    positional columns, but not a sweep table, whose first column is the
-    swept trap parameter."""
+    positional columns, but neither a sweep table, whose first column is
+    the swept trap parameter, nor kappa points, whose first column is the
+    master curve's abscissa."""
     data = DataSet.from_csv(path)
     if data.x_label in _SWEEP_COLUMN.values():
         raise ConfigError(f"{path}: a sweep table (first column "
+                          f"{data.x_label}), not a time series")
+    if data.x_label == sweeps.ABSCISSA_COLUMN:
+        raise ConfigError(f"{path}: kappa points (first column "
                           f"{data.x_label}), not a time series")
     return data
 

@@ -19,10 +19,10 @@ They hold because integrating the radial plane over angle first gives
 
 (Gradshteyn & Ryzhik 6.623), and the axial Gaussian factor integrates
 analytically.  trap_volume, the one V_MT path, uses them without building
-a cloud.  Only the MOT overlap integral of effective_volume is still done
-by 2D adaptive quadrature, in polar coordinates centred on the trap, where
-the area element cancels the density's cusp at the centre; scipy is
-imported there, on first use.
+a cloud.  The MOT overlap of effective_volume has no closed form: the same
+angular integral leaves one radial integral of rho e^{-rho^2/2s^2 -
+rho/xi1} I0(c rho), done by composite 20-node Gauss-Legendre panels in
+numpy, two passes checked against each other.
 """
 
 from __future__ import annotations
@@ -32,15 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import scaled_x_k0_k1
+from .bessel import i0e, scaled_x_k0_k1
 from .species import BOLTZMANN, GRAVITY, ModelInputError, Species
 from .trap import IpTrapConfig
 
 _QUAD_RTOL = 1e-8
+_TAIL = 40.0  # exponent drop at the ends of the radial range
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """effective_volume's two Gauss-Legendre passes, with panels of two
+    widths, disagree by more than _QUAD_RTOL relative."""
 
 
 class CloudRangeError(ModelInputError):
@@ -60,37 +62,72 @@ class UntrappedCloudError(ModelInputError):
                          "radial_gradient")
 
 
-def _dblquad_checked(f, box_x, box_y) -> float:
-    """Two-pass adaptive double integral with a self-consistency check.
+# The 20-node Gauss-Legendre rule on [-1, 1], exact for polynomials of
+# degree <= 39 (Abramowitz & Stegun, Table 25.4): the positive nodes and
+# their weights, mirrored.  As literals, the rule costs no LAPACK call.
+_GL_HALF = np.array([
+    (0.076526521133497333755, 0.15275338713072585070),
+    (0.22778585114164507808, 0.14917298647260374679),
+    (0.37370608871541956067, 0.14209610931838205133),
+    (0.51086700195082709800, 0.13168863844917662690),
+    (0.63605368072651502545, 0.11819453196151841731),
+    (0.74633190646015079261, 0.10193011981724043504),
+    (0.83911697182221882339, 0.083276741576704748725),
+    (0.91223442825132590587, 0.062672048334109063570),
+    (0.96397192727791379127, 0.040601429800386941331),
+    (0.99312859918509492479, 0.017614007139152118312)])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 
-    The rough first pass anchors an absolute tolerance for the accurate
-    second pass, so that inner integrals near the edge of the box, up to
-    e^-50 below the peak's, are not resolved to relative accuracy.
-    Agreement between the passes is the convergence criterion: dblquad's
-    error estimate is the outer pass's, which takes each inner integral
-    as exact.  A rough pass of 0 is returned as 0: the integrand, which
-    is not negative, underflows wherever it was sampled.
+
+def _panel_sum(f, lo: float, hi: float, count: int, c: float) -> float:
+    """f summed over `count` equal 20-node Gauss-Legendre panels on
+    [lo, hi].
+
+    Where lo = 0, the first panel, of width w, is split at w/2, w/4, ...
+    down to a width of at most 1/c: i0e(c rho) bends from 1 to its
+    1/sqrt(2 pi c rho) tail at rho ~ 1/c.
     """
-    import warnings
+    edges = lo + (hi - lo) / count * np.arange(count + 1)
+    if lo == 0 and c * edges[1] > 1:
+        splits = math.ceil(math.log2(c * edges[1]))
+        edges = np.concatenate(
+            [[0.0], edges[1] * 2.0 ** np.arange(-splits, 0), edges[1:]])
+    half = 0.5 * np.diff(edges)
+    nodes = edges[:-1, None] + half[:, None] * (1 + _GL_NODES)
+    return float(np.sum(f(nodes) * half[:, None] * _GL_WEIGHTS))
 
-    from scipy import integrate
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        rough, _ = integrate.dblquad(f, *box_x, *box_y,
-                                     epsabs=0.0, epsrel=1e-4)
-        if not math.isfinite(rough):
-            raise QuadratureError("rough quadrature pass returned %r" % rough)
-        if rough == 0.0:
-            return 0.0
-        val, _ = integrate.dblquad(f, *box_x, *box_y,
-                                   epsabs=1e-2 * _QUAD_RTOL * abs(rough),
-                                   epsrel=1e-2 * _QUAD_RTOL)
-    achieved = abs(val - rough) / max(abs(val), 1e-300)
-    if not math.isfinite(val) or achieved > 1e-3:
+def _radial_integral(m: float, c: float, s: float) -> float:
+    """int_0^inf rho i0e(c rho) exp(-q (q + 2d) / (2 s^2)) drho, with
+    q = rho - max(m, 0) and d = max(0, -m): the in-plane overlap over its
+    peak exponent (see effective_volume).
+
+    The range ends where the exponent has fallen by _TAIL from its peak
+    at max(m, 0).  The integrand's decay length is s^2 / max(s, d): the
+    Gaussian's s, or, where its centre m lies far below rho = 0, the
+    length s^2/d of the exponential fall from rho = 0, at least
+    min(s, xi1).  Two composite Gauss-Legendre passes, with panels of
+    twice and once that length, must agree to _QUAD_RTOL; the finer is
+    returned.
+    """
+    top = max(m, 0.0)
+    d = top - m
+
+    def f(rho):
+        q = rho - top
+        return rho * i0e(c * rho) * np.exp(-q * (q + 2 * d) / (2 * s * s))
+
+    reach = s * math.sqrt(2 * _TAIL)
+    lo = max(0.0, m - reach)
+    hi = top + reach * reach / (d + math.hypot(d, reach))
+    count = math.ceil((hi - lo) * max(s, d) / (2 * s * s))
+    rough = _panel_sum(f, lo, hi, count, c)
+    val = _panel_sum(f, lo, hi, 2 * count, c)
+    if not abs(val - rough) <= _QUAD_RTOL * val:
         raise QuadratureError(
-            f"quadrature passes disagree: achieved relative tolerance "
-            f"{achieved:.2e}, requested {_QUAD_RTOL:.0e}")
+            f"quadrature passes disagree: {rough!r} and {val!r} differ by "
+            f"more than {_QUAD_RTOL:.0e} relative")
     return val
 
 
@@ -259,46 +296,46 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     magnetic trap, V_eff is often approximated by the trap volume,
     occupied_volume(mt).
 
-    The radial plane is integrated in polar coordinates (rho, phi) about
-    the trap center, phi measured from the direction of the MOT center at
-    distance r0, over the annulus |rho - r0| <= 10 sigma; where r0 > 10
-    sigma, only its sector |phi| <= asin(10 sigma / r0), which holds the
-    MOT's 10 sigma disc.  The area element rho cancels the cusp of
-    exp(-rho/xi1) at the trap center, and the MOT peak sits at phi = 0,
-    the midpoint of the angular range.  Where the MOT lies so far from
-    the trap cloud that the overlap underflows a float, raises ValueError.
+    The axial factor, a product of two Gaussians, is analytic.  In the
+    radial plane, in polar coordinates (rho, phi) about the trap center,
+    the exponent is linear in (cos phi, sin phi), so the angular integral
+    is 2 pi I0(c rho), c = |r0/s^2 - y_hat/xi2|, and
+
+        2 pi e^{-r0^2/2s^2} int rho e^{-rho^2/2s^2 - rho/xi1} I0(c rho) drho
+
+    is left, s the MOT's radial 1/sqrt(e) radius and r0 its center in the
+    plane.  With I0 = e^{c rho} i0e(c rho), the exponent is
+    -(rho - m)^2/(2 s^2) plus a constant, m = s^2 (c - 1/xi1): its peak on
+    rho >= 0 is taken out in closed form, and _radial_integral evaluates
+    the rest by two checked Gauss-Legendre passes.  Where the MOT lies so
+    far from the trap cloud that V_eff overflows a float, raises
+    ValueError; where the passes disagree, QuadratureError.
     """
     if not all(map(math.isfinite, offset)):
         raise ValueError(f"offset {offset!r} must be finite")
     x0, y0, z0 = offset
-    sr, sa = mot.sigma_radial, mot.sigma_axial
+    s, sa, sz = mot.sigma_radial, mot.sigma_axial, mt.sigma_z
     inv1 = 1.0 / mt.xi1
     inv2 = 0.0 if math.isinf(mt.xi2) else 1.0 / mt.xi2
 
-    # Axial factor: product of two Gaussians, analytic.
-    s2 = sa * sa + mt.sigma_z ** 2
-    axial = math.sqrt(2 * math.pi * sa * sa * mt.sigma_z ** 2 / s2) \
-        * math.exp(-z0 * z0 / (2 * s2))
+    rho_c = math.hypot(x0, y0 - s * s * inv2)  # s^2 c
+    m = rho_c - s * s * inv1
+    if m > 0:  # the exponent at rho = m, formed without cancellation
+        peak = (s * s * inv2 * inv2 / 2 - y0 * inv2 - m * inv1
+                - s * s * inv1 * inv1 / 2)
+    else:  # at the trap center, where the trap density is n0
+        peak = -(x0 * x0 + y0 * y0) / (2 * s * s)
+    exponent = peak - z0 * z0 / (2 * (sa * sa + sz * sz))
 
-    r0 = math.hypot(x0, y0)
-    alpha = math.atan2(y0, x0)
-    k = 1 / (2 * sr * sr)
-
-    def f(rho, phi):
-        # |r - r0|^2 = (rho - r0)^2 + 4 rho r0 sin^2(phi/2), no cancellation
-        h = math.sin(0.5 * phi)
-        return rho * math.exp(-((rho - r0) ** 2 + 4 * rho * r0 * h * h) * k
-                              - rho * (inv1 + math.sin(phi + alpha) * inv2))
-
-    # Product is localized by the MOT Gaussian around its center.
-    box = 10 * sr
-    top = math.asin(box / r0) if r0 > box else math.pi
-    val = (_dblquad_checked(f, (-top, top), (max(0.0, r0 - box), r0 + box))
-           if axial > 0 else 0.0)
-
-    mot_peak = mot.atom_number / ((2 * math.pi) ** 1.5 * sr * sr * sa)
-    overlap = mot_peak * mt.peak_density * val * axial
-    v = mot.atom_number * mt.atom_number / overlap if overlap > 0 else math.inf
+    # V_eff = (N_MT / n0) s^2 hypot(sa, sz) / (sz S) e^{-exponent}, S the
+    # radial integral: the MOT's (2 pi)^(3/2) cancels the angle's 2 pi and
+    # the axial Gaussians' sqrt(2 pi)
+    base = (mt.atom_number / mt.peak_density * s * s * math.hypot(sa, sz)
+            / (sz * _radial_integral(m, rho_c / (s * s), s)))
+    try:  # in logs: exp(-exponent) may overflow where V_eff does not
+        v = math.exp(math.log(base) - exponent)
+    except OverflowError:
+        v = math.inf
     if v == math.inf:
         raise ValueError("MOT and trap cloud overlap underflows a float")
     return v

@@ -40,6 +40,10 @@ _FORMULAS = {
 }
 OUTPUTS = tuple(_FORMULAS)
 DEFAULT_OUTPUTS = OUTPUTS[:6]
+# First columns of the synthetic data files: the fits' readers tell a time
+# series from kappa points by them.
+TIME_COLUMN = "t_s"
+ABSCISSA_COLUMN = "rv_over_nmot2_m3_per_s"
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
                 "float", "gamma_d", "beta_ed", "beta_dd", "v_mt")
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
         x, y = t, n
-        labels = ("t_s", "n_atoms")
+        labels = (TIME_COLUMN, "n_atoms")
     elif kind == "decay_curve":
         t = _log_grid(0.05, 150.0, points)
         t[0] = 0.0  # anchor the initial atom number
@@ -162,7 +166,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
                            scenario.coefficients.gamma_d,
                            scenario.coefficients.beta_dd, scenario.v_mt, t)
         x = t
-        labels = ("t_s", "n_atoms")
+        labels = (TIME_COLUMN, "n_atoms")
     elif kind == "tof_series":
         t = np.linspace(1e-3, 8e-3, points)
         kt = scenario.mt_temperature
@@ -172,7 +176,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
                                           1.0, kt).xi1
         y = cloud.tof_radius(sigma0, kt, scenario.species, t)
         x = t
-        labels = ("t_s", "sigma_m")
+        labels = (TIME_COLUMN, "sigma_m")
     elif kind == "kappa_points":
         x0 = scenario.kappa_abscissa
         if not (0.1 * x0 > 0 and 10 * x0 < math.inf):
@@ -183,7 +187,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         x = _log_grid(0.1 * x0, 10 * x0, points)
         y = dynamics.kappa_of_abscissa(x, scenario.coefficients.beta_dd,
                                        scenario.coefficients.beta_ed)
-        labels = ("rv_over_nmot2_m3_per_s", "kappa")
+        labels = (ABSCISSA_COLUMN, "kappa")
     else:
         raise ValueError(f"unknown kind {kind!r}")
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import k0, k1
+from scipy.special import i0e as scipy_i0e
+from scipy.special import i1e, k0, k1
 
-from cliptrap.bessel import _k0_k1, bessel_k1, scaled_x_k0_k1, scaled_x_k1
+from cliptrap.bessel import _k0_k1, bessel_k1, i0e, scaled_x_k0_k1, scaled_x_k1
 
 
 def k1_integral_oracle(x: float) -> float:
@@ -269,3 +270,47 @@ def test_scaled_pair_limits_and_values():
     assert pair == (uk0[4], uk1[4])
     with pytest.raises(ValueError):
         scaled_x_k0_k1(np.array([1.0, -1.0]))
+
+
+# --- I0, exponentially scaled ----------------------------------------------
+# i0e sums the Cephes Chebyshev series that scipy's i0e sums, so both
+# agree to a few ulp: 1e-15 relative.
+
+def test_i0e_against_scipy_from_zero_to_a_million():
+    grid = np.concatenate([[0.0], np.geomspace(1e-300, 1e6, 20001),
+                           np.linspace(0.0, 16.0, 16001),
+                           np.linspace(7.99, 8.01, 2001)])
+    assert np.allclose(i0e(grid), scipy_i0e(grid), rtol=1e-15, atol=0.0)
+
+
+BELOW_EIGHT = float(np.nextafter(8.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(7.9, 8.1), dx=st.floats(0.0, 1e-6))
+@example(x=BELOW_EIGHT, dx=0.0)
+@example(x=BELOW_EIGHT, dx=8.0 - BELOW_EIGHT)  # the [0, 8] series, then 1/x
+@example(x=8.0, dx=1e-15)
+def test_property_i0e_continuous_across_switch(x, dx):
+    # either side of the x = 8 switch between the two series, i0e matches
+    # scipy's to 1e-15, and the step between two arguments is the slope
+    # i0e' = i1e - i0e times their distance, to 1e-15 of i0e plus the
+    # curvature term (|i0e''| < 1 here): no jump at the switch
+    y = x + dx
+    v = i0e(np.array([x, y]))
+    assert v[0] == i0e(x) and v[1] == i0e(y)
+    assert np.allclose(v, scipy_i0e([x, y]), rtol=1e-15, atol=0.0)
+    slope = i1e(x) - scipy_i0e(x)
+    assert abs((v[1] - v[0]) - slope * (y - x)) <= 1e-15 * v[0] + (y - x) ** 2
+
+
+def test_i0e_limits_types_and_domain():
+    assert i0e(0.0) == 1.0 and i0e(math.inf) == 0.0
+    assert type(i0e(1.0)) is float and type(i0e(np.float64(9.0))) is float
+    assert i0e(np.ones((2, 3))).shape == (2, 3)
+    assert i0e(np.zeros((0,))).shape == (0,)
+    for bad in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValueError, match="i0e requires x >= 0"):
+            i0e(np.array([1.0, bad, 9.0]))
+        with pytest.raises(ValueError, match="i0e requires x >= 0"):
+            i0e(bad)

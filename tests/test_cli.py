@@ -781,6 +781,35 @@ def test_time_series_fits_reject_a_sweep_table(tmp_path, capsys, kind,
                                    "series\n")
 
 
+@pytest.mark.parametrize("kind", ["decay", "tof", "loading-rate"])
+def test_time_series_fits_reject_kappa_points(tmp_path, capsys, kind):
+    # kappa points read positionally as a time series exited 0: fit decay
+    # with beta_dd = 1.4e-81 cm^3/s and converged = True, fit tof with
+    # temperature_uk = 1.4e+33
+    data = tmp_path / "kappa.csv"
+    assert run("synth", "--paper-defaults", "--out", str(data)) == 0
+    assert data.read_text().startswith("rv_over_nmot2_m3_per_s,kappa,")
+    assert run("fit", kind, "--paper-defaults", "--data", str(data)) == 2
+    assert capsys.readouterr() == ("", f"error: {data}: kappa points (first "
+                                   "column rv_over_nmot2_m3_per_s), not a "
+                                   "time series\n")
+
+
+@pytest.mark.parametrize("synth_kind", ["decay_curve", "loading_curve",
+                                        "tof_series"])
+def test_kappa_fit_rejects_a_time_series(tmp_path, capsys, synth_kind):
+    # a time series read positionally as kappa points: fit kappa on a
+    # decay curve with its t = 0 row masked printed beta_ed = 1.1e+44 with
+    # converged = True
+    data = tmp_path / "series.csv"
+    assert run("synth", "--paper-defaults", "--set",
+               f"synth_kind={synth_kind}", "--out", str(data)) == 0
+    assert data.read_text().startswith("t_s,")
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(data)) == 2
+    assert capsys.readouterr() == ("", f"error: {data}: a time series (first "
+                                   "column t_s), not kappa points\n")
+
+
 def test_fit_kappa_step_past_exp_range(tmp_path, capsys):
     # a decay curve with every other row masked, fitted as kappa data: a
     # step took log beta past exp's range (about 709), and the run ended
@@ -790,6 +819,9 @@ def test_fit_kappa_step_past_exp_range(tmp_path, capsys):
                "--set", "synth_points=30", "--set", "synth_noise=0.02",
                "--out", str(data)) == 0
     header, *rows = data.read_text().splitlines()
+    # a first column named t_s is refused as kappa data: name it x, so the
+    # same numbers still reach the solver
+    header = header.replace("t_s", "x", 1)
     masked = tmp_path / "masked.csv"
     masked.write_text("\n".join([f"{header},mask", *(
         f"{row},{i % 2}" for i, row in enumerate(rows))]) + "\n")

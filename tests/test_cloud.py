@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import i0e
 
-from cliptrap import cli, sweeps
+from cliptrap import cli, cloud, sweeps
 from cliptrap.cloud import (CloudRangeError, GaussianCloud, QuadratureError,
                             ThermalCloud, UntrappedCloudError, column_density,
                             effective_volume, make_thermal_cloud, mt_density,
@@ -443,14 +443,45 @@ class TestEffectiveVolume:
             effective_volume(self.MOT, cloud100, offset)
 
     def test_disagreeing_passes_raise(self, monkeypatch, cloud100):
-        # the two-pass check stays: passes that disagree by more than 1e-3
-        # are a QuadratureError, not a value
-        from scipy import integrate
-        passes = iter([(1.0, 0.0), (1.01, 0.0)])
-        monkeypatch.setattr(integrate, "dblquad",
-                            lambda *args, **kwargs: next(passes))
+        # the two-pass check stays: with the 2-node Gauss-Legendre rule in
+        # place of the 20-node one, the passes at panel widths 2 sigma and
+        # sigma disagree by far more than 1e-8, and that is a
+        # QuadratureError, not a value
+        monkeypatch.setattr(cloud, "_GL_NODES", np.array([-1, 1]) / 3 ** 0.5)
+        monkeypatch.setattr(cloud, "_GL_WEIGHTS", np.ones(2))
         with pytest.raises(QuadratureError, match="passes disagree"):
             effective_volume(self.MOT, cloud100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.floats(1e-4, 2e-3), t=st.floats(20e-6, 1e-3),
+           r0=st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1000.0)),
+           phi=st.floats(-math.pi, math.pi), z0=st.floats(-3.0, 3.0),
+           gravity=st.booleans())
+    # a 2 mm MOT at 20 uK, its Gaussian envelope centred just below
+    # rho = 0, where i0e(c rho) bends on 1/36 of the MOT radius
+    @example(1.4631224843902784e-3, 2.041184397647932e-5, 35.68551878048054,
+             -0.9505, 0.0, False)
+    def test_against_angular_oracle_anywhere(self, sigma, t, r0, phi, z0,
+                                             gravity):
+        mot = GaussianCloud(atom_number=5e6, temperature=140e-6,
+                            sigma_radial=sigma, sigma_axial=sigma)
+        mt = make_thermal_cloud(CR, CFG, n=1e8, t=t, include_gravity=gravity)
+        offset = (r0 * sigma * math.cos(phi), r0 * sigma * math.sin(phi),
+                  z0 * sigma)
+        try:
+            want = overlap_oracle(mot, mt, offset)
+        except (OverflowError, ZeroDivisionError):
+            want = math.inf
+        got = outcome(effective_volume, mot, mt, offset)
+        if want < 1e200:
+            assert got == pytest.approx(want, rel=1e-8, abs=0)
+        elif isinstance(got, tuple):
+            # the oracle's intermediates leave float range, or lose digits
+            # as subnormals, well before V_eff does
+            assert got == (ValueError, "MOT and trap cloud overlap "
+                                       "underflows a float")
+        else:
+            assert got > 1e199
 
     def test_approximation_mode_is_trap_volume(self, cloud100):
         # the CLI and the sweeps take V_eff = V_MT, the trap cloud's
@@ -469,6 +500,16 @@ class TestEffectiveVolume:
         ratio = (effective_volume(self.MOT, cloud100)
                  / occupied_volume(cloud100))
         assert 0.1 < ratio < 1.2
+
+
+def test_gauss_legendre_rule_exact_to_degree_39():
+    # 20 nodes integrate x^k over [-1, 1] exactly for k <= 39, to a few
+    # ulp of the moments, and not k = 40: the rule has all 20 nodes
+    for k in range(40):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(cloud._GL_WEIGHTS @ cloud._GL_NODES ** k - exact) <= 1e-15
+    assert abs(cloud._GL_WEIGHTS @ cloud._GL_NODES ** 40 - 2 / 41) > 1e-13
+    assert np.array_equal(cloud._GL_NODES, -cloud._GL_NODES[::-1])
 
 
 class TestTofRadius:

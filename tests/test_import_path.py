@@ -1,13 +1,15 @@
-"""Every CLI command runs on numpy alone.
+"""The package runs on numpy alone.
 
-scipy is needed only by effective_volume's 2D overlap quadrature and by
-the test oracles, and mpmath only by the test oracles.  A fresh
+scipy and mpmath are needed only by the test oracles.  A fresh
 interpreter imports cliptrap, then runs each subcommand, synth kind and
-fit kind in turn, and reports the scipy and mpmath modules loaded after
-each step.  The package itself imports none of its modules, so the
-first step also reports any cliptrap submodule it loaded.
+fit kind in turn, then effective_volume, and reports the scipy and mpmath
+modules loaded after each step.  The package itself imports none of its
+modules, so the first step also reports any cliptrap submodule it loaded.
+No module of the package names a third-party import other than numpy,
+even on a path these steps do not take.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -64,6 +66,11 @@ for argv in steps:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     report[" ".join(argv)] = [code, oracle_modules()]
+
+from cliptrap.cloud import GaussianCloud, effective_volume
+mot = GaussianCloud(5e6, 140e-6, 1e-4, 1e-4)
+code = 0 if effective_volume(mot, cl, (1e-4, -2e-4, 5e-5)) > 0 else 1
+report["effective_volume"] = [code, oracle_modules()]
 print(json.dumps(report))
 '''
 
@@ -77,8 +84,36 @@ def test_no_command_loads_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {step: [0, []] for step in report}
     # a new subcommand or fit kind cannot skip this check
-    commands = {step.split()[0] for step in report} - {"import"}
+    commands = ({step.split()[0] for step in report}
+                - {"import", "effective_volume"})
     assert commands == set(cli.COMMANDS)
     assert {step.split()[1] for step in report
             if step.startswith("fit ")} == set(cli.FITS)
-    assert len(report) == 1 + 3 + 4 + len(cli.FITS)
+    assert len(report) == 1 + 3 + 4 + len(cli.FITS) + 1
+
+
+def third_party_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports in source, at any depth,
+    that are neither in the standard library nor numpy."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted({name.split(".")[0] for name in names}
+                  - sys.stdlib_module_names - {"numpy"})
+
+
+def test_package_imports_only_numpy():
+    found = {path.name: third_party_imports(path.read_text())
+             for path in sorted((SRC / "cliptrap").glob("*.py"))}
+    assert found and found == {name: [] for name in found}
+
+
+def test_a_lazy_scipy_import_is_reported():
+    # an import inside a function body is found, a relative one is not
+    source = ("import math\nfrom . import bessel\n\n\ndef f():\n"
+              "    from scipy import integrate\n"
+              "    import numpy.linalg, mpmath as mp\n")
+    assert third_party_imports(source) == ["mpmath", "scipy"]
