@@ -9,12 +9,18 @@ K0 and K1 come from one pass, with two branches joined at x = 2:
     close to machine precision all the way up to the underflow limit.
 
 i0e(x) = exp(-x) I0(x) sums Moshier's Cephes Chebyshev series (i0.c),
-one on [0, 8] and one in 1/x beyond, joined at x = 8.
+one in x/2 - 2 on [0, 8] and one in 32/x - 2 beyond, joined at x = 8.
+Both series sit in one table, a column each, so one Clenshaw recurrence
+(Clenshaw, Math. Tables Aids Comput. 9, 118 (1955)) sums each element's
+own series in a single pass of 29 steps, to the same bits as Cephes'
+chbevl.  The cost of a call is mostly the fixed overhead of its numpy
+steps, not arithmetic, so the call count matters more than its length.
 
-Every function accepts scalars (returning floats) or arrays.  Each branch
-runs on its elements at once, under a mask; an element stops updating as
-soon as its own series or fraction has converged, so its value does not
-depend on the other elements of the array.
+Every function accepts scalars (returning floats) or arrays.  K0 and K1
+run each branch on its elements at once, under a mask; an element stops
+updating as soon as its own series or fraction has converged.  i0e runs
+the same steps on every element, with its own coefficients.  So no
+element's value depends on the other elements of the array.
 """
 
 from __future__ import annotations
@@ -182,12 +188,12 @@ _I0E_LARGE = (
     8.04490411014108831608e-1)
 
 
-def _chebyshev(t: np.ndarray, coefficients) -> np.ndarray:
-    """Cephes' chbevl: the Clenshaw sum of a Chebyshev series at 2t."""
-    b0, b1, b2 = np.full_like(t, coefficients[0]), np.zeros_like(t), 0.0
-    for c in coefficients[1:]:
-        b0, b1, b2 = t * b0 - b1 + c, b0, b1
-    return 0.5 * (b0 - b2)
+# One table of both series, one column each, the 25-term series padded in
+# front with zeros: a Clenshaw step from b0 = b1 = 0 over a zero
+# coefficient leaves them 0, so the padded recurrence reaches the
+# unpadded one's start exactly and sums the same bits.
+_I0E_TABLE = np.column_stack(
+    [_I0E_SMALL, (0.0,) * (len(_I0E_SMALL) - len(_I0E_LARGE)) + _I0E_LARGE])
 
 
 def i0e(x):
@@ -199,9 +205,22 @@ def i0e(x):
     x = np.asarray(x, float)
     if not np.all(x >= 0):
         raise ValueError("i0e requires x >= 0")
-    out = np.empty(x.shape)
-    small = x <= _I0E_SWITCH
-    out[small] = _chebyshev(0.5 * x[small] - 2.0, _I0E_SMALL)
-    large = x[~small]
-    out[~small] = _chebyshev(32.0 / large - 2.0, _I0E_LARGE) / np.sqrt(large)
+    shape = x.shape
+    x = x.ravel()
+    large = x > _I0E_SWITCH
+    # Cephes' chbevl at t = x/2 - 2 on [0, 8], t = 32/x - 2 beyond
+    t = 0.5 * x
+    np.divide(32.0, x, out=t, where=large)
+    t -= 2.0
+    rows = _I0E_TABLE[:, large.astype(np.intp)]
+    # Clenshaw's recurrence b0 <- t b0 - b1 + c, in three rotating buffers
+    b0, b1, b2 = rows[0].copy(), np.zeros_like(t), np.empty_like(t)
+    for c in rows[1:]:
+        np.multiply(t, b0, out=b2)
+        b2 -= b1
+        b2 += c
+        b0, b1, b2 = b2, b0, b1
+    out = 0.5 * (b0 - b2)
+    np.divide(out, np.sqrt(x), out=out, where=large)
+    out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out

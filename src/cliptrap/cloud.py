@@ -22,7 +22,9 @@ analytically.  trap_volume, the one V_MT path, uses them without building
 a cloud.  The MOT overlap of effective_volume has no closed form: the same
 angular integral leaves one radial integral of rho e^{-rho^2/2s^2 -
 rho/xi1} I0(c rho), done by composite 20-node Gauss-Legendre panels in
-numpy, two passes checked against each other.
+numpy, two passes checked against each other.  Both passes sum one
+evaluation of the integrand on their joined nodes, so a call makes one
+i0e call and costs about 0.2-0.3 ms.
 """
 
 from __future__ import annotations
@@ -80,22 +82,27 @@ _GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
 _GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 
 
-def _panel_sum(f, lo: float, hi: float, count: int, c: float) -> float:
-    """f summed over `count` equal 20-node Gauss-Legendre panels on
-    [lo, hi].
+def _panels(lo: float, hi: float, count: int, c: float):
+    """Nodes and half-widths of two composite 20-node Gauss-Legendre rules
+    on [lo, hi], of `count` and 2 `count` equal panels, stacked by panel:
+    (nodes, half, rows), the first `rows` panels the rough rule's.
 
-    Where lo = 0, the first panel, of width w, is split at w/2, w/4, ...
-    down to a width of at most 1/c: i0e(c rho) bends from 1 to its
-    1/sqrt(2 pi c rho) tail at rho ~ 1/c.
+    Where lo = 0, each rule's first panel, of width w, is split at w/2,
+    w/4, ... down to a width of at most 1/c: i0e(c rho) bends from 1 to
+    its 1/sqrt(2 pi c rho) tail at rho ~ 1/c.
     """
-    edges = lo + (hi - lo) / count * np.arange(count + 1)
-    if lo == 0 and c * edges[1] > 1:
-        splits = math.ceil(math.log2(c * edges[1]))
-        edges = np.concatenate(
-            [[0.0], edges[1] * 2.0 ** np.arange(-splits, 0), edges[1:]])
-    half = 0.5 * np.diff(edges)
-    nodes = edges[:-1, None] + half[:, None] * (1 + _GL_NODES)
-    return float(np.sum(f(nodes) * half[:, None] * _GL_WEIGHTS))
+    left, widths = [], []
+    for n in (count, 2 * count):
+        edges = lo + (hi - lo) / n * np.arange(n + 1)
+        if lo == 0 and c * edges[1] > 1:
+            splits = math.ceil(math.log2(c * edges[1]))
+            edges = np.concatenate(
+                [[0.0], edges[1] * 2.0 ** np.arange(-splits, 0), edges[1:]])
+        left.append(edges[:-1])
+        widths.append(edges[1:] - edges[:-1])
+    half = 0.5 * np.concatenate(widths)
+    nodes = np.concatenate(left)[:, None] + half[:, None] * (1 + _GL_NODES)
+    return nodes, half, len(left[0])
 
 
 def _radial_integral(m: float, c: float, s: float) -> float:
@@ -109,7 +116,8 @@ def _radial_integral(m: float, c: float, s: float) -> float:
     length s^2/d of the exponential fall from rho = 0, at least
     min(s, xi1).  Two composite Gauss-Legendre passes, with panels of
     twice and once that length, must agree to _QUAD_RTOL; the finer is
-    returned.
+    returned.  The integrand is evaluated once, on both passes' nodes
+    together, and each pass sums its own panels.
     """
     top = max(m, 0.0)
     d = top - m
@@ -122,8 +130,10 @@ def _radial_integral(m: float, c: float, s: float) -> float:
     lo = max(0.0, m - reach)
     hi = top + reach * reach / (d + math.hypot(d, reach))
     count = math.ceil((hi - lo) * max(s, d) / (2 * s * s))
-    rough = _panel_sum(f, lo, hi, count, c)
-    val = _panel_sum(f, lo, hi, 2 * count, c)
+    nodes, half, rows = _panels(lo, hi, count, c)
+    terms = f(nodes) * half[:, None] * _GL_WEIGHTS
+    rough = float(np.sum(terms[:rows]))
+    val = float(np.sum(terms[rows:]))
     if not abs(val - rough) <= _QUAD_RTOL * val:
         raise QuadratureError(
             f"quadrature passes disagree: {rough!r} and {val!r} differ by "
@@ -307,9 +317,10 @@ def effective_volume(mot: GaussianCloud, mt: ThermalCloud,
     plane.  With I0 = e^{c rho} i0e(c rho), the exponent is
     -(rho - m)^2/(2 s^2) plus a constant, m = s^2 (c - 1/xi1): its peak on
     rho >= 0 is taken out in closed form, and _radial_integral evaluates
-    the rest by two checked Gauss-Legendre passes.  Where the MOT lies so
-    far from the trap cloud that V_eff overflows a float, raises
-    ValueError; where the passes disagree, QuadratureError.
+    the rest by two checked Gauss-Legendre passes, which share one
+    evaluation of the integrand.  Where the MOT lies so far from the trap
+    cloud that V_eff overflows a float, raises ValueError; where the
+    passes disagree, QuadratureError.
     """
     if not all(map(math.isfinite, offset)):
         raise ValueError(f"offset {offset!r} must be finite")

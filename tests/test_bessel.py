@@ -304,6 +304,26 @@ def test_property_i0e_continuous_across_switch(x, dx):
     assert abs((v[1] - v[0]) - slope * (y - x)) <= 1e-15 * v[0] + (y - x) ** 2
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (17,), (3, 6), (0, 4)])
+def test_i0e_array_equals_scalar_calls(shape):
+    # one array call sums both series in one pass, each element in its own
+    # column; an element's bits must not depend on its neighbours, so the
+    # array call equals one scalar call per element, bit for bit
+    pool = np.array([0.0, 1e-300, 0.5, 7.25, 8.0, np.nextafter(8.0, 0.0),
+                     np.nextafter(8.0, math.inf), 8.5, 33.0, 709.0, 1e6,
+                     1e300, math.inf, 4.0, 12.0, 2.0, 100.0, 3.0])
+    x = pool[:math.prod(shape)].reshape(shape)
+    got = i0e(x)
+    want = np.array([i0e(float(v)) for v in x.ravel()]).reshape(shape)
+    if shape == ():
+        assert type(got) is float
+    assert np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+    for order in (slice(None), slice(None, None, -1)):
+        mixed = pool[order]
+        assert np.array_equal(i0e(mixed).view(np.int64),
+                              np.array([i0e(v) for v in mixed]).view(np.int64))
+
+
 def test_i0e_limits_types_and_domain():
     assert i0e(0.0) == 1.0 and i0e(math.inf) == 0.0
     assert type(i0e(1.0)) is float and type(i0e(np.float64(9.0))) is float
