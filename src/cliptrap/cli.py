@@ -10,9 +10,10 @@ lab units are converted, every layer below works in SI, and the map from
 model inputs to keys is read off it.  COMMANDS and FITS name the
 subcommands and fit kinds.  Exit codes: 0 success, 2 configuration or
 input error (among them an unknown key, NaN, inf, a fractional count, a
-volume <= 0, a trap temperature < 0, a negative loss coefficient, an
-n_mot <= 0, a value that takes a rate, the cloud or the data out of float
-range, and a file that cannot be read or written), 3 numerical failure.
+blank value for a key neither computed nor blank by default, a volume
+<= 0, a trap temperature < 0, a negative loss coefficient, an n_mot <= 0,
+a value that takes a rate, the cloud or the data out of float range, and
+a file that cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -121,16 +122,23 @@ class ConfigError(Exception):
 def _get(cfg: dict[str, str], name: str):
     """A config key's value in SI units, or None if unset.
 
-    NaN is rejected, inf too unless the key's default is inf (that of
+    Blank is unset only for a key whose default is blank and for a
+    computed key; elsewhere it is rejected.  A computed key at its default
+    is unset too, and any other value of it must be > 0.  NaN is
+    rejected, inf too unless the key's default is inf (that of
     mot_saturation selects the fully saturated MOT), and so is a value
     under the key's bound.
     """
     key = KEYS[name]
-    raw = cfg.get(name) or key.default
-    if raw is None:
-        raise ConfigError(f"missing required config key: {name}")
-    if key.kind is str or not raw:
-        return raw or None
+    raw = cfg.get(name, key.default)
+    if not raw:
+        if key.default is None:
+            raise ConfigError(f"missing required config key: {name}")
+        if key.default and not key.computed:
+            raise ConfigError(f"config key {name} cannot be blank")
+        return None
+    if key.kind is str:
+        return raw
     value = number(raw, f"config key {name}", integer=key.kind is int,
                    allow_inf=key.default == "inf")
     if key.bound:
@@ -138,18 +146,14 @@ def _get(cfg: dict[str, str], name: str):
         if not (value > float(low) or value == float(low) and op == ">="):
             raise ConfigError(f"config key {name} must be {key.bound}: "
                               f"{raw!r}")
-    return value * key.scale if key.kind is float else value
-
-
-def _given(cfg: dict[str, str], name: str) -> float | None:
-    """A computed key's value in SI units, or None if it is unset or at
-    its default."""
-    value = _get(cfg, name)
-    if value is None or value == _get({}, name):
-        return None
-    if not value > 0:
-        raise ConfigError(f"config key {name} must be positive, or blank "
-                          f"to compute it: {cfg[name]!r}")
+    if key.kind is float:
+        value *= key.scale
+    if key.computed:
+        if key.default and value == float(key.default) * key.scale:
+            return None
+        if not value > 0:
+            raise ConfigError(f"config key {name} must be positive, or "
+                              f"blank to compute it: {raw!r}")
     return value
 
 
@@ -163,7 +167,7 @@ def build_config(args) -> dict[str, str]:
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     for name in cfg:  # whether or not this command reads the key
-        (_given if KEYS[name].computed else _get)(cfg, name)
+        _get(cfg, name)
     return cfg
 
 
@@ -182,25 +186,11 @@ def _model(cls, cfg: dict[str, str], **values):
 
 def scenario_from_config(cfg: dict[str, str]) -> LoadingScenario:
     species = _species(cfg)
-    trap_cfg = _model(IpTrapConfig, cfg)
-    coeff = _model(RateCoefficients, cfg)
-    t_mot = _get(cfg, _KEY_OF["temperature"])
     detuning = _get(cfg, _KEY_OF["detuning"]) * species.gamma_eg
-    mot = _model(MotBeamParams, cfg, temperature=t_mot, detuning=detuning)
-    t_mt = _given(cfg, _KEY_OF["mt_temperature"])
-    if t_mt is None:
-        t_mt = dynamics.mt_temperature_prediction(t_mot)
-
-    v_mt = _given(cfg, _KEY_OF["v_mt"])
-    if v_mt is None:
-        v_mt = trap_volume(species, trap_cfg, t_mt)
-    v_eff = _given(cfg, _KEY_OF["v_eff"])
-    if v_eff is None:
-        v_eff = v_mt
-
-    return LoadingScenario(species=species, trap=trap_cfg, coefficients=coeff,
-                           mot=mot, mt_temperature=t_mt, v_mt=v_mt,
-                           v_eff=v_eff)
+    return _model(LoadingScenario, cfg, species=species,
+                  trap=_model(IpTrapConfig, cfg),
+                  coefficients=_model(RateCoefficients, cfg),
+                  mot=_model(MotBeamParams, cfg, detuning=detuning))
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -304,8 +294,13 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     outputs = tuple(s.strip() for s in _get(cfg, "sweep_outputs").split(","))
     n_mot_pp = None
     if nmot_csv := _get(cfg, "sweep_nmot_csv"):
+        # matched to 9 decimals, which linspace values need
         table = DataSet.from_csv(nmot_csv)
-        lookup = dict(zip(np.round(table.x, 9).tolist(), table.y.tolist()))
+        rounded = np.round(table.x, 9).tolist()
+        lookup = dict(zip(rounded, table.y.tolist()))
+        if len(lookup) < len(rounded):
+            raise ConfigError(f"{nmot_csv}: two rows of sweep_nmot_csv "
+                              "round to the same value at 9 decimals")
         try:
             n_mot_pp = [lookup[float(np.round(v, 9))] for v in values_b]
         except KeyError as exc:
@@ -483,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         if isinstance(exc, dynamics.ModelInputError):
             key = dict(_KEY_OF)
-            if _given(cfg, key["mt_temperature"]) is None:  # the virial
+            if _get(cfg, key["mt_temperature"]) is None:  # the virial
                 key["mt_temperature"] = key["temperature"]  # prediction's
             *keys, last = (key[name] for name in exc.inputs)
             keys = f"{', '.join(keys)} and {last}" if keys else last

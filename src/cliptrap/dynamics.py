@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cloud import trap_volume
 from .species import (ModelInputError, MotBeamParams, Species,
                       excited_fraction)
 from .trap import IpTrapConfig
@@ -59,25 +60,35 @@ class RateCoefficients:
 @dataclass(frozen=True)
 class LoadingScenario:
     """Everything the rate equation needs, volumes included, and the one
-    place its rate quantities are formed.
+    place its computed inputs and rate quantities are formed.
 
-    v_mt and v_eff may come from cloud-module geometry or be supplied
-    directly (e.g. measured values).  R (loading_rate), gamma_ed and gamma
-    come from one N*_MOT when the scenario is built, as attributes, not
-    fields; N_inf (n_mt_steady) and tau_eff when first read.  R and the
-    abscissa need no loss channel, and R, N_inf and tau_eff no n_mot > 0.
+    Each of mt_temperature, v_mt and v_eff may be supplied (e.g. measured
+    values) or left None, and is then filled in this order: the virial
+    prediction from the MOT temperature, cloud.trap_volume at
+    mt_temperature, and v_mt.  R (loading_rate), gamma_ed and gamma come
+    from one N*_MOT when the scenario is built, as attributes, not fields;
+    N_inf (n_mt_steady) and tau_eff when first read.  R and the abscissa
+    need no loss channel, and R, N_inf and tau_eff no n_mot > 0.
     """
 
     species: Species
     trap: IpTrapConfig
     coefficients: RateCoefficients
     mot: MotBeamParams
-    mt_temperature: float  # K
-    v_mt: float            # m^3
-    v_eff: float           # m^3
+    mt_temperature: float | None = None  # K
+    v_mt: float | None = None            # m^3
+    v_eff: float | None = None           # m^3
     _root = None           # (N_inf, tau_eff) once formed; not a field
 
     def __post_init__(self) -> None:
+        if self.mt_temperature is None:
+            object.__setattr__(self, "mt_temperature",
+                               mt_temperature_prediction(self.mot.temperature))
+        if self.v_mt is None:
+            object.__setattr__(self, "v_mt", trap_volume(
+                self.species, self.trap, self.mt_temperature))
+        if self.v_eff is None:
+            object.__setattr__(self, "v_eff", self.v_mt)
         if not (self.v_mt > 0 and self.v_eff > 0):
             raise ValueError("volumes must be positive")
         if not self.mt_temperature > 0:

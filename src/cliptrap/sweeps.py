@@ -89,14 +89,13 @@ class SweepSpec:
 
 def scenario_at(base: LoadingScenario, parameter: str, value: float,
                 n_mot: float | None = None) -> LoadingScenario:
-    """Rebuild the scenario with one trap parameter changed; V_MT is
-    cloud.trap_volume at the trap temperature and V_eff = V_MT.  Built
+    """Rebuild the scenario with one trap parameter changed, at the base's
+    trap temperature; the scenario computes V_MT, and V_eff = V_MT.  Built
     directly: dataclasses.replace took a third of a sweep point's time."""
     trap_cfg = IpTrapConfig(**(vars(base.trap) | {parameter: value}))
     mot = base.mot if n_mot is None else replace(base.mot, n_mot=n_mot)
-    v_mt = cloud.trap_volume(base.species, trap_cfg, base.mt_temperature)
     return LoadingScenario(base.species, trap_cfg, base.coefficients, mot,
-                           base.mt_temperature, v_mt, v_mt)
+                           base.mt_temperature)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

@@ -10,7 +10,8 @@ def make_scenario(eta=0.3, beta_ed=6e-16, beta_dd=1.3e-17, gamma_d=0.0,
                   n_mot=5e6, v_mt=5.3959e-9, v_eff=None, t_mt=100e-6,
                   b_prime=12.5, b_dprime=10.5,
                   saturation=math.inf) -> LoadingScenario:
-    """Optimum operating point unless overridden; volumes in m^3."""
+    """Optimum operating point unless overridden; volumes in m^3.  A None
+    volume or t_mt is left for the scenario to compute."""
     species = chromium_52()
     trap = IpTrapConfig(b_prime * 1e-2, b_dprime)
     mot = MotBeamParams(total_saturation=saturation,
@@ -21,8 +22,7 @@ def make_scenario(eta=0.3, beta_ed=6e-16, beta_dd=1.3e-17, gamma_d=0.0,
                                     beta_dd=beta_dd, gamma_d=gamma_d)
     return LoadingScenario(species=species, trap=trap,
                            coefficients=coefficients, mot=mot,
-                           mt_temperature=t_mt, v_mt=v_mt,
-                           v_eff=v_mt if v_eff is None else v_eff)
+                           mt_temperature=t_mt, v_mt=v_mt, v_eff=v_eff)
 
 
 def root_bracket(logs) -> float | None:

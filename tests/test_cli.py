@@ -337,6 +337,25 @@ class TestSweep:
                    "--set", "sweep_values=10,12.5",
                    "--set", f"sweep_nmot_csv={nmot}") == 2
 
+    @pytest.mark.parametrize("parameter,values", [
+        ("offset_field", ("1e-10", "2e-10")),
+        ("radial_gradient", ("12.5000000001", "12.5000000004"))])
+    def test_nmot_csv_rows_that_round_alike_rejected(self, parameter, values,
+                                                      tmp_path, capsys):
+        # rows are matched to 9 decimals; the later row's n_mot used to
+        # serve both points
+        nmot = tmp_path / "nmot.csv"
+        nmot.write_text(f"value,n_mot,sigma\n{values[0]},3e6,1\n"
+                        f"{values[1]},7e6,1\n")
+        assert run("sweep", "--paper-defaults",
+                   "--set", f"sweep_parameter={parameter}",
+                   "--set", f"sweep_values={','.join(values)}",
+                   "--set", "sweep_outputs=n_mot,kappa",
+                   "--set", f"sweep_nmot_csv={nmot}") == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {nmot}: two rows of sweep_nmot_csv round to the same "
+            "value at 9 decimals\n"))
+
     def test_zero_loading_rate_points_hold_values(self, tmp_path):
         # no loading is no point error: tau_eff = N/R is inf at R = 0, the
         # value predict prints, and the other outputs are filled in

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cliptrap import dynamics
+from cliptrap.cloud import CloudRangeError, UntrappedCloudError, trap_volume
 from cliptrap.dynamics import (ModelInputError, RateCoefficients,
                                accumulation_efficiency, decay, decay_fit_model,
                                effective_loading_time, evolve,
@@ -90,6 +91,31 @@ class TestCoefficients:
             make_scenario(v_mt=0.0)
         with pytest.raises(ValueError):
             make_scenario(t_mt=-1e-6)
+
+
+class TestComputedInputs:
+    # mt_temperature, v_mt and v_eff left None are filled by the scenario
+    @pytest.mark.parametrize("t_mt,v_mt,v_eff", [
+        (None, None, None), (100e-6, None, None), (None, None, 3e-9),
+        (100e-6, 5.4e-9, None)])
+    def test_none_is_the_explicit_value(self, t_mt, v_mt, v_eff):
+        filled = make_scenario(t_mt=t_mt, v_mt=v_mt, v_eff=v_eff)
+        if t_mt is None:
+            t_mt = mt_temperature_prediction(filled.mot.temperature)
+        if v_mt is None:
+            v_mt = trap_volume(filled.species, filled.trap, t_mt)
+        given = make_scenario(t_mt=t_mt, v_mt=v_mt,
+                              v_eff=v_mt if v_eff is None else v_eff)
+        assert filled == given
+        assert filled.n_mt_steady == given.n_mt_steady
+
+    @pytest.mark.parametrize("overrides,error", [
+        ({"b_prime": 1.0}, UntrappedCloudError),    # mu B' < m g
+        ({"b_prime": 1e305}, CloudRangeError),      # the normalization NaN
+        ({"t_mt": 1e-306}, CloudRangeError)])       # kT underflows to 0
+    def test_cloud_error_from_the_constructor(self, overrides, error):
+        with pytest.raises(error):
+            make_scenario(**{"v_mt": None, **overrides})
 
 
 class TestLoadingRate:

@@ -372,6 +372,36 @@ def test_blank_or_zero_still_computes():
     assert blank == virial
 
 
+# Keys a blank value leaves unset: those whose default is blank, and the
+# computed t_mt_uk
+BLANK_IS_UNSET = {"v_mt_cm3", "v_eff_cm3", "sweep_values", "sweep_nmot_csv",
+                  "t_mt_uk"}
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("name", list(cli.KEYS))
+def test_blank_value_is_unset_only_where_documented(name, source, tmp_path):
+    # a blank value used to become the key's default in silence: a blank
+    # beta_ed_cm3_per_s printed gamma_ed_per_s = 0 over the paper's 6e-10
+    key = cli.KEYS[name]
+    cfg = tmp_path / "blank.cfg"
+    cfg.write_text(f"{name} =\n")
+    blank = (["--set", f"{name}="] if source == "set"
+             else ["--config", str(cfg)])
+    code, stdout, err = run("predict", "--paper-defaults", *blank)
+    if name in BLANK_IS_UNSET:
+        unset = ["--set", f"{name}={key.default}"] if key.default else []
+        assert (code, stdout, err) == run("predict", "--paper-defaults",
+                                          *unset)
+        assert code == 0
+    elif key.default is None:
+        assert (code, stdout, err) == (
+            2, "", f"error: missing required config key: {name}\n")
+    else:
+        assert (code, stdout, err) == (
+            2, "", f"error: config key {name} cannot be blank\n")
+
+
 def test_species_file_misspelt_key(tmp_path):
     path = tmp_path / "cr.txt"
     path.write_text(SPECIES_FILE.replace("mass_amu", "mass_am"))
