@@ -262,8 +262,8 @@ def mt_density(cloud: ThermalCloud, x, y, z):
     return float(out) if out.ndim == 0 else out
 
 
-def column_density_terms(cloud: ThermalCloud, y, z):
-    """(f, amp, uK0) of the line-of-sight integral of mt_density along x.
+def _column_terms(n0, xi1, xi2, sigma_z, y, z):
+    """(f, amp, uK0) of column_density, from n0 and the scale lengths.
 
     In closed form, f = amp * uK1(u), with u = |y|/xi1 and
     amp = 2 n0 xi1 exp(-y/xi2 - z^2/(2 sigma_z^2)); the removable y = 0
@@ -273,10 +273,10 @@ def column_density_terms(cloud: ThermalCloud, y, z):
     """
     y = np.asarray(y, float)
     z = np.asarray(z, float)
-    inv2 = 0.0 if math.isinf(cloud.xi2) else 1.0 / cloud.xi2
-    uk0, uk1 = scaled_x_k0_k1(np.abs(y) / cloud.xi1)
-    scale = 2 * cloud.peak_density * cloud.xi1
-    gauss = np.exp(-y * inv2 - z * z / (2 * cloud.sigma_z ** 2))
+    inv2 = 0.0 if math.isinf(xi2) else 1.0 / xi2
+    uk0, uk1 = scaled_x_k0_k1(np.abs(y) / xi1)
+    scale = 2 * n0 * xi1
+    gauss = np.exp(-y * inv2 - z * z / (2 * sigma_z ** 2))
     return scale * uk1 * gauss, scale * gauss, uk0
 
 
@@ -284,11 +284,36 @@ def column_density(cloud: ThermalCloud, y, z):
     """Line-of-sight integral of mt_density along x, in closed form:
 
     2 n0 xi1 * (|y|/xi1) K1(|y|/xi1) * exp(-y/xi2 - z^2/(2 sigma_z^2)),
-    with the removable y = 0 singularity replaced by its limit 2 n0 xi1
-    (see column_density_terms).
+    with the removable y = 0 singularity replaced by its limit 2 n0 xi1.
     """
-    out = column_density_terms(cloud, y, z)[0]
+    out = _column_terms(cloud.peak_density, cloud.xi1, cloud.xi2,
+                        cloud.sigma_z, y, z)[0]
     return float(out) if out.ndim == 0 else out
+
+
+def column_profile_model(species: Species, trap: IpTrapConfig, y, z):
+    """The column density on the y x z grid (float arrays, m), raveled, as
+    a least_squares model in p = (n0, T, y0, z0) with its exact Jacobian;
+    xi1, xi2 and sigma_z^2 are proportional to T.  K0 and K1 run on the
+    len(y) offsets y' = y - y0, and broadcasting fills the grid.
+    """
+    def model(_x, p):
+        n0, t_k, y0, z0 = p
+        xi1, xi2, sigma_z = scale_lengths(species, trap, t_k)
+        dy = (y - y0)[:, None]
+        dz = (z - z0)[None, :]
+        f, amp, uk0 = _column_terms(n0, xi1, xi2, sigma_z, dy, dz)
+
+        def jac():
+            amp_uk0 = amp * uk0
+            return np.column_stack([c.ravel() for c in (
+                f / n0,
+                (f * (1 + dy / xi2 + dz * dz / (2 * sigma_z ** 2))
+                 + amp_uk0 * (np.abs(dy) / xi1)) / t_k,
+                amp_uk0 * (np.sign(dy) / xi1) + f / xi2,
+                f * (dz / sigma_z ** 2))])
+        return f.ravel(), jac
+    return model
 
 
 def occupied_volume(cloud: ThermalCloud) -> float:

@@ -69,6 +69,9 @@ class LoadingScenario:
     from one N*_MOT when the scenario is built, as attributes, not fields;
     N_inf (n_mt_steady) and tau_eff when first read.  R and the abscissa
     need no loss channel, and R, N_inf and tau_eff no n_mot > 0.
+
+    Filled values are stored in their fields, so dataclasses.replace keeps
+    them: for another trap, species or MOT temperature, build a new one.
     """
 
     species: Species
@@ -84,6 +87,8 @@ class LoadingScenario:
         if self.mt_temperature is None:
             object.__setattr__(self, "mt_temperature",
                                mt_temperature_prediction(self.mot.temperature))
+        if not self.mt_temperature > 0:
+            raise ValueError("mt_temperature must be positive")
         if self.v_mt is None:
             object.__setattr__(self, "v_mt", trap_volume(
                 self.species, self.trap, self.mt_temperature))
@@ -91,8 +96,6 @@ class LoadingScenario:
             object.__setattr__(self, "v_eff", self.v_mt)
         if not (self.v_mt > 0 and self.v_eff > 0):
             raise ValueError("volumes must be positive")
-        if not self.mt_temperature > 0:
-            raise ValueError("mt_temperature must be positive")
         c = self.coefficients
         n_star = self.n_mot_excited
         gamma_ed = gamma_ed_loss(n_star, c.beta_ed, self.v_eff)
@@ -130,7 +133,7 @@ class LoadingScenario:
 
     @property
     def kappa(self) -> float:
-        """N_inf / N_MOT."""
+        """N_inf / N_MOT, also where the master curve does not hold."""
         return self.n_mt_steady / self._n_mot()
 
     @property
@@ -165,11 +168,6 @@ class LoadingScenario:
         if not n_mot > 0:
             raise ValueError("n_mot must be > 0")
         return n_mot
-
-
-def loading_rate(scenario: LoadingScenario) -> float:
-    """R = eta N*_MOT Gamma_ed (atoms/s)."""
-    return scenario.loading_rate
 
 
 def gamma_ed_loss(n_star: float, beta_ed: float, v_eff: float) -> float:
@@ -329,12 +327,6 @@ def kappa_jacobian(x, beta_dd: float, beta_ed: float,
     out[..., 0] = -4 * k * k_over_s
     out[..., 1] = -k_over_s
     return out
-
-
-def accumulation_efficiency(scenario: LoadingScenario) -> float:
-    """kappa = N_inf / N_MOT, also where the master curve does not hold;
-    n_mot must be > 0."""
-    return scenario.kappa
 
 
 def effective_loading_time(n_mt: float, r: float) -> float:

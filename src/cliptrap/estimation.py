@@ -10,12 +10,12 @@ equation; the loading rate is such a solution.  The decay and loading
 fits share the rate equation integrated over the curve, N exponential
 between samples.  The iterative fits return the analytic Jacobians of
 their closed-form models, built from what the model evaluation already
-computed; so does the column-profile fit, from one K0/K1 pass.  The
-solver's few-parameter bookkeeping runs on Python floats, with a small
-Cholesky solve; so do the fits' linear systems, through one scaled solve.
-numpy does the work on data-length arrays.  Only statistical uncertainty
-is reported; systematic density calibration errors are outside the
-fitter's scope.
+computed; so does cloud.column_profile_model, the column-profile fit's,
+from one K0/K1 pass.  The solver's few-parameter bookkeeping runs on
+Python floats, with a small Cholesky solve; so do the fits' linear
+systems, through one scaled solve.  numpy does the work on data-length
+arrays.  Only statistical uncertainty is reported; systematic density
+calibration errors are outside the fitter's scope.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import ThermalCloud, column_density_terms, scale_lengths
+from .cloud import (CloudRangeError, column_profile_model,
+                    make_thermal_cloud)
 from .dynamics import decay_fit_model, kappa_jacobian, kappa_of_abscissa
 from .flatfile import read_csv
-from .species import BOLTZMANN, Species
+from .species import BOLTZMANN, ModelInputError, Species
 from .trap import IpTrapConfig
 
 _MAX_ITER = 200
@@ -499,10 +500,10 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     """Fit the projected trap profile for (n0, temperature, center_y, center_z).
 
     y, z are the grid coordinate vectors (m) and image the column density
-    sampled on their outer product, shape (len(y), len(z)).  All three
-    scale lengths derive from the single temperature given species + trap.
-    The fit starts at 100 uK.  The model's Jacobian is exact, from the
-    K0/K1 pass of its values, with xi1, xi2 and sigma_z^2 proportional to T.
+    sampled on their outer product, shape (len(y), len(z)); the model is
+    cloud.column_profile_model.  The fit starts at 100 uK, from
+    make_thermal_cloud's cloud: a trap whose cloud is out of range there
+    is named by B' and B'' alone, since no config key sets that T.
     """
     y = np.asarray(y, float)
     z = np.asarray(z, float)
@@ -514,34 +515,16 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     if peak <= 0:
         raise ValueError("image contains no signal")
 
-    def model(_x, p):
-        n0, t_k, y0, z0 = p
-        xi1, xi2, sigma_z = scale_lengths(species, trap, t_k)
-        cl = ThermalCloud(atom_number=1.0, temperature=t_k, xi1=xi1,
-                          xi2=xi2, sigma_z=sigma_z, peak_density=n0)
-        # K0 and K1 run on the len(y) offsets y' = y - y0; broadcasting
-        # fills the grid.  f = amp * uK1(u), u = |y'| / xi1, and
-        # d(uK1)/du = -uK0.
-        dy = (y - y0)[:, None]
-        dz = (z - z0)[None, :]
-        f, amp, uk0 = column_density_terms(cl, dy, dz)
-
-        def jac():
-            amp_uk0 = amp * uk0
-            return np.column_stack([c.ravel() for c in (
-                f / n0,
-                (f * (1 + dy / xi2 + dz * dz / (2 * sigma_z ** 2))
-                 + amp_uk0 * (np.abs(dy) / xi1)) / t_k,
-                amp_uk0 * (np.sign(dy) / xi1) + f / xi2,
-                f * (dz / sigma_z ** 2))])
-        return f.ravel(), jac
-
     t_guess = 100e-6
-    xi1_guess = scale_lengths(species, trap, t_guess)[0]
+    try:
+        xi1_guess = make_thermal_cloud(species, trap, 1.0, t_guess).xi1
+    except CloudRangeError as exc:
+        raise ModelInputError(str(exc), "radial_gradient",
+                              "axial_curvature") from None
     n0_guess = peak / (2 * xi1_guess)
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))
-    return least_squares(model, flat,
+    return least_squares(column_profile_model(species, trap, y, z), flat,
                          [n0_guess, t_guess, 0.0, 0.0],
                          names=("n0", "temperature", "center_y", "center_z"),
                          log=(True, True, False, False))

@@ -21,7 +21,7 @@ CFG = IpTrapConfig(0.125, 10.5)
 
 
 def test_criterion_01_loading_rate_anchor():
-    r = dynamics.loading_rate(make_scenario())
+    r = make_scenario().loading_rate
     assert abs(r - 9.5e7) / 9.5e7 < 0.15
 
 
@@ -67,7 +67,7 @@ def test_criterion_06_closed_form_vs_ode():
         scen = make_scenario(beta_ed=beta_ed, beta_dd=beta_dd,
                              gamma_d=gamma_d, n_mot=n_mot, v_mt=v)
         n_inf = dynamics.steady_state(scen)
-        r = dynamics.loading_rate(scen)
+        r = scen.loading_rate
         tau = dynamics.effective_loading_time(n_inf, r)
         t, n = dynamics.evolve(scen, 0.0, 10 * tau, samples=20)
         assert n[-1] == pytest.approx(n_inf, rel=1e-3, abs=0)
@@ -154,7 +154,7 @@ def test_criterion_11_efficiency_identity():
             beta_dd=10 ** rng.uniform(-18, -16),
             n_mot=10 ** rng.uniform(6, 7.5),
             v_mt=10 ** rng.uniform(-9, -8))
-        kappa = dynamics.accumulation_efficiency(scen)
+        kappa = scen.kappa
         assert kappa * scen.mot.n_mot == pytest.approx(
             dynamics.steady_state(scen), rel=1e-10, abs=0)
 

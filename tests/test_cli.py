@@ -1151,3 +1151,57 @@ def test_every_key_is_read(fit_data, monkeypatch):
             m.setattr(cli, "_get", recorder)
             cli.COMMANDS[args.command](cfg, args)
     assert set(cli.KEYS) - read == set()
+
+
+CLOUD_RANGE = ("trap cloud size under- or overflows a float; it is set by "
+               "b_prime_g_per_cm and b_dprime_g_per_cm2")
+
+
+@pytest.mark.parametrize("setting,message", [
+    ("b_prime_g_per_cm=1e305", CLOUD_RANGE),
+    ("b_dprime_g_per_cm2=1e-320", CLOUD_RANGE),
+    ("b_prime_g_per_cm=1e-30", "untrapped cloud: gravity scale xi2 must "
+     "exceed xi1; it is set by b_prime_g_per_cm")],
+    ids=["b_prime_over", "b_dprime_under", "untrapped"])
+def test_profile_fit_names_a_bad_trap(fit_data, setting, message, capsys):
+    # with V_MT given, the fit's 100 uK start is the first cloud built; no
+    # key sets that temperature.  B'' = 1e-320 exited 3 on a division by
+    # zero, B' = 1e305 printed a RuntimeWarning and "model not evaluable",
+    # and the untrapped B' = 1e-30 exited 0 with a converged fit
+    assert run("fit", "profile", "--paper-defaults", "--set", "v_mt_cm3=1",
+               "--set", setting, "--data",
+               str(fit_data / "profile.csv")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["synth", "--set", "synth_kind=loading_curve", "--set", "eta=0"], None,
+     "a loading curve needs a loading rate > 0"),
+    (["fit", "kappa"],
+     "x,kappa,sigma\n1e-14,3,0.03\n2e-14,4,0.04\n4e-14,5,0.05\n",
+     "{data}: no abscissa column for the kappa fit"),
+    (["fit", "profile"], "y_mm,z_mm,column_density\n-0.1,-1,0\n-0.1,1,0\n"
+     "0.1,-1,0\n0.1,1,0\n", "image contains no signal"),
+    (["fit", "decay"], "t_s,n_atoms,sigma_n_atoms\n0,0,1\n1,1.5e8,1.5e6\n"
+     "2,1e8,1e6\n5,8e7,8e5\n", "n0 must be positive")],
+    ids=["loading_curve_without_rate", "kappa_without_abscissa",
+         "profile_without_signal", "decay_from_zero"])
+def test_input_error_exits_2(argv, text, message, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text)
+        argv = [*argv, "--data", str(data)]
+    assert run(*argv, "--paper-defaults") == 2
+    assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+
+
+def test_linalg_error_exits_2(fit_data, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, so a solver's failure to
+    # converge is reported with the input errors
+    def fail(data):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "fit_kappa", fail)
+    assert run("fit", "kappa", "--paper-defaults", "--data",
+               str(fit_data / "kappa_points.csv")) == 2
+    assert capsys.readouterr().err == "error: SVD did not converge\n"

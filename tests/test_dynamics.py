@@ -11,12 +11,11 @@ from scipy.integrate import solve_ivp
 
 from cliptrap import dynamics
 from cliptrap.cloud import CloudRangeError, UntrappedCloudError, trap_volume
-from cliptrap.dynamics import (ModelInputError, RateCoefficients,
-                               accumulation_efficiency, decay, decay_fit_model,
-                               effective_loading_time, evolve,
-                               gamma_ed_loss, kappa_jacobian,
-                               kappa_of_abscissa, loading_rate,
-                               mt_temperature_prediction, steady_state)
+from cliptrap.dynamics import (ModelInputError, RateCoefficients, decay,
+                               decay_fit_model, effective_loading_time,
+                               evolve, gamma_ed_loss, kappa_jacobian,
+                               kappa_of_abscissa, mt_temperature_prediction,
+                               steady_state)
 from conftest import make_scenario, root_bracket
 
 GAMMA_ED_CR = 126.17  # 52Cr leak rate to the metastable state, 1/s
@@ -117,20 +116,27 @@ class TestComputedInputs:
         with pytest.raises(error):
             make_scenario(**{"v_mt": None, **overrides})
 
+    def test_given_temperature_checked_before_the_volume(self):
+        # trap_volume's "atom number and temperature must be positive" came
+        # first, because V_MT was filled before T_MT was checked
+        with pytest.raises(ValueError,
+                           match="^mt_temperature must be positive$"):
+            make_scenario(v_mt=None, t_mt=-1e-6)
+
 
 class TestLoadingRate:
     def test_paper_anchor(self):
         # eta 0.3, saturated 5e6-atom source, leak rate 126.17 1/s
-        r = loading_rate(make_scenario())
+        r = make_scenario().loading_rate
         assert r == pytest.approx(0.3 * 2.5e6 * 126.17, rel=1e-3, abs=0)
         assert abs(r - 9.5e7) / 9.5e7 < 0.15
 
     def test_no_transfer(self):
-        assert loading_rate(make_scenario(eta=0.0)) == 0.0
+        assert make_scenario(eta=0.0).loading_rate == 0.0
 
     def test_linear_in_mot_number(self):
-        assert loading_rate(make_scenario(n_mot=1e7)) == pytest.approx(
-            2 * loading_rate(make_scenario(n_mot=5e6)), rel=1e-14, abs=0)
+        assert make_scenario(n_mot=1e7).loading_rate == pytest.approx(
+            2 * make_scenario(n_mot=5e6).loading_rate, rel=1e-14, abs=0)
 
 
 class TestGammaEd:
@@ -160,12 +166,12 @@ class TestEvolve:
         scen = make_scenario()
         t, n = evolve(scen, 0.0, 0.01, samples=400)
         slope = (n[1] - n[0]) / (t[1] - t[0])
-        assert slope == pytest.approx(loading_rate(scen), rel=1e-3, abs=0)
+        assert slope == pytest.approx(scen.loading_rate, rel=1e-3, abs=0)
 
     def test_approaches_steady_state(self):
         scen = make_scenario()
         n_inf = steady_state(scen)
-        tau = effective_loading_time(n_inf, loading_rate(scen))
+        tau = effective_loading_time(n_inf, scen.loading_rate)
         _, n = evolve(scen, 0.0, 10 * tau, samples=100)
         assert n[-1] == pytest.approx(n_inf, rel=1e-3, abs=0)
 
@@ -239,7 +245,7 @@ class TestEvolve:
         scen = make_scenario(eta=0.3 if r else 0.0, beta_ed=0.0,
                              beta_dd=beta, gamma_d=gamma, v_mt=v,
                              n_mot=(r or 1e8) / (0.3 * 0.5 * GAMMA_ED_CR))
-        r = loading_rate(scen)
+        r = scen.loading_rate
         k = 2 * beta / v
         # atom-number scale: the stable root, the atoms loaded in 1 s
         # without losses, or 1e8 without loading
@@ -276,7 +282,7 @@ class TestEvolve:
             scen = make_scenario(eta=0.3 if r else 0.0, beta_ed=0.0,
                                  beta_dd=beta, gamma_d=gamma, v_mt=v,
                                  n_mot=(r or 1e8) / (0.3 * 0.5 * GAMMA_ED_CR))
-            r = loading_rate(scen)
+            r = scen.loading_rate
             scale = steady_state(scen) if r else 1e8
             n0 = 0.0 if i % 3 == 0 else scale * 10 ** rng.uniform(-2, 3)
             k = 2 * beta / v
@@ -317,7 +323,7 @@ class TestEvolve:
             beta = 1e-17
         scen = make_scenario(beta_ed=0.0, beta_dd=beta, gamma_d=gamma,
                              v_mt=v, n_mot=r / (0.3 * 0.5 * GAMMA_ED_CR))
-        r = loading_rate(scen)
+        r = scen.loading_rate
         n_plus = steady_state(scen)
         n0 = n0_scale * n_plus
         d = math.sqrt(gamma ** 2 + 8 * beta / v * r)
@@ -349,13 +355,13 @@ class TestEvolve:
 class TestSteadyState:
     def test_two_body_only_limit(self):
         scen = make_scenario(beta_ed=0.0, gamma_d=0.0)
-        r = loading_rate(scen)
+        r = scen.loading_rate
         expected = math.sqrt(r * scen.v_mt / (2 * scen.coefficients.beta_dd))
         assert steady_state(scen) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_one_body_only_limit(self):
         scen = make_scenario(beta_dd=0.0, gamma_d=0.0)
-        r = loading_rate(scen)
+        r = scen.loading_rate
         gamma = gamma_ed_loss(scen.n_mot_excited, 6e-16, scen.v_eff)
         assert steady_state(scen) == pytest.approx(r / gamma, rel=1e-12, abs=0)
 
@@ -371,7 +377,7 @@ class TestSteadyState:
     def test_fixed_point_of_rate_equation(self):
         scen = make_scenario(gamma_d=0.02)
         n = steady_state(scen)
-        r = loading_rate(scen)
+        r = scen.loading_rate
         gamma = 0.02 + gamma_ed_loss(scen.n_mot_excited, 6e-16, scen.v_eff)
         residual = r - gamma * n - 2 * scen.coefficients.beta_dd * n * n / scen.v_mt
         assert abs(residual) < 1e-6 * r
@@ -402,7 +408,7 @@ class TestSteadyState:
         # beta (1 -+ side) the true change is under 1e-14.
         base = make_scenario(gamma_d=gamma_d, beta_ed=beta_ed, n_mot=n_mot,
                              v_mt=v)
-        r = loading_rate(base)
+        r = base.loading_rate
         gamma = gamma_d + gamma_ed_loss(base.n_mot_excited, beta_ed, v)
         beta_switch = 1e-8 * (gamma * v) ** 2 / (8 * r * v)
         lo, hi = (steady_state(make_scenario(
@@ -440,17 +446,16 @@ class TestSteadyState:
 class TestAccumulationEfficiency:
     def test_identity_with_steady_state(self):
         scen = make_scenario()
-        kappa = accumulation_efficiency(scen)
+        kappa = scen.kappa
         assert kappa * scen.mot.n_mot == pytest.approx(steady_state(scen),
                                                        rel=1e-10, abs=0)
 
     def test_beta_ed_zero_limit(self):
         scen = make_scenario(beta_ed=0.0)
-        r = loading_rate(scen)
+        r = scen.loading_rate
         expected = math.sqrt(r * scen.v_mt
                              / (2 * scen.coefficients.beta_dd)) / scen.mot.n_mot
-        assert accumulation_efficiency(scen) == pytest.approx(expected,
-                                                              rel=1e-12, abs=0)
+        assert scen.kappa == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_beta_dd_zero_series(self):
         x = 1e-14
@@ -492,7 +497,7 @@ class TestAccumulationEfficiency:
 
     def test_magnitude_at_optimum(self):
         # with the self-consistent closed form this lands in the twenties
-        assert 15 < accumulation_efficiency(make_scenario()) < 40
+        assert 15 < make_scenario().kappa < 40
 
     @settings(max_examples=200, deadline=None)
     @given(x=log_uniform(-16, -12), beta_ed=log_uniform(-17, -14),
@@ -512,23 +517,21 @@ class TestScenarioRates:
         # kappa data are placed on the master curve with it
         scen = make_scenario(beta_ed=0.0, beta_dd=0.0, gamma_d=0.0)
         n_mot = scen.mot.n_mot
-        expected = loading_rate(scen) * scen.v_mt / (n_mot * n_mot)
+        expected = scen.loading_rate * scen.v_mt / (n_mot * n_mot)
         assert scen.kappa_abscissa == expected == 2.0423432014443823e-14
-        assert scen.loading_rate == loading_rate(scen)
         with pytest.raises(ValueError, match="no steady state"):
             scen.n_mt_steady
         with pytest.raises(ValueError, match="no steady state"):
-            accumulation_efficiency(scen)
+            scen.kappa
 
     def test_zero_n_mot(self):
-        # R = N_inf = 0 and tau = inf, as steady_state and loading_rate
-        # give them; kappa and the abscissa divide by N_MOT
+        # R = N_inf = 0 and tau = inf, as steady_state gives N_inf; kappa
+        # and the abscissa divide by N_MOT
         scen = make_scenario(n_mot=0.0)
-        assert scen.loading_rate == 0.0 == loading_rate(scen)
+        assert scen.loading_rate == 0.0
         assert scen.n_mt_steady == 0.0 == steady_state(scen)
         assert scen.tau_eff == math.inf
-        for read in (lambda: scen.kappa, lambda: scen.kappa_abscissa,
-                     lambda: accumulation_efficiency(scen)):
+        for read in (lambda: scen.kappa, lambda: scen.kappa_abscissa):
             with pytest.raises(ValueError, match="n_mot must be > 0"):
                 read()
 

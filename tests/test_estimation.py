@@ -259,6 +259,31 @@ class TestLeastSquares:
         assert len(seen) < res.iterations + 1
         assert all(map(math.isfinite, seen))
 
+    def test_model_not_evaluable_at_the_start(self):
+        d = dataset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="model not evaluable at the "
+                                             "initial parameters"):
+            least_squares(lambda xx, p: (np.full(xx.size, np.nan), None),
+                          d, [1.0])
+
+    def test_candidate_of_non_finite_cost_is_rejected(self):
+        # f = p x is NaN for p >= 0.5, and the data's p = 1 lies there: the
+        # candidates past 0.5 cost inf and are rejected without a Jacobian,
+        # and the fit stops at the edge of the evaluable range
+        x = np.linspace(1, 4, 8)
+        seen, jacobians = [], []
+
+        def model(xx, p):
+            seen.append(p[0])
+            f = p[0] * xx if p[0] < 0.5 else np.full(xx.size, np.nan)
+            return f, lambda: jacobians.append(p[0]) or xx[:, None]
+        res = least_squares(model, dataset(x, x), [0.1])
+        assert res.converged
+        assert res["p0"] == pytest.approx(0.5, rel=1e-8, abs=0)
+        assert res["p0"] < 0.5 and math.isfinite(res.residual_norm)
+        assert sum(v >= 0.5 for v in seen) > 0
+        assert max(jacobians) < 0.5
+
     def test_exact_parabola(self):
         x = np.array([-1.0, 0.0, 2.0, 3.0])
         y = 0.5 * x ** 2 - x + 3
@@ -491,8 +516,7 @@ class TestFitLoadingRate:
         scen = make_scenario()
         t, n = dynamics.evolve(scen, 0.0, 0.25, samples=26)
         r_fit = fit_loading_rate(DataSet(t, n, np.full(t.size, 1.0)))
-        assert r_fit == pytest.approx(dynamics.loading_rate(scen),
-                                      rel=0.05, abs=0)
+        assert r_fit == pytest.approx(scen.loading_rate, rel=0.05, abs=0)
 
     def test_full_curve_recovers_rate(self):
         # the whole curve, out to 8 tau_eff, where a straight line over it
@@ -501,8 +525,7 @@ class TestFitLoadingRate:
         scen = make_scenario(gamma_d=0.02)
         t, n = dynamics.evolve(scen, 0.0, 10.0, samples=100)
         r_fit = fit_loading_rate(DataSet(t, n, np.full(t.size, 1.0)))
-        assert r_fit == pytest.approx(dynamics.loading_rate(scen),
-                                      rel=2e-3, abs=0)
+        assert r_fit == pytest.approx(scen.loading_rate, rel=2e-3, abs=0)
 
     def test_too_few_points(self):
         t = np.array([0.0, 1.0, 2.0])
@@ -539,7 +562,7 @@ class TestFitLoadingRate:
         # 400-sample curves with both losses free, as fit batches use them;
         # bounds fixed before the fit was run
         scen = make_scenario(gamma_d=0.02, v_mt=5.4e-9)
-        rate = dynamics.loading_rate(scen)
+        rate = scen.loading_rate
         err = np.array([fit_loading_rate(sweeps.synthesize_measurements(
             scen, "loading_curve", noise=noise, seed=seed, points=400))
             / rate - 1 for seed in range(1, 201)])
@@ -550,7 +573,7 @@ class TestFitLoadingRate:
         # the default 30-sample curve, whose samples are 0.42 s apart, at
         # 1 % noise; bounds fixed before the fit was run
         scen = cli.scenario_from_config(dict(cli.PAPER_DEFAULTS))
-        rate = dynamics.loading_rate(scen)
+        rate = scen.loading_rate
         err = np.array([fit_loading_rate(sweeps.synthesize_measurements(
             scen, "loading_curve", noise=0.01, seed=seed)) / rate - 1
             for seed in range(1, 201)])

@@ -139,7 +139,7 @@ class TestRunSweep:
         scen = scenario_at(base, "radial_gradient", 0.125)
         assert row["n_mt_steady"] == dynamics.steady_state(scen)
         assert row["v_mt"] == scen.v_mt
-        assert row["loading_rate"] == dynamics.loading_rate(scen)
+        assert row["loading_rate"] == scen.loading_rate
 
     def test_curvature_sweep_shrinks_volume(self):
         values = list(np.linspace(3.0, 40.0, 8))
@@ -161,7 +161,7 @@ class TestRunSweep:
         rows = run_sweep(spec)
         for v, nm, row in zip(values, n_mots, rows):
             scen = scenario_at(base, "radial_gradient", v, n_mot=nm)
-            assert row["kappa"] == dynamics.accumulation_efficiency(scen)
+            assert row["kappa"] == scen.kappa
 
     def test_offset_sweep_leaves_rate_model_constant(self):
         spec = SweepSpec("offset_field", [0.0, 2e-6, 4e-6, 1e-5],
@@ -224,7 +224,7 @@ class TestRunSweep:
             scen = scenario_at(base, "radial_gradient", value)
             assert row == {
                 "value": value, "error": "",
-                "loading_rate": dynamics.loading_rate(scen),
+                "loading_rate": scen.loading_rate,
                 "kappa_abscissa": scen.kappa_abscissa}
         rows = run_sweep(replace(spec, outputs=("loading_rate", "kappa")))
         assert all(row["error"] == "no steady state: loading without any "
@@ -262,12 +262,12 @@ def test_row_outputs_equal_public_functions(parameter, b_prime, b_dprime, b0,
                               n_mot_per_point=[n_mot]))[0]
     scen = scenario_at(base, parameter, value, n_mot=n_mot)
     n_inf = dynamics.steady_state(scen)
-    r = dynamics.loading_rate(scen)
+    r = scen.loading_rate
     assert row == {
         "value": value, "error": "",
         "n_mot": n_mot, "n_mt_steady": n_inf, "loading_rate": r,
         "tau_eff": dynamics.effective_loading_time(n_inf, r),
-        "v_mt": scen.v_mt, "kappa": dynamics.accumulation_efficiency(scen),
+        "v_mt": scen.v_mt, "kappa": scen.kappa,
         "kappa_abscissa": r * scen.v_mt / (n_mot * n_mot),
         "t_mt_prediction": dynamics.mt_temperature_prediction(
             scen.mot.temperature),
