@@ -6,7 +6,11 @@ K0 and K1 come from one pass, with two branches joined at x = 2:
     harmless; K0's sums ride along in K1's loop;
   * Steed's continued fraction for the scaled K0/K1 pair at large
     arguments (Temme, J. Comput. Phys. 19, 324 (1975)), which stays
-    close to machine precision all the way up to the underflow limit.
+    close to machine precision all the way up to the underflow limit
+    and on past it.  It forms e^x K0 and e^x K1 directly:
+    exp_scaled_x_k0_k1 returns them so, and the column profile joins
+    e^-x to its own exponent.  From x = 1e16 on, both are their common
+    leading term sqrt(pi / 2x) to an ulp.
 
 i0e(x) = exp(-x) I0(x) sums Moshier's Cephes Chebyshev series (i0.c),
 one in x/2 - 2 on [0, 8] and one in 32/x - 2 beyond, joined at x = 8.
@@ -32,6 +36,7 @@ import numpy as np
 _EULER_GAMMA = 0.5772156649015328606
 _SERIES_CUTOFF = 2.0
 _UNDERFLOW_X = 746.0  # exp(-x) underflows; K1 is below ~1e-324 here
+_ASYMPTOTIC_X = 1e16  # e^x K0, e^x K1 = sqrt(pi/2x) (1 + O(1/x)) to an ulp
 _MAX_ITER = 400
 _EPS = 1e-16
 
@@ -82,34 +87,56 @@ def _k0_k1_cf2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = -a1
     s = 1.0 + q * delh
     active = np.ones(x.shape, bool)
-    for i in range(2, _MAX_ITER):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        dels = q * delh
-        np.add(h, delh, out=h, where=active)
-        np.add(s, dels, out=s, where=active)
-        active &= np.abs(dels) >= _EPS * np.abs(s)
-        if not active.any():
-            break
+    # q2 grows as (2x)^i / i!^2: an element that has converged may overflow
+    # it while a slower neighbour still runs, but only h and s are read,
+    # and they stop updating with it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2, _MAX_ITER):
+            a -= 2 * (i - 1)
+            c = -a * c / i
+            q1, q2 = q2, (q1 - b * q2) / a
+            q += c * q2
+            b += 2.0
+            d = 1.0 / (b + a * d)
+            delh = (b * d - 1.0) * delh
+            dels = q * delh
+            np.add(h, delh, out=h, where=active)
+            np.add(s, dels, out=s, where=active)
+            active &= np.abs(dels) >= _EPS * np.abs(s)
+            if not active.any():
+                break
     h = a1 * h
-    k0 = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / s
+    k0 = np.sqrt(math.pi / (2.0 * x)) / s  # e^x K0: the fraction's own form
     return k0, k0 * (x + 0.5 - h) / x
+
+
+def _k0_k1_exp_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^x K0(x), e^x K1(x)) for an array of x > 0, from one pass.
+
+    Both fall as sqrt(pi / 2x) and are normal floats for every finite x,
+    so nothing is cut off here.  From x = _ASYMPTOTIC_X on, where the
+    continued fraction's recurrence would overflow, both are that leading
+    term, which is 0 at x = inf.
+    """
+    k0 = np.empty(x.shape)
+    k1 = np.empty(x.shape)
+    small = x <= _SERIES_CUTOFF
+    far = x >= _ASYMPTOTIC_X
+    large = ~small & ~far
+    x_s = x[small]
+    grow = np.exp(x_s)
+    k0_s, k1_s = _k0_k1_series(x_s)
+    k0[small], k1[small] = k0_s * grow, k1_s * grow
+    k0[large], k1[large] = _k0_k1_cf2(x[large])
+    k0[far] = k1[far] = np.sqrt(0.5 * math.pi / x[far])
+    return k0, k1
 
 
 def _k0_k1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K0(x), K1(x)) for an array of x > 0, from one pass; 0 past underflow."""
-    k0 = np.zeros(x.shape)
-    k1 = np.zeros(x.shape)
-    small = x <= _SERIES_CUTOFF
-    large = ~small & (x < _UNDERFLOW_X)
-    k0[small], k1[small] = _k0_k1_series(x[small])
-    k0[large], k1[large] = _k0_k1_cf2(x[large])
-    return k0, k1
+    k0, k1 = _k0_k1_exp_scaled(x)
+    decay = np.where(x < _UNDERFLOW_X, np.exp(-x), 0.0)
+    return k0 * decay, k1 * decay
 
 
 def bessel_k1(x):
@@ -125,6 +152,23 @@ def bessel_k1(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _times_x(u, pair):
+    """u times each of pair(u) on u > 0, continuously extended to (0, 1) at
+    u = 0, checked and shaped as scaled_x_k0_k1."""
+    u = np.asarray(u, float)
+    if not np.all(u >= 0):
+        raise ValueError("the scaled Bessel factors require u >= 0")
+    uk0 = np.zeros(u.shape)
+    uk1 = np.ones(u.shape)
+    pos = u > 0
+    k0, k1 = pair(u[pos])
+    uk0[pos] = u[pos] * k0
+    uk1[pos] = u[pos] * k1
+    if u.ndim == 0:
+        return float(uk0), float(uk1)
+    return uk0, uk1
+
+
 def scaled_x_k0_k1(u):
     """(u K0(u), u K1(u)), continuously extended to (0, 1) at u = 0.
 
@@ -134,18 +178,16 @@ def scaled_x_k0_k1(u):
     scalar (returns two floats) or an array; raises ValueError if any
     element is < 0 or NaN.
     """
-    u = np.asarray(u, float)
-    if not np.all(u >= 0):
-        raise ValueError("the scaled Bessel factors require u >= 0")
-    uk0 = np.zeros(u.shape)
-    uk1 = np.ones(u.shape)
-    pos = u > 0
-    k0, k1 = _k0_k1(u[pos])
-    uk0[pos] = u[pos] * k0
-    uk1[pos] = u[pos] * k1
-    if u.ndim == 0:
-        return float(uk0), float(uk1)
-    return uk0, uk1
+    return _times_x(u, _k0_k1)
+
+
+def exp_scaled_x_k0_k1(u):
+    """e^u times scaled_x_k0_k1(u), from the same pass: the continued
+    fraction forms these directly, so a caller can join e^-u to its own
+    exponent.  e^u u K1(u) tends to sqrt(pi u / 2), so both stay finite
+    for every finite u, far past where K0 and K1 underflow.
+    """
+    return _times_x(u, _k0_k1_exp_scaled)
 
 
 def scaled_x_k1(u):

@@ -504,6 +504,11 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     cloud.column_profile_model.  The fit starts at 100 uK, from
     make_thermal_cloud's cloud: a trap whose cloud is out of range there
     is named by B' and B'' alone, since no config key sets that T.
+
+    A fitted centre outside the grid's y and z range raises ValueError:
+    beyond the image, n0 and the centre trade off along the cloud's
+    exponential tail, and the fit can follow that tail to a cloud metres
+    away with n0 near the float limit.
     """
     y = np.asarray(y, float)
     z = np.asarray(z, float)
@@ -524,7 +529,12 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     n0_guess = peak / (2 * xi1_guess)
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))
-    return least_squares(column_profile_model(species, trap, y, z), flat,
-                         [n0_guess, t_guess, 0.0, 0.0],
-                         names=("n0", "temperature", "center_y", "center_z"),
-                         log=(True, True, False, False))
+    res = least_squares(column_profile_model(species, trap, y, z), flat,
+                        [n0_guess, t_guess, 0.0, 0.0],
+                        names=("n0", "temperature", "center_y", "center_z"),
+                        log=(True, True, False, False))
+    y0, z0 = res["center_y"], res["center_z"]
+    if not (y.min() <= y0 <= y.max() and z.min() <= z0 <= z.max()):
+        raise ValueError(f"the fitted cloud centre (y = {y0 * 1e3:.6g} mm, "
+                         f"z = {z0 * 1e3:.6g} mm) lies outside the image")
+    return res

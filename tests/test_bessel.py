@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e as scipy_i0e
-from scipy.special import i1e, k0, k1
+from scipy.special import i1e, k0, k0e, k1, k1e
 
-from cliptrap.bessel import _k0_k1, bessel_k1, i0e, scaled_x_k0_k1, scaled_x_k1
+from cliptrap.bessel import (_k0_k1, bessel_k1, exp_scaled_x_k0_k1, i0e,
+                             scaled_x_k0_k1, scaled_x_k1)
 
 
 def k1_integral_oracle(x: float) -> float:
@@ -270,6 +271,24 @@ def test_scaled_pair_limits_and_values():
     assert pair == (uk0[4], uk1[4])
     with pytest.raises(ValueError):
         scaled_x_k0_k1(np.array([1.0, -1.0]))
+
+
+def test_exp_scaled_pair_against_scipy():
+    # every branch and the switches between them; e^u u K1(u) tends to
+    # sqrt(pi u / 2), far from float range where K0 and K1 underflow
+    # (u = 746) and on to the largest floats, so nothing is cut off
+    u = np.concatenate([[1e-300, 1e-8], np.geomspace(0.01, 1.7e308, 800),
+                        np.linspace(1.9, 2.1, 21), np.linspace(740, 750, 21),
+                        [9.9e15, 1e16, 1.01e16, np.finfo(float).max]])
+    uk0, uk1 = exp_scaled_x_k0_k1(u)
+    assert np.allclose(uk0, u * k0e(u), rtol=1e-14, atol=0.0)
+    assert np.allclose(uk1, u * k1e(u), rtol=1e-14, atol=0.0)
+    assert exp_scaled_x_k0_k1(0.0) == (0.0, 1.0)
+    assert exp_scaled_x_k0_k1(746.0) == pytest.approx(
+        (746.0 * k0e(746.0), 746.0 * k1e(746.0)), rel=1e-14, abs=0.0)
+    # an element's value does not depend on its neighbours, though the
+    # continued fraction runs on for the slowest of them
+    assert [exp_scaled_x_k0_k1(float(v)) for v in u] == list(zip(uk0, uk1))
 
 
 # --- I0, exponentially scaled ----------------------------------------------

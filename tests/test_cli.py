@@ -1174,6 +1174,57 @@ def test_profile_fit_names_a_bad_trap(fit_data, setting, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.fixture(scope="module")
+def noisy_profile():
+    """A 41 x 31 image of the paper's cloud at 120 uK over +-6 xi1 and
+    +-3 sigma_z, with 1.5 % multiplicative noise: (y, z, image), in m."""
+    from cliptrap.cloud import column_density, make_thermal_cloud
+    from cliptrap.species import chromium_52
+    from cliptrap.trap import IpTrapConfig
+
+    cl = make_thermal_cloud(chromium_52(), IpTrapConfig(0.125, 10.5),
+                            n=1e8, t=120e-6)
+    y = np.linspace(-6, 6, 41) * cl.xi1
+    z = np.linspace(-3, 3, 31) * cl.sigma_z
+    image = column_density(cl, y[:, None], z[None, :])
+    image *= 1 + 0.015 * np.random.default_rng(28).standard_normal(
+        image.shape)
+    return y, z, image
+
+
+@pytest.mark.parametrize("roll,b_dprime", [(0, "1e308"), (18, "200")],
+                         ids=["sigma_z_subnormal_squared", "cloud_at_edge"])
+def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
+                                           roll, b_dprime):
+    # the Jacobian formed dz / sigma_z^2, which overflows once sigma_z^2
+    # is subnormal, and exp(-y/xi2 - z^2/2 sigma_z^2) apart from uK1(u),
+    # which overflows below a cloud at the grid's edge; each accepted
+    # step then held inf * 0, warned, and LAPACK's SVD failed (exit 2).
+    # The first image now fits its cloud; on the second, rolled so that
+    # the cloud's tail wraps round the grid, the fit follows the tail to a
+    # centre a metre away, which is named as off the image
+    y, z, image = noisy_profile
+    image = np.roll(image, roll, axis=0)
+    csv = tmp_path / "profile.csv"
+    csv.write_text("y_mm,z_mm,column_density\n" + "".join(
+        f"{a * 1e3:.12g},{b * 1e3:.12g},{image[i, j]:.12g}\n"
+        for i, a in enumerate(y) for j, b in enumerate(z)))
+    code = run("fit", "profile", "--paper-defaults", "--set", "v_mt_cm3=1",
+               "--set", f"b_dprime_g_per_cm2={b_dprime}", "--data", str(csv))
+    out, err = capfd.readouterr()
+    if roll == 0:
+        assert code == 0 and err == ""
+        rep = dict(line.split(" = ") for line in out.splitlines())
+        assert rep["converged"] == "True"
+        assert abs(float(rep["center_y_mm"])) < 1e3 * (y[1] - y[0])
+        assert float(rep["temperature_uk"]) == pytest.approx(120, rel=0.01,
+                                                             abs=0)
+    else:
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the fitted cloud centre \(y = \S+ mm, "
+                            r"z = \S+ mm\) lies outside the image\n", err)
+
+
 @pytest.mark.parametrize("argv,text,message", [
     (["synth", "--set", "synth_kind=loading_curve", "--set", "eta=0"], None,
      "a loading curve needs a loading rate > 0"),

@@ -469,7 +469,8 @@ class TestEffectiveVolume:
                                      crosses):
         # both quadrature passes share one evaluation of the integrand, and
         # so one i0e call, whether or not its arguments straddle the x = 8
-        # switch between i0e's two series
+        # switch between i0e's two series; the panels hold both passes in
+        # at most 12 panels of 20 nodes
         args, program_i0e = [], cloud.i0e
 
         def counting_i0e(x):
@@ -481,6 +482,27 @@ class TestEffectiveVolume:
                          (radius * self.MOT.sigma_radial, 0.0, 0.0))
         assert len(args) == 1
         assert bool(args[0].max() > 8 >= args[0].min()) is crosses
+        assert args[0].size <= 240
+
+    def test_passes_agree_far_inside_the_tolerance(self, monkeypatch):
+        # the panels are sized so that the two passes agree to ~1e-13: at a
+        # tolerance of 1e-11, a thousandth of the shipped one, a seeded scan
+        # of the range below still raises no QuadratureError
+        monkeypatch.setattr(cloud, "_QUAD_RTOL", 1e-11)
+        rng = np.random.default_rng(29)
+        for _ in range(600):
+            sigma, t = rng.uniform(1e-4, 2e-3), rng.uniform(20e-6, 1e-3)
+            r0 = rng.uniform(0.0, (10.0, 1000.0)[rng.integers(2)])
+            phi, z0 = rng.uniform(-math.pi, math.pi), rng.uniform(-3.0, 3.0)
+            mot = GaussianCloud(atom_number=5e6, temperature=140e-6,
+                                sigma_radial=sigma, sigma_axial=sigma)
+            mt = make_thermal_cloud(CR, CFG, n=1e8, t=t,
+                                    include_gravity=bool(rng.integers(2)))
+            offset = (r0 * sigma * math.cos(phi), r0 * sigma * math.sin(phi),
+                      z0 * sigma)
+            got = outcome(effective_volume, mot, mt, offset)
+            assert not isinstance(got, tuple) or got == (
+                ValueError, "MOT and trap cloud overlap underflows a float")
 
     @settings(max_examples=300, deadline=None)
     @given(sigma=st.floats(1e-4, 2e-3), t=st.floats(20e-6, 1e-3),

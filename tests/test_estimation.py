@@ -982,6 +982,13 @@ class TestFitColumnProfile:
         assert res["center_y"] == pytest.approx(0.3e-3, rel=1e-3, abs=0)
         assert res["temperature"] == pytest.approx(100e-6, rel=1e-3, abs=0)
 
+    def test_centre_off_the_image_raises(self):
+        # an image of the tail alone does not hold the centre, which trades
+        # off against n0 along the exponential fall
+        y, z, image, _ = self.forward(y_shift=1.5e-3)
+        with pytest.raises(ValueError, match="lies outside the image"):
+            fit_column_profile(y, z, image, CR, CFG)
+
     def test_shape_validation(self):
         y, z, image, _ = self.forward()
         with pytest.raises(ValueError):
