@@ -7,10 +7,13 @@ K0 and K1 come from one pass, with two branches joined at x = 2:
   * Steed's continued fraction for the scaled K0/K1 pair at large
     arguments (Temme, J. Comput. Phys. 19, 324 (1975)), which stays
     close to machine precision all the way up to the underflow limit
-    and on past it.  It forms e^x K0 and e^x K1 directly:
-    exp_scaled_x_k0_k1 returns them so, and the column profile joins
-    e^-x to its own exponent.  From x = 1e16 on, both are their common
-    leading term sqrt(pi / 2x) to an ulp.
+    and on past it.  It forms e^x K0 and e^x K1 directly.  From x = 1e16
+    on, both are their common leading term sqrt(pi / 2x) to an ulp.
+
+That pass is the one kernel.  exp_scaled_x_k0_k1, the one pair, returns
+x e^x K0 and x e^x K1 at every x >= 0, with their limits at 0, up to
+1/(largest float) and at inf, so the column profile can join e^-x to its
+own exponent; bessel_k1 and scaled_x_k1 multiply the kernel's K1 by e^-x.
 
 i0e(x) = exp(-x) I0(x) sums Moshier's Cephes Chebyshev series (i0.c),
 one in x/2 - 2 on [0, 8] and one in 32/x - 2 beyond, joined at x = 8.
@@ -30,12 +33,14 @@ element's value depends on the other elements of the array.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
 _SERIES_CUTOFF = 2.0
-_UNDERFLOW_X = 746.0  # exp(-x) underflows; K1 is below ~1e-324 here
+_LN2_MINUS_GAMMA = math.log(2.0) - _EULER_GAMMA
+_TINY_U = 1.0 / sys.float_info.max  # up to here 1/u overflows
 _ASYMPTOTIC_X = 1e16  # e^x K0, e^x K1 = sqrt(pi/2x) (1 + O(1/x)) to an ulp
 _MAX_ITER = 400
 _EPS = 1e-16
@@ -132,13 +137,6 @@ def _k0_k1_exp_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def _k0_k1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K0(x), K1(x)) for an array of x > 0, from one pass; 0 past underflow."""
-    k0, k1 = _k0_k1_exp_scaled(x)
-    decay = np.where(x < _UNDERFLOW_X, np.exp(-x), 0.0)
-    return k0 * decay, k1 * decay
-
-
 def bessel_k1(x):
     """K1(x) for x > 0; underflows gracefully to 0 for very large x.
 
@@ -148,51 +146,52 @@ def bessel_k1(x):
     x = np.asarray(x, float)
     if not np.all(x > 0):
         raise ValueError("bessel_k1 requires x > 0")
-    out = _k0_k1(x)[1]
+    out = _k0_k1_exp_scaled(x)[1] * np.exp(-x)
     return float(out) if out.ndim == 0 else out
 
 
-def _times_x(u, pair):
-    """u times each of pair(u) on u > 0, continuously extended to (0, 1) at
-    u = 0, checked and shaped as scaled_x_k0_k1."""
+def exp_scaled_x_k0_k1(u):
+    """(e^u u K0(u), e^u u K1(u)) for u >= 0, from one pass.
+
+    These are the radial factor of the column-density projection and, by
+    d(u K1)/du = -u K0, its derivative, times e^u: the continued fraction
+    forms them so, and a caller joins e^-u to its own exponent.  e^u u K1
+    tends to sqrt(pi u / 2), so both stay finite for every finite u, far
+    past where K0 and K1 underflow.  Up to 1/(largest float), where the
+    series' 1/u overflows, both are their limits u (ln 2 - gamma - ln u)
+    and 1 to far below an ulp, and (0, 1) at u = 0; at u = inf both are
+    inf.  Accepts a scalar (returns two floats) or an array; raises
+    ValueError if any element is < 0 or NaN.
+    """
     u = np.asarray(u, float)
     if not np.all(u >= 0):
         raise ValueError("the scaled Bessel factors require u >= 0")
-    uk0 = np.zeros(u.shape)
-    uk1 = np.ones(u.shape)
-    pos = u > 0
-    k0, k1 = pair(u[pos])
-    uk0[pos] = u[pos] * k0
-    uk1[pos] = u[pos] * k1
+    uk0 = u.copy()  # the limit at 0 and at inf, and a factor of it if tiny
+    uk1 = np.where(u < math.inf, 1.0, math.inf)
+    tiny = (u > 0) & (u <= _TINY_U)
+    uk0[tiny] *= _LN2_MINUS_GAMMA - np.log(u[tiny])
+    run = (u > _TINY_U) & (u < math.inf)
+    k0, k1 = _k0_k1_exp_scaled(u[run])
+    uk0[run] = u[run] * k0
+    uk1[run] = u[run] * k1
     if u.ndim == 0:
         return float(uk0), float(uk1)
     return uk0, uk1
 
 
-def scaled_x_k0_k1(u):
-    """(u K0(u), u K1(u)), continuously extended to (0, 1) at u = 0.
-
-    These are the radial factor of the column-density projection and, by
-    d(u K1)/du = -u K0, its derivative; the u -> 0 limits remove the
-    singularities of K0 and K1.  Both come from one pass.  Accepts a
-    scalar (returns two floats) or an array; raises ValueError if any
-    element is < 0 or NaN.
-    """
-    return _times_x(u, _k0_k1)
-
-
-def exp_scaled_x_k0_k1(u):
-    """e^u times scaled_x_k0_k1(u), from the same pass: the continued
-    fraction forms these directly, so a caller can join e^-u to its own
-    exponent.  e^u u K1(u) tends to sqrt(pi u / 2), so both stay finite
-    for every finite u, far past where K0 and K1 underflow.
-    """
-    return _times_x(u, _k0_k1_exp_scaled)
-
-
 def scaled_x_k1(u):
-    """u * K1(u), continuously extended to 1 at u = 0; see scaled_x_k0_k1."""
-    return scaled_x_k0_k1(u)[1]
+    """u K1(u) for u >= 0: 1 up to 1/(largest float), and 0 at u = inf.
+
+    Checked and shaped as exp_scaled_x_k0_k1, whose second factor this is
+    times e^-u, formed as u (e^u K1(u) e^-u).
+    """
+    u = np.asarray(u, float)
+    if not np.all(u >= 0):
+        raise ValueError("the scaled Bessel factors require u >= 0")
+    out = np.where(u < math.inf, 1.0, 0.0)
+    run = (u > _TINY_U) & (u < math.inf)
+    out[run] = u[run] * bessel_k1(u[run])
+    return float(out) if out.ndim == 0 else out
 
 
 # Cephes i0.c (S. L. Moshier): Chebyshev coefficients of exp(-x) I0(x) in

@@ -305,9 +305,22 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
             n_mot_pp = [lookup[float(np.round(v, 9))] for v in values_b]
         except KeyError as exc:
             raise ConfigError(f"sweep_nmot_csv has no row for value {exc}")
-    rows = sweeps.run_sweep(sweeps.SweepSpec(
-        swept_parameter=parameter, values=[v * key.scale for v in values_b],
-        base_scenario=scen, outputs=outputs, n_mot_per_point=n_mot_pp))
+    try:
+        spec = sweeps.SweepSpec(
+            swept_parameter=parameter,
+            values=[v * key.scale for v in values_b], base_scenario=scen,
+            outputs=outputs, n_mot_per_point=n_mot_pp)
+    except ValueError as exc:
+        # SweepSpec's message names the field it rejects; this names the
+        # config key that set it.  A message on the values names no field.
+        source = {"sweep parameter": "key sweep_parameter",
+                  "n_mot_per_point": f"key sweep_nmot_csv ({nmot_csv})",
+                  "outputs": "key sweep_outputs"}
+        name = next((k for field, k in source.items() if field in str(exc)),
+                    "key sweep_values" if listed
+                    else "keys sweep_start and sweep_stop")
+        raise ConfigError(f"config {name}: {exc}") from None
+    rows = sweeps.run_sweep(spec)
     return _csv([[vb]
                  + [row[n] * 1e6 if n == "v_mt" else row[n] for n in outputs]
                  + [row["error"]] for vb, row in zip(values_b, rows)],

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +9,8 @@ from scipy.integrate import quad
 from scipy.special import i0e as scipy_i0e
 from scipy.special import i1e, k0, k0e, k1, k1e
 
-from cliptrap.bessel import (_k0_k1, bessel_k1, exp_scaled_x_k0_k1, i0e,
-                             scaled_x_k0_k1, scaled_x_k1)
+from cliptrap.bessel import (_k0_k1_exp_scaled, bessel_k1, exp_scaled_x_k0_k1,
+                             i0e, scaled_x_k1)
 
 
 def k1_integral_oracle(x: float) -> float:
@@ -84,6 +85,11 @@ def test_scaled_x_k1_limit_and_value():
     assert scaled_x_k1(1e-8) == pytest.approx(1.0, rel=1e-6, abs=0)
     assert scaled_x_k1(2.0) == pytest.approx(2.0 * bessel_k1(2.0),
                                              rel=1e-15, abs=0)
+    # at and below 1/(largest float) 1/u overflows, and u K1 is its limit
+    # 1; at u = inf it is 0.  Each warned or gave NaN before.
+    assert list(scaled_x_k1(np.array([5e-324, 1e-310, 4e-309, math.inf]))) == [
+        1.0, 1.0, 1.0, 0.0]
+    assert scaled_x_k1(math.inf) == 0.0
 
 
 # --- array evaluation ------------------------------------------------------
@@ -227,7 +233,8 @@ def test_array_underflow_and_zero_limit():
 # --- K0, from the same pass ------------------------------------------------
 
 def k0_of(x):
-    return _k0_k1(np.asarray(x, float))[0]
+    x = np.asarray(x, float)
+    return _k0_k1_exp_scaled(x)[0] * np.exp(-x)
 
 
 def test_k0_against_integral_representation_across_switch():
@@ -260,17 +267,22 @@ def test_property_k0_continuous_across_crossover(x, dx):
 
 
 def test_scaled_pair_limits_and_values():
+    # (u K0(u), u K1(u)) as exp_scaled_x_k0_k1(u) times e^-u
     u = np.array([0.0, 1e-300, 1e-8, 0.5, 2.0, 30.0, 800.0])
-    uk0, uk1 = scaled_x_k0_k1(u)
+    exp_uk0, exp_uk1 = exp_scaled_x_k0_k1(u)
+    uk0, uk1 = exp_uk0 * np.exp(-u), exp_uk1 * np.exp(-u)
     assert uk0[0] == 0.0 and uk1[0] == 1.0
     assert uk0[-1] == 0.0 and uk1[-1] == 0.0
     assert np.allclose(uk0[1:-1], u[1:-1] * k0(u[1:-1]), rtol=1e-14, atol=0)
-    assert np.array_equal(uk1, scaled_x_k1(u))
-    pair = scaled_x_k0_k1(2.0)
+    # scaled_x_k1 forms u (e^u K1 e^-u), the pair times e^-u rounds as
+    # (u e^u K1) e^-u: the same K1, an ulp apart at most
+    assert np.array_equal(scaled_x_k1(u[1:]), u[1:] * bessel_k1(u[1:]))
+    assert ulps(uk1, scaled_x_k1(u)).max() <= 1
+    pair = exp_scaled_x_k0_k1(2.0)
     assert all(type(v) is float for v in pair)
-    assert pair == (uk0[4], uk1[4])
+    assert pair == (exp_uk0[4], exp_uk1[4])
     with pytest.raises(ValueError):
-        scaled_x_k0_k1(np.array([1.0, -1.0]))
+        exp_scaled_x_k0_k1(np.array([1.0, -1.0]))
 
 
 def test_exp_scaled_pair_against_scipy():
@@ -286,8 +298,22 @@ def test_exp_scaled_pair_against_scipy():
     assert exp_scaled_x_k0_k1(0.0) == (0.0, 1.0)
     assert exp_scaled_x_k0_k1(746.0) == pytest.approx(
         (746.0 * k0e(746.0), 746.0 * k1e(746.0)), rel=1e-14, abs=0.0)
+    # at and below 1/(largest float), where 1/u overflows and scipy's k1e
+    # is inf, e^u u K1 is 1 and e^u u K0 is u (ln 2 - gamma - ln u) to far
+    # below an ulp; at u = inf both are inf.  Each warned or gave NaN
+    # before.  mpmath's K0 is the oracle where scipy's k0e overflows.
+    edge = np.array([0.0, 5e-324, 1e-310, 4e-309, math.inf])
+    ek0, ek1 = exp_scaled_x_k0_k1(edge)
+    assert list(ek1) == [1.0, 1.0, 1.0, 1.0, math.inf]
+    assert ek0[0] == 0.0 and ek0[-1] == math.inf
+    with mpmath.workdps(40):
+        oracle = [float(mpmath.mpf(v) * mpmath.besselk(0, v))
+                  for v in edge[1:-1]]
+    assert np.allclose(ek0[1:-1], oracle, rtol=1e-14, atol=0.0)
     # an element's value does not depend on its neighbours, though the
     # continued fraction runs on for the slowest of them
+    u = np.concatenate([u, edge])
+    uk0, uk1 = exp_scaled_x_k0_k1(u)
     assert [exp_scaled_x_k0_k1(float(v)) for v in u] == list(zip(uk0, uk1))
 
 

@@ -379,7 +379,8 @@ class TestSweep:
         for values in (["--set", "sweep_values=1,2"], []):
             assert run("sweep", "--paper-defaults",
                        "--set", "sweep_parameter=detuning", *values) == 2
-            assert capsys.readouterr().err == f"error: {spec_error.value}\n"
+            assert capsys.readouterr().err == (
+                f"error: config key sweep_parameter: {spec_error.value}\n")
 
     def test_unit_table_covers_the_sweepable_parameters(self):
         # the keys with a unit, which name a sweep's first column, feed
@@ -1071,6 +1072,33 @@ def test_tau_eff_where_n_inf_underflows(capsys):
     assert float(report["n_steady_atoms"]) == 0
     assert float(report["tau_eff_s"]) == pytest.approx(1.19213e-74,
                                                        rel=1e-5, abs=0)
+
+
+@pytest.mark.parametrize("settings,message", [
+    (["sweep_values=8,8"],
+     "config key sweep_values: values must be strictly monotone"),
+    (["sweep_values=-8,8"],
+     "config key sweep_values: radial_gradient values must be positive"),
+    (["sweep_start=-1"], "config keys sweep_start and sweep_stop: "
+     "radial_gradient values must be positive"),
+    (["sweep_parameter=bogus"], "config key sweep_parameter: sweep parameter "
+     "must be one of radial_gradient, axial_curvature, offset_field: "
+     "'bogus'"),
+    (["sweep_outputs=kappa,,v_mt"],
+     "config key sweep_outputs: unknown outputs: ['']"),
+    (["sweep_values=8,20", "sweep_nmot_csv={nmot}"],
+     "config key sweep_nmot_csv ({nmot}): "
+     "n_mot_per_point values must be finite and >= 0")],
+    ids=["monotone", "listed_negative", "start_negative", "parameter",
+         "outputs", "nmot_negative"])
+def test_sweep_error_names_its_key(settings, message, tmp_path, capsys):
+    # SweepSpec's messages named no config key, and the n_mot one no file
+    nmot = tmp_path / "nmot.csv"
+    nmot.write_text("b_prime_g_per_cm,n_mot,sigma\n8,-5,1\n20,6e6,1\n")
+    argv = [a for s in settings for a in ("--set", s.format(nmot=nmot))]
+    assert run("sweep", "--paper-defaults", *argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {message.format(nmot=nmot)}\n")
 
 
 @pytest.mark.parametrize("stop", ["8", "8.000000000000002"])
