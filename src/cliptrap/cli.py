@@ -29,13 +29,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dynamics, sweeps
-from .cloud import trap_volume
 from .dynamics import LoadingScenario, RateCoefficients
 from .estimation import (DataSet, fit_column_profile, fit_decay, fit_kappa,
                          fit_loading_rate, fit_tof)
 from .flatfile import key_values, number, read_csv, read_lines
 from .species import MotBeamParams, chromium_52, load_species
-from .trap import IpTrapConfig, majorana_safe
+from .trap import IpTrapConfig
 
 
 class Key(NamedTuple):
@@ -250,15 +249,13 @@ def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
         ("loading_rate_atoms_per_s", scen.loading_rate),
         ("gamma_ed_per_s", scen.gamma_ed),
         ("v_mt_cm3", scen.v_mt * 1e6),
-        ("v_mt_cm3_no_gravity", trap_volume(scen.species, scen.trap,
-                                            scen.mt_temperature, False) * 1e6),
+        ("v_mt_cm3_no_gravity", scen.v_mt_no_gravity * 1e6),
         ("v_eff_cm3", scen.v_eff * 1e6),
         ("n_steady_atoms", scen.n_mt_steady),
         ("kappa", scen.kappa),
         ("tau_eff_s", scen.tau_eff),
-        ("t_mt_virial_prediction_uk",
-         dynamics.mt_temperature_prediction(scen.mot.temperature) * 1e6),
-        ("majorana_safe", majorana_safe(scen.trap)),
+        ("t_mt_virial_prediction_uk", scen.t_mt_prediction * 1e6),
+        ("majorana_safe", scen.majorana_safe),
     ])
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trap
 from .cloud import trap_volume
 from .species import (ModelInputError, MotBeamParams, Species,
                       excited_fraction)
@@ -60,18 +61,29 @@ class RateCoefficients:
 @dataclass(frozen=True)
 class LoadingScenario:
     """Everything the rate equation needs, volumes included, and the one
-    place its computed inputs and rate quantities are formed.
+    place its computed inputs and every quantity that predict and sweep
+    report are formed.
 
     Each of mt_temperature, v_mt and v_eff may be supplied (e.g. measured
     values) or left None, and is then filled in this order: the virial
-    prediction from the MOT temperature, cloud.trap_volume at
-    mt_temperature, and v_mt.  R (loading_rate), gamma_ed and gamma come
-    from one N*_MOT when the scenario is built, as attributes, not fields;
-    N_inf (n_mt_steady) and tau_eff when first read.  R and the abscissa
-    need no loss channel, and R, N_inf and tau_eff no n_mot > 0.
+    prediction t_mt_prediction, cloud.trap_volume at mt_temperature, and
+    v_mt.  R (loading_rate), gamma_ed and gamma come from one N*_MOT when
+    the scenario is built, as attributes, not fields; N_inf (n_mt_steady)
+    and tau_eff when first read.  R and the abscissa need no loss channel,
+    and R, N_inf and tau_eff no n_mot > 0.
+
+    predict and sweep report only attributes of the scenario (and
+    mot.n_mot): loading_rate, gamma_ed, v_mt, v_eff, n_mt_steady, kappa,
+    kappa_abscissa, tau_eff, and three properties formed each time they
+    are read, t_mt_prediction (the virial prediction from mot.temperature),
+    majorana_safe (trap's offset field) and v_mt_no_gravity (trap_volume
+    without gravity at mt_temperature).
 
     Filled values are stored in their fields, so dataclasses.replace keeps
     them: for another trap, species or MOT temperature, build a new one.
+    The three properties are formed from trap, mot and mt_temperature each
+    time, so replace(..., trap=...) moves them to the new trap while the
+    filled v_mt stays at the old one.
     """
 
     species: Species
@@ -85,8 +97,7 @@ class LoadingScenario:
 
     def __post_init__(self) -> None:
         if self.mt_temperature is None:
-            object.__setattr__(self, "mt_temperature",
-                               mt_temperature_prediction(self.mot.temperature))
+            object.__setattr__(self, "mt_temperature", self.t_mt_prediction)
         if not self.mt_temperature > 0:
             raise ValueError("mt_temperature must be positive")
         if self.v_mt is None:
@@ -106,6 +117,22 @@ class LoadingScenario:
         object.__setattr__(self, "loading_rate", r)
         object.__setattr__(self, "gamma_ed", gamma_ed)
         object.__setattr__(self, "gamma", gamma)
+
+    @property
+    def t_mt_prediction(self) -> float:
+        """The virial trap temperature from the MOT's, K."""
+        return mt_temperature_prediction(self.mot.temperature)
+
+    @property
+    def majorana_safe(self) -> bool:
+        """Whether the trap's offset field suppresses spin flips."""
+        return trap.majorana_safe(self.trap)
+
+    @property
+    def v_mt_no_gravity(self) -> float:
+        """V_MT at mt_temperature without gravity's sag, m^3."""
+        return trap_volume(self.species, self.trap, self.mt_temperature,
+                           False)
 
     @property
     def n_mot_excited(self) -> float:

@@ -112,16 +112,12 @@ def _correlation(cov: list[list[float]]) -> np.ndarray:
                      for row, si in zip(cov, sig)])
 
 
-def _cholesky_solve(a: list[list[float]], b: list[float]):
-    """x with a x = b for a symmetric positive definite a, by Cholesky.
-
-    a = L L^T is factored row by row, and L y = b solved alongside; then
-    L^T x = y.  Returns None when a is not positive definite to rounding
-    (a pivot that is not > 0, NaN included).
-    """
+def _cholesky(a: list[list[float]]):
+    """The lower factor L of a = L L^T for a symmetric positive definite
+    a, row by row; None when a is not positive definite to rounding (a
+    pivot that is not > 0, NaN included)."""
     low: list[list[float]] = []
-    y: list[float] = []
-    for row, bj in zip(a, b):
+    for row in a:
         lj: list[float] = []
         for lk in low:
             s = row[len(lj)]
@@ -133,19 +129,32 @@ def _cholesky_solve(a: list[list[float]], b: list[float]):
             s -= x * x
         if not s > 0:
             return None
-        d = math.sqrt(s)
+        lj.append(math.sqrt(s))
+        low.append(lj)
+    return low
+
+
+def _solve_factored(low: list[list[float]], b: list[float]) -> list[float]:
+    """x with L L^T x = b, from _cholesky's L: L y = b, then L^T x = y."""
+    y: list[float] = []
+    for lj, bj in zip(low, b):
         s = bj
         for x, z in zip(lj, y):
             s -= x * z
-        lj.append(d)
-        low.append(lj)
-        y.append(s / d)
+        y.append(s / lj[-1])
     for i in range(len(y) - 1, -1, -1):
         s = y[i]
         for k in range(i + 1, len(y)):
             s -= low[k][i] * y[k]
         y[i] = s / low[i][i]
     return y
+
+
+def _cholesky_solve(a: list[list[float]], b: list[float]):
+    """x with a x = b for a symmetric positive definite a, by Cholesky;
+    None when _cholesky declines a."""
+    low = _cholesky(a)
+    return None if low is None else _solve_factored(low, b)
 
 
 def _linear_solve(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -170,14 +179,14 @@ def _linear_solve(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 
 def _inverse(a: list[list[float]]) -> list[list[float]]:
-    """a^-1 for a symmetric a, column by column by Cholesky (a symmetric
-    inverse's columns are its rows); numpy's inv, or pinv if a is singular,
-    when a is not positive definite to rounding."""
-    n = len(a)
-    cols = [_cholesky_solve(a, [float(i == j) for i in range(n)])
-            for j in range(n)]
-    if None not in cols:
-        return cols
+    """a^-1 for a symmetric a, factored once by Cholesky and solved column
+    by column (a symmetric inverse's columns are its rows); numpy's inv, or
+    pinv if a is singular, when a is not positive definite to rounding."""
+    low = _cholesky(a)
+    if low is not None:
+        n = len(a)
+        return [_solve_factored(low, [float(i == j) for i in range(n)])
+                for j in range(n)]
     try:
         return np.linalg.inv(a).tolist()
     except np.linalg.LinAlgError:

@@ -1,13 +1,14 @@
 """Scenario construction, trap-parameter sweeps and synthetic data.
 
-Sweeps rebuild the cloud geometry for every swept value and read the
-rate-model outputs off the point's LoadingScenario, so each point
-evaluates the excited fraction, R and gamma once, and N_inf once if an
-output needs it.  A point that fails keeps its row, with the message in
-its 'error' field: an untrapped cloud, kappa or the abscissa at
-n_mot = 0, or N_inf without any loss channel.  The MOT atom number is
-never predicted from trap parameters (the model contains no MOT physics);
-it is held constant or supplied per point.
+Sweeps rebuild the cloud geometry for every swept value and read each
+output off the point's LoadingScenario, as the scenario attribute of that
+name (n_mot as mot.n_mot), so each point evaluates the excited fraction,
+R and gamma once, and N_inf once if an output needs it.  A point that
+fails keeps its row, with the message in its 'error' field: an untrapped
+cloud, kappa or the abscissa at n_mot = 0, or N_inf without any loss
+channel.  The MOT atom number is never predicted from trap parameters
+(the model contains no MOT physics); it is held constant or supplied per
+point.
 """
 
 from __future__ import annotations
@@ -21,24 +22,12 @@ import numpy as np
 from . import cloud, dynamics
 from .dynamics import LoadingScenario
 from .estimation import DataSet
-from .trap import IpTrapConfig, majorana_safe
+from .trap import IpTrapConfig
 
 SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
-# Each sweep output of one point, read off its scenario, which forms N_inf
-# once, when first read.
-_FORMULAS = {
-    "n_mot": lambda scen: scen.mot.n_mot,
-    "n_mt_steady": lambda scen: scen.n_mt_steady,
-    "loading_rate": lambda scen: scen.loading_rate,
-    "tau_eff": lambda scen: scen.tau_eff,
-    "v_mt": lambda scen: scen.v_mt,
-    "kappa": lambda scen: scen.kappa,
-    "kappa_abscissa": lambda scen: scen.kappa_abscissa,
-    "t_mt_prediction": lambda scen: dynamics.mt_temperature_prediction(
-        scen.mot.temperature),
-    "majorana_safe": lambda scen: majorana_safe(scen.trap),
-}
-OUTPUTS = tuple(_FORMULAS)
+# The scenario attributes a sweep can report, n_mot as mot.n_mot
+OUTPUTS = ("n_mot", "n_mt_steady", "loading_rate", "tau_eff", "v_mt",
+           "kappa", "kappa_abscissa", "t_mt_prediction", "majorana_safe")
 DEFAULT_OUTPUTS = OUTPUTS[:6]
 # First columns of the synthetic data files: the fits' readers tell a time
 # series from kappa points by them.
@@ -85,6 +74,9 @@ class SweepSpec:
         unknown = set(self.outputs) - set(OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs: {sorted(unknown)}")
+        repeated = {n for n in self.outputs if self.outputs.count(n) > 1}
+        if repeated:
+            raise ValueError(f"repeated outputs: {sorted(repeated)}")
 
 
 def scenario_at(base: LoadingScenario, parameter: str, value: float,
@@ -112,7 +104,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         try:
             scen = scenario_at(spec.base_scenario, spec.swept_parameter,
                                value, n_mot)
-            row.update({name: _FORMULAS[name](scen) for name in spec.outputs})
+            row.update({name: scen.mot.n_mot if name == "n_mot"
+                        else getattr(scen, name) for name in spec.outputs})
         except Exception as exc:  # per-point isolation is the contract
             row["error"] = str(exc)
             row.update({name: math.nan for name in spec.outputs})

@@ -1086,11 +1086,13 @@ def test_tau_eff_where_n_inf_underflows(capsys):
      "'bogus'"),
     (["sweep_outputs=kappa,,v_mt"],
      "config key sweep_outputs: unknown outputs: ['']"),
+    (["sweep_outputs=kappa_abscissa,kappa,kappa"],
+     "config key sweep_outputs: repeated outputs: ['kappa']"),
     (["sweep_values=8,20", "sweep_nmot_csv={nmot}"],
      "config key sweep_nmot_csv ({nmot}): "
      "n_mot_per_point values must be finite and >= 0")],
     ids=["monotone", "listed_negative", "start_negative", "parameter",
-         "outputs", "nmot_negative"])
+         "outputs", "repeated_outputs", "nmot_negative"])
 def test_sweep_error_names_its_key(settings, message, tmp_path, capsys):
     # SweepSpec's messages named no config key, and the n_mot one no file
     nmot = tmp_path / "nmot.csv"

@@ -98,6 +98,9 @@ class TestSweepSpec:
          "n_mot_per_point values must be finite and >= 0"),
         (("radial_gradient", [0.1]), {"outputs": ("kappa", "entropy")},
          "unknown outputs: ['entropy']"),
+        (("radial_gradient", [0.1]),
+         {"outputs": ("kappa_abscissa", "kappa", "kappa")},
+         "repeated outputs: ['kappa']"),
     ])
     def test_messages(self, args, kwargs, message):
         with pytest.raises(ValueError) as exc:
