@@ -1,33 +1,34 @@
 """Modified Bessel functions K0 and K1, and the scaled I0, to ~1e-14 relative.
 
-K0 and K1 come from one pass, with two branches joined at x = 2:
-  * the ascending series (Abramowitz & Stegun 9.6.11 and 9.6.13) for
-    small arguments, where the logarithmic cancellation is still
-    harmless; K0's sums ride along in K1's loop;
-  * Steed's continued fraction for the scaled K0/K1 pair at large
-    arguments (Temme, J. Comput. Phys. 19, 324 (1975)), which stays
-    close to machine precision all the way up to the underflow limit
-    and on past it.  It forms e^x K0 and e^x K1 directly.  From x = 1e16
-    on, both are their common leading term sqrt(pi / 2x) to an ulp.
+All three sum Chebyshev series in the form of Moshier's Cephes library
+(k0.c, k1.c, i0.c; S. L. Moshier, Methods and Programs for Mathematical
+Functions, 1989) by one recurrence, Clenshaw's (Math. Tables Aids
+Comput. 9, 118 (1955)), in _clenshaw: sum' c_k T_k(t/2) for t in
+[-2, 2], the c_0 term halved as in Cephes' chbevl.  Each call sums every
+element's own series in a single pass of fixed length, one column of a
+table per branch, so no element's value depends on the other elements
+of the array.  The cost of a call is mostly the fixed overhead of its
+numpy steps, not arithmetic, so the call count matters more than its
+length.
 
-That pass is the one kernel.  exp_scaled_x_k0_k1, the one pair, returns
-x e^x K0 and x e^x K1 at every x >= 0, with their limits at 0, up to
-1/(largest float) and at inf, so the column profile can join e^-x to its
-own exponent; bessel_k1 and scaled_x_k1 multiply the kernel's K1 by e^-x.
+K0 and K1 come from one pass of six series, joined at x = 2:
+  * on (0, 2], in t = x^2 - 2: K0 + ln(x/2) I0, x (K1 - ln(x/2) I1), I0
+    and I1/x, which give K0 and K1 with their logarithmic terms;
+  * beyond, in t = 8/x - 2: sqrt(x) e^x K0 and sqrt(x) e^x K1, which
+    stay normal floats up to x = inf, far past where K0 and K1 underflow.
+That pass, _k0_k1_exp_scaled, is the one kernel: it returns e^x K0 and
+e^x K1.  exp_scaled_x_k0_k1, the one pair, returns x e^x K0 and x e^x K1
+at every x >= 0, with their limits at 0, up to 1/(largest float) and at
+inf, so the column profile can join e^-x to its own exponent; bessel_k1
+and scaled_x_k1 multiply the kernel's K1 by e^-x.  The K coefficients
+were generated at 40 digits with mpmath and truncated where they fall
+below 2e-17 of the largest; tests/test_bessel.py regenerates them.
 
-i0e(x) = exp(-x) I0(x) sums Moshier's Cephes Chebyshev series (i0.c),
-one in x/2 - 2 on [0, 8] and one in 32/x - 2 beyond, joined at x = 8.
-Both series sit in one table, a column each, so one Clenshaw recurrence
-(Clenshaw, Math. Tables Aids Comput. 9, 118 (1955)) sums each element's
-own series in a single pass of 29 steps, to the same bits as Cephes'
-chbevl.  The cost of a call is mostly the fixed overhead of its numpy
-steps, not arithmetic, so the call count matters more than its length.
+i0e(x) = exp(-x) I0(x) sums Cephes' own i0.c coefficients, one series in
+x/2 - 2 on [0, 8] and one in 32/x - 2 beyond, joined at x = 8, to the
+same bits as Cephes' chbevl.
 
-Every function accepts scalars (returning floats) or arrays.  K0 and K1
-run each branch on its elements at once, under a mask; an element stops
-updating as soon as its own series or fraction has converged.  i0e runs
-the same steps on every element, with its own coefficients.  So no
-element's value depends on the other elements of the array.
+Every function accepts scalars (returning floats) or arrays.
 """
 
 from __future__ import annotations
@@ -38,103 +39,106 @@ import sys
 import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
-_SERIES_CUTOFF = 2.0
 _LN2_MINUS_GAMMA = math.log(2.0) - _EULER_GAMMA
 _TINY_U = 1.0 / sys.float_info.max  # up to here 1/u overflows
-_ASYMPTOTIC_X = 1e16  # e^x K0, e^x K1 = sqrt(pi/2x) (1 + O(1/x)) to an ulp
-_MAX_ITER = 400
-_EPS = 1e-16
 
 
-def _k0_k1_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # K1(x) = ln(x/2) I1(x) + 1/x - (x/4) sum_k [psi(k+1)+psi(k+2)] t^k / (k!(k+1)!)
-    # K0(x) = sum_k (H_k - ln(x/2) - gamma) t^k / k!^2
-    # with t = x^2/4 and H_k the harmonic numbers (H_0 = 0).
-    t = 0.25 * x * x
-    log_half = np.log(0.5 * x)
-    term_i = 0.5 * x          # I1 partial term: (x/2) t^k / (k!(k+1)!)
-    i1 = term_i.copy()
-    psi_sum = -2 * _EULER_GAMMA + 1.0   # psi(1) + psi(2)
-    term_s = np.ones_like(x)  # t^k / (k!(k+1)!)
-    s = psi_sum * term_s
-    term_0 = np.ones_like(x)  # t^k / k!^2
-    harmonic = -(log_half + _EULER_GAMMA)  # H_k - ln(x/2) - gamma
-    k0 = harmonic.copy()
-    active = np.ones(x.shape, bool)
-    for k in range(1, _MAX_ITER):
-        ratio = t / (k * (k + 1))
-        term_i *= ratio
-        term_s *= ratio
-        psi_sum += 1.0 / k + 1.0 / (k + 1)
-        ds = psi_sum * term_s
-        term_0 *= t / (k * k)
-        harmonic += 1.0 / k
-        np.add(i1, term_i, out=i1, where=active)
-        np.add(s, ds, out=s, where=active)
-        np.add(k0, harmonic * term_0, out=k0, where=active)
-        active &= (np.abs(ds) >= _EPS * np.abs(s)) | (term_i >= _EPS * i1)
-        if not active.any():
-            break
-    return k0, log_half * i1 + 1.0 / x - 0.25 * x * s
+def _clenshaw(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum' c_k T_k(t/2) for each column of rows, highest degree first.
+
+    rows[k] holds every element's k-th coefficient and broadcasts against
+    t.  A series padded in front with zeros sums the same bits as the
+    unpadded one: a step from b0 = b1 = 0 over a zero coefficient leaves
+    them 0.
+    """
+    # b0 <- t b0 - b1 + c, in three rotating buffers
+    b0, b1, b2 = rows[0].copy(), np.zeros_like(rows[0]), np.empty_like(rows[0])
+    for c in rows[1:]:
+        np.multiply(t, b0, out=b2)
+        b2 -= b1
+        b2 += c
+        b0, b1, b2 = b2, b0, b1
+    return 0.5 * (b0 - b2)
 
 
-def _k0_k1_cf2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Steed's CF2 for the pair (K_mu, K_mu+1) at mu = 0 (Thompson & Barnett).
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    a1 = 0.25
-    c = a1
-    q = np.full_like(x, a1)
-    a = -a1
-    s = 1.0 + q * delh
-    active = np.ones(x.shape, bool)
-    # q2 grows as (2x)^i / i!^2: an element that has converged may overflow
-    # it while a slower neighbour still runs, but only h and s are read,
-    # and they stop updating with it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(2, _MAX_ITER):
-            a -= 2 * (i - 1)
-            c = -a * c / i
-            q1, q2 = q2, (q1 - b * q2) / a
-            q += c * q2
-            b += 2.0
-            d = 1.0 / (b + a * d)
-            delh = (b * d - 1.0) * delh
-            dels = q * delh
-            np.add(h, delh, out=h, where=active)
-            np.add(s, dels, out=s, where=active)
-            active &= np.abs(dels) >= _EPS * np.abs(s)
-            if not active.any():
-                break
-    h = a1 * h
-    k0 = np.sqrt(math.pi / (2.0 * x)) / s  # e^x K0: the fraction's own form
-    return k0, k0 * (x + 0.5 - h) / x
+def _table(*series: tuple) -> np.ndarray:
+    """The series as the columns of one table, padded in front with zeros."""
+    rows = max(map(len, series))
+    return np.column_stack([(0.0,) * (rows - len(s)) + s for s in series])
+
+
+# Chebyshev coefficients, highest degree first, of K0 + ln(x/2) I0,
+# x (K1 - ln(x/2) I1), I0 and I1/x in x^2 - 2 on (0, 2], and of
+# sqrt(x) e^x K0 and sqrt(x) e^x K1 in 8/x - 2 on (2, inf].
+_K_SWITCH = 2.0
+_K0_SMALL = (
+    1.3744654358807508e-16, 4.2598161427910826e-14, 1.0349695257633625e-11,
+    1.904516377220209e-09, 2.5347910790261494e-07, 2.286212103119452e-05,
+    0.001264615411446926, 0.0359799365153615, 0.3442898999246285,
+    -0.5353273932339028)
+_K1_SMALL = (
+    -2.427449850519366e-15, -6.666901694199329e-13, -1.4114883926335278e-10,
+    -2.213387630734726e-08, -2.4334061415659684e-06, -0.0001730288957513052,
+    -0.006975723859639864, -0.12261118082265715, -0.3531559607765449,
+    1.5253002273389478)
+_I0_SMALL = (
+    1.984280622680562e-14, 5.1149979020112795e-12, 1.0114797900674826e-09,
+    1.4738449008423848e-07, 1.4983654208927293e-05, 0.00098287812725148,
+    0.03685485969436176, 0.638809625651177, 3.2058456136159266)
+_I1_X_SMALL = (
+    1.0962998348773076e-15, 3.17487931131012e-13, 7.161106692799279e-11,
+    1.2138074968740922e-08, 1.4739165119093128e-06, 0.00011988137174638708,
+    0.005898742680020788, 0.1475393201491934, 1.2835179939823749)
+_K0E_LARGE = (
+    5.2103917776435543e-17, -1.6782311257549006e-16, 5.5120559994043335e-16,
+    -1.848593377920907e-15, 6.340076476276646e-15, -2.2275133267462965e-14,
+    8.032890775068375e-14, -2.9800969231481784e-13, 1.1403405882073441e-12,
+    -4.514597883374519e-12, 1.8559491149549264e-11, -7.957489244477396e-11,
+    3.5773972814003283e-10, -1.6975345093890614e-09, 8.574034017414225e-09,
+    -4.660489897687948e-08, 2.766813639445015e-07, -1.8317555227191195e-06,
+    1.39498137188765e-05, -0.00012849549581627802, 0.0015698838857300533,
+    -0.0314481013119645, 2.4403030820659555)
+_K1E_LARGE = (
+    -5.689462849193648e-17, 1.8380935752430455e-16, -6.057047270643018e-16,
+    2.038703166239861e-15, -7.0198370892147685e-15, 2.4771544242195988e-14,
+    -8.976705182010146e-14, 3.348419666052243e-13, -1.2891739609498229e-12,
+    5.139639673482343e-12, -2.129967838427791e-11, 9.218315187605315e-11,
+    -4.1903547593419254e-10, 2.0150497551970347e-09, -1.0345762465678097e-08,
+    5.7410841254500495e-08, -3.5019606030878126e-07, 2.406484947837217e-06,
+    -1.936197974166083e-05, 0.00019521551847135162, -0.002857816859622779,
+    0.10392373657681724, 2.7206261904844427)
+
+# _K_TABLE[:, 0] holds the four series of (0, 2], _K_TABLE[:, 1] the two
+# of (2, inf] and two zero columns
+_K_TABLE = _table(_K0_SMALL, _K1_SMALL, _I0_SMALL, _I1_X_SMALL, _K0E_LARGE,
+                  _K1E_LARGE, (0.0,), (0.0,)).reshape(-1, 2, 4)
 
 
 def _k0_k1_exp_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^x K0(x), e^x K1(x)) for an array of x > 0, from one pass.
 
     Both fall as sqrt(pi / 2x) and are normal floats for every finite x,
-    so nothing is cut off here.  From x = _ASYMPTOTIC_X on, where the
-    continued fraction's recurrence would overflow, both are that leading
-    term, which is 0 at x = inf.
+    so nothing is cut off here; at x = inf both are 0.
     """
-    k0 = np.empty(x.shape)
-    k1 = np.empty(x.shape)
-    small = x <= _SERIES_CUTOFF
-    far = x >= _ASYMPTOTIC_X
-    large = ~small & ~far
+    shape = x.shape
+    x = x.ravel()
+    large = x > _K_SWITCH
+    # Cephes' chbevl at t = x^2 - 2 on (0, 2], t = 8/x - 2 beyond
+    t = np.square(np.minimum(x, _K_SWITCH))
+    np.divide(8.0, x, out=t, where=large)
+    t -= 2.0
+    rows = _K_TABLE[:, large.astype(np.intp)]
+    k0, k1, i0, i1_x = _clenshaw(rows, t[:, None]).T
+    small = ~large
     x_s = x[small]
+    log_half = np.log(0.5 * x_s)
     grow = np.exp(x_s)
-    k0_s, k1_s = _k0_k1_series(x_s)
-    k0[small], k1[small] = k0_s * grow, k1_s * grow
-    k0[large], k1[large] = _k0_k1_cf2(x[large])
-    k0[far] = k1[far] = np.sqrt(0.5 * math.pi / x[far])
-    return k0, k1
+    k0[small] = (k0[small] - log_half * i0[small]) * grow
+    k1[small] = (k1[small] / x_s + log_half * (x_s * i1_x[small])) * grow
+    root = np.sqrt(x[large])
+    k0[large] /= root
+    k1[large] /= root
+    return k0.reshape(shape), k1.reshape(shape)
 
 
 def bessel_k1(x):
@@ -154,11 +158,11 @@ def exp_scaled_x_k0_k1(u):
     """(e^u u K0(u), e^u u K1(u)) for u >= 0, from one pass.
 
     These are the radial factor of the column-density projection and, by
-    d(u K1)/du = -u K0, its derivative, times e^u: the continued fraction
-    forms them so, and a caller joins e^-u to its own exponent.  e^u u K1
-    tends to sqrt(pi u / 2), so both stay finite for every finite u, far
-    past where K0 and K1 underflow.  Up to 1/(largest float), where the
-    series' 1/u overflows, both are their limits u (ln 2 - gamma - ln u)
+    d(u K1)/du = -u K0, its derivative, times e^u: the kernel forms them
+    so, and a caller joins e^-u to its own exponent.  e^u u K1 tends to
+    sqrt(pi u / 2), so both stay finite for every finite u, far past where
+    K0 and K1 underflow.  Up to 1/(largest float), where the kernel's 1/u
+    overflows, both are their limits u (ln 2 - gamma - ln u)
     and 1 to far below an ulp, and (0, 1) at u = 0; at u = inf both are
     inf.  Accepts a scalar (returns two floats) or an array; raises
     ValueError if any element is < 0 or NaN.
@@ -228,13 +232,7 @@ _I0E_LARGE = (
     6.88975834691682398426e-5, 3.36911647825569408990e-3,
     8.04490411014108831608e-1)
 
-
-# One table of both series, one column each, the 25-term series padded in
-# front with zeros: a Clenshaw step from b0 = b1 = 0 over a zero
-# coefficient leaves them 0, so the padded recurrence reaches the
-# unpadded one's start exactly and sums the same bits.
-_I0E_TABLE = np.column_stack(
-    [_I0E_SMALL, (0.0,) * (len(_I0E_SMALL) - len(_I0E_LARGE)) + _I0E_LARGE])
+_I0E_TABLE = _table(_I0E_SMALL, _I0E_LARGE)
 
 
 def i0e(x):
@@ -253,15 +251,7 @@ def i0e(x):
     t = 0.5 * x
     np.divide(32.0, x, out=t, where=large)
     t -= 2.0
-    rows = _I0E_TABLE[:, large.astype(np.intp)]
-    # Clenshaw's recurrence b0 <- t b0 - b1 + c, in three rotating buffers
-    b0, b1, b2 = rows[0].copy(), np.zeros_like(t), np.empty_like(t)
-    for c in rows[1:]:
-        np.multiply(t, b0, out=b2)
-        b2 -= b1
-        b2 += c
-        b0, b1, b2 = b2, b0, b1
-    out = 0.5 * (b0 - b2)
+    out = _clenshaw(_I0E_TABLE[:, large.astype(np.intp)], t)
     np.divide(out, np.sqrt(x), out=out, where=large)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out

@@ -512,7 +512,9 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     sampled on their outer product, shape (len(y), len(z)); the model is
     cloud.column_profile_model.  The fit starts at 100 uK, from
     make_thermal_cloud's cloud: a trap whose cloud is out of range there
-    is named by B' and B'' alone, since no config key sets that T.
+    is named by B' and B'' alone, since no config key sets that T.  An
+    image whose peak puts the model's amplitude 2 n0 xi1 at that start
+    past float range raises ValueError.
 
     A fitted centre outside the grid's y and z range raises ValueError:
     beyond the image, n0 and the centre trade off along the cloud's
@@ -536,6 +538,9 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
         raise ModelInputError(str(exc), "radial_gradient",
                               "axial_curvature") from None
     n0_guess = peak / (2 * xi1_guess)
+    if not math.isfinite(2 * n0_guess * xi1_guess):
+        raise ValueError(f"the image's peak ({peak:.6g}) is out of float "
+                         "range for the profile fit")
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))
     res = least_squares(column_profile_model(species, trap, y, z), flat,

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import i0e as scipy_i0e
 from scipy.special import i1e, k0, k0e, k1, k1e
 
+from cliptrap import bessel
 from cliptrap.bessel import (_k0_k1_exp_scaled, bessel_k1, exp_scaled_x_k0_k1,
                              i0e, scaled_x_k1)
 
@@ -94,47 +95,26 @@ def test_scaled_x_k1_limit_and_value():
 
 # --- array evaluation ------------------------------------------------------
 
+def chbevl(coefficients, t: float) -> float:
+    """Cephes' chbevl in Python floats: sum' c_k T_k(t/2), highest degree
+    first, by Clenshaw's recurrence."""
+    b0, b1, b2 = coefficients[0], 0.0, 0.0
+    for c in coefficients[1:]:
+        b0, b1, b2 = t * b0 - b1 + c, b0, b1
+    return 0.5 * (b0 - b2)
+
+
 def k1_loop_reference(x: float) -> float:
-    """The scalar per-element loop the array code replaced, kept as the
-    reference: the same series and continued fraction in Python floats."""
+    """The array code's recurrence on one element, kept as the reference:
+    the same tables and the same steps in Python floats, e^x K1 times e^-x."""
     if x <= 2.0:
-        t = 0.25 * x * x
-        term_i = i1 = 0.5 * x
-        psi_sum = -2 * 0.5772156649015328606 + 1.0
-        term_s = 1.0
-        s = psi_sum
-        for k in range(1, 400):
-            term_i *= t / (k * (k + 1))
-            i1 += term_i
-            term_s *= t / (k * (k + 1))
-            psi_sum += 1.0 / k + 1.0 / (k + 1)
-            ds = psi_sum * term_s
-            s += ds
-            if abs(ds) < 1e-16 * abs(s) and term_i < 1e-16 * i1:
-                break
-        return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s
-    b = 2.0 * (1.0 + x)
-    d = h = delh = 1.0 / b
-    q1, q2, a1 = 0.0, 1.0, 0.25
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 400):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) < 1e-16 * abs(s):
-            break
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    return k0 * (x + 0.5 - a1 * h) / x
+        t = x * x - 2.0
+        log_half = math.log(0.5 * x)
+        k1 = (chbevl(bessel._K1_SMALL, t) / x
+              + log_half * (x * chbevl(bessel._I1_X_SMALL, t))) * math.exp(x)
+    else:
+        k1 = chbevl(bessel._K1E_LARGE, 8.0 / x - 2.0) / math.sqrt(x)
+    return k1 * math.exp(-x)
 
 
 def ulps(a, b):
@@ -162,7 +142,7 @@ def test_array_matches_loop_reference():
 def test_array_continuity_at_branch_switch():
     below = np.nextafter(2.0, 0.0)
     above = np.nextafter(2.0, 3.0)
-    k = bessel_k1(np.array([below, 2.0, above]))   # series, series, CF2
+    k = bessel_k1(np.array([below, 2.0, above]))   # (0, 2], (0, 2], beyond
     # neighbouring arguments one ulp apart: the branches meet within a
     # few ulp, with no step of the size of either branch's error
     assert abs(k[1] - k[0]) / k[1] < 1e-14
@@ -178,10 +158,10 @@ BELOW_TWO = float(np.nextafter(2.0, 0.0))
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(1.9, 2.1), dx=st.floats(0.0, 1e-6))
 @example(x=BELOW_TWO, dx=0.0)
-@example(x=BELOW_TWO, dx=2 * (2.0 - BELOW_TWO))  # series, then CF2
+@example(x=BELOW_TWO, dx=2 * (2.0 - BELOW_TWO))  # (0, 2], then beyond
 @example(x=2.0, dx=1e-15)
 def test_property_continuous_across_crossover(x, dx):
-    # Either side of the x = 2 switch between the series and Steed's CF2,
+    # Either side of the x = 2 switch between the series in x^2 and 8/x,
     # K1 matches scipy's to 1e-14, and the step between two arguments is
     # the slope K1' = -(K0 + K1 / x) times their distance, to 1e-14 of K1
     # plus the curvature term (K1'' < 1 here): no jump at the switch.
@@ -254,7 +234,7 @@ def test_k0_against_scipy_across_switch():
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(1.9, 2.1), dx=st.floats(0.0, 1e-6))
 @example(x=BELOW_TWO, dx=0.0)
-@example(x=BELOW_TWO, dx=2 * (2.0 - BELOW_TWO))  # series, then CF2
+@example(x=BELOW_TWO, dx=2 * (2.0 - BELOW_TWO))  # (0, 2], then beyond
 @example(x=2.0, dx=1e-15)
 def test_property_k0_continuous_across_crossover(x, dx):
     # as for K1: either side of the switch K0 matches scipy's to 1e-14,
@@ -310,11 +290,66 @@ def test_exp_scaled_pair_against_scipy():
         oracle = [float(mpmath.mpf(v) * mpmath.besselk(0, v))
                   for v in edge[1:-1]]
     assert np.allclose(ek0[1:-1], oracle, rtol=1e-14, atol=0.0)
-    # an element's value does not depend on its neighbours, though the
-    # continued fraction runs on for the slowest of them
+    # an element's value does not depend on its neighbours, though each
+    # sums its own branch's series in the same pass
     u = np.concatenate([u, edge])
     uk0, uk1 = exp_scaled_x_k0_k1(u)
     assert [exp_scaled_x_k0_k1(float(v)) for v in u] == list(zip(uk0, uk1))
+
+
+# --- the K tables, regenerated ----------------------------------------------
+# Each table is the Chebyshev expansion of one function on t in [-2, 2],
+# in Cephes' chbevl form: a DCT of the function at n Chebyshev nodes at 40
+# digits, kept up to the last coefficient of at least 2e-17 of the largest,
+# highest degree first.  48 nodes alias nothing into the kept digits: 64
+# give the same floats.
+
+def small_x(u):
+    return mpmath.sqrt(2 * (u + 1))   # t = 2u = x^2 - 2 on (0, 2]
+
+
+def large_x(u):
+    return 4 / (u + 1)                # t = 2u = 8/x - 2 on (2, inf)
+
+
+def ln_half(x):
+    return mpmath.log(x / 2)
+
+
+def sqrt_exp(x):
+    return mpmath.sqrt(x) * mpmath.exp(x)
+
+
+K_TABLE_FUNCTIONS = {
+    "_K0_SMALL": lambda x: (mpmath.besselk(0, x)
+                            + ln_half(x) * mpmath.besseli(0, x)),
+    "_K1_SMALL": lambda x: x * (mpmath.besselk(1, x)
+                                - ln_half(x) * mpmath.besseli(1, x)),
+    "_I0_SMALL": lambda x: mpmath.besseli(0, x),
+    "_I1_X_SMALL": lambda x: mpmath.besseli(1, x) / x,
+    "_K0E_LARGE": lambda x: sqrt_exp(x) * mpmath.besselk(0, x),
+    "_K1E_LARGE": lambda x: sqrt_exp(x) * mpmath.besselk(1, x),
+}
+
+
+def chebyshev_table(f, argument, nodes: int = 48) -> tuple:
+    with mpmath.workdps(40):
+        theta = [mpmath.pi * (j + mpmath.mpf(0.5)) / nodes
+                 for j in range(nodes)]
+        values = [f(argument(mpmath.cos(th))) for th in theta]
+        c = [2 * mpmath.fsum(v * mpmath.cos(k * th)
+                             for v, th in zip(values, theta)) / nodes
+             for k in range(nodes)]
+        floor = 2e-17 * max(abs(ck) for ck in c)
+        kept = max(k for k, ck in enumerate(c) if abs(ck) >= floor) + 1
+        return tuple(float(ck) for ck in reversed(c[:kept]))
+
+
+@pytest.mark.parametrize("name", K_TABLE_FUNCTIONS)
+def test_k_table_matches_its_generator(name):
+    argument = small_x if name.endswith("_SMALL") else large_x
+    table = chebyshev_table(K_TABLE_FUNCTIONS[name], argument)
+    assert table == getattr(bessel, name)
 
 
 # --- I0, exponentially scaled ----------------------------------------------

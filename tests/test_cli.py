@@ -1263,17 +1263,23 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
      "{data}: no abscissa column for the kappa fit"),
     (["fit", "profile"], "y_mm,z_mm,column_density\n-0.1,-1,0\n-0.1,1,0\n"
      "0.1,-1,0\n0.1,1,0\n", "image contains no signal"),
+    # the fit's start n0 = peak / (2 xi1) was inf: the model formed
+    # inf * 0, warned, and the error read "model not evaluable"
+    (["fit", "profile"], "y_mm,z_mm,column_density\n-0.1,-1,0\n-0.1,1,0\n"
+     "0,-1,3e307\n0,1,0\n0.1,-1,0\n0.1,1,0\n",
+     "the image's peak (3e+307) is out of float range for the profile fit"),
     (["fit", "decay"], "t_s,n_atoms,sigma_n_atoms\n0,0,1\n1,1.5e8,1.5e6\n"
      "2,1e8,1e6\n5,8e7,8e5\n", "n0 must be positive")],
     ids=["loading_curve_without_rate", "kappa_without_abscissa",
-         "profile_without_signal", "decay_from_zero"])
-def test_input_error_exits_2(argv, text, message, tmp_path, capsys):
+         "profile_without_signal", "profile_past_float_range",
+         "decay_from_zero"])
+def test_input_error_exits_2(argv, text, message, tmp_path, capfd):
     data = tmp_path / "data.csv"
     if text is not None:
         data.write_text(text)
         argv = [*argv, "--data", str(data)]
     assert run(*argv, "--paper-defaults") == 2
-    assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+    assert capfd.readouterr() == ("", f"error: {message.format(data=data)}\n")
 
 
 def test_linalg_error_exits_2(fit_data, monkeypatch, capsys):

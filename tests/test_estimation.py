@@ -989,6 +989,19 @@ class TestFitColumnProfile:
         with pytest.raises(ValueError, match="lies outside the image"):
             fit_column_profile(y, z, image, CR, CFG)
 
+    @pytest.mark.parametrize("scale", [1.2e291, 1e294])
+    def test_peak_out_of_float_range_raises(self, scale):
+        # at the fit's 100 uK start, xi1 = 0.1985 mm, the model's amplitude
+        # 2 n0 xi1 overflows from a peak of 3.6e304 on (here 4.9e304), and
+        # n0 = peak / (2 xi1) itself from 7.1e304 (here 4.1e307): the
+        # model formed inf * 0, warned, and the solver reported it as "not
+        # evaluable"
+        y, z, image, _ = self.forward(scale=scale)
+        with pytest.raises(ValueError, match=r"^the image's peak "
+                           r"\(\S+e\+30\d\) is out of float range for "
+                           r"the profile fit$"):
+            fit_column_profile(y, z, image, CR, CFG)
+
     def test_shape_validation(self):
         y, z, image, _ = self.forward()
         with pytest.raises(ValueError):
