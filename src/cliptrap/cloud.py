@@ -304,7 +304,9 @@ def column_profile_model(species: Species, trap: IpTrapConfig, y, z):
     xi1, xi2 and sigma_z^2 are proportional to T.  K0 and K1 run on the
     len(y) offsets y' = y - y0, and broadcasting fills the grid.  Each
     Jacobian column multiplies f or g by factors in (y', z') that f's own
-    exponent outweighs, so it is finite wherever f is.
+    exponent outweighs, over one of n0, T, xi1, xi2 and sigma_z: it is
+    finite wherever f is, unless f's peak lies within that divisor of
+    float range (fit_column_profile checks this at its start).
     """
     def model(_x, p):
         n0, t_k, y0, z0 = p

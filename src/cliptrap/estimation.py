@@ -513,8 +513,8 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     cloud.column_profile_model.  The fit starts at 100 uK, from
     make_thermal_cloud's cloud: a trap whose cloud is out of range there
     is named by B' and B'' alone, since no config key sets that T.  An
-    image whose peak puts the model's amplitude 2 n0 xi1 at that start
-    past float range raises ValueError.
+    image whose peak puts the model or its Jacobian at that start past
+    float range raises ValueError.
 
     A fitted centre outside the grid's y and z range raises ValueError:
     beyond the image, n0 and the centre trade off along the cloud's
@@ -537,14 +537,19 @@ def fit_column_profile(y: np.ndarray, z: np.ndarray, image: np.ndarray,
     except CloudRangeError as exc:
         raise ModelInputError(str(exc), "radial_gradient",
                               "axial_curvature") from None
-    n0_guess = peak / (2 * xi1_guess)
-    if not math.isfinite(2 * n0_guess * xi1_guess):
+    model = column_profile_model(species, trap, y, z)
+    start = [peak / (2 * xi1_guess), t_guess, 0.0, 0.0]
+    # the Jacobian divides f by T, xi1 and sigma_z, so it leaves float
+    # range about four decades of peak before the model does
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, jac = model(None, start)
+        finite = np.isfinite(f).all() and np.isfinite(jac()).all()
+    if not finite:
         raise ValueError(f"the image's peak ({peak:.6g}) is out of float "
                          "range for the profile fit")
     flat = DataSet(np.arange(image.size, dtype=float), image.ravel(),
                    np.full(image.size, max(peak * 1e-3, 1e-300)))
-    res = least_squares(column_profile_model(species, trap, y, z), flat,
-                        [n0_guess, t_guess, 0.0, 0.0],
+    res = least_squares(model, flat, start,
                         names=("n0", "temperature", "center_y", "center_z"),
                         log=(True, True, False, False))
     y0, z0 = res["center_y"], res["center_z"]

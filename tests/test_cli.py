@@ -1268,11 +1268,16 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
     (["fit", "profile"], "y_mm,z_mm,column_density\n-0.1,-1,0\n-0.1,1,0\n"
      "0,-1,3e307\n0,1,0\n0.1,-1,0\n0.1,1,0\n",
      "the image's peak (3e+307) is out of float range for the profile fit"),
+    # the amplitude was finite, but the Jacobian's f / T column was not:
+    # LAPACK printed to stdout, and the error read "SVD did not converge"
+    (["fit", "profile"], "y_mm,z_mm,column_density\n-0.1,-1,0\n-0.1,1,0\n"
+     "0,-1,3e304\n0,1,0\n0.1,-1,0\n0.1,1,0\n",
+     "the image's peak (3e+304) is out of float range for the profile fit"),
     (["fit", "decay"], "t_s,n_atoms,sigma_n_atoms\n0,0,1\n1,1.5e8,1.5e6\n"
      "2,1e8,1e6\n5,8e7,8e5\n", "n0 must be positive")],
     ids=["loading_curve_without_rate", "kappa_without_abscissa",
          "profile_without_signal", "profile_past_float_range",
-         "decay_from_zero"])
+         "profile_jacobian_past_float_range", "decay_from_zero"])
 def test_input_error_exits_2(argv, text, message, tmp_path, capfd):
     data = tmp_path / "data.csv"
     if text is not None:

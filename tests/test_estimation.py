@@ -989,10 +989,12 @@ class TestFitColumnProfile:
         with pytest.raises(ValueError, match="lies outside the image"):
             fit_column_profile(y, z, image, CR, CFG)
 
-    @pytest.mark.parametrize("scale", [1.2e291, 1e294])
+    @pytest.mark.parametrize("scale", [7e290, 1.2e291, 1e294])
     def test_peak_out_of_float_range_raises(self, scale):
-        # at the fit's 100 uK start, xi1 = 0.1985 mm, the model's amplitude
-        # 2 n0 xi1 overflows from a peak of 3.6e304 on (here 4.9e304), and
+        # at the fit's 100 uK start, xi1 = 0.1985 mm, the Jacobian's
+        # temperature column, about f / T, overflows from a peak of about
+        # 2e304 on (here 2.8e304: it warned, and LAPACK failed on it), the
+        # model's amplitude 2 n0 xi1 from 3.6e304 (here 4.9e304), and
         # n0 = peak / (2 xi1) itself from 7.1e304 (here 4.1e307): the
         # model formed inf * 0, warned, and the solver reported it as "not
         # evaluable"
