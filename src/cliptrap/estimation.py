@@ -1,7 +1,8 @@
 """Least-squares machinery and the toolkit's fitting procedures.
 
 The core engine is a damped Gauss-Newton iteration (Levenberg-Marquardt
-damping) that reports covariance, correlation and a convergence flag.
+damping) that reports covariance, formed for every fit by one function,
+and a convergence flag.
 Positivity-constrained parameters are fitted in log space through its one
 `log` option, which maps values and covariance back with the delta method.
 A model returns its values and a callable for their Jacobian.  The kappa
@@ -91,7 +92,6 @@ class FitResult:
     names: tuple[str, ...]
     values: np.ndarray
     covariance: np.ndarray
-    correlation: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
@@ -104,12 +104,14 @@ class FitResult:
         i = self.names.index(name)
         return float(math.sqrt(max(self.covariance[i, i], 0.0)))
 
-
-def _correlation(cov: list[list[float]]) -> np.ndarray:
-    sig = [math.sqrt(max(row[i], 0.0)) for i, row in enumerate(cov)]
-    return np.array([[min(max(c / (si * sj), -1.0), 1.0) if si * sj > 0
-                      else 0.0 for c, sj in zip(row, sig)]
-                     for row, si in zip(cov, sig)])
+    @property
+    def correlation(self) -> np.ndarray:
+        """cov_ij / (sigma_i sigma_j) in [-1, 1], 0 where a sigma is 0."""
+        cov = self.covariance.tolist()
+        sig = [math.sqrt(max(row[i], 0.0)) for i, row in enumerate(cov)]
+        return np.array([[min(max(c / (si * sj), -1.0), 1.0) if si * sj > 0
+                          else 0.0 for c, sj in zip(row, sig)]
+                         for row, si in zip(cov, sig)])
 
 
 def _cholesky(a: list[list[float]]):
@@ -178,25 +180,29 @@ def _linear_solve(a: np.ndarray, b: np.ndarray) -> list[float]:
     return [xi * si for xi, si in zip(x, scale)]
 
 
-def _inverse(a: list[list[float]]) -> list[list[float]]:
-    """a^-1 for a symmetric a, factored once by Cholesky and solved column
-    by column (a symmetric inverse's columns are its rows); numpy's inv, or
-    pinv if a is singular, when a is not positive definite to rounding."""
-    low = _cholesky(a)
+def _covariance(gram: list[list[float]], scale: list[float]) -> np.ndarray:
+    """The covariance of p from the Gram matrix J^T J of the fitted q, by
+    one Cholesky factorisation and the delta method d p_i / d q_i =
+    scale_i.  Where Cholesky declines, eigenvalues <= n eps lambda_max
+    span directions the data leave free: a parameter with a component
+    above sqrt(eps) on one gets variance inf and nan covariances
+    (Numerical Recipes, 3rd ed., sec. 15.4), the rest the pseudo-inverse's."""
+    n = len(gram)
+    low = _cholesky(gram)
     if low is not None:
-        n = len(a)
-        return [_solve_factored(low, [float(i == j) for i in range(n)])
-                for j in range(n)]
-    try:
-        return np.linalg.inv(a).tolist()
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(a).tolist()
-
-
-def _delta_method(cov: list[list[float]], scale: list[float]):
-    """The covariance of g(p) from that of p, for d g_i / d p_i = scale_i."""
-    return [[si * c * sj for c, sj in zip(row, scale)]
-            for row, si in zip(cov, scale)]
+        cov = [_solve_factored(low, [float(i == j) for i in range(n)])
+               for j in range(n)]
+    else:
+        lam, vec = np.linalg.eigh(gram)
+        eps = np.finfo(float).eps
+        free = lam <= n * eps * lam[-1]
+        cov = (vec[:, ~free] / lam[~free]) @ vec[:, ~free].T
+        undetermined = (abs(vec[:, free]) > math.sqrt(eps)).any(axis=1)
+        cov[undetermined] = cov[:, undetermined] = math.nan
+        cov[undetermined, undetermined] = math.inf
+        cov = cov.tolist()
+    return np.array([[si * c * sj for c, sj in zip(row, scale)]
+                     for row, si in zip(cov, scale)])
 
 
 def least_squares(model, data: DataSet, initial, bounds=None,
@@ -212,10 +218,10 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     the next step and the covariance.  log, if given, holds one flag per
     parameter; a flagged parameter is fitted as log p, which keeps it
     positive.  initial, bounds, the returned values and the covariance are
-    all in p itself: the covariance is mapped back once, with the delta
-    method d p / d log p = p, and the correlation is built from it.  A
-    flagged initial value must be positive; a lower bound of 0 on a flagged
-    parameter is no bound.
+    all in p itself: _covariance maps the covariance back with the delta
+    method d p / d log p = p, and gives a parameter the data cannot
+    determine sigma inf.  A flagged initial value must be positive; a
+    lower bound of 0 on a flagged parameter is no bound.
 
     bounds, if given, is a (lower, upper) pair of arrays; a parameter on a
     bound that the descent direction would cross is held for that step, and
@@ -231,8 +237,8 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     cost, J^T J, J^T r and the Jacobian's scaling.  The n-parameter
     bookkeeping runs on Python floats: the damping, the held rows, the
     step solve (Cholesky, or numpy's lstsq when the damped matrix is not
-    positive definite to rounding), the projection, the stop tests, the
-    delta method and the correlation.
+    positive definite to rounding), the projection, the stop tests and the
+    covariance.
     """
     n = len(initial)
     flags = [bool(f) for f in log] or [False] * n
@@ -268,10 +274,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         return jac_of, (data.y - np.asarray(f, float)) * w
 
     def residual_jacobian(p, jac_of):
-        jac = np.asarray(jac_of(), float)
-        if any(flags):
-            jac = jac * dp_dq(p)
-        return jac * minus_w
+        return np.asarray(jac_of(), float) * dp_dq(p) * minus_w
 
     p = natural(q)
     jac_of, r = evaluate(p)
@@ -335,12 +338,9 @@ def least_squares(model, data: DataSet, initial, bounds=None,
         else:
             lam *= 10.0
 
-    cov = _inverse((jac.T @ jac).tolist())
-    if any(flags):
-        cov = _delta_method(cov, dp_dq(p))
     names = names or tuple(f"p{i}" for i in range(n))
     return FitResult(names=tuple(names), values=np.array(p),
-                     covariance=np.array(cov), correlation=_correlation(cov),
+                     covariance=_covariance((jac.T @ jac).tolist(), dp_dq(p)),
                      residual_norm=math.sqrt(cost),
                      iterations=it, converged=converged)
 
@@ -493,12 +493,11 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     sigma0 = math.sqrt(max(intercept, 0.0))
     # Delta method: d sigma0 / d intercept = 1 / (2 sigma0).
     d0 = 1.0 / (2 * sigma0) if sigma0 > 0 else 0.0
-    cov = _delta_method(_inverse((a.T @ a).tolist()),
-                        [d0, species.mass / BOLTZMANN])
     resid = (v - (intercept + slope * u)) * w
     return FitResult(names=("sigma0", "temperature"),
                      values=np.array([sigma0, temperature]),
-                     covariance=np.array(cov), correlation=_correlation(cov),
+                     covariance=_covariance((a.T @ a).tolist(),
+                                            [d0, species.mass / BOLTZMANN]),
                      residual_norm=float(np.linalg.norm(resid)),
                      iterations=1, converged=True,
                      message="degenerate: fitted sigma0^2 < 0" if degenerate else "")

@@ -780,6 +780,25 @@ def test_fit_decay_skips_failed_sweep_rows(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("counts, sigmas", [
+    ("1e8 1e8 1e8 1e8", {"gamma_sigma_per_s": "0.00267261",
+                         "beta_dd_sigma_cm3_per_s": "inf"}),
+    ("1e8 -1e8 5e7 4e7", {"gamma_sigma_per_s": "inf",
+                          "beta_dd_sigma_cm3_per_s": "inf"})])
+def test_fit_decay_reports_an_undetermined_sigma_as_inf(tmp_path, capsys,
+                                                        counts, sigmas):
+    # a flat series does not determine beta_dd, and one with a negative
+    # count determines neither parameter: each such sigma prints inf, not
+    # the pseudo-inverse's vanishing variance
+    csv = tmp_path / "decay.csv"
+    csv.write_text("t_s,n_atoms,sigma_n_atoms\n" + "".join(
+        f"{t},{n},1e6\n" for t, n in enumerate(counts.split())))
+    assert run("fit", "decay", "--paper-defaults", "--data", str(csv)) == 0
+    rep = dict(line.split(" = ") for line in
+               capsys.readouterr().out.splitlines())
+    assert {key: rep[key] for key in sigmas} == sigmas
+
+
 @pytest.mark.parametrize("kind, parameter", zip(
     ("decay", "tof", "loading-rate"), sweeps.SWEEPABLE))
 def test_time_series_fits_reject_a_sweep_table(tmp_path, capsys, kind,

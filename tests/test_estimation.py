@@ -354,6 +354,42 @@ class TestLeastSquares:
         assert np.all(np.abs(res.correlation) <= 1.0)
         assert np.allclose(np.diag(res.correlation), 1.0)
 
+    def test_undetermined_parameter_has_infinite_sigma(self):
+        # the model does not depend on p1, so J^T J is singular: p1's sigma
+        # is inf and its correlations nan, not the pseudo-inverse's zeros,
+        # and p0 keeps the sigma of the fit without p1
+        x = np.linspace(1, 4, 8)
+        d = dataset(x, 2.5 * x + np.random.default_rng(2).normal(0, 0.1, 8),
+                    0.1)
+        res = least_squares(
+            lambda xx, p: (p[0] * xx,
+                           lambda: np.column_stack([xx, np.zeros_like(xx)])),
+            d, [1.0, 3.0])
+        alone = least_squares(lambda xx, p: (p[0] * xx, lambda: xx[:, None]),
+                              d, [1.0])
+        assert res.converged and alone.converged
+        assert math.isinf(res.sigma("p1"))
+        assert res.sigma("p0") == pytest.approx(alone.sigma("p0"),
+                                                rel=1e-12, abs=0)
+        assert res.values[0] == pytest.approx(alone.values[0], rel=1e-12,
+                                              abs=0)
+        assert res.correlation[0, 0] == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert np.isnan([res.correlation[0, 1], res.correlation[1, 0],
+                         res.correlation[1, 1]]).all()
+
+    def test_a_shared_free_direction_leaves_both_parameters_undetermined(
+            self):
+        # only p0 + p1 is fixed by the data; the free direction (1, -1)
+        # leaves neither determined, a log parameter included
+        x = np.linspace(1, 4, 8)
+        d = dataset(x, 2.5 * x, 0.1)
+        res = least_squares(
+            lambda xx, p: ((p[0] + p[1]) * xx,
+                           lambda: np.column_stack([xx, xx])),
+            d, [1.0, 1.0], log=(True, False))
+        assert [res.sigma("p0"), res.sigma("p1")] == [math.inf, math.inf]
+        assert np.isnan(res.correlation).all()
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cholesky_step_matches_numpy_solve(self, n):
         rng = np.random.default_rng(n)
@@ -592,6 +628,29 @@ class TestFitKappa:
             rng = np.random.default_rng(seed)
             y = y * (1 + noise * rng.standard_normal(y.shape))
         return DataSet(x, y, np.maximum(np.abs(y), 1e-6) * max(noise, 1e-3))
+
+    @pytest.mark.parametrize("noise", [0.01, 0.03, 0.1])
+    def test_pulls_have_unit_spread(self, noise):
+        # (fitted - true) / sigma over 300 seeds on the benchmark's kappa
+        # grid, with sigma from the noiseless kappa: mean 0 and sd 1 within
+        # 4 standard errors, bounds fixed from the seed count alone
+        scen = fit_batch_scenario()
+        truth = sweeps.synthesize_measurements(scen, "kappa_points")
+        coefficients = scen.coefficients
+        true = np.array([coefficients.beta_dd, coefficients.beta_ed])
+        seeds = 300
+        pulls = []
+        for seed in range(seeds):
+            rng = np.random.default_rng(seed)
+            y = truth.y * (1 + noise * rng.standard_normal(truth.y.shape))
+            res = fit_kappa(DataSet(truth.x, y, noise * np.abs(truth.y)))
+            assert res.converged
+            pulls.append((res.values - true)
+                         / [res.sigma("beta_dd"), res.sigma("beta_ed")])
+        pulls = np.array(pulls)
+        assert np.abs(pulls.mean(axis=0)).max() <= 4 / math.sqrt(seeds)
+        assert np.abs(pulls.std(axis=0, ddof=1) - 1).max() <= (
+            4 / math.sqrt(2 * (seeds - 1)))
 
     def test_noiseless_exact_recovery(self):
         res = fit_kappa(self.synthetic())
