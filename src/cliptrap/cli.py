@@ -512,9 +512,9 @@ def run() -> None:
     (full garbage collections and module teardown over numpy's objects,
     30-50 ms a process on a 2-core VM).  C stdio is not flushed: nothing
     is written outside sys.stdout, sys.stderr and --out files that main
-    closes (the profile fit's start check keeps LAPACK from printing).  An
-    exception out of main, argparse's SystemExit among them, takes the
-    normal exit."""
+    closes (LAPACK, which prints on a non-finite matrix, gets none from
+    estimation._solve, its one caller).  An exception out of main,
+    argparse's SystemExit among them, takes the normal exit."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -2,21 +2,21 @@
 
 The core engine is a damped Gauss-Newton iteration (Levenberg-Marquardt
 damping) that reports covariance, formed for every fit by one function,
-and a convergence flag.
-Positivity-constrained parameters are fitted in log space through its one
-`log` option, which maps values and covariance back with the delta method.
-A model returns its values and a callable for their Jacobian.  The kappa
-and decay fits start at the linear least-squares solution of their rate
-equation; the loading rate is such a solution.  The decay and loading
-fits share the rate equation integrated over the curve, N exponential
-between samples.  The iterative fits return the analytic Jacobians of
-their closed-form models, built from what the model evaluation already
-computed; so does cloud.column_profile_model, the column-profile fit's,
-from one K0/K1 pass.  The solver's few-parameter bookkeeping runs on
-Python floats, with a small Cholesky solve; so do the fits' linear
-systems, through one scaled solve.  numpy does the work on data-length
-arrays.  Only statistical uncertainty is reported; systematic density
-calibration errors are outside the fitter's scope.
+and a convergence flag.  Positivity-constrained parameters are fitted in
+log space through its one `log` option, which maps values and covariance
+back with the delta method.  A model returns its values and a callable
+for their Jacobian.  The kappa and decay fits start at the linear
+least-squares solution of their rate equation; the loading rate is such
+a solution.  The decay and loading fits share the rate equation
+integrated over the curve, N exponential between samples.  The iterative
+fits return the analytic Jacobians of their closed-form models, built
+from what the model evaluation already computed; so does
+cloud.column_profile_model, the column-profile fit's, from one K0/K1
+pass.  The solver's few-parameter bookkeeping runs on Python floats, and
+every small system (a step, a linear start or a covariance) goes through
+one solve: Cholesky, else one eigenvalue rank rule.  numpy does the work
+on data-length arrays.  Only statistical uncertainty is reported;
+systematic density calibration errors are outside the fitter's scope.
 """
 
 from __future__ import annotations
@@ -152,11 +152,22 @@ def _solve_factored(low: list[list[float]], b: list[float]) -> list[float]:
     return y
 
 
-def _cholesky_solve(a: list[list[float]], b: list[float]):
-    """x with a x = b for a symmetric positive definite a, by Cholesky;
-    None when _cholesky declines a."""
+def _solve(a: list[list[float]], columns: list[list[float]]):
+    """x with a x = b for each b in columns, and the directions a leaves
+    free as rows, for a symmetric positive semi-definite a of a few rows:
+    none where _cholesky factors a, else eigenvalues <= n eps lambda_max
+    span them and x is the minimum-norm solution, with no component along
+    them.  A non-finite a raises ValueError there, so LAPACK sees none."""
     low = _cholesky(a)
-    return None if low is None else _solve_factored(low, b)
+    if low is not None:
+        return [_solve_factored(low, b) for b in columns], []
+    if not np.isfinite(a).all():
+        raise ValueError("the fit's linear system is out of float range")
+    lam, vec = np.linalg.eigh(a)
+    free = lam <= len(a) * np.finfo(float).eps * lam[-1]
+    kept = vec[:, ~free]
+    x = (np.array(columns) @ kept / lam[~free]) @ kept.T
+    return x.tolist(), vec[:, free].T.tolist()
 
 
 def _linear_solve(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -164,40 +175,30 @@ def _linear_solve(a: np.ndarray, b: np.ndarray) -> list[float]:
 
     The normal equations a^T a x = a^T b are scaled so that each column of
     a has unit norm, which takes cond(a^T a) from 1e10 (fit_tof's columns
-    1 and t^2) to below 10, and solved by Cholesky; numpy's lstsq on a and
-    b is the fallback when the scaled matrix is not positive definite to
-    rounding (a rank-deficient a, or a column that is zero or overflows).
+    1 and t^2) to below 10, and solved by _solve, which leaves a zero
+    column free.  Callers form a under np.errstate: an a^T a past float
+    range makes _solve raise ValueError.
     """
     ata = (a.T @ a).tolist()
     atb = (a.T @ b).tolist()
-    scale = [1 / math.sqrt(row[i]) if 0 < row[i] < math.inf else 0.0
+    scale = [1 / math.sqrt(row[i]) if row[i] > 0 else 0.0
              for i, row in enumerate(ata)]
-    x = _cholesky_solve([[si * c * sj for c, sj in zip(row, scale)]
-                         for row, si in zip(ata, scale)],
-                        [si * c for c, si in zip(atb, scale)])
-    if x is None:
-        return np.linalg.lstsq(a, b, rcond=None)[0].tolist()
+    x = _solve([[si * c * sj for c, sj in zip(row, scale)]
+                for row, si in zip(ata, scale)],
+               [[si * c for c, si in zip(atb, scale)]])[0][0]
     return [xi * si for xi, si in zip(x, scale)]
 
 
 def _covariance(gram: list[list[float]], scale: list[float]) -> np.ndarray:
     """The covariance of p from the Gram matrix J^T J of the fitted q, by
-    one Cholesky factorisation and the delta method d p_i / d q_i =
-    scale_i.  Where Cholesky declines, eigenvalues <= n eps lambda_max
-    span directions the data leave free: a parameter with a component
-    above sqrt(eps) on one gets variance inf and nan covariances
-    (Numerical Recipes, 3rd ed., sec. 15.4), the rest the pseudo-inverse's."""
-    n = len(gram)
-    low = _cholesky(gram)
-    if low is not None:
-        cov = [_solve_factored(low, [float(i == j) for i in range(n)])
-               for j in range(n)]
-    else:
-        lam, vec = np.linalg.eigh(gram)
-        eps = np.finfo(float).eps
-        free = lam <= n * eps * lam[-1]
-        cov = (vec[:, ~free] / lam[~free]) @ vec[:, ~free].T
-        undetermined = (abs(vec[:, free]) > math.sqrt(eps)).any(axis=1)
+    _solve on the unit columns and the delta method d p_i / d q_i =
+    scale_i.  A parameter with a component above sqrt(eps) on a direction
+    the data leave free gets variance inf and nan covariances (Numerical
+    Recipes, 3rd ed., sec. 15.4), the rest the pseudo-inverse's."""
+    cov, free = _solve(gram, np.eye(len(gram)).tolist())
+    if free:
+        cov = np.array(cov)
+        undetermined = (np.abs(free) > np.finfo(float).eps ** 0.5).any(axis=0)
         cov[undetermined] = cov[:, undetermined] = math.nan
         cov[undetermined, undetermined] = math.inf
         cov = cov.tolist()
@@ -236,8 +237,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
     numpy does the work on arrays of the data's length: the residual, the
     cost, J^T J, J^T r and the Jacobian's scaling.  The n-parameter
     bookkeeping runs on Python floats: the damping, the held rows, the
-    step solve (Cholesky, or numpy's lstsq when the damped matrix is not
-    positive definite to rounding), the projection, the stop tests and the
+    step solve (_solve), the projection, the stop tests and the
     covariance.
     """
     n = len(initial)
@@ -301,10 +301,7 @@ def least_squares(model, data: DataSet, initial, bounds=None,
                     lhs[i] = [0.0] * n
                     lhs[i][i] = 1.0
                     rhs[i] = 0.0
-        step = _cholesky_solve(lhs, rhs)
-        if step is None:
-            step = np.linalg.lstsq(np.array(lhs), np.array(rhs),
-                                   rcond=None)[0].tolist()
+        step = _solve(lhs, [rhs])[0][0]
         candidate = [qi + si for qi, si in zip(q, step)]
         if bounds is not None:
             candidate = [min(max(c, l), h)
@@ -396,8 +393,9 @@ def fit_loading_rate(series: DataSet) -> float:
     (_integrated_rows) is linear in (R, gamma, k); R is its weighted
     least-squares solution."""
     series, t, w, int_n, int_n2 = _integrated_rows(series, 4)
-    return _linear_solve(np.column_stack([t[1:], -int_n, -int_n2])
-                         * w[:, None], (series.y[1:] - series.y[0]) * w)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        a = np.column_stack([t[1:], -int_n, -int_n2]) * w[:, None]
+        return _linear_solve(a, (series.y[1:] - series.y[0]) * w)[0]
 
 
 def fit_kappa(data: DataSet) -> FitResult:
@@ -415,9 +413,11 @@ def fit_kappa(data: DataSet) -> FitResult:
         raise ValueError("abscissa values must be positive")
     if len(set(data.x.tolist())) < 3:
         raise ValueError("need at least 3 distinct abscissae")
-    k, w = data.y, 1.0 / data.sigma_y
-    kw = k * w
-    betas = _linear_solve(np.column_stack([4 * k * kw, kw]), 2 * data.x * w)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        k, w = data.y, 1.0 / data.sigma_y
+        kw = k * w
+        betas = _linear_solve(np.column_stack([4 * k * kw, kw]),
+                              2 * data.x * w)
 
     def model(x, p):
         kappa = kappa_of_abscissa(x, p[0], p[1])
@@ -455,8 +455,9 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
     # n0 - y_i = gamma int N dt + (2 beta n0 / V) int N^2 / n0 dt: the
     # two-body column is scaled by 1 / n0, so both columns are of one
     # magnitude
-    gamma0, rate2 = _linear_solve(
-        np.column_stack([int_n, int_n2 / n0]) * w[:, None], (n0 - y[1:]) * w)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        a = np.column_stack([int_n, int_n2 / n0]) * w[:, None]
+        gamma0, rate2 = _linear_solve(a, (n0 - y[1:]) * w)
     if not rate2 > 0:
         # no two-body loss resolved: start where it would remove 1e-6 of
         # the atoms over the record, not on the floor, where the model
@@ -483,11 +484,9 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     v = series.y ** 2
     # var(sigma^2) = (2 sigma sigma_err)^2
     w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y, 1e-300)
-    a = np.column_stack([np.ones_like(u), u]) * w[:, None]
-    b = v * w
-    # cond(A^T A) is 1e10 and more here, and below 10 once _linear_solve
-    # has scaled the columns
-    intercept, slope = _linear_solve(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        a = np.column_stack([np.ones_like(u), u]) * w[:, None]
+        intercept, slope = _linear_solve(a, v * w)
     temperature = species.mass * slope / BOLTZMANN
     degenerate = intercept < 0
     sigma0 = math.sqrt(max(intercept, 0.0))

@@ -1293,10 +1293,28 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
      "0,-1,3e304\n0,1,0\n0.1,-1,0\n0.1,1,0\n",
      "the image's peak (3e+304) is out of float range for the profile fit"),
     (["fit", "decay"], "t_s,n_atoms,sigma_n_atoms\n0,0,1\n1,1.5e8,1.5e6\n"
-     "2,1e8,1e6\n5,8e7,8e5\n", "n0 must be positive")],
+     "2,1e8,1e6\n5,8e7,8e5\n", "n0 must be positive"),
+    # the weighted columns' products overflowed: numpy warned, and lstsq
+    # let LAPACK print to stdout and read "SVD did not converge"
+    (["fit", "kappa"], "rv_over_nmot2_m3_per_s,kappa,sigma_kappa\n"
+     "1e-14,1e4,1e-300\n2e-14,2e4,1e-300\n3e-14,3e4,1e-300\n"
+     "4e-14,3.5e4,1e-300\n", "the fit's linear system is out of float range"),
+    # numpy warned, and the fit exited 0 with temperature_sigma_uk = nan
+    (["fit", "tof"], "t_s,sigma_m,sigma_sigma_m\n0.001,1e-160,1e-160\n"
+     "0.002,1e-160,1e-160\n0.003,1e-160,1e-160\n",
+     "the fit's linear system is out of float range"),
+    # the start's and the loading rate's columns overflowed as kappa's did
+    (["fit", "decay"], "t_s,n_atoms,sigma_n_atoms\n0,1e8,1e-300\n"
+     "1,9e7,1e-300\n2,8e7,1e-300\n5,6e7,1e-300\n",
+     "the fit's linear system is out of float range"),
+    (["fit", "loading-rate"], "t_s,n_atoms,sigma_n_atoms\n0,0,1e-300\n"
+     "1,1e7,1e-300\n2,2e7,1e-300\n3,2.5e7,1e-300\n5,3e7,1e-300\n",
+     "the fit's linear system is out of float range")],
     ids=["loading_curve_without_rate", "kappa_without_abscissa",
          "profile_without_signal", "profile_past_float_range",
-         "profile_jacobian_past_float_range", "decay_from_zero"])
+         "profile_jacobian_past_float_range", "decay_from_zero",
+         "kappa_sigma_past_float_range", "tof_radii_past_float_range",
+         "decay_sigma_past_float_range", "loading_sigma_past_float_range"])
 def test_input_error_exits_2(argv, text, message, tmp_path, capfd):
     data = tmp_path / "data.csv"
     if text is not None:
@@ -1316,3 +1334,14 @@ def test_linalg_error_exits_2(fit_data, monkeypatch, capsys):
     assert run("fit", "kappa", "--paper-defaults", "--data",
                str(fit_data / "kappa_points.csv")) == 2
     assert capsys.readouterr().err == "error: SVD did not converge\n"
+
+
+def test_numerical_failure_exits_3(fit_data, monkeypatch, capsys):
+    # an ArithmeticError that no input check foresaw is not an input error
+    def fail(data):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "fit_kappa", fail)
+    assert run("fit", "kappa", "--paper-defaults", "--data",
+               str(fit_data / "kappa_points.csv")) == 3
+    assert capsys.readouterr() == ("", "numerical failure: math range error\n")

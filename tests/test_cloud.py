@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -160,6 +161,19 @@ class TestScaleLengths:
             occupied_volume(ThermalCloud(c.atom_number, c.temperature,
                                          c.xi1, c.xi1, c.sigma_z,
                                          c.peak_density))
+
+    @pytest.mark.parametrize("field", ["atom_number", "temperature", "xi1",
+                                       "xi2", "sigma_z", "peak_density"])
+    def test_non_positive_field_built_by_hand(self, cloud100, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            dataclasses.replace(cloud100, **{field: 0.0})
+
+    def test_out_of_range_cloud_built_by_hand(self, cloud100_nog):
+        # V_MT's xi1^2 sigma_z overflows, though no field is out of range
+        huge = dataclasses.replace(cloud100_nog, xi1=1e200, sigma_z=1e200)
+        with pytest.raises(CloudRangeError, match="trap cloud size under- "
+                           "or overflows a float"):
+            occupied_volume(huge)
 
     @pytest.mark.parametrize("b_prime,b_dprime,t,gravity", [
         (1e303, 10.5, 100e-6, True),     # the normalization is NaN

@@ -399,7 +399,8 @@ class TestLeastSquares:
             a = q @ np.diag(10 ** rng.uniform(-1, 1, n)) @ q.T
             a = 0.5 * (a + a.T)
             b = rng.standard_normal(n)
-            x = estimation._cholesky_solve(a.tolist(), b.tolist())
+            (x,), free = estimation._solve(a.tolist(), [b.tolist()])
+            assert free == []
             assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-12,
                                       abs=1e-12 * np.abs(x).max())
 
@@ -410,10 +411,29 @@ class TestLeastSquares:
         [[math.nan, 0.0], [0.0, 1.0]],  # not a number
         [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 - 1e-17]]])
     def test_cholesky_declines_non_positive_definite(self, a):
-        assert estimation._cholesky_solve(a, [1.0] * len(a)) is None
+        assert estimation._cholesky(a) is None
 
-    def test_falls_back_to_lstsq_when_cholesky_declines(self, monkeypatch):
-        # the step and the covariance then come from numpy's lstsq and inv
+    def test_singular_damped_step_is_the_minimum_norm_solution(self):
+        # parallel Jacobian columns, damped by a lam below rounding: the
+        # step is lstsq's minimum-norm one, and (1, -1) is left free
+        lhs = [[4.0 * (1 + 1e-20), 4.0], [4.0, 4.0 * (1 + 1e-20)]]
+        (step,), free = estimation._solve(lhs, [[-2.0, -2.0]])
+        want = np.linalg.lstsq(np.array(lhs), [-2.0, -2.0], rcond=None)[0]
+        assert step == pytest.approx(want, rel=1e-15, abs=0)
+        assert len(free) == 1
+        assert np.abs(free[0]) == pytest.approx([0.5 ** 0.5] * 2, rel=1e-15,
+                                                abs=0)
+
+    def test_non_finite_system_raises(self):
+        # the eigen rule never hands LAPACK a NaN or an inf
+        for a in ([[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 1.0],
+                                                  [1.0, math.nan]]):
+            with pytest.raises(ValueError, match="out of float range"):
+                estimation._solve(a, [[1.0, 1.0]])
+
+    def test_falls_back_to_the_eigen_rule_when_cholesky_declines(
+            self, monkeypatch):
+        # the step and the covariance then come from _solve's eigen rule
         x = np.linspace(0, 4, 20)
         rng = np.random.default_rng(3)
         d = dataset(x, 3.0 * np.exp(-0.7 * x) + rng.normal(0, 0.01, x.size),
@@ -487,18 +507,14 @@ class TestLinearSolve:
     @pytest.mark.parametrize("a", [
         np.ones((4, 2)),                              # parallel columns
         np.column_stack([np.arange(1.0, 5.0), np.zeros(4)])])  # a zero column
-    def test_falls_back_to_lstsq_on_rank_deficient_a(self, a, monkeypatch):
+    def test_falls_back_to_lstsq_on_rank_deficient_a(self, a):
+        # the scaled normal equations leave a direction free, and x is
+        # their minimum-norm solution: with columns of equal norm or zero,
+        # that is numpy's lstsq's on a, to a few ulps
         b = np.array([1.0, 2.0, 4.0, 8.0])
-        calls = []
-        real = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        got = estimation._linear_solve(a, b)
-        assert len(calls) == 1 and calls[0][0] is a
-        assert got == real(a, b, rcond=None)[0].tolist()
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert estimation._linear_solve(a, b) == pytest.approx(
+            want, rel=1e-15, abs=0)
 
 
 class TestSegmentIntegrals:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cliptrap import cli
@@ -20,6 +22,9 @@ def test_invalid_config_rejected():
         IpTrapConfig(radial_gradient=0.0, axial_curvature=10.5)
     with pytest.raises(ValueError):
         IpTrapConfig(radial_gradient=0.125, axial_curvature=-1.0)
+    for offset in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="offset_field must be finite"):
+            IpTrapConfig(0.125, 10.5, offset_field=offset)
 
 
 class TestMajorana:
