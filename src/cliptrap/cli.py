@@ -3,11 +3,11 @@
 Configuration is a flat key = value text file ('#' comments allowed);
 --set KEY=VALUE flags override file keys, and --paper-defaults loads the
 built-in optimum operating point.  KEYS holds one row per key: its type,
-default, scale from its lab unit (G/cm, G/cm^2, mG, cm^3, cm^3/s, uK) to
-SI, paper value, the model input it feeds, its lower bound, whether it is
-computed and its unit in a sweep's CSV.  It is the one place where config
-lab units are converted, every layer below works in SI, and the map from
-model inputs to keys is read off it.  COMMANDS and FITS name the
+default, paper value, the model input it feeds, its lower bound and
+whether it is computed; the map from model inputs to keys is read off it.
+A key, report line or column names its lab unit (G/cm, G/cm^2, mG, cm^3,
+cm^3/s, 1/cm^3, uK, mm), and UNITS, the SI value of each, converts it:
+every layer below works in SI.  COMMANDS and FITS name the
 subcommands and fit kinds.  Exit codes: 0 success, 2 configuration or
 input error (among them an unknown key, NaN, inf, a fractional count, a
 blank value for a key neither computed nor blank by default, a volume
@@ -43,21 +43,31 @@ from .trap import IpTrapConfig
 
 class Key(NamedTuple):
     """One config key.  kind, default (None: required; "": unset; "inf":
-    inf is accepted), SI scale and paper value; feeds: the model input it
-    sets, by the field or parameter name a ModelInputError carries; bound:
-    the lower bound its value must meet, which the model checks too but
+    inf is accepted) and paper value; feeds: the model input it sets, by
+    the field or parameter name a ModelInputError carries; bound: the
+    lower bound its value must meet, which the model checks too but
     cannot name the key by; computed: unset, or at its default, means
-    computed, and a value given must be > 0; unit: its unit in the header
-    of a sweep over the input it feeds."""
+    computed, and a value given must be > 0.  Its unit is in its name."""
 
     kind: type
     default: str | None
-    scale: float = 1.0
     paper: str | None = None
     feeds: str | None = None
     bound: str = ""
     computed: bool = False
-    unit: str = ""
+
+
+# The SI value of one lab unit, by the token that names it.  A config key,
+# a report line or a column is in the longest unit u for which "_{u}_" is
+# in its name + "_", and in SI where there is none (see _unit).
+UNITS: dict[str, float] = {
+    "": 1.0, "g_per_cm": 1e-2, "g_per_cm2": 1.0, "mg": 1e-7, "cm3": 1e-6,
+    "cm3_per_s": 1e-6, "per_cm3": 1e6, "uk": 1e-6, "mm": 1e-3}
+
+
+def _unit(name: str) -> str:
+    return max((u for u in UNITS if f"_{u}_" in name + "_"), key=len,
+               default="")
 
 
 # The paper's optimum operating point: B' = 12.5 G/cm, B'' = 10.5 G/cm^2,
@@ -67,55 +77,52 @@ class Key(NamedTuple):
 # two points, a sweep one.
 KEYS: dict[str, Key] = {
     "species": Key(str, "cr52", feeds="species"),  # built-in name or path
-    "b_prime_g_per_cm": Key(float, None, 1e-2, "12.5", "radial_gradient",
-                            unit="g_per_cm"),
-    "b_dprime_g_per_cm2": Key(float, None, 1.0, "10.5", "axial_curvature",
-                              unit="g_per_cm2"),
-    "b0_mg": Key(float, "0.0", 1e-7, feeds="offset_field", unit="mg"),
+    "b_prime_g_per_cm": Key(float, None, "12.5", "radial_gradient"),
+    "b_dprime_g_per_cm2": Key(float, None, "10.5", "axial_curvature"),
+    "b0_mg": Key(float, "0.0", feeds="offset_field"),
     "gamma_d_per_s": Key(float, "0.0", feeds="gamma_d", bound=">= 0"),
     "eta": Key(float, str(dynamics.DEFAULT_ETA), feeds="eta"),
-    "beta_ed_cm3_per_s": Key(float, "0.0", 1e-6, "6e-10", "beta_ed",
+    "beta_ed_cm3_per_s": Key(float, "0.0", "6e-10", "beta_ed", bound=">= 0"),
+    "beta_dd_cm3_per_s": Key(float, "0.0", "1.3e-11", "beta_dd",
                              bound=">= 0"),
-    "beta_dd_cm3_per_s": Key(float, "0.0", 1e-6, "1.3e-11", "beta_dd",
-                             bound=">= 0"),
-    "n_mot": Key(float, None, 1.0, "5e6", "n_mot", bound="> 0"),
+    "n_mot": Key(float, None, "5e6", "n_mot", bound="> 0"),
     "mot_saturation": Key(float, "inf", feeds="total_saturation"),
     # times the species linewidth
     "mot_detuning_gamma": Key(float, "-2.0", feeds="detuning"),
-    "t_mot_uk": Key(float, None, 1e-6, "140.0", "temperature"),
+    "t_mot_uk": Key(float, None, "140.0", "temperature"),
     # computed: the virial prediction from t_mot_uk
-    "t_mt_uk": Key(float, "0.0", 1e-6, "100.0", "mt_temperature",
-                   computed=True),
-    "sigma_mot_radial_mm": Key(float, "0.1", 1e-3, feeds="sigma_radial"),
-    "sigma_mot_axial_mm": Key(float, "0.1", 1e-3, feeds="sigma_axial"),
+    "t_mt_uk": Key(float, "0.0", "100.0", "mt_temperature", computed=True),
+    "sigma_mot_radial_mm": Key(float, "0.1", feeds="sigma_radial"),
+    "sigma_mot_axial_mm": Key(float, "0.1", feeds="sigma_axial"),
     # computed: from the cloud geometry, and v_eff_cm3 as v_mt
-    "v_mt_cm3": Key(float, "", 1e-6, feeds="v_mt", computed=True),
-    "v_eff_cm3": Key(float, "", 1e-6, feeds="v_eff", computed=True),
+    "v_mt_cm3": Key(float, "", feeds="v_mt", computed=True),
+    "v_eff_cm3": Key(float, "", feeds="v_eff", computed=True),
     "t_end_s": Key(float, "10.0", feeds="t_end"),
     "samples": Key(int, "200", bound=">= 2"),
     "n0_atoms": Key(float, "0.0", feeds="n0"),
     "sweep_parameter": Key(str, "radial_gradient"),
-    "sweep_start": Key(float, None, 1.0, "8.0"),  # in the swept key's unit
-    "sweep_stop": Key(float, None, 1.0, "20.0"),
+    "sweep_start": Key(float, None, "8.0"),  # in the swept key's unit
+    "sweep_stop": Key(float, None, "20.0"),
     "sweep_points": Key(int, "10", bound=">= 1"),
     "sweep_values": Key(str, ""),
     "sweep_nmot_csv": Key(str, ""),
     "sweep_outputs": Key(str, ",".join(sweeps.DEFAULT_OUTPUTS)),
     "synth_kind": Key(str, "kappa_points"),
-    "synth_noise": Key(float, "0.0", 1.0, "0.1", "noise"),
+    "synth_noise": Key(float, "0.0", "0.1", "noise"),
     "synth_points": Key(int, "30", bound=">= 2"),
     "seed": Key(int, "20021114"),
 }
 PAPER_DEFAULTS: dict[str, str] = {
     name: key.paper or key.default for name, key in KEYS.items()
     if key.paper or key.default}
+# Each key's SI value of one unit of it, read off its name.
+_SCALE: dict[str, float] = {name: UNITS[_unit(name)] for name in KEYS}
 # The config key of each model input; see Key.feeds.
 _KEY_OF: dict[str, str] = {key.feeds: name for name, key in KEYS.items()
                            if key.feeds}
-# A sweep table's first column, for each input a key with a unit feeds:
-# the swept input, named with that unit.
-_SWEEP_COLUMN: dict[str, str] = {key.feeds: f"{key.feeds}_{key.unit}"
-                                 for key in KEYS.values() if key.unit}
+# A sweep table's first column: the swept input, in its key's unit.
+_SWEEP_COLUMN: dict[str, str] = {
+    p: f"{p}_{_unit(_KEY_OF[p])}" for p in sweeps.SWEEPABLE}
 
 
 class ConfigError(Exception):
@@ -150,9 +157,9 @@ def _get(cfg: dict[str, str], name: str):
             raise ConfigError(f"config key {name} must be {key.bound}: "
                               f"{raw!r}")
     if key.kind is float:
-        value *= key.scale
+        value *= _SCALE[name]
     if key.computed:
-        if key.default and value == float(key.default) * key.scale:
+        if key.default and value == float(key.default) * _SCALE[name]:
             return None
         if not value > 0:
             raise ConfigError(f"config key {name} must be positive, or "
@@ -230,8 +237,9 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 
 def _report(rows: list[tuple]) -> str:
-    """`key = value` lines: floats to 6 significant digits, bools by str,
-    correlation to 4 decimals, and a note row as a `note: ...` line."""
+    """`key = value` lines from SI values: floats in the unit of their key
+    to 6 significant digits, bools by str, correlation to 4 decimals, and
+    a note row as a `note: ...` line."""
     lines = []
     for key, value in rows:
         if key == "note":
@@ -239,6 +247,7 @@ def _report(rows: list[tuple]) -> str:
         elif key == "correlation":
             lines.append(f"{key} = {value:.4f}\n")
         elif isinstance(value, float):
+            value *= 1 / UNITS[_unit(key)]  # x * 1e6, not x / 1e-6
             lines.append(f"{key} = {value:.6g}\n")
         else:
             lines.append(f"{key} = {value}\n")
@@ -253,13 +262,13 @@ def cmd_predict(cfg: dict[str, str], args: argparse.Namespace) -> str:
     return _report([
         ("loading_rate_atoms_per_s", scen.loading_rate),
         ("gamma_ed_per_s", scen.gamma_ed),
-        ("v_mt_cm3", scen.v_mt * 1e6),
-        ("v_mt_cm3_no_gravity", scen.v_mt_no_gravity * 1e6),
-        ("v_eff_cm3", scen.v_eff * 1e6),
+        ("v_mt_cm3", scen.v_mt),
+        ("v_mt_cm3_no_gravity", scen.v_mt_no_gravity),
+        ("v_eff_cm3", scen.v_eff),
         ("n_steady_atoms", scen.n_mt_steady),
         ("kappa", scen.kappa),
         ("tau_eff_s", scen.tau_eff),
-        ("t_mt_virial_prediction_uk", scen.t_mt_prediction * 1e6),
+        ("t_mt_virial_prediction_uk", scen.t_mt_prediction),
         ("majorana_safe", scen.majorana_safe),
     ])
 
@@ -279,9 +288,9 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
                               "which computes it at every point")
     scen = scenario_from_config(cfg)
     parameter = _get(cfg, "sweep_parameter")
-    # the key that feeds it gives the scale; SweepSpec rejects a name
-    # outside sweeps.SWEEPABLE, the inputs that the keys with a unit feed
-    key = KEYS.get(_KEY_OF.get(parameter), Key(float, ""))
+    # in the unit of the key that feeds it; SweepSpec rejects a name
+    # outside sweeps.SWEEPABLE
+    scale = _SCALE.get(_KEY_OF.get(parameter), 1.0)
     if listed := _get(cfg, "sweep_values"):
         values_b = [number(v, "config key sweep_values")
                     for v in listed.split(",")]
@@ -310,7 +319,7 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     try:
         spec = sweeps.SweepSpec(
             swept_parameter=parameter,
-            values=[v * key.scale for v in values_b], base_scenario=scen,
+            values=[v * scale for v in values_b], base_scenario=scen,
             outputs=outputs, n_mot_per_point=n_mot_pp)
     except ValueError as exc:
         # SweepSpec's message names the field it rejects; this names the
@@ -323,8 +332,9 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
                     else "keys sweep_start and sweep_stop")
         raise ConfigError(f"config {name}: {exc}") from None
     rows = sweeps.run_sweep(spec)
-    return _csv([[vb]
-                 + [row[n] * 1e6 if n == "v_mt" else row[n] for n in outputs]
+    # v_mt, unnamed in its header, is in cm^3
+    return _csv([[vb] + [row[n] * (1 / UNITS["cm3"]) if n == "v_mt"
+                         else row[n] for n in outputs]
                  + [row["error"]] for vb, row in zip(values_b, rows)],
                 [_SWEEP_COLUMN[parameter], *outputs, "error"])
 
@@ -396,7 +406,7 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a duplicate row leaves a hole in the grid, or is one row too many
     if len(data) != image.size or np.isnan(image).any():
         raise ConfigError(f"{path}: profile table is not a complete y/z grid")
-    return y * 1e-3, z * 1e-3, image
+    return y * UNITS["mm"], z * UNITS["mm"], image
 
 
 # --- fit kinds: read the data file, fit, return the report rows -------------
@@ -410,10 +420,10 @@ def _fit_loading_rate(cfg: dict[str, str], path: str) -> list[tuple]:
 
 def _fit_kappa(cfg: dict[str, str], path: str) -> list[tuple]:
     res = fit_kappa(_read_kappa_csv(path))
-    return [("beta_dd_cm3_per_s", res["beta_dd"] * 1e6),
-            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd") * 1e6),
-            ("beta_ed_cm3_per_s", res["beta_ed"] * 1e6),
-            ("beta_ed_sigma_cm3_per_s", res.sigma("beta_ed") * 1e6),
+    return [("beta_dd_cm3_per_s", res["beta_dd"]),
+            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd")),
+            ("beta_ed_cm3_per_s", res["beta_ed"]),
+            ("beta_ed_sigma_cm3_per_s", res.sigma("beta_ed")),
             ("correlation", res.correlation[0, 1]),
             ("converged", res.converged)]
 
@@ -422,16 +432,16 @@ def _fit_decay(cfg: dict[str, str], path: str) -> list[tuple]:
     res = fit_decay(_read_series_csv(path), scenario_from_config(cfg).v_mt)
     return [("gamma_per_s", res["gamma"]),
             ("gamma_sigma_per_s", res.sigma("gamma")),
-            ("beta_dd_cm3_per_s", res["beta_dd"] * 1e6),
-            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd") * 1e6),
+            ("beta_dd_cm3_per_s", res["beta_dd"]),
+            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd")),
             ("converged", res.converged)]
 
 
 def _fit_tof(cfg: dict[str, str], path: str) -> list[tuple]:
     res = fit_tof(_read_series_csv(path), _species(cfg))
-    return [("temperature_uk", res["temperature"] * 1e6),
-            ("temperature_sigma_uk", res.sigma("temperature") * 1e6),
-            ("sigma0_mm", res["sigma0"] * 1e3),
+    return [("temperature_uk", res["temperature"]),
+            ("temperature_sigma_uk", res.sigma("temperature")),
+            ("sigma0_mm", res["sigma0"]),
             *([("note", res.message)] if res.message else [])]
 
 
@@ -439,10 +449,10 @@ def _fit_profile(cfg: dict[str, str], path: str) -> list[tuple]:
     scen = scenario_from_config(cfg)
     y, z, image = _read_profile_csv(path)
     res = fit_column_profile(y, z, image, scen.species, scen.trap)
-    return [("temperature_uk", res["temperature"] * 1e6),
-            ("peak_density_per_cm3", res["n0"] * 1e-6),
-            ("center_y_mm", res["center_y"] * 1e3),
-            ("center_z_mm", res["center_z"] * 1e3),
+    return [("temperature_uk", res["temperature"]),
+            ("peak_density_per_cm3", res["n0"]),
+            ("center_y_mm", res["center_y"]),
+            ("center_z_mm", res["center_z"]),
             ("converged", res.converged)]
 
 

@@ -38,6 +38,7 @@ _MAX_ITER = 200
 _STEP_ABS = 1e-12
 _PTOL = 1e-9
 _RTOL = 1e-12
+_OUT_OF_RANGE = "the fit's linear system is out of float range"
 
 
 @dataclass
@@ -162,7 +163,7 @@ def _solve(a: list[list[float]], columns: list[list[float]]):
     if low is not None:
         return [_solve_factored(low, b) for b in columns], []
     if not np.isfinite(a).all():
-        raise ValueError("the fit's linear system is out of float range")
+        raise ValueError(_OUT_OF_RANGE)
     lam, vec = np.linalg.eigh(a)
     free = lam <= len(a) * np.finfo(float).eps * lam[-1]
     kept = vec[:, ~free]
@@ -176,11 +177,14 @@ def _linear_solve(a: np.ndarray, b: np.ndarray) -> list[float]:
     The normal equations a^T a x = a^T b are scaled so that each column of
     a has unit norm, which takes cond(a^T a) from 1e10 (fit_tof's columns
     1 and t^2) to below 10, and solved by _solve, which leaves a zero
-    column free.  Callers form a under np.errstate: an a^T a past float
-    range makes _solve raise ValueError.
+    column free.  Callers form a and b under np.errstate: an a^T a past
+    float range makes _solve raise ValueError, and an a^T b past it raises
+    here.
     """
     ata = (a.T @ a).tolist()
     atb = (a.T @ b).tolist()
+    if not all(map(math.isfinite, atb)):
+        raise ValueError(_OUT_OF_RANGE)
     scale = [1 / math.sqrt(row[i]) if row[i] > 0 else 0.0
              for i, row in enumerate(ata)]
     x = _solve([[si * c * sj for c, sj in zip(row, scale)]
@@ -392,8 +396,8 @@ def fit_loading_rate(series: DataSet) -> float:
     y_i - n0 = R (t_i - t0) - gamma int N dt - k int N^2 dt
     (_integrated_rows) is linear in (R, gamma, k); R is its weighted
     least-squares solution."""
-    series, t, w, int_n, int_n2 = _integrated_rows(series, 4)
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        series, t, w, int_n, int_n2 = _integrated_rows(series, 4)
         a = np.column_stack([t[1:], -int_n, -int_n2]) * w[:, None]
         return _linear_solve(a, (series.y[1:] - series.y[0]) * w)[0]
 
@@ -446,16 +450,15 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
     """
     if not v > 0:
         raise ValueError("v must be positive")
-    series, t, w, int_n, int_n2 = _integrated_rows(series, 3)
-    y = series.y
-    n0 = float(y[0])
-    if not n0 > 0:
-        raise ValueError("n0 must be positive")
-
-    # n0 - y_i = gamma int N dt + (2 beta n0 / V) int N^2 / n0 dt: the
-    # two-body column is scaled by 1 / n0, so both columns are of one
-    # magnitude
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        series, t, w, int_n, int_n2 = _integrated_rows(series, 3)
+        y = series.y
+        n0 = float(y[0])
+        if not n0 > 0:
+            raise ValueError("n0 must be positive")
+        # n0 - y_i = gamma int N dt + (2 beta n0 / V) int N^2 / n0 dt: the
+        # two-body column is scaled by 1 / n0, so both columns are of one
+        # magnitude
         a = np.column_stack([int_n, int_n2 / n0]) * w[:, None]
         gamma0, rate2 = _linear_solve(a, (n0 - y[1:]) * w)
     if not rate2 > 0:
@@ -481,10 +484,11 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     u = series.x ** 2
     if len(set(u.tolist())) < 2:
         raise ValueError("need at least 2 distinct expansion times")
-    v = series.y ** 2
-    # var(sigma^2) = (2 sigma sigma_err)^2
-    w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        v = series.y ** 2
+        # var(sigma^2) = (2 sigma sigma_err)^2
+        w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y,
+                             1e-300)
         a = np.column_stack([np.ones_like(u), u]) * w[:, None]
         intercept, slope = _linear_solve(a, v * w)
     temperature = species.mass * slope / BOLTZMANN

@@ -383,10 +383,13 @@ class TestSweep:
                 f"error: config key sweep_parameter: {spec_error.value}\n")
 
     def test_unit_table_covers_the_sweepable_parameters(self):
-        # the keys with a unit, which name a sweep's first column, feed
-        # exactly the parameters a sweep can take
-        fed = [key.feeds for key in cli.KEYS.values() if key.unit]
-        assert sorted(fed) == sorted(sweeps.SWEEPABLE)
+        # a sweep's first column names the swept input and the unit of
+        # the key that feeds it, for exactly the parameters a sweep takes
+        assert cli._SWEEP_COLUMN == {
+            "radial_gradient": "radial_gradient_g_per_cm",
+            "axial_curvature": "axial_curvature_g_per_cm2",
+            "offset_field": "offset_field_mg"}
+        assert tuple(cli._SWEEP_COLUMN) == sweeps.SWEEPABLE
 
     def test_default_outputs_have_one_home(self):
         spec = sweeps.SweepSpec("radial_gradient", [0.1], make_scenario())
@@ -952,6 +955,37 @@ def test_stdout_equals_out_file_and_repeats(argv, fit_data, tmp_path,
     assert stdout.endswith(b"\n")
 
 
+FIT_REPORTS = {
+    "loading-rate": "loading_rate_atoms_per_s = 9.12062e+07\n",
+    "kappa": "beta_dd_cm3_per_s = 1.28831e-11\n"
+             "beta_dd_sigma_cm3_per_s = 3.65747e-13\n"
+             "beta_ed_cm3_per_s = 6.52513e-10\n"
+             "beta_ed_sigma_cm3_per_s = 2.39841e-11\n"
+             "correlation = -0.7522\n"
+             "converged = True\n",
+    "decay": "gamma_per_s = 0\n"
+             "gamma_sigma_per_s = 0.000546579\n"
+             "beta_dd_cm3_per_s = 1.40267e-11\n"
+             "beta_dd_sigma_cm3_per_s = 2.1027e-13\n"
+             "converged = True\n",
+    "tof": "temperature_uk = 96.065\n"
+           "temperature_sigma_uk = 1.99636\n"
+           "sigma0_mm = 0.178565\n",
+    "profile": "temperature_uk = 100\n"
+               "peak_density_per_cm3 = 1.02508e+11\n"
+               "center_y_mm = 9.05345e-09\n"
+               "center_z_mm = 5.60514e-23\n"
+               "converged = True\n"}
+
+
+@pytest.mark.parametrize("kind", FIT_REPORTS)
+def test_fit_report_is_pinned(kind, fit_data, capsys):
+    # every line's key, unit and digits, byte for byte
+    assert run("fit", kind, "--paper-defaults", "--data",
+               str(fit_data / f"{FIT_DATA[kind]}.csv")) == 0
+    assert capsys.readouterr() == (FIT_REPORTS[kind], "")
+
+
 @pytest.mark.parametrize("kind,fit", [
     ("kappa_points", "kappa"), ("decay_curve", "decay"),
     ("tof_series", "tof"), ("loading_curve", "loading-rate")])
@@ -1166,7 +1200,7 @@ def test_kappa_at_huge_beta_ed(tmp_path):
     # kappa is at its beta_ed end, 2 x / beta_ed
     cfg = {**cli.PAPER_DEFAULTS, "beta_ed_cm3_per_s": "1e200",
            "synth_noise": "0"}
-    beta_ed = 1e200 * cli.KEYS["beta_ed_cm3_per_s"].scale
+    beta_ed = 1e200 * cli.UNITS["cm3_per_s"]
     data = sweeps.synthesize_measurements(cli.scenario_from_config(cfg),
                                           "kappa_points")
     assert data.y == pytest.approx(2 * data.x / beta_ed, rel=1e-12, abs=0)
@@ -1309,12 +1343,29 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
      "the fit's linear system is out of float range"),
     (["fit", "loading-rate"], "t_s,n_atoms,sigma_n_atoms\n0,0,1e-300\n"
      "1,1e7,1e-300\n2,2e7,1e-300\n3,2.5e7,1e-300\n5,3e7,1e-300\n",
+     "the fit's linear system is out of float range"),
+    # sigma^2 and its weight overflowed before the fit's np.errstate, and
+    # the fit exited 0 with temperature_uk = 0 after three warnings
+    (["fit", "tof"], "t_s,sigma_m,sigma_sigma_m\n0.001,1e200,1e199\n"
+     "0.002,2e200,1e199\n0.003,3e200,1e199\n",
+     "the fit's linear system is out of float range"),
+    # int N^2 dt overflowed before the fit's np.errstate: the right error
+    # came after two warnings
+    (["fit", "decay"], "t_s,n_atoms,sigma_n_atoms\n0,1e200,1e198\n"
+     "1,9.2e199,1e198\n2,8.4e199,1e198\n3,7.6e199,1e198\n"
+     "4,6.8e199,1e198\n5,6e199,1e198\n",
+     "the fit's linear system is out of float range"),
+    (["fit", "loading-rate"], "t_s,n_atoms,sigma_n_atoms\n0,1e199,1e198\n"
+     "1,2.8e199,1e198\n2,4.6e199,1e198\n3,6.4e199,1e198\n"
+     "4,8.2e199,1e198\n5,1e200,1e198\n",
      "the fit's linear system is out of float range")],
     ids=["loading_curve_without_rate", "kappa_without_abscissa",
          "profile_without_signal", "profile_past_float_range",
          "profile_jacobian_past_float_range", "decay_from_zero",
          "kappa_sigma_past_float_range", "tof_radii_past_float_range",
-         "decay_sigma_past_float_range", "loading_sigma_past_float_range"])
+         "decay_sigma_past_float_range", "loading_sigma_past_float_range",
+         "tof_squares_past_float_range", "decay_integrals_past_float_range",
+         "loading_integrals_past_float_range"])
 def test_input_error_exits_2(argv, text, message, tmp_path, capfd):
     data = tmp_path / "data.csv"
     if text is not None:
