@@ -7,8 +7,9 @@ default, paper value, the model input it feeds, its lower bound and
 whether it is computed; the map from model inputs to keys is read off it.
 A key, report line or column names its lab unit (G/cm, G/cm^2, mG, cm^3,
 cm^3/s, 1/cm^3, uK, mm), and UNITS, the SI value of each, converts it:
-every layer below works in SI.  COMMANDS and FITS name the
-subcommands and fit kinds.  Exit codes: 0 success, 2 configuration or
+every layer below works in SI.  COMMANDS names the subcommands; FITS,
+the one table of fit kinds, holds each kind's fit and report rows, which
+cmd_fit's one writer prints.  Exit codes: 0 success, 2 configuration or
 input error (among them an unknown key, NaN, inf, a fractional count, a
 blank value for a key neither computed nor blank by default, a volume
 <= 0, a trap temperature < 0, a negative loss coefficient, an n_mot <= 0,
@@ -239,11 +240,11 @@ def _csv(rows: list[list], header: list[str]) -> str:
 def _report(rows: list[tuple]) -> str:
     """`key = value` lines from SI values: floats in the unit of their key
     to 6 significant digits, bools by str, correlation to 4 decimals, and
-    a note row as a `note: ...` line."""
+    a note row as a `note: ...` line, or none if the note is empty."""
     lines = []
     for key, value in rows:
         if key == "note":
-            lines.append(f"note: {value}\n")
+            lines.append(f"note: {value}\n" if value else "")
         elif key == "correlation":
             lines.append(f"{key} = {value:.4f}\n")
         elif isinstance(value, float):
@@ -409,62 +410,60 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y * UNITS["mm"], z * UNITS["mm"], image
 
 
-# --- fit kinds: read the data file, fit, return the report rows -------------
-# Each reader names the data file in its own errors.  The fits are called by
-# module-global name, so a wrapper installed on this module sees them.
-
-def _fit_loading_rate(cfg: dict[str, str], path: str) -> list[tuple]:
-    rate = fit_loading_rate(_read_series_csv(path))
-    return [("loading_rate_atoms_per_s", rate)]
-
-
-def _fit_kappa(cfg: dict[str, str], path: str) -> list[tuple]:
-    res = fit_kappa(_read_kappa_csv(path))
-    return [("beta_dd_cm3_per_s", res["beta_dd"]),
-            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd")),
-            ("beta_ed_cm3_per_s", res["beta_ed"]),
-            ("beta_ed_sigma_cm3_per_s", res.sigma("beta_ed")),
-            ("correlation", res.correlation[0, 1]),
-            ("converged", res.converged)]
-
-
-def _fit_decay(cfg: dict[str, str], path: str) -> list[tuple]:
-    res = fit_decay(_read_series_csv(path), scenario_from_config(cfg).v_mt)
-    return [("gamma_per_s", res["gamma"]),
-            ("gamma_sigma_per_s", res.sigma("gamma")),
-            ("beta_dd_cm3_per_s", res["beta_dd"]),
-            ("beta_dd_sigma_cm3_per_s", res.sigma("beta_dd")),
-            ("converged", res.converged)]
-
-
-def _fit_tof(cfg: dict[str, str], path: str) -> list[tuple]:
-    res = fit_tof(_read_series_csv(path), _species(cfg))
-    return [("temperature_uk", res["temperature"]),
-            ("temperature_sigma_uk", res.sigma("temperature")),
-            ("sigma0_mm", res["sigma0"]),
-            *([("note", res.message)] if res.message else [])]
-
-
-def _fit_profile(cfg: dict[str, str], path: str) -> list[tuple]:
-    scen = scenario_from_config(cfg)
-    y, z, image = _read_profile_csv(path)
-    res = fit_column_profile(y, z, image, scen.species, scen.trap)
-    return [("temperature_uk", res["temperature"]),
-            ("peak_density_per_cm3", res["n0"]),
-            ("center_y_mm", res["center_y"]),
-            ("center_z_mm", res["center_z"]),
-            ("converged", res.converged)]
-
-
-FITS: dict[str, Callable[[dict[str, str], str], list[tuple]]] = {
-    "loading-rate": _fit_loading_rate, "kappa": _fit_kappa,
-    "decay": _fit_decay, "tof": _fit_tof, "profile": _fit_profile}
+# --- fit kinds: each one's fit and report rows -----------------------------
+# A fit takes the checked config and the --data path, and calls its reader,
+# which names the data file in its errors, and its fit by module-global name,
+# so a wrapper installed on this module sees them.  A row is (report line,
+# the FitResult parameter it prints, whether its _sigma line follows); None
+# prints a float result, and correlation, converged and message (the note
+# line, none if empty) are the FitResult's own.
+FITS: dict[str, tuple[Callable[[dict[str, str], str], object], tuple]] = {
+    "loading-rate": (
+        lambda cfg, path: fit_loading_rate(_read_series_csv(path)),
+        (("loading_rate_atoms_per_s", None, False),)),
+    "kappa": (
+        lambda cfg, path: fit_kappa(_read_kappa_csv(path)),
+        (("beta_dd_cm3_per_s", "beta_dd", True),
+         ("beta_ed_cm3_per_s", "beta_ed", True),
+         ("correlation", "correlation", False),
+         ("converged", "converged", False))),
+    "decay": (
+        lambda cfg, path: fit_decay(_read_series_csv(path),
+                                    scenario_from_config(cfg).v_mt),
+        (("gamma_per_s", "gamma", True),
+         ("beta_dd_cm3_per_s", "beta_dd", True),
+         ("converged", "converged", False))),
+    "tof": (
+        lambda cfg, path: fit_tof(_read_series_csv(path), _species(cfg)),
+        (("temperature_uk", "temperature", True),
+         ("sigma0_mm", "sigma0", False),
+         ("note", "message", False))),
+    # the scenario is checked before the image is read
+    "profile": (
+        lambda cfg, path: (scen := scenario_from_config(cfg)) and
+        fit_column_profile(*_read_profile_csv(path), scen.species, scen.trap),
+        (("temperature_uk", "temperature", False),
+         ("peak_density_per_cm3", "n0", False),
+         ("center_y_mm", "center_y", False),
+         ("center_z_mm", "center_z", False),
+         ("converged", "converged", False)))}
 
 
 def cmd_fit(cfg: dict[str, str], args: argparse.Namespace) -> str:
     if not args.data:
         raise ConfigError("fit requires --data PATH")
-    return _report(FITS[args.kind](cfg, args.data))
+    fit, rows = FITS[args.kind]
+    res = fit(cfg, args.data)
+    report = []
+    for line, name, sigma in rows:
+        report.append((line, res if name is None
+                       else res.correlation[0, 1] if name == "correlation"
+                       else getattr(res, name) if name in vars(res)
+                       else res[name]))
+        if sigma:
+            report.append((line.replace(name, f"{name}_sigma", 1),
+                           res.sigma(name)))
+    return _report(report)
 
 
 # --- entry point ------------------------------------------------------------

@@ -481,10 +481,12 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
     Exact weighted linear solve in t^2, no iteration.  A negative fitted
     sigma0^2 is flagged as degenerate; the temperature is still returned.
     """
-    u = series.x ** 2
-    if len(set(u.tolist())) < 2:
-        raise ValueError("need at least 2 distinct expansion times")
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
+        u = series.x ** 2
+        if not np.isfinite(u).all():
+            raise ValueError(_OUT_OF_RANGE)
+        if len(set(u.tolist())) < 2:
+            raise ValueError("need at least 2 distinct expansion times")
         v = series.y ** 2
         # var(sigma^2) = (2 sigma sigma_err)^2
         w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y,

@@ -986,6 +986,31 @@ def test_fit_report_is_pinned(kind, fit_data, capsys):
     assert capsys.readouterr() == (FIT_REPORTS[kind], "")
 
 
+# the fit each kind calls, by its name in cli
+FIT_FUNCTIONS = {"loading-rate": "fit_loading_rate", "kappa": "fit_kappa",
+                 "decay": "fit_decay", "tof": "fit_tof",
+                 "profile": "fit_column_profile"}
+
+
+@pytest.mark.parametrize("kind", FIT_FUNCTIONS)
+def test_fit_calls_its_fit_by_module_name(kind, fit_data, monkeypatch,
+                                          capsys):
+    # bench/tracer.py wraps a fit where cli binds it; a FITS entry that
+    # held the function object would call past the wrapper
+    assert set(FIT_FUNCTIONS) == set(cli.FITS)
+    original, calls = getattr(cli, FIT_FUNCTIONS[kind]), []
+
+    def spy(*args):
+        calls.append(kind)
+        return original(*args)
+
+    monkeypatch.setattr(cli, FIT_FUNCTIONS[kind], spy)
+    assert run("fit", kind, "--paper-defaults", "--data",
+               str(fit_data / f"{FIT_DATA[kind]}.csv")) == 0
+    assert capsys.readouterr() == (FIT_REPORTS[kind], "")
+    assert calls == [kind]
+
+
 @pytest.mark.parametrize("kind,fit", [
     ("kappa_points", "kappa"), ("decay_curve", "decay"),
     ("tof_series", "tof"), ("loading_curve", "loading-rate")])
@@ -1358,6 +1383,11 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
     (["fit", "loading-rate"], "t_s,n_atoms,sigma_n_atoms\n0,1e199,1e198\n"
      "1,2.8e199,1e198\n2,4.6e199,1e198\n3,6.4e199,1e198\n"
      "4,8.2e199,1e198\n5,1e200,1e198\n",
+     "the fit's linear system is out of float range"),
+    # t^2 overflowed before the fit's np.errstate: numpy warned, and the
+    # error read "need at least 2 distinct expansion times"
+    (["fit", "tof"], "t_s,sigma_m,sigma_sigma_m\n1e160,0.001,1e-5\n"
+     "2e160,0.002,1e-5\n3e160,0.003,1e-5\n",
      "the fit's linear system is out of float range")],
     ids=["loading_curve_without_rate", "kappa_without_abscissa",
          "profile_without_signal", "profile_past_float_range",
@@ -1365,7 +1395,7 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
          "kappa_sigma_past_float_range", "tof_radii_past_float_range",
          "decay_sigma_past_float_range", "loading_sigma_past_float_range",
          "tof_squares_past_float_range", "decay_integrals_past_float_range",
-         "loading_integrals_past_float_range"])
+         "loading_integrals_past_float_range", "tof_times_past_float_range"])
 def test_input_error_exits_2(argv, text, message, tmp_path, capfd):
     data = tmp_path / "data.csv"
     if text is not None:

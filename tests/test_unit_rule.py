@@ -8,6 +8,8 @@ cli._report converts an SI value back through its line's name, so no
 other factor may convert a unit in cli.py: a hand-written 1e6 next to a
 name could disagree with it.  The one literal factor left there is the
 invented relative sigma of kappa points read without a sigma column.
+The lines a fit report can print are read off the rows of cli.FITS, and
+cmd_predict's off its source.
 """
 
 import ast
@@ -49,20 +51,46 @@ UNIT_OF = {
     "axial_curvature_g_per_cm2": "g_per_cm2", "offset_field_mg": "mg"}
 
 
-def report_names(source: str) -> set[str]:
-    """The name of each report row: a (name, value) tuple in a list."""
-    return {elt.elts[0].value for node in ast.walk(ast.parse(source))
+def predict_lines(source: str) -> set[str]:
+    """The name of each row cmd_predict reports: a (name, value) tuple in a
+    list."""
+    predict = next(node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "cmd_predict")
+    return {elt.elts[0].value for node in ast.walk(predict)
             if isinstance(node, ast.List) for elt in node.elts
             if isinstance(elt, ast.Tuple) and len(elt.elts) == 2
             and isinstance(elt.elts[0], ast.Constant)
             and isinstance(elt.elts[0].value, str)}
 
 
+def fit_lines(fits) -> set[str]:
+    """Every line a fit report can print, read off the rows of fits: each
+    row's line, and the _sigma line after its parameter's name where one
+    follows."""
+    lines = set()
+    for _, rows in fits.values():
+        for line, parameter, sigma in rows:
+            lines.add(line)
+            if sigma:
+                lines.add(line.replace(parameter, f"{parameter}_sigma", 1))
+    return lines
+
+
 def test_every_name_is_in_its_unit():
-    names = (set(cli.KEYS) | report_names(CLI.read_text())
-             | set(cli._SWEEP_COLUMN.values()))
+    names = (set(cli.KEYS) | predict_lines(CLI.read_text())
+             | fit_lines(cli.FITS) | set(cli._SWEEP_COLUMN.values()))
     assert names == set(UNIT_OF)
     assert {name: cli._unit(name) for name in UNIT_OF} == UNIT_OF
+
+
+def test_a_fit_line_without_its_unit_is_caught(monkeypatch):
+    # sigma0 in m, with no mm token, would print the SI value
+    fit, rows = cli.FITS["tof"]
+    monkeypatch.setitem(cli.FITS, "tof", (fit, (
+        *rows[:1], ("sigma0", "sigma0", False), *rows[2:])))
+    with pytest.raises(AssertionError):
+        test_every_name_is_in_its_unit()
 
 
 def test_units_are_the_lab_units_in_si():
