@@ -318,41 +318,63 @@ def kappa_of_abscissa(x, beta_dd: float, beta_ed: float):
 
     kappa = [-beta_ed + sqrt(beta_ed^2 + 32 beta_dd x)] / (8 beta_dd), the
     steady state per MOT atom under gamma_d = 0, V_eff = V_MT and a
-    saturated MOT (N* = N_MOT / 2).  It is evaluated without the
-    cancellation as 4 x / (beta_ed + S), S = hypot(beta_ed, sqrt(32 beta_dd)
-    sqrt(x)) squaring no coefficient: 2 x / beta_ed exactly at beta_dd = 0
-    and sqrt(x / (2 beta_dd)) at beta_ed = 0 (x > 0).  Vectorized over x.
+    saturated MOT (N* = N_MOT / 2).  It is evaluated by _kappa, without
+    the cancellation: 2 x / beta_ed exactly at beta_dd = 0 and
+    sqrt(x / (2 beta_dd)) at beta_ed = 0 (x > 0).  Vectorized over x;
+    kappa_fit_model evaluates the same formula over fixed abscissae.
     """
+    x = np.asarray(x, float)
+    out = _kappa(4 * x, np.sqrt(x), beta_dd, beta_ed)
+    return float(out) if out.ndim == 0 else out
+
+
+def _kappa(four_x, root_x, beta_dd: float, beta_ed: float):
+    """kappa = 4 x / (beta_ed + S), S = hypot(beta_ed, sqrt(32 beta_dd)
+    sqrt(x)), from 4 x and sqrt(x): the one kappa formula, which squares
+    no coefficient."""
     if beta_ed == 0 and beta_dd == 0:
         raise ModelInputError(
             "kappa undefined with both beta coefficients zero",
             "beta_ed", "beta_dd")
+    return four_x / (beta_ed + np.hypot(beta_ed,
+                                        math.sqrt(32 * beta_dd) * root_x))
+
+
+def kappa_fit_model(x):
+    """kappa_of_abscissa over fixed abscissae x, as a model for
+    least_squares.
+
+    model(x, p) returns kappa at (beta_dd, beta_ed) = p and a callable for
+    its derivatives by them, _kappa_jacobian_of; it ignores the x the
+    solver passes and uses x.  x is converted, and 4 x and sqrt(x) formed,
+    once, here.  Each evaluation runs _kappa once, and its Jacobian reuses
+    that kappa.
+    """
     x = np.asarray(x, float)
-    out = 4 * x / (beta_ed + np.hypot(beta_ed,
-                                      math.sqrt(32 * beta_dd) * np.sqrt(x)))
-    return float(out) if out.ndim == 0 else out
+    four_x, root_x = 4 * x, np.sqrt(x)
+
+    def model(_x, p):
+        beta_dd, beta_ed = p
+        kappa = _kappa(four_x, root_x, beta_dd, beta_ed)
+        return kappa, lambda: _kappa_jacobian_of(kappa, beta_dd, beta_ed)
+
+    return model
 
 
-def kappa_jacobian(x, beta_dd: float, beta_ed: float,
-                   kappa=None) -> np.ndarray:
-    """Derivatives of kappa_of_abscissa, shape x.shape + (2,).
-
-    kappa is the positive root of 4 beta_dd k^2 + beta_ed k - 2 x = 0, so
-    with S = hypot(beta_ed, sqrt(32 beta_dd x)) = 8 beta_dd kappa + beta_ed:
+def _kappa_jacobian_of(kappa, beta_dd: float, beta_ed: float) -> np.ndarray:
+    """Derivatives of kappa by (beta_dd, beta_ed), shape kappa.shape + (2,),
+    from the kappa of _kappa.  kappa is the positive root of
+    4 beta_dd k^2 + beta_ed k - 2 x = 0, so with
+    S = hypot(beta_ed, sqrt(32 beta_dd x)) = 8 beta_dd kappa + beta_ed:
 
         d kappa / d beta_dd = -4 kappa^2 / S,
         d kappa / d beta_ed = -kappa / S.
 
-    S is formed from kappa, a sum of non-negative terms with no root; a
-    caller that holds kappa = kappa_of_abscissa(x, beta_dd, beta_ed) passes it.
-    """
-    if kappa is None:
-        kappa = kappa_of_abscissa(x, beta_dd, beta_ed)
-    k = np.asarray(kappa, float)
-    k_over_s = k / (8 * beta_dd * k + beta_ed)
-    out = np.empty(k.shape + (2,))
-    out[..., 0] = -4 * k * k_over_s
-    out[..., 1] = -k_over_s
+    S is formed from kappa, a sum of non-negative terms with no root."""
+    k_over_s = kappa / (8 * beta_dd * kappa + beta_ed)
+    out = np.empty(kappa.shape + (2,))
+    np.multiply(-4 * kappa, k_over_s, out=out[..., 0])
+    np.negative(k_over_s, out=out[..., 1])
     return out
 
 
@@ -393,8 +415,8 @@ def _decay_jacobian_of(n0: float, v: float, t: np.ndarray, n: np.ndarray,
               where=np.abs(neg_u) >= _CHI_SWITCH)
     ntq = -n * t / q
     out = np.empty(t.shape + (2,))
-    out[..., 0] = ntq * (1.0 + bt * chi)
-    out[..., 1] = ntq * phi * (2 * n0 / v)
+    np.multiply(ntq, 1.0 + bt * chi, out=out[..., 0])
+    np.multiply(ntq * phi, 2 * n0 / v, out=out[..., 1])
     return out
 
 

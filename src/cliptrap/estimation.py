@@ -8,14 +8,18 @@ back with the delta method.  A model returns its values and a callable
 for their Jacobian.  The kappa and decay fits start at the linear
 least-squares solution of their rate equation; the loading rate is such
 a solution.  The decay and loading fits share the rate equation
-integrated over the curve, N exponential between samples.  The iterative
-fits return the analytic Jacobians of their closed-form models, built
-from what the model evaluation already computed; so does
-cloud.column_profile_model, the column-profile fit's, from one K0/K1
-pass.  The solver's few-parameter bookkeeping runs on Python floats, and
-every small system (a step, a linear start or a covariance) goes through
-one solve: Cholesky, else one eigenvalue rank rule.  numpy does the work
-on data-length arrays.  Only statistical uncertainty is reported;
+integrated over the curve, N exponential between samples.  Each
+iterative fit's model is built once per fit by a factory that prepares
+its fixed abscissae: dynamics.kappa_fit_model (4 x and sqrt(x)),
+dynamics.decay_fit_model (the checked times) and
+cloud.column_profile_model (the image grid).  Each model runs its
+quantity's one formula per evaluation and returns the analytic Jacobian
+of that closed form, built from what the evaluation already computed:
+kappa, the rate-equation terms, or one K0/K1 pass.  The solver's
+few-parameter bookkeeping runs on Python floats, and every small system
+(a step, a linear start or a covariance) goes through one solve:
+Cholesky, else one eigenvalue rank rule.  numpy does the work on
+data-length arrays.  Only statistical uncertainty is reported;
 systematic density calibration errors are outside the fitter's scope.
 """
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from .cloud import (CloudRangeError, column_profile_model,
                     make_thermal_cloud)
-from .dynamics import decay_fit_model, kappa_jacobian, kappa_of_abscissa
+from .dynamics import decay_fit_model, kappa_fit_model
 from .flatfile import read_csv
 from .species import BOLTZMANN, ModelInputError, Species
 from .trap import IpTrapConfig
@@ -59,7 +63,7 @@ class DataSet:
             raise ValueError("x, y and sigma_y must have identical shapes")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("x and y must be finite")
-        if not np.all(self.sigma_y > 0):
+        if not (self.sigma_y > 0).all():
             raise ValueError("all sigma_y must be positive")
 
     def __len__(self) -> int:
@@ -199,7 +203,9 @@ def _covariance(gram: list[list[float]], scale: list[float]) -> np.ndarray:
     scale_i.  A parameter with a component above sqrt(eps) on a direction
     the data leave free gets variance inf and nan covariances (Numerical
     Recipes, 3rd ed., sec. 15.4), the rest the pseudo-inverse's."""
-    cov, free = _solve(gram, np.eye(len(gram)).tolist())
+    n = len(gram)
+    cov, free = _solve(gram, [[float(i == j) for j in range(n)]
+                              for i in range(n)])
     if free:
         cov = np.array(cov)
         undetermined = (np.abs(free) > np.finfo(float).eps ** 0.5).any(axis=0)
@@ -410,8 +416,10 @@ def fit_kappa(data: DataSet) -> FitResult:
     coefficients; the fit starts at the weighted linear least-squares
     solution of that equation over the data, or at (1e-17, 1e-15) m^3/s
     if either coefficient comes out <= 0.  Both are fitted in log space
-    for positivity.  The two parameters act on opposite ends of the curve
-    but both suppress kappa, so expect strong negative correlation.
+    for positivity, with kappa_fit_model(data.x) as the model, which forms
+    4 x and sqrt(x) once for the fit.  The two parameters act on opposite
+    ends of the curve but both suppress kappa, so expect strong negative
+    correlation.
     """
     if not (data.x > 0).all():
         raise ValueError("abscissa values must be positive")
@@ -423,11 +431,9 @@ def fit_kappa(data: DataSet) -> FitResult:
         betas = _linear_solve(np.column_stack([4 * k * kw, kw]),
                               2 * data.x * w)
 
-    def model(x, p):
-        kappa = kappa_of_abscissa(x, p[0], p[1])
-        return kappa, lambda: kappa_jacobian(x, p[0], p[1], kappa)
     return least_squares(
-        model, data, betas if all(b > 0 for b in betas) else (1e-17, 1e-15),
+        kappa_fit_model(data.x), data,
+        betas if all(b > 0 for b in betas) else (1e-17, 1e-15),
         names=("beta_dd", "beta_ed"), log=(True, True))
 
 

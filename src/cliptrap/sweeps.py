@@ -114,10 +114,17 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.geomspace(lo, hi, n) for 0 < lo, bit for bit, at a third of its
-    cost: the same powers of 10 of a linspace of log10, with the endpoints
-    set to lo and hi.  np.log10, not math.log10, which rounds differently."""
-    x = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), n))
+    """np.geomspace(lo, hi, n) for 0 < lo, bit for bit, at a fraction of
+    its cost: the same powers of 10 of a linspace of log10, with the
+    endpoints set to lo and hi.  The exponents are formed as linspace
+    forms them, arange(n) * step + log10(lo).  linspace divides before it
+    multiplies only where the step underflows to 0, which needs
+    log10(hi) - log10(lo) nonzero but below n - 1 times the smallest normal
+    float, and two floats' log10 that differ at all differ by 6e-33 or
+    more.  np.log10, not math.log10, which rounds differently."""
+    a = np.log10(lo)
+    step = (np.log10(hi) - a) / max(n - 1, 1)
+    x = np.power(10.0, np.arange(n) * step + a)
     if n > 0:
         x[0] = lo
     if n > 1:

@@ -13,7 +13,7 @@ from cliptrap import dynamics
 from cliptrap.cloud import CloudRangeError, UntrappedCloudError, trap_volume
 from cliptrap.dynamics import (ModelInputError, RateCoefficients, decay,
                                decay_fit_model, effective_loading_time,
-                               evolve, gamma_ed_loss, kappa_jacobian,
+                               evolve, gamma_ed_loss, kappa_fit_model,
                                kappa_of_abscissa, mt_temperature_prediction,
                                steady_state)
 from conftest import make_scenario, root_bracket
@@ -58,6 +58,23 @@ def riccati_oracle(r, gamma, beta, v, n0, times) -> list:
 def decay_jacobian(n0, gamma, beta, v, t):
     """decay's derivatives by (gamma, beta), from decay_fit_model."""
     return decay_fit_model(n0, v, t)(None, [gamma, beta])[1]()
+
+
+def kappa_jacobian(x, beta_dd, beta_ed):
+    """kappa's derivatives by (beta_dd, beta_ed), from kappa_fit_model."""
+    return kappa_fit_model(x)(None, [beta_dd, beta_ed])[1]()
+
+
+def kappa_jacobian_reference(kappa, beta_dd, beta_ed):
+    """The derivatives -4 kappa^2 / S and -kappa / S, S = 8 beta_dd kappa
+    + beta_ed, written out apart from dynamics: the reference that
+    kappa_fit_model's Jacobian must match bit for bit."""
+    k = np.asarray(kappa, float)
+    k_over_s = k / (8 * beta_dd * k + beta_ed)
+    out = np.empty(k.shape + (2,))
+    out[..., 0] = -4 * k * k_over_s
+    out[..., 1] = -k_over_s
+    return out
 
 
 def central(f, p: float, h: float) -> float:
@@ -677,6 +694,30 @@ class TestKappaJacobian:
         jac = kappa_jacobian(x, 1.3e-17, 6e-16)
         assert jac.shape == (5, 2)
         assert np.array_equal(jac[2], kappa_jacobian(x[2], 1.3e-17, 6e-16))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(log_uniform(-300, 300), min_size=1, max_size=30),
+           beta_dd=maybe_zero(-300, 300), beta_ed=maybe_zero(-300, 300))
+    @example(x=[1e-14, 3e-14], beta_dd=0.0, beta_ed=6e-16)
+    @example(x=[1e-14, 3e-14], beta_dd=1.3e-17, beta_ed=0.0)
+    @example(x=[1e-14, 3e-14], beta_dd=0.0, beta_ed=0.0)
+    def test_fit_model_is_kappa_of_abscissa_bit_for_bit(self, x, beta_dd,
+                                                        beta_ed):
+        # the fit's model evaluates the one kappa formula, and its Jacobian
+        # the derivatives above, from that evaluation's kappa; a log-space
+        # fit whose betas both underflow to 0 gets the model's error
+        model = kappa_fit_model(x)
+        if beta_dd == beta_ed == 0:
+            with pytest.raises(ModelInputError) as exc:
+                model(None, [beta_dd, beta_ed])
+            assert exc.value.inputs == ("beta_ed", "beta_dd")
+            return
+        with np.errstate(all="ignore"):  # over- and underflow far out
+            kappa, jac_of = model(None, [beta_dd, beta_ed])
+            assert kappa.tobytes() == kappa_of_abscissa(
+                x, beta_dd, beta_ed).tobytes()
+            assert jac_of().tobytes() == kappa_jacobian_reference(
+                kappa, beta_dd, beta_ed).tobytes()
 
 
 class TestEffectiveLoadingTime:

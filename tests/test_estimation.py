@@ -733,6 +733,62 @@ class TestFitKappa:
         with pytest.raises(ValueError):
             fit_kappa(d)
 
+    def test_kappa_arithmetic_once_per_evaluation(self, monkeypatch):
+        # the abscissae are prepared once per fit, every candidate runs the
+        # kappa arithmetic once on them, and the Jacobian of an accepted
+        # one reuses its kappa, while a rejected one builds none
+        scen = fit_batch_scenario()
+        events = []
+        prepare = estimation.kappa_fit_model
+        kappa_of = dynamics._kappa
+        jacobian_of = dynamics._kappa_jacobian_of
+
+        def counted_prepare(x):
+            events.append(("prepare", None))
+            return prepare(x)
+
+        def counted_kappa(four_x, root_x, beta_dd, beta_ed):
+            out = kappa_of(four_x, root_x, beta_dd, beta_ed)
+            events.append(("kappa", (out, four_x, root_x)))
+            return out
+
+        def counted_jacobian(kappa, beta_dd, beta_ed):
+            events.append(("jacobian", kappa))
+            return jacobian_of(kappa, beta_dd, beta_ed)
+        monkeypatch.setattr(estimation, "kappa_fit_model", counted_prepare)
+        monkeypatch.setattr(dynamics, "_kappa", counted_kappa)
+        monkeypatch.setattr(dynamics, "_kappa_jacobian_of", counted_jacobian)
+        rejected = 0
+        for seed in range(50):
+            data = sweeps.synthesize_measurements(
+                scen, "kappa_points", noise=[0.005, 0.03, 0.1][seed % 3],
+                seed=seed)
+            events.clear()
+            res = fit_kappa(data)
+            assert events[0] == ("prepare", None)
+            steps = events[1:]
+            passes = [held for e, held in steps if e == "kappa"]
+            assert [e for e, _ in steps].count("prepare") == 0
+            assert len(passes) == res.iterations + 1
+            # every pass reads the same 4 x and sqrt(x)
+            assert all(four_x is passes[0][1] and root_x is passes[0][2]
+                       for _, four_x, root_x in passes)
+            w = 1.0 / data.sigma_y
+            best = math.inf
+            for i, (kind, held) in enumerate(steps):
+                if kind != "kappa":
+                    continue
+                r = (data.y - held[0]) * w
+                cost = float(r @ r)
+                follows = i + 1 < len(steps) and steps[i + 1][0] == "jacobian"
+                assert follows == (cost <= best), (seed, i)
+                if follows:
+                    assert steps[i + 1][1] is held[0]
+                    best = cost
+                else:
+                    rejected += 1
+        assert rejected > 0
+
 
 class TestFitDecay:
     def test_pure_exponential(self):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliptrap import dynamics
@@ -360,6 +360,27 @@ class TestSynthesize:
                          rng.integers(2, 100, 3000)):
             assert np.array_equal(_log_grid(0.1 * x0, 10 * x0, n),
                                   np.geomspace(0.1 * x0, 10 * x0, n)), x0
+
+    @settings(max_examples=500, deadline=None)
+    @given(lo=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           hi=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           n=st.integers(0, 400))
+    @example(lo=0.05, hi=0.05, n=30)
+    @example(lo=5e-324, hi=5e-324, n=2)
+    @example(lo=1e300, hi=float(np.nextafter(1e300, math.inf)), n=400)
+    @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), n=400)
+    @example(lo=5e-324, hi=1.7976931348623157e308, n=400)
+    @example(lo=150.0, hi=0.05, n=1)
+    def test_log_grid_is_geomspace_over_the_float_range(self, lo, hi, n):
+        # lo == hi, and distinct lo and hi whose log10 agree, give a step
+        # of 0, where linspace divides by n - 1 before it multiplies; no
+        # step underflows otherwise, since log10 of a float other than 1
+        # is at least 4.8e-17 from 0.  Powers of 10 next to the float
+        # limit overflow alike in both.
+        with np.errstate(over="ignore"):
+            grid, reference = _log_grid(lo, hi, n), np.geomspace(lo, hi, n)
+        assert grid.shape == reference.shape == (n,)
+        assert grid.tobytes() == reference.tobytes()
 
     def test_kappa_points_need_a_positive_abscissa(self):
         with pytest.raises(ValueError, match="abscissa"):
