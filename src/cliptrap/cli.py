@@ -9,16 +9,19 @@ A key, report line or column names its lab unit (G/cm, G/cm^2, mG, cm^3,
 cm^3/s, 1/cm^3, uK, mm), and UNITS, the SI value of each, converts it:
 every layer below works in SI.  COMMANDS names the subcommands; FITS,
 the one table of fit kinds, holds each kind's fit and report rows, which
-cmd_fit's one writer prints.  Exit codes: 0 success, 2 configuration or
-input error (among them an unknown key, NaN, inf, a fractional count, a
-blank value for a key neither computed nor blank by default, a volume
-<= 0, a trap temperature < 0, a negative loss coefficient, an n_mot <= 0,
-a value that takes a rate, the cloud or the data out of float range, a
-file that cannot be read or written, and a stdout that cannot be
-written, such as a closed pipe), 3 numerical failure.  `python -m
-cliptrap.cli` and the `cliptrap` console script enter through run(),
-which ends the process without the interpreter's teardown; main()
-returns the exit code to an in-process caller.
+cmd_fit's one writer prints.  An (x, y, sigma_y) file reaches its fit
+through DataSet.from_rows, and _FILE_KINDS names what a file holds by
+its first column.  Exit codes: 0 success, 2 configuration or input
+error, a ValueError or OSError (among them an unknown key, NaN, inf, a
+fractional count, a blank value for a key neither computed nor blank by
+default, a volume <= 0, a trap temperature < 0, a negative loss
+coefficient, an n_mot <= 0, a value that takes a rate, the cloud or the
+data out of float range, a file that cannot be read or written, and a
+stdout that cannot be written, such as a closed pipe), 3 numerical
+failure, a RuntimeError or ArithmeticError.  `python -m cliptrap.cli`
+and the `cliptrap` console script enter through run(), which ends the
+process without the interpreter's teardown; main() returns the exit
+code to an in-process caller.
 """
 
 from __future__ import annotations
@@ -124,10 +127,13 @@ _KEY_OF: dict[str, str] = {key.feeds: name for name, key in KEYS.items()
 # A sweep table's first column: the swept input, in its key's unit.
 _SWEEP_COLUMN: dict[str, str] = {
     p: f"{p}_{_unit(_KEY_OF[p])}" for p in sweeps.SWEEPABLE}
-
-
-class ConfigError(Exception):
-    """Bad configuration or input data."""
+# What a data file holds, by its first column, for the readers' refusals
+# (_refuse); a file whose first column is not here is read as the kind its
+# fit takes.
+_FILE_KINDS: dict[str, str] = {
+    sweeps.TIME_COLUMN: "a time series",
+    sweeps.ABSCISSA_COLUMN: "kappa points",
+    **dict.fromkeys(_SWEEP_COLUMN.values(), "a sweep table")}
 
 
 def _get(cfg: dict[str, str], name: str):
@@ -144,9 +150,9 @@ def _get(cfg: dict[str, str], name: str):
     raw = cfg.get(name, key.default)
     if not raw:
         if key.default is None:
-            raise ConfigError(f"missing required config key: {name}")
+            raise ValueError(f"missing required config key: {name}")
         if key.default and not key.computed:
-            raise ConfigError(f"config key {name} cannot be blank")
+            raise ValueError(f"config key {name} cannot be blank")
         return None
     if key.kind is str:
         return raw
@@ -155,16 +161,16 @@ def _get(cfg: dict[str, str], name: str):
     if key.bound:
         op, low = key.bound.split()
         if not (value > float(low) or value == float(low) and op == ">="):
-            raise ConfigError(f"config key {name} must be {key.bound}: "
-                              f"{raw!r}")
+            raise ValueError(f"config key {name} must be {key.bound}: "
+                             f"{raw!r}")
     if key.kind is float:
         value *= _SCALE[name]
     if key.computed:
         if key.default and value == float(key.default) * _SCALE[name]:
             return None
         if not value > 0:
-            raise ConfigError(f"config key {name} must be positive, or "
-                              f"blank to compute it: {raw!r}")
+            raise ValueError(f"config key {name} must be positive, or "
+                             f"blank to compute it: {raw!r}")
     return value
 
 
@@ -173,7 +179,7 @@ def build_config(args) -> dict[str, str]:
     if args.config:
         cfg.update(key_values(read_lines(args.config), KEYS))
     if not cfg:
-        raise ConfigError("no configuration: pass --config or --paper-defaults")
+        raise ValueError("no configuration: pass --config or --paper-defaults")
     cfg.update(key_values((("--set", item) for item in args.set or []), KEYS))
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
@@ -285,8 +291,8 @@ def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
 def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     for name in ("v_mt_cm3", "v_eff_cm3"):
         if _get(cfg, name) is not None:
-            raise ConfigError(f"config key {name} cannot be given to a sweep, "
-                              "which computes it at every point")
+            raise ValueError(f"config key {name} cannot be given to a sweep, "
+                             "which computes it at every point")
     scen = scenario_from_config(cfg)
     parameter = _get(cfg, "sweep_parameter")
     # in the unit of the key that feeds it; SweepSpec rejects a name
@@ -301,8 +307,8 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
                                _get(cfg, "sweep_stop"),
                                _get(cfg, "sweep_points")).tolist()
         if len(set(values_b)) < len(values_b):
-            raise ConfigError("config keys sweep_start and sweep_stop are "
-                              "too close for sweep_points distinct values")
+            raise ValueError("config keys sweep_start and sweep_stop are "
+                             "too close for sweep_points distinct values")
     outputs = tuple(s.strip() for s in _get(cfg, "sweep_outputs").split(","))
     n_mot_pp = None
     if nmot_csv := _get(cfg, "sweep_nmot_csv"):
@@ -311,12 +317,12 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
         rounded = np.round(table.x, 9).tolist()
         lookup = dict(zip(rounded, table.y.tolist()))
         if len(lookup) < len(rounded):
-            raise ConfigError(f"{nmot_csv}: two rows of sweep_nmot_csv "
-                              "round to the same value at 9 decimals")
+            raise ValueError(f"{nmot_csv}: two rows of sweep_nmot_csv "
+                             "round to the same value at 9 decimals")
         try:
             n_mot_pp = [lookup[float(np.round(v, 9))] for v in values_b]
         except KeyError as exc:
-            raise ConfigError(f"sweep_nmot_csv has no row for value {exc}")
+            raise ValueError(f"sweep_nmot_csv has no row for value {exc}")
     try:
         spec = sweeps.SweepSpec(
             swept_parameter=parameter,
@@ -331,7 +337,7 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
         name = next((k for field, k in source.items() if field in str(exc)),
                     "key sweep_values" if listed
                     else "keys sweep_start and sweep_stop")
-        raise ConfigError(f"config {name}: {exc}") from None
+        raise ValueError(f"config {name}: {exc}") from None
     rows = sweeps.run_sweep(spec)
     # v_mt, unnamed in its header, is in cm^3
     return _csv([[vb] + [row[n] * (1 / UNITS["cm3"]) if n == "v_mt"
@@ -349,32 +355,41 @@ def cmd_synth(cfg: dict[str, str], args: argparse.Namespace) -> str:
                 [data.x_label, data.y_label, f"sigma_{data.y_label}"])
 
 
-def _read_kappa_csv(path: str) -> DataSet:
-    """Kappa data with columns located by header name.
+def _refuse(path: str, first: str, *takes: str) -> None:
+    """Raise ValueError if _FILE_KINDS names a file by its first column as
+    none of the kinds its reader takes; takes[0] is the kind a fit reads."""
+    held = _FILE_KINDS.get(first, takes[0])
+    if held not in takes:
+        raise ValueError(f"{path}: {held} (first column {first}), "
+                         f"not {takes[0]}")
 
-    Accepts synth output (abscissa, kappa, sigma_kappa), plain 3-column
-    CSV, and sweep output, whose extra columns would break positional
-    parsing.  flatfile.read_csv checks every cell and skips a failed sweep
-    point; this picks the columns.  A time series, whose first column is
-    the time, is refused.
+
+def _read_kappa_csv(path: str) -> DataSet:
+    """Kappa points, read once, with columns located by header name.
+
+    With a kappa column (synth output, or a sweep table, whose extra
+    columns would break positional parsing), DataSet.from_rows gets the
+    abscissa, kappa, sigma_kappa and mask columns in that order, so the
+    mask and the sigma check act as on a positional file; a sweep table,
+    which has no sigma_kappa, gets max(|kappa| 1e-3, 1e-300).  Without
+    one, it gets the rows as they are.  flatfile.read_csv checks every
+    cell and skips a failed sweep point.  A time series is refused.
     """
     header, rows = read_csv(path)
-    if header[0] == sweeps.TIME_COLUMN:
-        raise ConfigError(f"{path}: a time series (first column "
-                          f"{header[0]}), not kappa points")
-    if "kappa" not in header:
-        return DataSet.from_csv(path)
-    ix = next((header.index(n) for n in
-               (sweeps.ABSCISSA_COLUMN, "kappa_abscissa") if n in header),
-              None)
-    if ix is None:
-        raise ConfigError(f"{path}: no abscissa column for the kappa fit")
-    data = np.asarray(rows)
-    kappa = data[:, header.index("kappa")]
-    sigma = (data[:, header.index("sigma_kappa")] if "sigma_kappa" in header
-             else np.abs(kappa) * 1e-3)
-    return DataSet(data[:, ix], kappa, np.maximum(sigma, 1e-300),
-                   x_label=header[ix], y_label="kappa")
+    _refuse(path, header[0], "kappa points", "a sweep table")
+    if "kappa" in header:
+        ix = next((header.index(n) for n in
+                   (sweeps.ABSCISSA_COLUMN, "kappa_abscissa") if n in header),
+                  None)
+        if ix is None:
+            raise ValueError(f"{path}: no abscissa column for the kappa fit")
+        names = [header[ix], "kappa", "sigma_kappa", "mask"]
+        names = names[:3 + ("mask" in header)]
+        cols = [header.index(n) if n in header else None for n in names]
+        header, rows = names, [[r[c] if c is not None
+                                else max(abs(r[cols[1]]) * 1e-3, 1e-300)
+                                for c in cols] for r in rows]
+    return DataSet.from_rows(path, header, rows)
 
 
 def _read_series_csv(path: str) -> DataSet:
@@ -383,12 +398,7 @@ def _read_series_csv(path: str) -> DataSet:
     the swept trap parameter, nor kappa points, whose first column is the
     master curve's abscissa."""
     data = DataSet.from_csv(path)
-    if data.x_label in _SWEEP_COLUMN.values():
-        raise ConfigError(f"{path}: a sweep table (first column "
-                          f"{data.x_label}), not a time series")
-    if data.x_label == sweeps.ABSCISSA_COLUMN:
-        raise ConfigError(f"{path}: kappa points (first column "
-                          f"{data.x_label}), not a time series")
+    _refuse(path, data.x_label, "a time series")
     return data
 
 
@@ -397,8 +407,8 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row for each point of a complete y/z grid."""
     header, rows = read_csv(path)
     if len(header) != 3:
-        raise ConfigError(f"{path}: expected 3 columns (y_mm, z_mm, "
-                          f"column_density), got {len(header)}")
+        raise ValueError(f"{path}: expected 3 columns (y_mm, z_mm, "
+                         f"column_density), got {len(header)}")
     data = np.asarray(rows)
     y, yi = np.unique(data[:, 0], return_inverse=True)
     z, zi = np.unique(data[:, 1], return_inverse=True)
@@ -406,7 +416,7 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     image[yi, zi] = data[:, 2]
     # a duplicate row leaves a hole in the grid, or is one row too many
     if len(data) != image.size or np.isnan(image).any():
-        raise ConfigError(f"{path}: profile table is not a complete y/z grid")
+        raise ValueError(f"{path}: profile table is not a complete y/z grid")
     return y * UNITS["mm"], z * UNITS["mm"], image
 
 
@@ -451,7 +461,7 @@ FITS: dict[str, tuple[Callable[[dict[str, str], str], object], tuple]] = {
 
 def cmd_fit(cfg: dict[str, str], args: argparse.Namespace) -> str:
     if not args.data:
-        raise ConfigError("fit requires --data PATH")
+        raise ValueError("fit requires --data PATH")
     fit, rows = FITS[args.kind]
     res = fit(cfg, args.data)
     report = []
@@ -499,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         _write_atomic(args.out, COMMANDS[args.command](cfg, args))
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, dynamics.ModelInputError):
             key = dict(_KEY_OF)
             if _get(cfg, key["mt_temperature"]) is None:  # the virial

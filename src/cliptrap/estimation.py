@@ -47,7 +47,8 @@ _OUT_OF_RANGE = "the fit's linear system is out of float range"
 
 @dataclass
 class DataSet:
-    """Measured or synthetic (x, y, sigma_y) points with axis labels."""
+    """Measured or synthetic (x, y, sigma_y) points with axis labels; a
+    data file's rows, its columns in that order, become one by from_rows."""
 
     x: np.ndarray
     y: np.ndarray
@@ -71,10 +72,15 @@ class DataSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DataSet":
-        """The x, y and sigma_y columns of flatfile.read_csv's rows, but
-        for rows whose optional fourth column `mask` is 0; errors name
-        path."""
-        header, rows = read_csv(path)
+        """from_rows on flatfile.read_csv's header and rows of path."""
+        return cls.from_rows(path, *read_csv(path))
+
+    @classmethod
+    def from_rows(cls, path: str | Path, header: list[str],
+                  rows: list[list[float]]) -> "DataSet":
+        """The x, y and sigma_y columns of a file's rows, labelled by its
+        header, but for rows whose optional fourth column `mask` is 0;
+        every sigma_y must be > 0, and errors name path."""
         data = np.asarray(rows)
         if data.shape[1] < 3:
             raise ValueError(f"{path}: expected at least 3 columns "
@@ -411,18 +417,20 @@ def fit_loading_rate(series: DataSet) -> float:
 def fit_kappa(data: DataSet) -> FitResult:
     """Fit the accumulation-efficiency curve for (beta_dd, beta_ed).
 
-    Data abscissa is x = R V_MT / N_MOT^2 (m^3/s).  kappa solves
-    4 beta_dd kappa^2 + beta_ed kappa = 2 x, which is linear in the two
-    coefficients; the fit starts at the weighted linear least-squares
-    solution of that equation over the data, or at (1e-17, 1e-15) m^3/s
-    if either coefficient comes out <= 0.  Both are fitted in log space
-    for positivity, with kappa_fit_model(data.x) as the model, which forms
-    4 x and sqrt(x) once for the fit.  The two parameters act on opposite
-    ends of the curve but both suppress kappa, so expect strong negative
-    correlation.
+    Data abscissa is x = R V_MT / N_MOT^2 (m^3/s), and both x and kappa
+    must be > 0.  kappa solves 4 beta_dd kappa^2 + beta_ed kappa = 2 x,
+    which is linear in the two coefficients; the fit starts at the
+    weighted linear least-squares solution of that equation over the data,
+    or at (1e-17, 1e-15) m^3/s if either coefficient comes out <= 0.  Both
+    are fitted in log space for positivity, with kappa_fit_model(data.x)
+    as the model, which forms 4 x and sqrt(x) once for the fit.  The two
+    parameters act on opposite ends of the curve but both suppress kappa,
+    so expect strong negative correlation.
     """
     if not (data.x > 0).all():
         raise ValueError("abscissa values must be positive")
+    if not (data.y > 0).all():
+        raise ValueError("kappa values must be positive")
     if len(set(data.x.tolist())) < 3:
         raise ValueError("need at least 3 distinct abscissae")
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
@@ -484,8 +492,9 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
 def fit_tof(series: DataSet, species: Species) -> FitResult:
     """Time-of-flight thermometry: sigma^2(t) = sigma0^2 + (kT/m) t^2.
 
-    Exact weighted linear solve in t^2, no iteration.  A negative fitted
-    sigma0^2 is flagged as degenerate; the temperature is still returned.
+    Exact weighted linear solve in t^2, no iteration.  The radii must be
+    > 0, since the fit squares them.  A negative fitted sigma0^2 is
+    flagged as degenerate; the temperature is still returned.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
         u = series.x ** 2
@@ -493,10 +502,11 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
             raise ValueError(_OUT_OF_RANGE)
         if len(set(u.tolist())) < 2:
             raise ValueError("need at least 2 distinct expansion times")
+        if not (series.y > 0).all():
+            raise ValueError("expansion radii must be positive")
         v = series.y ** 2
         # var(sigma^2) = (2 sigma sigma_err)^2
-        w = 1.0 / np.maximum(2.0 * np.abs(series.y) * series.sigma_y,
-                             1e-300)
+        w = 1.0 / np.maximum(2.0 * series.y * series.sigma_y, 1e-300)
         a = np.column_stack([np.ones_like(u), u]) * w[:, None]
         intercept, slope = _linear_solve(a, v * w)
     temperature = species.mass * slope / BOLTZMANN

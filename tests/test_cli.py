@@ -852,6 +852,43 @@ def test_kappa_fit_rejects_a_time_series(tmp_path, capsys, synth_kind):
                                    "column t_s), not kappa points\n")
 
 
+PROBE_ROWS = ("1e-14,3,0.03,1\n2e-14,4,0.04,1\n4e-14,500,0.05,0\n"
+              "8e-14,6,0.06,1\n1.6e-13,7.5,0.075,1\n")
+
+
+def test_kappa_fit_masks_named_columns(tmp_path, capsys):
+    # named columns went to DataSet past its mask: the masked kappa = 500
+    # row was fitted, beta_dd = 2.34e-12 cm^3/s against 9.64e-10 under a
+    # positional header
+    reports = []
+    for header in (f"{sweeps.ABSCISSA_COLUMN},kappa,sigma_kappa,mask",
+                   "x,y,sigma_y,mask"):
+        data = tmp_path / "kappa.csv"
+        data.write_text(f"{header}\n{PROBE_ROWS}")
+        assert run("fit", "kappa", "--paper-defaults", "--data",
+                   str(data)) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert reports[0].out.startswith("beta_dd_cm3_per_s = 9.64006e-10\n")
+
+
+@pytest.mark.parametrize("header", [
+    f"{sweeps.ABSCISSA_COLUMN},kappa,sigma_kappa,mask", "x,y,sigma_y,mask"])
+def test_kappa_file_is_read_once(tmp_path, monkeypatch, capsys, header):
+    # a file without a kappa column was read, then read again by
+    # DataSet.from_csv
+    from cliptrap import flatfile
+
+    data = tmp_path / "kappa.csv"
+    data.write_text(f"{header}\n{PROBE_ROWS}")
+    reads = []
+    read_lines = flatfile.read_lines
+    monkeypatch.setattr(flatfile, "read_lines",
+                        lambda path: reads.append(path) or read_lines(path))
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(data)) == 0
+    assert reads == [str(data)]
+
+
 def test_fit_kappa_step_past_exp_range(tmp_path, capsys):
     # a decay curve with every other row masked, fitted as kappa data: a
     # step took log beta past exp's range (about 709), and the run ended
@@ -1388,14 +1425,37 @@ def test_profile_fit_jacobian_stays_finite(noisy_profile, tmp_path, capfd,
     # error read "need at least 2 distinct expansion times"
     (["fit", "tof"], "t_s,sigma_m,sigma_sigma_m\n1e160,0.001,1e-5\n"
      "2e160,0.002,1e-5\n3e160,0.003,1e-5\n",
-     "the fit's linear system is out of float range")],
+     "the fit's linear system is out of float range"),
+    # exited 0 with beta_ed_cm3_per_s = 1.13943e+87, both sigmas inf and
+    # converged = True
+    (["fit", "kappa"], "rv_over_nmot2_m3_per_s,kappa,sigma_kappa\n"
+     "1e-14,-3,0.03\n2e-14,-4,0.04\n4e-14,-5,0.05\n8e-14,-6,0.06\n",
+     "kappa values must be positive"),
+    # the invented sigma of kappa = 0 was 1e-300: the solver warned three
+    # times, then read "the fit's linear system is out of float range"
+    (["fit", "kappa"], "rv_over_nmot2_m3_per_s,kappa\n1e-14,3\n2e-14,0\n"
+     "4e-14,5\n8e-14,6\n", "kappa values must be positive"),
+    # a given sigma_kappa <= 0 was floored to 1e-300, and the fit read
+    # "the fit's linear system is out of float range"
+    (["fit", "kappa"], "rv_over_nmot2_m3_per_s,kappa,sigma_kappa\n"
+     "1e-14,3,0.03\n2e-14,4,0\n4e-14,5,0.05\n8e-14,6,0.06\n",
+     "{data}: all sigma_y must be positive"),
+    (["fit", "kappa"], "rv_over_nmot2_m3_per_s,kappa,sigma_kappa\n"
+     "1e-14,3,0.03\n2e-14,4,-0.04\n4e-14,5,0.05\n8e-14,6,0.06\n",
+     "{data}: all sigma_y must be positive"),
+    # the fit squares the radii: it exited 0 with temperature_uk = 106
+    (["fit", "tof"], "t_s,sigma_m,sigma_sigma_m\n0.001,-2e-4,1e-5\n"
+     "0.002,2.5e-4,1e-5\n0.003,-3.5e-4,1e-5\n0.004,6e-4,1e-5\n",
+     "expansion radii must be positive")],
     ids=["loading_curve_without_rate", "kappa_without_abscissa",
          "profile_without_signal", "profile_past_float_range",
          "profile_jacobian_past_float_range", "decay_from_zero",
          "kappa_sigma_past_float_range", "tof_radii_past_float_range",
          "decay_sigma_past_float_range", "loading_sigma_past_float_range",
          "tof_squares_past_float_range", "decay_integrals_past_float_range",
-         "loading_integrals_past_float_range", "tof_times_past_float_range"])
+         "loading_integrals_past_float_range", "tof_times_past_float_range",
+         "kappa_negative", "kappa_zero_without_sigma", "kappa_sigma_zero",
+         "kappa_sigma_negative", "tof_radii_negative"])
 def test_input_error_exits_2(argv, text, message, tmp_path, capfd):
     data = tmp_path / "data.csv"
     if text is not None:
