@@ -9,9 +9,11 @@ A key, report line or column names its lab unit (G/cm, G/cm^2, mG, cm^3,
 cm^3/s, 1/cm^3, uK, mm), and UNITS, the SI value of each, converts it:
 every layer below works in SI.  COMMANDS names the subcommands; FITS,
 the one table of fit kinds, holds each kind's fit and report rows, which
-cmd_fit's one writer prints.  An (x, y, sigma_y) file reaches its fit
-through DataSet.from_rows, and _FILE_KINDS names what a file holds by
-its first column.  Exit codes: 0 success, 2 configuration or input
+cmd_fit's one writer prints.  _read reads every data file once and
+refuses one that _FILE_KINDS names, by its first column, as a kind
+its reader does not take; a sweep table's columns are taken by name,
+and an (x, y, sigma_y) file reaches its fit through
+DataSet.from_rows.  Exit codes: 0 success, 2 configuration or input
 error, a ValueError or OSError (among them an unknown key, NaN, inf, a
 fractional count, a blank value for a key neither computed nor blank by
 default, a volume <= 0, a trap temperature < 0, a negative loss
@@ -128,8 +130,8 @@ _KEY_OF: dict[str, str] = {key.feeds: name for name, key in KEYS.items()
 _SWEEP_COLUMN: dict[str, str] = {
     p: f"{p}_{_unit(_KEY_OF[p])}" for p in sweeps.SWEEPABLE}
 # What a data file holds, by its first column, for the readers' refusals
-# (_refuse); a file whose first column is not here is read as the kind its
-# fit takes.
+# (_read); a file whose first column is not here is read as the kind its
+# reader takes.
 _FILE_KINDS: dict[str, str] = {
     sweeps.TIME_COLUMN: "a time series",
     sweeps.ABSCISSA_COLUMN: "kappa points",
@@ -289,6 +291,9 @@ def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
+    """A sweep table: the swept value, the outputs and error of each point;
+    sweep_nmot_csv's (value, n_mot) pairs, if given, set each point's
+    n_mot."""
     for name in ("v_mt_cm3", "v_eff_cm3"):
         if _get(cfg, name) is not None:
             raise ValueError(f"config key {name} cannot be given to a sweep, "
@@ -313,9 +318,9 @@ def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
     n_mot_pp = None
     if nmot_csv := _get(cfg, "sweep_nmot_csv"):
         # matched to 9 decimals, which linspace values need
-        table = DataSet.from_csv(nmot_csv)
-        rounded = np.round(table.x, 9).tolist()
-        lookup = dict(zip(rounded, table.y.tolist()))
+        values, n_mots = zip(*_read_nmot_csv(nmot_csv))
+        rounded = np.round(values, 9).tolist()
+        lookup = dict(zip(rounded, n_mots))
         if len(lookup) < len(rounded):
             raise ValueError(f"{nmot_csv}: two rows of sweep_nmot_csv "
                              "round to the same value at 9 decimals")
@@ -355,34 +360,41 @@ def cmd_synth(cfg: dict[str, str], args: argparse.Namespace) -> str:
                 [data.x_label, data.y_label, f"sigma_{data.y_label}"])
 
 
-def _refuse(path: str, first: str, *takes: str) -> None:
-    """Raise ValueError if _FILE_KINDS names a file by its first column as
-    none of the kinds its reader takes; takes[0] is the kind a fit reads."""
-    held = _FILE_KINDS.get(first, takes[0])
+def _read(path: str, *takes: str) -> tuple[list[str], list[list[float]]]:
+    """The header and rows of a data file, read once by flatfile.read_csv,
+    which checks every cell and skips a failed sweep point.  A file that
+    _FILE_KINDS names by its first column as none of the kinds in takes
+    raises ValueError; any other is read as takes[0], its reader's own
+    kind."""
+    header, rows = read_csv(path)
+    held = _FILE_KINDS.get(header[0], takes[0])
     if held not in takes:
-        raise ValueError(f"{path}: {held} (first column {first}), "
+        raise ValueError(f"{path}: {held} (first column {header[0]}), "
                          f"not {takes[0]}")
+    return header, rows
 
 
 def _read_kappa_csv(path: str) -> DataSet:
-    """Kappa points, read once, with columns located by header name.
+    """Kappa points, with columns located by header name in a sweep table
+    and in a file with a kappa column.
 
-    With a kappa column (synth output, or a sweep table, whose extra
-    columns would break positional parsing), DataSet.from_rows gets the
-    abscissa, kappa, sigma_kappa and mask columns in that order, so the
-    mask and the sigma check act as on a positional file; a sweep table,
-    which has no sigma_kappa, gets max(|kappa| 1e-3, 1e-300).  Without
-    one, it gets the rows as they are.  flatfile.read_csv checks every
-    cell and skips a failed sweep point.  A time series is refused.
+    By name (synth output, or a sweep table, whose extra columns would
+    break positional parsing), DataSet.from_rows gets the abscissa, kappa,
+    sigma_kappa and mask columns in that order, so the mask and the sigma
+    check act as on a positional file; a sweep table, which has no
+    sigma_kappa, gets max(|kappa| 1e-3, 1e-300), and one without the
+    abscissa or kappa is refused.  Any other file gets its rows as they
+    are.  A time series is refused.
     """
-    header, rows = read_csv(path)
-    _refuse(path, header[0], "kappa points", "a sweep table")
-    if "kappa" in header:
+    header, rows = _read(path, "kappa points", "a sweep table")
+    if "kappa" in header or header[0] in _SWEEP_COLUMN.values():
         ix = next((header.index(n) for n in
                    (sweeps.ABSCISSA_COLUMN, "kappa_abscissa") if n in header),
                   None)
         if ix is None:
             raise ValueError(f"{path}: no abscissa column for the kappa fit")
+        if "kappa" not in header:
+            raise ValueError(f"{path}: no kappa column for the kappa fit")
         names = [header[ix], "kappa", "sigma_kappa", "mask"]
         names = names[:3 + ("mask" in header)]
         cols = [header.index(n) if n in header else None for n in names]
@@ -397,15 +409,30 @@ def _read_series_csv(path: str) -> DataSet:
     positional columns, but neither a sweep table, whose first column is
     the swept trap parameter, nor kappa points, whose first column is the
     master curve's abscissa."""
-    data = DataSet.from_csv(path)
-    _refuse(path, data.x_label, "a time series")
-    return data
+    return DataSet.from_rows(path, *_read(path, "a time series"))
+
+
+def _read_nmot_csv(path: str) -> list[tuple[float, float]]:
+    """(value, n_mot) pairs for sweep_nmot_csv: a sweep table's first and
+    n_mot columns, any other table's first two columns.  A time series and
+    kappa points are refused."""
+    header, rows = _read(path, "an N_MOT table", "a sweep table")
+    if header[0] in _SWEEP_COLUMN.values():
+        if "n_mot" not in header:
+            raise ValueError(f"{path}: no n_mot column for sweep_nmot_csv")
+        column = header.index("n_mot")
+    elif len(header) < 2:
+        raise ValueError(f"{path}: expected at least 2 columns (value, n_mot)")
+    else:
+        column = 1
+    return [(r[0], r[column]) for r in rows]
 
 
 def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Long-format profile table: y_mm, z_mm, column_density columns, one
-    row for each point of a complete y/z grid."""
-    header, rows = read_csv(path)
+    row for each point of a complete y/z grid.  A time series, kappa
+    points and a sweep table are refused."""
+    header, rows = _read(path, "a profile table")
     if len(header) != 3:
         raise ValueError(f"{path}: expected 3 columns (y_mm, z_mm, "
                          f"column_density), got {len(header)}")
@@ -442,7 +469,8 @@ FITS: dict[str, tuple[Callable[[dict[str, str], str], object], tuple]] = {
                                     scenario_from_config(cfg).v_mt),
         (("gamma_per_s", "gamma", True),
          ("beta_dd_cm3_per_s", "beta_dd", True),
-         ("converged", "converged", False))),
+         ("converged", "converged", False),
+         ("note", "message", False))),
     "tof": (
         lambda cfg, path: fit_tof(_read_series_csv(path), _species(cfg)),
         (("temperature_uk", "temperature", True),

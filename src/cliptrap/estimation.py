@@ -34,7 +34,6 @@ import numpy as np
 from .cloud import (CloudRangeError, column_profile_model,
                     make_thermal_cloud)
 from .dynamics import decay_fit_model, kappa_fit_model
-from .flatfile import read_csv
 from .species import BOLTZMANN, ModelInputError, Species
 from .trap import IpTrapConfig
 
@@ -47,8 +46,9 @@ _OUT_OF_RANGE = "the fit's linear system is out of float range"
 
 @dataclass
 class DataSet:
-    """Measured or synthetic (x, y, sigma_y) points with axis labels; a
-    data file's rows, its columns in that order, become one by from_rows."""
+    """Measured or synthetic (x, y, sigma_y) points with axis labels; the
+    rows a data file's reader took, its columns in that order, become one
+    by from_rows."""
 
     x: np.ndarray
     y: np.ndarray
@@ -69,11 +69,6 @@ class DataSet:
 
     def __len__(self) -> int:
         return self.x.size
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "DataSet":
-        """from_rows on flatfile.read_csv's header and rows of path."""
-        return cls.from_rows(path, *read_csv(path))
 
     @classmethod
     def from_rows(cls, path: str | Path, header: list[str],
@@ -460,7 +455,9 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
     30-sample synthetic grid, whose late intervals are up to 36 s long.
     The weighted least-squares solution, clipped to the bounds, is the
     start, except that a beta_dd <= 0 starts as a two-body loss of 1e-6 of
-    the atoms over the record.
+    the atoms over the record.  A beta_dd that ends on either end of its
+    [e^-200, 1] m^3/s box is named in the result's message; converged
+    keeps its meaning, and gamma's bound of 0 is a physical one.
     """
     if not v > 0:
         raise ValueError("v must be positive")
@@ -483,10 +480,15 @@ def fit_decay(series: DataSet, v: float) -> FitResult:
     beta_min = math.exp(-200.0)
     beta0 = min(max(rate2 * v / (2 * n0), beta_min), 1.0)
 
-    return least_squares(
+    res = least_squares(
         decay_fit_model(n0, v, t), series, [max(gamma0, 0.0), beta0],
         bounds=([0.0, beta_min], [math.inf, 1.0]),
         names=("gamma", "beta_dd"), log=(False, True))
+    # the box holds log beta_dd, which the solver clips to the log of an end
+    if end := {math.log(beta_min): "lower", 0.0: "upper"}.get(
+            math.log(res["beta_dd"])):
+        res.message = f"beta_dd ends on the {end} bound of its fit range"
+    return res
 
 
 def fit_tof(series: DataSet, species: Species) -> FitResult:

@@ -8,6 +8,7 @@ from cliptrap import cli, sweeps
 from cliptrap.cli import main
 from cliptrap.cloud import trap_volume
 from cliptrap.estimation import DataSet
+from cliptrap.flatfile import read_csv
 from conftest import make_scenario
 
 
@@ -665,7 +666,7 @@ def test_fit_tof_sigma_from_the_normal_equations(tmp_path, capsys):
     assert run("fit", "tof", "--paper-defaults", "--data", str(csv)) == 0
     rep = dict(line.split(" = ") for line in
                capsys.readouterr().out.splitlines())
-    data = DataSet.from_csv(csv)
+    data = DataSet.from_rows(csv, *read_csv(csv))
     w = 1.0 / (2.0 * np.abs(data.y) * data.sigma_y)
     a = np.column_stack([np.ones_like(data.x), data.x ** 2]) * w[:, None]
     cov = np.linalg.inv(a.T @ a)
@@ -763,6 +764,25 @@ def test_profile_table_with_a_duplicated_point(tmp_path, capsys):
         f"error: {csv}: profile table is not a complete y/z grid\n")
 
 
+# a file of each kind, by the command that writes it
+KIND_FILES = {
+    "a time series": ("synth", "--set", "synth_kind=decay_curve"),
+    "kappa points": ("synth",),
+    "a sweep table": ("sweep", "--set", "sweep_outputs=kappa_abscissa,kappa")}
+
+
+@pytest.mark.parametrize("held", KIND_FILES)
+def test_profile_fit_refuses_another_kind(tmp_path, capsys, held):
+    # the profile reader consulted no kind, and each of these exited 2 as
+    # an incomplete y/z grid
+    data = tmp_path / "data.csv"
+    assert run(*KIND_FILES[held], "--paper-defaults", "--out", str(data)) == 0
+    first = data.read_text().split(",", 1)[0]
+    assert run("fit", "profile", "--paper-defaults", "--data", str(data)) == 2
+    assert capsys.readouterr() == ("", f"error: {data}: {held} (first column "
+                                   f"{first}), not a profile table\n")
+
+
 def test_fit_decay_skips_failed_sweep_rows(tmp_path, capsys):
     # a trailing error column is not read, and a row whose error cell is
     # filled is skipped, in every fit's data file alike
@@ -798,7 +818,7 @@ def test_fit_decay_reports_an_undetermined_sigma_as_inf(tmp_path, capsys,
         f"{t},{n},1e6\n" for t, n in enumerate(counts.split())))
     assert run("fit", "decay", "--paper-defaults", "--data", str(csv)) == 0
     rep = dict(line.split(" = ") for line in
-               capsys.readouterr().out.splitlines())
+               capsys.readouterr().out.splitlines() if " = " in line)
     assert {key: rep[key] for key in sigmas} == sigmas
 
 
@@ -852,6 +872,21 @@ def test_kappa_fit_rejects_a_time_series(tmp_path, capsys, synth_kind):
                                    "column t_s), not kappa points\n")
 
 
+@pytest.mark.parametrize("outputs, column", [
+    ("loading_rate,n_mt_steady", "abscissa"),
+    ("kappa_abscissa,loading_rate", "kappa")])
+def test_kappa_fit_names_a_sweep_table_s_missing_column(tmp_path, capsys,
+                                                        outputs, column):
+    # a sweep table without a kappa column was read by position: fit kappa
+    # exited 0, its swept parameter and outputs fitted as (x, kappa, sigma)
+    table = tmp_path / "sweep.csv"
+    assert run("sweep", "--paper-defaults", "--set", "sweep_values=8,10,12,14",
+               "--set", f"sweep_outputs={outputs}", "--out", str(table)) == 0
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(table)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {table}: no {column} column for the kappa fit\n")
+
+
 PROBE_ROWS = ("1e-14,3,0.03,1\n2e-14,4,0.04,1\n4e-14,500,0.05,0\n"
               "8e-14,6,0.06,1\n1.6e-13,7.5,0.075,1\n")
 
@@ -872,20 +907,38 @@ def test_kappa_fit_masks_named_columns(tmp_path, capsys):
     assert reports[0].out.startswith("beta_dd_cm3_per_s = 9.64006e-10\n")
 
 
-@pytest.mark.parametrize("header", [
-    f"{sweeps.ABSCISSA_COLUMN},kappa,sigma_kappa,mask", "x,y,sigma_y,mask"])
-def test_kappa_file_is_read_once(tmp_path, monkeypatch, capsys, header):
-    # a file without a kappa column was read, then read again by
-    # DataSet.from_csv
+SERIES_ROWS = ("t_s,n_atoms,sigma_n_atoms\n0,1e8,1e6\n1,9e7,1e6\n"
+               "2,8e7,1e6\n5,6e7,1e6\n")
+PROFILE_ROWS = (
+    "y_mm,z_mm,column_density\n-0.4,-3,2.14e+12\n-0.4,0,1.44e+13\n"
+    "-0.4,3,2.14e+12\n0,-3,6.06e+12\n0,0,4.07e+13\n0,3,6.06e+12\n"
+    "0.4,-3,1.31e+12\n0.4,0,8.8e+12\n0.4,3,1.31e+12\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    *(pytest.param(("fit", "kappa", "--data", "{}"),
+                   f"{header}\n{PROBE_ROWS}", id=header)
+      for header in (f"{sweeps.ABSCISSA_COLUMN},kappa,sigma_kappa,mask",
+                     "x,y,sigma_y,mask")),
+    *(pytest.param(("fit", kind, "--data", "{}"), SERIES_ROWS, id=kind)
+      for kind in ("decay", "tof", "loading-rate")),
+    pytest.param(("fit", "profile", "--data", "{}"), PROFILE_ROWS,
+                 id="profile"),
+    pytest.param(("sweep", "--set", "sweep_values=8,20",
+                  "--set", "sweep_nmot_csv={}"),
+                 "value,n_mot\n8,4e6\n20,6e6\n", id="sweep_nmot_csv")])
+def test_kappa_file_is_read_once(tmp_path, monkeypatch, capsys, argv, text):
+    # a kappa file without a kappa column was read, then read again by
+    # DataSet.from_csv; every reader reads its file once
     from cliptrap import flatfile
 
-    data = tmp_path / "kappa.csv"
-    data.write_text(f"{header}\n{PROBE_ROWS}")
+    data = tmp_path / "data.csv"
+    data.write_text(text)
     reads = []
     read_lines = flatfile.read_lines
     monkeypatch.setattr(flatfile, "read_lines",
                         lambda path: reads.append(path) or read_lines(path))
-    assert run("fit", "kappa", "--paper-defaults", "--data", str(data)) == 0
+    assert run(*(arg.format(data) for arg in argv), "--paper-defaults") == 0
     assert reads == [str(data)]
 
 
@@ -915,6 +968,79 @@ def test_nmot_csv_bad_cell_names_line(tmp_path, capsys):
                "--set", f"sweep_nmot_csv={nmot}") == 2
     assert capsys.readouterr() == (
         "", f"error: {nmot}:3: not a finite number: '6e6x'\n")
+
+
+NMOT_SWEEP = ("sweep", "--paper-defaults", "--set", "sweep_values=8,12.5,20",
+              "--set", "sweep_outputs=kappa,n_mot")
+
+
+def test_nmot_csv_takes_a_sweep_table_s_n_mot_column(tmp_path, capsys):
+    # a sweep table fed back was read by position: its kappa column set
+    # every point's N_MOT, 39.62, 23.16 and 12.75 atoms
+    table = tmp_path / "sweep.csv"
+    assert run(*NMOT_SWEEP, "--out", str(table)) == 0
+    assert run(*NMOT_SWEEP) == 0
+    alone = capsys.readouterr()
+    assert run(*NMOT_SWEEP, "--set", f"sweep_nmot_csv={table}") == 0
+    assert capsys.readouterr() == alone
+    assert alone.out.splitlines()[1].startswith("8,39.6200184242,5000000,")
+
+
+def test_nmot_csv_of_value_and_n_mot(tmp_path, capsys):
+    # a two-column table exited 2 with `expected at least 3 columns`; a
+    # third column is not read
+    reports = []
+    for text in ("value,n_mot\n8,4e6\n12.5,5.5e6\n20,6e6\n",
+                 "value,n_mot,sigma\n8,4e6,0\n12.5,5.5e6,-1\n20,6e6,1\n"):
+        nmot = tmp_path / "nmot.csv"
+        nmot.write_text(text)
+        assert run(*NMOT_SWEEP, "--set", f"sweep_nmot_csv={nmot}") == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert [row.split(",")[2] for row in reports[0].out.splitlines()[1:]] == [
+        "4000000", "5500000", "6000000"]
+
+
+def test_nmot_csv_of_one_column(tmp_path, capsys):
+    nmot = tmp_path / "nmot.csv"
+    nmot.write_text("value\n8\n12.5\n20\n")
+    assert run(*NMOT_SWEEP, "--set", f"sweep_nmot_csv={nmot}") == 2
+    assert capsys.readouterr() == (
+        "", f"error: {nmot}: expected at least 2 columns (value, n_mot)\n")
+
+
+NMOT_REFUSALS = {
+    "a time series": "a time series (first column t_s), not an N_MOT table",
+    "kappa points": "kappa points (first column rv_over_nmot2_m3_per_s), "
+                    "not an N_MOT table",
+    "a sweep table": "no n_mot column for sweep_nmot_csv"}
+
+
+@pytest.mark.parametrize("held", NMOT_REFUSALS)
+def test_nmot_csv_refuses_a_file_without_n_mot(tmp_path, capsys, held):
+    # each was read by position: a time series or kappa points exited 2 on
+    # their first column's values, and a sweep table's second column, here
+    # kappa_abscissa, was taken as N_MOT
+    data = tmp_path / "data.csv"
+    assert run(*KIND_FILES[held], "--paper-defaults",
+               "--set", "sweep_values=8,12.5,20", "--out", str(data)) == 0
+    assert run(*NMOT_SWEEP, "--set", f"sweep_nmot_csv={data}") == 2
+    assert capsys.readouterr() == ("", f"error: {data}: "
+                                   f"{NMOT_REFUSALS[held]}\n")
+
+
+@pytest.mark.parametrize("counts, end", [("1e8 -9e7 8e7 6e7", "upper"),
+                                        ("1e8 1.1e8 1.2e8 1.5e8", "lower")])
+def test_fit_decay_notes_beta_dd_on_a_bound(tmp_path, capsys, counts, end):
+    # a beta_dd on an end of its [e^-200, 1] m^3/s box, 1e+06 or 1.4e-81
+    # cm^3/s, was reported with converged = True and nothing more
+    csv = tmp_path / "decay.csv"
+    csv.write_text("t_s,n_atoms,sigma_n_atoms\n" + "".join(
+        f"{t},{n},1e6\n" for t, n in zip((0, 1, 2, 5), counts.split())))
+    assert run("fit", "decay", "--paper-defaults", "--data", str(csv)) == 0
+    assert capsys.readouterr().out.endswith(
+        "converged = True\n"
+        f"note: beta_dd ends on the {end} bound of its fit range\n")
 
 
 def test_fit_tof_degenerate_note_line(tmp_path, capsys):

@@ -7,6 +7,7 @@ from cliptrap import cli, cloud, dynamics, estimation, sweeps
 from cliptrap.estimation import (DataSet, fit_column_profile, fit_decay,
                                  fit_kappa, fit_loading_rate, fit_tof,
                                  least_squares)
+from cliptrap.flatfile import read_csv
 from cliptrap.species import chromium_52
 from cliptrap.trap import IpTrapConfig
 from conftest import make_scenario
@@ -84,7 +85,7 @@ class TestDataSet:
         want = sweeps.synthesize_measurements(
             cli.scenario_from_config(cli.PAPER_DEFAULTS), "decay_curve",
             noise=0.03, seed=4)
-        back = DataSet.from_csv(path)
+        back = DataSet.from_rows(path, *read_csv(path))
         for got, values in ((back.x, want.x), (back.y, want.y),
                             (back.sigma_y, want.sigma_y)):
             assert got.tolist() == [float(f"{v:.12g}") for v in values]
@@ -94,14 +95,14 @@ class TestDataSet:
         path = tmp_path / "d.csv"
         path.write_text("# generated\nt,n,sigma_n\n# midway note\n1,2,0.1\n"
                         "2,3,0.1\n")
-        d = DataSet.from_csv(path)
+        d = DataSet.from_rows(path, *read_csv(path))
         assert len(d) == 2
         assert d.x_label == "t"
 
     def test_mask_column_filters_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,sigma_y,mask\n1,2,0.1,1\n2,9,0.1,0\n3,4,0.1,1\n")
-        d = DataSet.from_csv(path)
+        d = DataSet.from_rows(path, *read_csv(path))
         assert np.array_equal(d.x, [1.0, 3.0])
 
     @pytest.mark.parametrize("field", ["x", "y"])
@@ -116,13 +117,13 @@ class TestDataSet:
         path = tmp_path / "d.csv"
         path.write_text("t,n,sigma_n\n0,2,0.1\n# note\n1,nan,0.1\n")
         with pytest.raises(ValueError, match=f"{path}:4: not a finite"):
-            DataSet.from_csv(path)
+            DataSet.from_rows(path, *read_csv(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,sigma_y\n")
         with pytest.raises(ValueError, match="no data rows"):
-            DataSet.from_csv(path)
+            DataSet.from_rows(path, *read_csv(path))
 
     @pytest.mark.parametrize("text,reason", [
         (b"x,y\n1,2\n", "expected at least 3 columns"),
@@ -134,7 +135,7 @@ class TestDataSet:
         path = tmp_path / "d.csv"
         path.write_bytes(text)
         with pytest.raises(ValueError) as info:
-            DataSet.from_csv(path)
+            DataSet.from_rows(path, *read_csv(path))
         message = str(info.value)
         assert message.startswith(str(path)) and reason in message
         assert message.count(str(path)) == 1

@@ -1,4 +1,4 @@
-"""Only flatfile.read_lines reads a file.
+"""Only flatfile.read_lines reads a file, and only cli._read a data file.
 
 Every config, species and data file reaches the package through
 flatfile.read_lines, so one place strips comments and blanks and names a
@@ -6,11 +6,15 @@ file that cannot be decoded, and flatfile.read_csv, built on it, is the
 one place a data file becomes numbers.  A module that read a file itself
 would bypass both.  The guard looks for open( for reading (no mode, or a
 mode without w, a or x), read_text, read_bytes and numpy's loadtxt and
-genfromtxt.
+genfromtxt.  In the CLI, every data file reader starts from cli._read,
+the one caller of read_csv, which refuses a file of a kind the reader
+does not take; a reader that called read_csv itself would read any file.
 """
 
 import ast
 from pathlib import Path
+
+from cliptrap import estimation
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cliptrap"
 READERS = {"read_text", "read_bytes", "loadtxt", "genfromtxt"}
@@ -30,15 +34,20 @@ def reads_a_file(call: ast.Call) -> bool:
                    and set(arg.value) & set("wax") for arg in args)
 
 
-def read_sites(path: Path) -> list[str]:
-    """module.function of each call in path that reads a file; a call
-    outside any function is module.<module>."""
+def calls_read_csv(call: ast.Call) -> bool:
+    return "read_csv" == getattr(call.func, "attr",
+                                 getattr(call.func, "id", None))
+
+
+def read_sites(path: Path, reads=reads_a_file) -> list[str]:
+    """module.function of each call in path that reads a file, or that
+    reads picks; a call outside any function is module.<module>."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call) and reads_a_file(node):
+        if isinstance(node, ast.Call) and reads(node):
             sites.append(f"{path.stem}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -75,3 +84,22 @@ def test_guard_sees_each_kind_of_read(tmp_path):
         "    os.fdopen(fd, 'w')\n"
         "    Path(p).write_text('')\n")
     assert read_sites(probe) == ["probe.<module>"] + ["probe.reads"] * 7
+
+
+def test_only_read_parses_a_data_file_in_cli():
+    assert read_sites(PACKAGE / "cli.py", calls_read_csv) == ["cli._read"]
+    assert not hasattr(estimation.DataSet, "from_csv")
+    assert not hasattr(estimation, "read_csv")
+
+
+def test_guard_sees_a_second_read_csv_caller(tmp_path):
+    probe = tmp_path / "cli.py"
+    probe.write_text(
+        "from . import flatfile\n"
+        "from .flatfile import read_csv\n"
+        "def _read(path):\n"
+        "    return read_csv(path)\n"
+        "def _read_profile_csv(path):\n"
+        "    return flatfile.read_csv(path)\n")
+    assert read_sites(probe, calls_read_csv) == ["cli._read",
+                                                 "cli._read_profile_csv"]
