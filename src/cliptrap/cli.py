@@ -10,13 +10,17 @@ cm^3/s, 1/cm^3, uK, mm), and UNITS, the SI value of each, converts it:
 every layer below works in SI.  COMMANDS names the subcommands; FITS,
 the one table of fit kinds, holds each kind's fit and report rows, which
 cmd_fit's one writer prints.  _read reads every data file once and
-refuses one that _FILE_KINDS names, by its first column, as a kind
-its reader does not take; a sweep table's columns are taken by name,
-and an (x, y, sigma_y) file reaches its fit through
-DataSet.from_rows.  Exit codes: 0 success, 2 configuration or input
-error, a ValueError or OSError (among them an unknown key, NaN, inf, a
-fractional count, a blank value for a key neither computed nor blank by
-default, a volume <= 0, a trap temperature < 0, a negative loss
+refuses one of a kind its reader does not take: sweeps.FILE_KINDS, from
+which the writers take their headers, names a kind by a header's first
+two cells, and _SWEEP_COLUMN a sweep table by its first; a file neither
+names is read as its reader's own kind.  A sweep table's columns are
+taken by name, and an (x, y, sigma_y) file reaches its fit through
+DataSet.from_rows.  A model input error that a fit raises on its data
+names the data file (fit kappa's, where both beta reach 0); one raised
+by the scenario names the config keys that set it.  Exit codes: 0
+success, 2 configuration or input error, a ValueError or OSError (among
+them an unknown key, NaN, inf, a fractional count, a blank value for a
+key neither computed nor blank by default, a volume <= 0, a trap temperature < 0, a negative loss
 coefficient, an n_mot <= 0, a value that takes a rate, the cloud or the
 data out of float range, a file that cannot be read or written, and a
 stdout that cannot be written, such as a closed pipe), 3 numerical
@@ -129,13 +133,8 @@ _KEY_OF: dict[str, str] = {key.feeds: name for name, key in KEYS.items()
 # A sweep table's first column: the swept input, in its key's unit.
 _SWEEP_COLUMN: dict[str, str] = {
     p: f"{p}_{_unit(_KEY_OF[p])}" for p in sweeps.SWEEPABLE}
-# What a data file holds, by its first column, for the readers' refusals
-# (_read); a file whose first column is not here is read as the kind its
-# reader takes.
-_FILE_KINDS: dict[str, str] = {
-    sweeps.TIME_COLUMN: "a time series",
-    sweeps.ABSCISSA_COLUMN: "kappa points",
-    **dict.fromkeys(_SWEEP_COLUMN.values(), "a sweep table")}
+# The kinds of file sweeps.FILE_KINDS does not name (see _read)
+SWEEP_TABLE, NMOT_TABLE = "a sweep table", "an N_MOT table"
 
 
 def _get(cfg: dict[str, str], name: str):
@@ -287,7 +286,7 @@ def cmd_simulate(cfg: dict[str, str], args: argparse.Namespace) -> str:
     t, n = dynamics.evolve(scen, _get(cfg, "n0_atoms"), _get(cfg, "t_end_s"),
                            _get(cfg, "samples"))
     return _csv([[ti, ni] for ti, ni in zip(t, n)],
-                [sweeps.TIME_COLUMN, "n_atoms"])
+                sweeps.HEADER[sweeps.ATOM_NUMBERS])
 
 
 def cmd_sweep(cfg: dict[str, str], args: argparse.Namespace) -> str:
@@ -360,18 +359,25 @@ def cmd_synth(cfg: dict[str, str], args: argparse.Namespace) -> str:
                 [data.x_label, data.y_label, f"sigma_{data.y_label}"])
 
 
-def _read(path: str, *takes: str) -> tuple[list[str], list[list[float]]]:
-    """The header and rows of a data file, read once by flatfile.read_csv,
-    which checks every cell and skips a failed sweep point.  A file that
-    _FILE_KINDS names by its first column as none of the kinds in takes
-    raises ValueError; any other is read as takes[0], its reader's own
-    kind."""
+def _read(path: str, *takes: str) -> tuple[str, list[str], list[list[float]]]:
+    """The kind, header and rows of a data file, read once by
+    flatfile.read_csv, which checks every cell and skips a failed sweep
+    point.  Its kind is the one sweeps.FILE_KINDS names by the header's
+    first two cells, SWEEP_TABLE for a swept input's first column, and
+    else takes[0], its reader's own.  A kind not in takes raises
+    ValueError naming the two kinds by the column that tells them apart:
+    by the first, up to " of ", or, where that agrees, by the second."""
     header, rows = read_csv(path)
-    held = _FILE_KINDS.get(header[0], takes[0])
+    held = sweeps.FILE_KINDS.get(tuple(header[:2]), SWEEP_TABLE if header[0]
+                                 in _SWEEP_COLUMN.values() else takes[0])
     if held not in takes:
-        raise ValueError(f"{path}: {held} (first column {header[0]}), "
-                         f"not {takes[0]}")
-    return header, rows
+        held_as, want_as = (k.partition(" of ")[0] for k in (held, takes[0]))
+        if held_as == want_as:
+            raise ValueError(f"{path}: {held} (second column {header[1]}), "
+                             f"not {takes[0]}")
+        raise ValueError(f"{path}: {held_as} (first column {header[0]}), "
+                         f"not {want_as}")
+    return held, header, rows
 
 
 def _read_kappa_csv(path: str) -> DataSet:
@@ -384,13 +390,13 @@ def _read_kappa_csv(path: str) -> DataSet:
     check act as on a positional file; a sweep table, which has no
     sigma_kappa, gets max(|kappa| 1e-3, 1e-300), and one without the
     abscissa or kappa is refused.  Any other file gets its rows as they
-    are.  A time series is refused.
+    are.
     """
-    header, rows = _read(path, "kappa points", "a sweep table")
-    if "kappa" in header or header[0] in _SWEEP_COLUMN.values():
-        ix = next((header.index(n) for n in
-                   (sweeps.ABSCISSA_COLUMN, "kappa_abscissa") if n in header),
-                  None)
+    held, header, rows = _read(path, sweeps.KAPPA_POINTS, SWEEP_TABLE)
+    if "kappa" in header or held == SWEEP_TABLE:
+        ix = next((header.index(n) for n in (
+            sweeps.HEADER[sweeps.KAPPA_POINTS][0], "kappa_abscissa")
+            if n in header), None)
         if ix is None:
             raise ValueError(f"{path}: no abscissa column for the kappa fit")
         if "kappa" not in header:
@@ -404,20 +410,17 @@ def _read_kappa_csv(path: str) -> DataSet:
     return DataSet.from_rows(path, header, rows)
 
 
-def _read_series_csv(path: str) -> DataSet:
-    """A time series for the decay, tof and loading-rate fits: DataSet's
-    positional columns, but neither a sweep table, whose first column is
-    the swept trap parameter, nor kappa points, whose first column is the
-    master curve's abscissa."""
-    return DataSet.from_rows(path, *_read(path, "a time series"))
+def _read_series_csv(path: str, kind: str) -> DataSet:
+    """A time series of kind for the decay, tof and loading-rate fits:
+    DataSet's positional columns."""
+    return DataSet.from_rows(path, *_read(path, kind)[1:])
 
 
 def _read_nmot_csv(path: str) -> list[tuple[float, float]]:
     """(value, n_mot) pairs for sweep_nmot_csv: a sweep table's first and
-    n_mot columns, any other table's first two columns.  A time series and
-    kappa points are refused."""
-    header, rows = _read(path, "an N_MOT table", "a sweep table")
-    if header[0] in _SWEEP_COLUMN.values():
+    n_mot columns, any other table's first two columns."""
+    held, header, rows = _read(path, NMOT_TABLE, SWEEP_TABLE)
+    if held == SWEEP_TABLE:
         if "n_mot" not in header:
             raise ValueError(f"{path}: no n_mot column for sweep_nmot_csv")
         column = header.index("n_mot")
@@ -430,9 +433,8 @@ def _read_nmot_csv(path: str) -> list[tuple[float, float]]:
 
 def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Long-format profile table: y_mm, z_mm, column_density columns, one
-    row for each point of a complete y/z grid.  A time series, kappa
-    points and a sweep table are refused."""
-    header, rows = _read(path, "a profile table")
+    row for each point of a complete y/z grid."""
+    header, rows = _read(path, sweeps.PROFILE_TABLE)[1:]
     if len(header) != 3:
         raise ValueError(f"{path}: expected 3 columns (y_mm, z_mm, "
                          f"column_density), got {len(header)}")
@@ -447,6 +449,17 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y * UNITS["mm"], z * UNITS["mm"], image
 
 
+def _fit_kappa(path: str):
+    """fit_kappa on the file's points.  Its model raises ModelInputError
+    where the data drive both beta to 0; that error names the file, not
+    the config keys that main names for one the scenario raises."""
+    data = _read_kappa_csv(path)
+    try:
+        return fit_kappa(data)
+    except dynamics.ModelInputError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # --- fit kinds: each one's fit and report rows -----------------------------
 # A fit takes the checked config and the --data path, and calls its reader,
 # which names the data file in its errors, and its fit by module-global name,
@@ -456,23 +469,26 @@ def _read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # line, none if empty) are the FitResult's own.
 FITS: dict[str, tuple[Callable[[dict[str, str], str], object], tuple]] = {
     "loading-rate": (
-        lambda cfg, path: fit_loading_rate(_read_series_csv(path)),
+        lambda cfg, path: fit_loading_rate(_read_series_csv(
+            path, sweeps.ATOM_NUMBERS)),
         (("loading_rate_atoms_per_s", None, False),)),
     "kappa": (
-        lambda cfg, path: fit_kappa(_read_kappa_csv(path)),
+        lambda cfg, path: _fit_kappa(path),
         (("beta_dd_cm3_per_s", "beta_dd", True),
          ("beta_ed_cm3_per_s", "beta_ed", True),
          ("correlation", "correlation", False),
-         ("converged", "converged", False))),
+         ("converged", "converged", False),
+         ("note", "message", False))),
     "decay": (
-        lambda cfg, path: fit_decay(_read_series_csv(path),
-                                    scenario_from_config(cfg).v_mt),
+        lambda cfg, path: fit_decay(_read_series_csv(
+            path, sweeps.ATOM_NUMBERS), scenario_from_config(cfg).v_mt),
         (("gamma_per_s", "gamma", True),
          ("beta_dd_cm3_per_s", "beta_dd", True),
          ("converged", "converged", False),
          ("note", "message", False))),
     "tof": (
-        lambda cfg, path: fit_tof(_read_series_csv(path), _species(cfg)),
+        lambda cfg, path: fit_tof(_read_series_csv(path, sweeps.RADII),
+                                  _species(cfg)),
         (("temperature_uk", "temperature", True),
          ("sigma0_mm", "sigma0", False),
          ("note", "message", False))),

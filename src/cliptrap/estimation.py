@@ -402,11 +402,16 @@ def fit_loading_rate(series: DataSet) -> float:
     """Loading rate R over the whole curve: with n0 the earliest sample,
     y_i - n0 = R (t_i - t0) - gamma int N dt - k int N^2 dt
     (_integrated_rows) is linear in (R, gamma, k); R is its weighted
-    least-squares solution."""
+    least-squares solution.  An R < 0, which no loading curve gives,
+    raises ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
         series, t, w, int_n, int_n2 = _integrated_rows(series, 4)
         a = np.column_stack([t[1:], -int_n, -int_n2]) * w[:, None]
-        return _linear_solve(a, (series.y[1:] - series.y[0]) * w)[0]
+        rate = _linear_solve(a, (series.y[1:] - series.y[0]) * w)[0]
+    if rate < 0:
+        raise ValueError(f"the fitted loading rate is negative ({rate:.6g} "
+                         "atoms/s): the data are not a loading curve")
+    return rate
 
 
 def fit_kappa(data: DataSet) -> FitResult:
@@ -420,7 +425,9 @@ def fit_kappa(data: DataSet) -> FitResult:
     are fitted in log space for positivity, with kappa_fit_model(data.x)
     as the model, which forms 4 x and sqrt(x) once for the fit.  The two
     parameters act on opposite ends of the curve but both suppress kappa,
-    so expect strong negative correlation.
+    so expect strong negative correlation.  A coefficient that ends at 0,
+    its log stepped past exp's range, is named in the result's message;
+    its sigma is nan.
     """
     if not (data.x > 0).all():
         raise ValueError("abscissa values must be positive")
@@ -434,10 +441,14 @@ def fit_kappa(data: DataSet) -> FitResult:
         betas = _linear_solve(np.column_stack([4 * k * kw, kw]),
                               2 * data.x * w)
 
-    return least_squares(
+    res = least_squares(
         kappa_fit_model(data.x), data,
         betas if all(b > 0 for b in betas) else (1e-17, 1e-15),
         names=("beta_dd", "beta_ed"), log=(True, True))
+    # both at 0 leave kappa undefined, which the model raises
+    if zero := next((n for n in res.names if res[n] == 0), None):
+        res.message = f"{zero} underflows to 0 in its log-space fit"
+    return res
 
 
 def fit_decay(series: DataSet, v: float) -> FitResult:
@@ -496,7 +507,8 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
 
     Exact weighted linear solve in t^2, no iteration.  The radii must be
     > 0, since the fit squares them.  A negative fitted sigma0^2 is
-    flagged as degenerate; the temperature is still returned.
+    flagged as degenerate; the temperature is still returned.  A negative
+    slope, radii that shrink as the cloud expands, raises ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _solve reports it
         u = series.x ** 2
@@ -511,6 +523,9 @@ def fit_tof(series: DataSet, species: Species) -> FitResult:
         w = 1.0 / np.maximum(2.0 * series.y * series.sigma_y, 1e-300)
         a = np.column_stack([np.ones_like(u), u]) * w[:, None]
         intercept, slope = _linear_solve(a, v * w)
+    if slope < 0:
+        raise ValueError("the fitted temperature is negative: the radii "
+                         "shrink as the cloud expands")
     temperature = species.mass * slope / BOLTZMANN
     degenerate = intercept < 0
     sigma0 = math.sqrt(max(intercept, 0.0))

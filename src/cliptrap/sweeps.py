@@ -29,10 +29,15 @@ SWEEPABLE = ("radial_gradient", "axial_curvature", "offset_field")
 OUTPUTS = ("n_mot", "n_mt_steady", "loading_rate", "tau_eff", "v_mt",
            "kappa", "kappa_abscissa", "t_mt_prediction", "majorana_safe")
 DEFAULT_OUTPUTS = OUTPUTS[:6]
-# First columns of the synthetic data files: the fits' readers tell a time
-# series from kappa points by them.
-TIME_COLUMN = "t_s"
-ABSCISSA_COLUMN = "rv_over_nmot2_m3_per_s"
+# What a data file holds, by its header's first two cells: the writers label
+# from it, cli._read classifies by it.  A name up to " of " names the x.
+FILE_KINDS: dict[tuple[str, str], str] = {
+    ("t_s", "n_atoms"): "a time series of atom numbers",
+    ("t_s", "sigma_m"): "a time series of radii",
+    ("rv_over_nmot2_m3_per_s", "kappa"): "kappa points",
+    ("y_mm", "z_mm"): "a profile table"}
+HEADER = {kind: header for header, kind in FILE_KINDS.items()}
+ATOM_NUMBERS, RADII, KAPPA_POINTS, PROFILE_TABLE = HEADER
 
 
 @dataclass(frozen=True)
@@ -156,16 +161,14 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
                 "a loading curve's span 10 tau_eff under- or overflows a "
                 "float", "gamma_d", "beta_ed", "beta_dd", "v_mt")
         t, n = dynamics.evolve(scenario, 0.0, t_end, samples=points)
-        x, y = t, n
-        labels = (TIME_COLUMN, "n_atoms")
+        x, y, held = t, n, ATOM_NUMBERS
     elif kind == "decay_curve":
         t = _log_grid(0.05, 150.0, points)
         t[0] = 0.0  # anchor the initial atom number
         y = dynamics.decay(scenario.n_mt_steady,
                            scenario.coefficients.gamma_d,
                            scenario.coefficients.beta_dd, scenario.v_mt, t)
-        x = t
-        labels = (TIME_COLUMN, "n_atoms")
+        x, held = t, ATOM_NUMBERS
     elif kind == "tof_series":
         t = np.linspace(1e-3, 8e-3, points)
         kt = scenario.mt_temperature
@@ -174,8 +177,7 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
         sigma0 = cloud.make_thermal_cloud(scenario.species, scenario.trap,
                                           1.0, kt).xi1
         y = cloud.tof_radius(sigma0, kt, scenario.species, t)
-        x = t
-        labels = (TIME_COLUMN, "sigma_m")
+        x, held = t, RADII
     elif kind == "kappa_points":
         x0 = scenario.kappa_abscissa
         if not (0.1 * x0 > 0 and 10 * x0 < math.inf):
@@ -183,10 +185,9 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
                 "kappa points need an abscissa x = R V_MT / N_MOT^2 with "
                 "x / 10 > 0 and 10 x finite", *dynamics.LOADING_RATE_INPUTS,
                 "v_mt")
-        x = _log_grid(0.1 * x0, 10 * x0, points)
+        x, held = _log_grid(0.1 * x0, 10 * x0, points), KAPPA_POINTS
         y = dynamics.kappa_of_abscissa(x, scenario.coefficients.beta_dd,
                                        scenario.coefficients.beta_ed)
-        labels = (ABSCISSA_COLUMN, "kappa")
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -199,5 +200,4 @@ def synthesize_measurements(scenario: LoadingScenario, kind: str,
     if not np.isfinite(sigma).all() and np.isfinite(model).all():
         raise dynamics.ModelInputError(
             "noise makes the data or their sigma overflow a float", "noise")
-    return DataSet(x=np.asarray(x, float), y=y, sigma_y=sigma,
-                   x_label=labels[0], y_label=labels[1])
+    return DataSet(np.asarray(x, float), y, sigma, *HEADER[held])

@@ -887,6 +887,7 @@ def test_kappa_fit_names_a_sweep_table_s_missing_column(tmp_path, capsys,
         "", f"error: {table}: no {column} column for the kappa fit\n")
 
 
+KAPPA_HEADER = ",".join(sweeps.HEADER[sweeps.KAPPA_POINTS])
 PROBE_ROWS = ("1e-14,3,0.03,1\n2e-14,4,0.04,1\n4e-14,500,0.05,0\n"
               "8e-14,6,0.06,1\n1.6e-13,7.5,0.075,1\n")
 
@@ -896,7 +897,7 @@ def test_kappa_fit_masks_named_columns(tmp_path, capsys):
     # row was fitted, beta_dd = 2.34e-12 cm^3/s against 9.64e-10 under a
     # positional header
     reports = []
-    for header in (f"{sweeps.ABSCISSA_COLUMN},kappa,sigma_kappa,mask",
+    for header in (f"{KAPPA_HEADER},sigma_kappa,mask",
                    "x,y,sigma_y,mask"):
         data = tmp_path / "kappa.csv"
         data.write_text(f"{header}\n{PROBE_ROWS}")
@@ -905,6 +906,35 @@ def test_kappa_fit_masks_named_columns(tmp_path, capsys):
         reports.append(capsys.readouterr())
     assert reports[0] == reports[1]
     assert reports[0].out.startswith("beta_dd_cm3_per_s = 9.64006e-10\n")
+
+
+def test_fit_kappa_notes_a_beta_at_0(tmp_path, capsys):
+    # log beta_ed stepped past exp's range: beta_ed = 0 with a nan sigma
+    # and correlation 0 was reported as converged and nothing more
+    data = tmp_path / "kappa.csv"
+    data.write_text(f"x,y,sigma_y,mask\n{PROBE_ROWS}")
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(data)) == 0
+    assert capsys.readouterr() == (
+        "beta_dd_cm3_per_s = 9.64006e-10\n"
+        "beta_dd_sigma_cm3_per_s = 9.8228e-12\n"
+        "beta_ed_cm3_per_s = 0\n"
+        "beta_ed_sigma_cm3_per_s = nan\n"
+        "correlation = 0.0000\n"
+        "converged = True\n"
+        "note: beta_ed underflows to 0 in its log-space fit\n", "")
+
+
+def test_fit_kappa_names_the_data_for_its_model_s_error(tmp_path, capsys):
+    # a fit that drives both beta to 0, where kappa is undefined, ended
+    # `it is set by beta_ed_cm3_per_s and beta_dd_cm3_per_s`, config keys
+    # the fit never read
+    data = tmp_path / "kappa.csv"
+    data.write_text(f"{KAPPA_HEADER},sigma_kappa\n" + "".join(
+        f"{x},{k},{1e12 * (x + k):.3g}\n"
+        for x in (0.1, 0.3, 0.5, 0.7) for k in (1, 2, 3)))
+    assert run("fit", "kappa", "--paper-defaults", "--data", str(data)) == 2
+    assert capsys.readouterr() == ("", f"error: {data}: kappa undefined with "
+                                   "both beta coefficients zero\n")
 
 
 SERIES_ROWS = ("t_s,n_atoms,sigma_n_atoms\n0,1e8,1e6\n1,9e7,1e6\n"
@@ -918,10 +948,12 @@ PROFILE_ROWS = (
 @pytest.mark.parametrize("argv, text", [
     *(pytest.param(("fit", "kappa", "--data", "{}"),
                    f"{header}\n{PROBE_ROWS}", id=header)
-      for header in (f"{sweeps.ABSCISSA_COLUMN},kappa,sigma_kappa,mask",
+      for header in (f"{KAPPA_HEADER},sigma_kappa,mask",
                      "x,y,sigma_y,mask")),
     *(pytest.param(("fit", kind, "--data", "{}"), SERIES_ROWS, id=kind)
-      for kind in ("decay", "tof", "loading-rate")),
+      for kind in ("decay", "loading-rate")),
+    pytest.param(("fit", "tof", "--data", "{}"),
+                 NON_FINITE_FILES["tof"].format(bad="4e-4"), id="tof"),
     pytest.param(("fit", "profile", "--data", "{}"), PROFILE_ROWS,
                  id="profile"),
     pytest.param(("sweep", "--set", "sweep_values=8,20",
@@ -940,6 +972,68 @@ def test_kappa_file_is_read_once(tmp_path, monkeypatch, capsys, argv, text):
                         lambda path: reads.append(path) or read_lines(path))
     assert run(*(arg.format(data) for arg in argv), "--paper-defaults") == 0
     assert reads == [str(data)]
+
+
+# a profile table that the time-series fits each read by position, and
+# fitted with exit 0
+PROFILE_GRID = "y_mm,z_mm,column_density\n" + "".join(
+    f"{y},{z},{n:.3g}\n" for y in (0.1, 0.3, 0.5, 0.7) for z in (1, 2, 3)
+    for n in [4e13 * math.exp(-((y - 0.4) / 0.3) ** 2 - (z - 2) ** 2 / 2.25)])
+# the kind of file each synth kind writes
+SYNTH_WRITES = {"loading_curve": sweeps.ATOM_NUMBERS,
+                "decay_curve": sweeps.ATOM_NUMBERS,
+                "tof_series": sweeps.RADII,
+                "kappa_points": sweeps.KAPPA_POINTS}
+# each writer's command and the kind of file it writes; None writes
+# PROFILE_GRID
+WRITERS = {
+    "simulate": (("simulate",), sweeps.ATOM_NUMBERS),
+    **{kind: (("synth", "--set", f"synth_kind={kind}"), held)
+       for kind, held in SYNTH_WRITES.items()},
+    "sweep": (KIND_FILES["a sweep table"], cli.SWEEP_TABLE),
+    "profile": (None, sweeps.PROFILE_TABLE)}
+# the kinds each fit takes
+FIT_TAKES = {"loading-rate": (sweeps.ATOM_NUMBERS,),
+             "decay": (sweeps.ATOM_NUMBERS,), "tof": (sweeps.RADII,),
+             "kappa": (sweeps.KAPPA_POINTS, cli.SWEEP_TABLE),
+             "profile": (sweeps.PROFILE_TABLE,)}
+# a matched pair that its fit refuses for its own reason
+OWN_REFUSALS = {
+    ("simulate", "loading-rate"): "{}: expected at least 3 columns",
+    ("simulate", "decay"): "{}: expected at least 3 columns",
+    ("loading_curve", "decay"): "n0 must be positive",
+    ("decay_curve", "loading-rate"): "the fitted loading rate is negative"}
+
+
+@pytest.mark.parametrize("writer, fit", [
+    pytest.param(w, f, id=f"{w}-{f}") for w in WRITERS for f in FIT_TAKES])
+def test_each_writer_s_output_in_each_fit(tmp_path, capsys, writer, fit):
+    # every time series was told apart by its first column t_s alone, and
+    # the profile table not at all: seven mismatched pairs exited 0, a
+    # decay curve into fit tof with temperature_uk = -2.25294e+12
+    data = tmp_path / "data.csv"
+    argv, held = WRITERS[writer]
+    if argv is None:
+        data.write_text(PROFILE_GRID)
+    else:
+        assert run(*argv, "--paper-defaults", "--out", str(data)) == 0
+    code = run("fit", fit, "--paper-defaults", "--data", str(data))
+    out, err = capsys.readouterr()
+    want = FIT_TAKES[fit][0]
+    if held in FIT_TAKES[fit]:
+        reason = OWN_REFUSALS.get((writer, fit))
+        if reason is None:
+            assert (code, err) == (0, "") and out
+        else:
+            assert code == 2
+            assert err.startswith(f"error: {reason.format(data)}")
+        return
+    # named by the first column where it differs, else by the second
+    names = {k.partition(" of ")[0] for k in (held, want)}
+    names = names if len(names) == 2 else {held, want}
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
+    assert all(name in err for name in names), (names, err)
 
 
 def test_fit_kappa_step_past_exp_range(tmp_path, capsys):
@@ -1041,6 +1135,18 @@ def test_fit_decay_notes_beta_dd_on_a_bound(tmp_path, capsys, counts, end):
     assert capsys.readouterr().out.endswith(
         "converged = True\n"
         f"note: beta_dd ends on the {end} bound of its fit range\n")
+
+
+def test_fit_tof_refuses_shrinking_radii(tmp_path, capsys):
+    # radii of 0.3, 0.2 and 0.1 mm at 1, 2 and 3 ms printed
+    # temperature_uk = -51.8202 with exit 0
+    csv = tmp_path / "tof.csv"
+    csv.write_text("t_s,sigma_m,sigma_sigma_m\n0.001,3e-4,1e-5\n"
+                   "0.002,2e-4,1e-5\n0.003,1e-4,1e-5\n")
+    assert run("fit", "tof", "--paper-defaults", "--data", str(csv)) == 2
+    assert capsys.readouterr() == ("", "error: the fitted temperature is "
+                                   "negative: the radii shrink as the cloud "
+                                   "expands\n")
 
 
 def test_fit_tof_degenerate_note_line(tmp_path, capsys):

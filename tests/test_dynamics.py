@@ -764,13 +764,18 @@ class TestDecay:
     @settings(max_examples=200, deadline=None)
     @given(n0=log_uniform(6, 10), gamma=log_uniform(-4, 0),
            beta=log_uniform(-19, -15), v=log_uniform(-9, -7))
+    # the corner where the two-body time V / (2 beta n0) is 5e-5 s, so the
+    # slope at the interval's start was 1.3e-3 off the difference
+    @example(n0=1e10, gamma=1e-4, beta=1e-15, v=1e-9)
     def test_continuous_across_old_two_body_switch(self, n0, gamma, beta, v):
         # The pure two-body limit used to take over below gamma t = 1e-8
         # and dropped the gamma term: N jumped by about 1e-8 relative.
-        # Across the old switch N now moves as the rate equation says.
+        # Across the old switch N now moves as the rate equation says, with
+        # its slope taken at the interval's midpoint.
         t_lo, t_hi = 0.999e-8 / gamma, 1.001e-8 / gamma
-        n_lo, n_hi = decay(n0, gamma, beta, v, np.array([t_lo, t_hi]))
-        slope = -gamma * n_lo - 2 * beta * n_lo ** 2 / v
+        n_lo, n_mid, n_hi = decay(n0, gamma, beta, v,
+                                  np.array([t_lo, 1e-8 / gamma, t_hi]))
+        slope = -gamma * n_mid - 2 * beta * n_mid ** 2 / v
         assert n_hi - n_lo == pytest.approx(slope * (t_hi - t_lo), rel=1e-3,
                                             abs=1e-15 * n0)
 

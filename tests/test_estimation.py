@@ -585,6 +585,13 @@ class TestFitLoadingRate:
         with pytest.raises(ValueError, match="at least 4 samples"):
             fit_loading_rate(dataset(t, t))
 
+    def test_negative_rate_is_refused(self):
+        # a pure decay solves the integrated equation with R < 0, which
+        # was returned as the loading rate
+        t = np.linspace(0, 10, 20)
+        with pytest.raises(ValueError, match="loading rate is negative"):
+            fit_loading_rate(dataset(t, 1e8 * np.exp(-0.2 * t) - 1e3 * t))
+
     def test_solves_the_integrated_equation(self):
         # R of the weighted least-squares solution of
         # y_i - n0 = R t_i - gamma int N dt - k int N^2 dt, the integrals
@@ -1032,6 +1039,13 @@ class TestFitTof:
         res = fit_tof(DataSet(t, sigma, np.full(3, 1e-6)), CR)
         if res.message:
             assert "degenerate" in res.message
+
+    def test_shrinking_radii_are_refused(self):
+        # a t^2 slope < 0 was returned as a negative temperature
+        t = np.array([1e-3, 2e-3, 3e-3])
+        with pytest.raises(ValueError, match="temperature is negative"):
+            fit_tof(DataSet(t, np.array([3e-4, 2e-4, 1e-4]),
+                            np.full(3, 1e-6)), CR)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

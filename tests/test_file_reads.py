@@ -9,12 +9,18 @@ mode without w, a or x), read_text, read_bytes and numpy's loadtxt and
 genfromtxt.  In the CLI, every data file reader starts from cli._read,
 the one caller of read_csv, which refuses a file of a kind the reader
 does not take; a reader that called read_csv itself would read any file.
+
+What a file holds is named in one table, sweeps.FILE_KINDS, by its
+header's first two cells: every writer's header is one of its keys (a
+sweep table's, by its first column, one of cli._SWEEP_COLUMN's values),
+each cell is written there alone, and every kind a reader takes is one
+of its kinds, a sweep table or the N_MOT table, which no writer writes.
 """
 
 import ast
 from pathlib import Path
 
-from cliptrap import estimation
+from cliptrap import cli, estimation, sweeps
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cliptrap"
 READERS = {"read_text", "read_bytes", "loadtxt", "genfromtxt"}
@@ -103,3 +109,47 @@ def test_guard_sees_a_second_read_csv_caller(tmp_path):
         "    return flatfile.read_csv(path)\n")
     assert read_sites(probe, calls_read_csv) == ["cli._read",
                                                  "cli._read_profile_csv"]
+
+
+def test_each_writer_s_header_is_a_file_kind(tmp_path):
+    out = tmp_path / "out.csv"
+    headers = []
+    for argv in (("simulate",), ("sweep",), *(
+            ("synth", "--set", f"synth_kind={kind}")
+            for kind in ("loading_curve", "decay_curve", "tof_series",
+                         "kappa_points"))):
+        assert cli.main([*argv, "--paper-defaults", "--out", str(out)]) == 0
+        headers.append(out.read_text().split("\n", 1)[0].split(","))
+    sweep = headers.pop(1)
+    assert sweep[0] in cli._SWEEP_COLUMN.values()
+    assert {tuple(h[:2]) for h in headers} == set(sweeps.FILE_KINDS) - {
+        sweeps.HEADER[sweeps.PROFILE_TABLE]}  # profiles come from a camera
+
+
+def test_header_cells_are_written_only_in_the_table():
+    # "kappa" also names a sweep output, which a reader looks up by name
+    cells = {c for header in sweeps.FILE_KINDS for c in header} - {"kappa"}
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in cells:
+                sites.append((path.stem, node.value))
+    assert sorted(sites) == sorted(
+        ("sweeps", c) for header in sweeps.FILE_KINDS for c in header
+        if c in cells)
+
+
+def test_each_reader_takes_table_kinds(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    data.write_text("x,y,sigma_y\n1,1,1\n2,2,1\n")
+    taken, read = [], cli._read
+    monkeypatch.setattr(cli, "_read", lambda path, *takes: taken.append(
+        takes) or read(path, *takes))
+    for kind in cli.FITS:
+        cli.main(["fit", kind, "--paper-defaults", "--data", str(data)])
+    cli.main(["sweep", "--paper-defaults", "--set", "sweep_values=1,2",
+              "--set", f"sweep_nmot_csv={data}"])
+    assert len(taken) == len(cli.FITS) + 1
+    kinds = {kind for takes in taken for kind in takes}
+    assert kinds == {*sweeps.FILE_KINDS.values(), cli.SWEEP_TABLE,
+                     cli.NMOT_TABLE}
